@@ -10,7 +10,7 @@ from .dip import (DipConfig, beta, chi_factor, invert_stage2, pretrain_stage1,
                   surrogate_loss)
 from .forward import (DataWeights, DCSimulation, DiscreteOperator, assemble_system,
                       build_data_weights, j_vec, jt_vec, phi_d, predict,
-                      solve_potential, weights_from_std)
+                      weights_from_std)
 from .mesh import GridIndexMap, TensorMesh2D, build_mesh, cell_centers
 from .net import (ArchConfig, NetParams, arch_for_mesh, init_params, load_params,
                   net_backward, net_forward, param_count, sample_latent, save_params)

@@ -19,7 +19,7 @@ from .survey import build_dipole_dipole_survey
 def _tiny_problem(seed=0):
     mesh = build_mesh(12, 5, 5.0, 5.0, 2, 1.5)
     survey = build_dipole_dipole_survey(50.0, 10.0, 24, x0=-25.0)
-    sim = DCSimulation(mesh, survey, tol=1e-13)
+    sim = DCSimulation(mesh, survey)
     return mesh, survey, sim
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from typing import get_args, get_type_hints
 
 from . import fileio
 from .ablation import SUITES, run_ablation
@@ -39,22 +40,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _field_kind(annotation) -> type:
+    """bool, int or float when the annotation names one (``float | None`` too), else str."""
+    options = get_args(annotation) or (annotation,)
+    return next((kind for kind in (bool, int, float) if kind in options), str)
+
+
 def _apply_section(cfg, section: dict[str, str]):
-    """Override dataclass fields from a config-file section (typed coercion)."""
+    """Override dataclass fields from a config-file section, coerced to each
+    field's declared type."""
     updates = {}
-    names = {f.name: f for f in fields(cfg)}
+    hints = get_type_hints(type(cfg))
+    names = {f.name for f in fields(cfg)}
     for key, raw in section.items():
         if key not in names:
             raise ValueError(f"unknown config key {key!r} for {type(cfg).__name__}")
-        current = getattr(cfg, key)
-        if isinstance(current, bool):
+        kind = _field_kind(hints[key])
+        if kind is bool:
             updates[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            updates[key] = int(raw)
-        elif isinstance(current, float):
-            updates[key] = float(raw)
-        else:
-            updates[key] = raw
+            continue
+        try:
+            updates[key] = kind(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r} for {type(cfg).__name__} must be "
+                             f"{kind.__name__}, got {raw!r}") from None
     return replace(cfg, **updates)
 
 

@@ -164,8 +164,7 @@ def run_stage2(params: NetParams, z: np.ndarray, sim, d_obs: np.ndarray,
             r = d_pred - d_obs
             jv = sim.jt_vec(m, w2 * r)
         except SolverFailure as e:
-            raise SolverFailure(f"epoch {t}: {e}", residual=e.residual,
-                                iterations=e.iterations) from e
+            raise SolverFailure(f"epoch {t}: {e}") from e
         wr = weights.values * r
         pd = 0.5 * float(wr @ wr)
         chi = 2.0 * pd / d_obs.size

@@ -2,12 +2,7 @@
 
 
 class SolverFailure(RuntimeError):
-    """Iterative linear solve did not reach tolerance within the iteration cap."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """The forward operator could not be solved: a singular factor or a non-finite solution."""
 
 
 class NumericalFailure(RuntimeError):

@@ -58,9 +58,8 @@ def param_fd_grads(params, z, shape, g, eps=1e-5, mode="eval", rng_factory=None)
     return out
 
 
-def tiny_dc_problem(n_core_x=12, n_core_z=5, n_pad=2, line=50.0, spacing=10.0,
-                    tol=1e-13):
+def tiny_dc_problem(n_core_x=12, n_core_z=5, n_pad=2, line=50.0, spacing=10.0):
     """Small mesh + survey + simulation for sensitivity tests."""
     mesh = dcinv.build_mesh(n_core_x, n_core_z, 5.0, 5.0, n_pad, 1.5)
     survey = dcinv.build_dipole_dipole_survey(line, spacing, 24, x0=-line / 2)
-    return mesh, survey, DCSimulation(mesh, survey, tol=tol)
+    return mesh, survey, DCSimulation(mesh, survey)

@@ -56,7 +56,7 @@ class TestAcceptance:
             mesh = dcinv.build_mesh(nx, nz, 5.0, 5.0, int(rng.integers(1, 3)), 1.5)
             line = 30.0  # 7 stations at 5 m spacing inside the core
             survey = dcinv.build_dipole_dipole_survey(line, 5.0, 24, x0=-line / 2)
-            sim = DCSimulation(mesh, survey, tol=1e-13)
+            sim = DCSimulation(mesh, survey)
             m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
             w = rng.standard_normal(mesh.n_cells)
             v = rng.standard_normal(survey.n_data)
@@ -166,7 +166,7 @@ class TestAcceptance:
             worst_net = max(worst_net, rel_err(an, fd))
 
         # phi_d gradient (adjoint route) within 1e-5
-        mesh, survey, sim = tiny_dc_problem(tol=1e-13)
+        mesh, survey, sim = tiny_dc_problem()
         m = -4.0 + 0.3 * np.random.default_rng(2).standard_normal(mesh.n_cells)
         d_obs = sim.predict(m) * 1.03
         weights = weights_from_std(0.05 * np.abs(d_obs))
@@ -177,8 +177,8 @@ class TestAcceptance:
             wdir = rng2.standard_normal(mesh.n_cells)
             wdir /= np.linalg.norm(wdir)
             eps = 1e-5
-            fp = phi_d(predict(mesh, survey, m + eps * wdir, tol=1e-13), d_obs, weights)
-            fm = phi_d(predict(mesh, survey, m - eps * wdir, tol=1e-13), d_obs, weights)
+            fp = phi_d(predict(mesh, survey, m + eps * wdir), d_obs, weights)
+            fm = phi_d(predict(mesh, survey, m - eps * wdir), d_obs, weights)
             fd = (fp - fm) / (2 * eps)
             worst_phi_d = max(worst_phi_d, abs(fd - grad @ wdir) / abs(fd))
 
@@ -203,7 +203,7 @@ class TestAcceptance:
     def test_05_surrogate_loss_equivalence(self):
         """Weight gradients of the surrogate loss equal finite-difference
         gradients of the true objective within 1e-6 relative (every array)."""
-        mesh, survey, sim = tiny_dc_problem(tol=1e-13)
+        mesh, survey, sim = tiny_dc_problem()
         arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=1, latent_dim=3,
                              channels=(2,))
         params = init_params(0, arch)
@@ -252,7 +252,7 @@ class TestAcceptance:
         survey = dcinv.build_dipole_dipole_survey(200.0, 25.0, 24, x0=-100.0)
         pad_extent = (5.0 * 1.5 ** np.arange(1, n_pad + 1)).sum()
         sigma0 = 0.01
-        d = predict(mesh, survey, np.full(mesh.n_cells, np.log(sigma0)), tol=1e-12)
+        d = predict(mesh, survey, np.full(mesh.n_cells, np.log(sigma0)))
         rho = 1.0 / sigma0
         e = survey.electrodes
         worst = 0.0
@@ -281,8 +281,8 @@ class TestAcceptance:
         rng = np.random.default_rng(4)
         m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
         c = 1.3
-        d0 = predict(mesh, survey, m, tol=1e-12)
-        d1 = predict(mesh, survey, m + c, tol=1e-12)
+        d0 = predict(mesh, survey, m)
+        d1 = predict(mesh, survey, m + c)
         err = rel_err(d1, np.exp(-c) * d0)
         report(7, "log-shift scale law to 1e-8 relative", err <= 1e-8,
                f"rel err {err:.2e}")

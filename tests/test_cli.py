@@ -1,6 +1,6 @@
 import numpy as np
 
-from dcinv.cli import main
+from dcinv.cli import _apply_section, main
 from dcinv.fileio import load_data, load_manifest
 from dcinv.trace import load_grid
 
@@ -49,6 +49,22 @@ class TestExitCodes:
     def test_bad_case_is_usage_error(self, tmp_path):
         code = main(["simulate", "--case", "9", "--out", str(tmp_path / "o")])
         assert code == 1
+
+
+class TestConfigFile:
+    def test_optional_float_is_coerced_from_field_type(self):
+        """[gn] beta0 defaults to None; a config value still becomes a float."""
+        from dcinv.tikhonov import GNConfig
+        gn = _apply_section(GNConfig(), {"beta0": "1000"})
+        assert gn.beta0 == 1000.0 and isinstance(gn.beta0, float)
+
+    def test_bad_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[gn]\nbeta0 = abc\n")
+        code = main(["invert-conv", "--case", "1", "--scale", "desk",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "beta0" in capsys.readouterr().err
 
 
 class TestCheck:

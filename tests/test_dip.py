@@ -69,7 +69,7 @@ class TestSurrogateLoss:
         """The central bridge property: backpropagating the surrogate loss
         gives the same weight gradient as the true data-misfit + L1
         objective, verified against finite differences on a tiny problem."""
-        mesh, survey, sim = tiny_dc_problem(tol=1e-13)
+        mesh, survey, sim = tiny_dc_problem()
         arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=1, latent_dim=3,
                              channels=(2,))
         params = init_params(0, arch)
@@ -149,7 +149,7 @@ class TestPretrainStage1:
 class TestInvertStage2:
     def _setup(self, noise_seed=0):
         mesh, survey, sim = tiny_dc_problem(n_core_x=16, n_core_z=6, n_pad=2,
-                                            line=60.0, spacing=10.0, tol=1e-10)
+                                            line=60.0, spacing=10.0)
         truth = np.full(mesh.n_cells, np.log(0.01))
         d_clean = sim.predict(truth)
         return mesh, survey, sim, truth, d_clean

@@ -136,7 +136,7 @@ class TestSensitivityWeights:
     def test_probe_matches_explicit_columns(self):
         """Stochastic estimate vs explicit J column norms on a tiny problem."""
         mesh, survey, sim = tiny_dc_problem(n_core_x=6, n_core_z=4, n_pad=1,
-                                            line=20.0, spacing=5.0, tol=1e-12)
+                                            line=20.0, spacing=5.0)
         m = np.full(mesh.n_cells, -4.0)
         cols = np.column_stack([sim.j_vec(m, np.eye(mesh.n_cells)[:, j])
                                 for j in range(mesh.n_cells)])
@@ -196,7 +196,7 @@ class TestGaussNewton:
     def test_start_at_answer_needs_no_iterations(self):
         """Zero-noise data from the reference model: chi is already ~0."""
         mesh, survey, sim = tiny_dc_problem(n_core_x=10, n_core_z=5, n_pad=2,
-                                            line=40.0, spacing=10.0, tol=1e-12)
+                                            line=40.0, spacing=10.0)
         truth = np.full(mesh.n_cells, np.log(0.01))
         d = sim.predict(truth)
         weights = weights_from_std(0.05 * np.abs(d))
