@@ -6,12 +6,10 @@ model, and a conventional Tikhonov/IRLS Gauss-Newton benchmark.
 """
 
 from .adam import AdamState, adam_step, init_adam
-from .dip import (DipConfig, beta, chi_factor, invert_stage2, pretrain_stage1,
-                  surrogate_loss)
-from .forward import (DataWeights, DCSimulation, DiscreteOperator, assemble_system,
-                      build_data_weights, j_vec, jt_vec, phi_d, predict,
-                      weights_from_std)
-from .mesh import GridIndexMap, TensorMesh2D, build_mesh, cell_centers
+from .dip import DipConfig, beta, invert_stage2, pretrain_stage1, surrogate_loss
+from .forward import (DataWeights, DCSimulation, assemble_system, build_data_weights,
+                      chi_factor, j_vec, jt_vec, phi_d, predict, weights_from_std)
+from .mesh import TensorMesh2D, build_mesh, cell_centers
 from .net import (ArchConfig, NetParams, arch_for_mesh, init_params, load_params,
                   net_backward, net_forward, param_count, sample_latent, save_params)
 from .scenarios import ScenarioSpec, add_noise, build_case1, build_case2, paint_model

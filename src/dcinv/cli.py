@@ -3,7 +3,8 @@
 Subcommands: ``simulate`` (scenario to synthetic data files),
 ``invert-dip``, ``invert-conv``, ``ablate``, ``render``, ``check``, and
 ``replay``.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 I/O error.
+3 I/O error, including a grid, data or trace file that does not parse
+(the message names the line).
 
 A ``--config`` file (INI-style, one section per module) supplies defaults
 for any [dip], [tikhonov], or [scenario] keys; command-line flags
@@ -21,7 +22,7 @@ from . import fileio
 from .ablation import SUITES, run_ablation
 from .checks import run_all
 from .dip import DipConfig
-from .errors import GridParseError, NumericalFailure, SolverFailure
+from .errors import NumericalFailure, ParseError, SolverFailure
 from .render import render_grid
 from .runs import (conventional_manifest, dip_manifest, replay, run_from_manifest,
                    simulate_manifest)
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
     except (SolverFailure, NumericalFailure) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except GridParseError as e:
+    except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_IO
     except OSError as e:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .adam import adam_step, init_adam
 from .errors import NumericalFailure, SolverFailure
-from .forward import DataWeights, DCSimulation
+from .forward import DataWeights, DCSimulation, _reference_vector, chi_factor, phi_d
 from .mesh import TensorMesh2D
 from .net import NetParams, net_backward, net_forward
 from .survey import Survey
@@ -66,16 +66,6 @@ def beta(t: float, tau: float) -> float:
     return float(np.exp(-t / tau))
 
 
-def chi_factor(d_pred: np.ndarray, d_obs: np.ndarray, weights: DataWeights) -> float:
-    """Achieved weighted misfit over its target: ||W r||^2 / N."""
-    d_pred = np.asarray(d_pred, dtype=float)
-    d_obs = np.asarray(d_obs, dtype=float)
-    if d_pred.shape != d_obs.shape or d_pred.shape != weights.values.shape:
-        raise ValueError("data vectors and weights must have equal length")
-    r = weights.values * (d_pred - d_obs)
-    return float(r @ r) / d_pred.size
-
-
 def surrogate_loss(m: np.ndarray, jv: np.ndarray, beta_val: float,
                    m_ref: np.ndarray):
     """(value, gradient wrt m) of (1-beta) <Jv, m> + beta ||m - m_ref||_1.
@@ -95,23 +85,7 @@ def surrogate_loss(m: np.ndarray, jv: np.ndarray, beta_val: float,
     return value, grad
 
 
-def _reference_vector(m_ref, n: int) -> np.ndarray:
-    arr = np.asarray(m_ref, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"m_ref must be scalar or length {n}")
-    return arr
-
-
-def _mesh_shape(mesh) -> tuple[int, int]:
-    if isinstance(mesh, TensorMesh2D):
-        return mesh.shape
-    nz, nx = mesh
-    return int(nz), int(nx)
-
-
-def pretrain_stage1(params: NetParams, z: np.ndarray, mesh,
+def pretrain_stage1(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
                     config: DipConfig) -> NetParams:
     """Fit the generator output to the reference model (mean absolute error).
 
@@ -120,12 +94,11 @@ def pretrain_stage1(params: NetParams, z: np.ndarray, mesh,
     seed.  Returns the updated params (also updated in place), ready for
     checkpointing and reuse.
     """
-    shape = _mesh_shape(mesh)
-    n = shape[0] * shape[1]
+    n = mesh.n_cells
     m_ref = _reference_vector(config.m_ref, n)
     state = init_adam(params.arrays)
     for _ in range(config.epochs_stage1):
-        m, tr = net_forward(params, z, shape, mode="eval")
+        m, tr = net_forward(params, z, mesh.shape, mode="eval")
         diff = m - m_ref
         loss = float(np.abs(diff).mean())
         if not np.isfinite(loss):
@@ -161,13 +134,11 @@ def run_stage2(params: NetParams, z: np.ndarray, sim, d_obs: np.ndarray,
         m, tr = net_forward(params, z, mesh_shape, mode=mode, rng=rng)
         try:
             d_pred = sim.predict(m)
-            r = d_pred - d_obs
-            jv = sim.jt_vec(m, w2 * r)
+            jv = sim.jt_vec(m, w2 * (d_pred - d_obs))
         except SolverFailure as e:
             raise SolverFailure(f"epoch {t}: {e}") from e
-        wr = weights.values * r
-        pd = 0.5 * float(wr @ wr)
-        chi = 2.0 * pd / d_obs.size
+        pd = phi_d(d_pred, d_obs, weights)
+        chi = chi_factor(d_pred, d_obs, weights)
         loss, g_m = surrogate_loss(m, jv, b, m_ref)
         pm = float(np.abs(m - m_ref).sum())
         if not np.isfinite(loss) or not np.isfinite(pd):

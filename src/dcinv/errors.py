@@ -9,8 +9,8 @@ class NumericalFailure(RuntimeError):
     """An optimization loop produced a non-finite loss or model."""
 
 
-class GridParseError(ValueError):
-    """A model grid file could not be parsed; carries the offending line number."""
+class ParseError(ValueError):
+    """A grid, data or trace file could not be parsed; carries the offending line number."""
 
     def __init__(self, message, line_no):
         super().__init__(f"line {line_no}: {message}")

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 
+from .errors import ParseError
 from .survey import Survey, survey_from_rows
 
 DATA_HEADER = "# dcinv data v1"
@@ -35,16 +36,22 @@ def load_data(path):
     vals = []
     stds = []
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             tok = line.split()
             if len(tok) != 6:
-                raise ValueError(f"expected 6 columns per datum, got {len(tok)}")
-            rows.append([float(t) for t in tok[:4]])
-            vals.append(float(tok[4]))
-            stds.append(float(tok[5]))
+                raise ParseError(f"expected 6 columns per datum, got {len(tok)}", ln)
+            try:
+                row = [float(t) for t in tok]
+            except ValueError:
+                raise ParseError("non-numeric value", ln) from None
+            rows.append(row[:4])
+            vals.append(row[4])
+            stds.append(row[5])
+    if not rows:
+        raise ParseError("no data rows", 1)
     survey = survey_from_rows(np.asarray(rows))
     return survey, np.asarray(vals), np.asarray(stds)
 

@@ -42,17 +42,6 @@ class DataWeights:
         values.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """Assembled finite-volume operator in compressed sparse row form."""
-
-    matrix: sp.csr_matrix
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
 class _FaceGeometry:
     """Face index arrays for one mesh, shared by assembly, the factor and sensitivities.
 
@@ -216,9 +205,9 @@ def _checked_sigma(mesh: TensorMesh2D, sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def assemble_system(mesh: TensorMesh2D, sigma: np.ndarray) -> DiscreteOperator:
-    """Cell-centered finite-volume operator for -div(sigma grad .)."""
-    return DiscreteOperator(matrix=_FaceGeometry(mesh).assemble(_checked_sigma(mesh, sigma)))
+def assemble_system(mesh: TensorMesh2D, sigma: np.ndarray) -> sp.csr_matrix:
+    """Cell-centered finite-volume operator for -div(sigma grad .), in CSR form."""
+    return _FaceGeometry(mesh).assemble(_checked_sigma(mesh, sigma))
 
 
 def factor_system(mesh: TensorMesh2D, sigma: np.ndarray) -> BlockFactor:
@@ -406,3 +395,18 @@ def phi_d(d_pred: np.ndarray, d_obs: np.ndarray, weights: DataWeights) -> float:
         raise ValueError("data vectors and weights must have equal length")
     r = weights.values * (d_pred - d_obs)
     return 0.5 * float(r @ r)
+
+
+def chi_factor(d_pred: np.ndarray, d_obs: np.ndarray, weights: DataWeights) -> float:
+    """Achieved misfit over its target N / 2: 2 phi_d / N = ||W_d r||^2 / N."""
+    return 2.0 * phi_d(d_pred, d_obs, weights) / np.size(d_pred)
+
+
+def _reference_vector(m_ref, n: int) -> np.ndarray:
+    """The reference model as a length-n vector; a scalar means a uniform model."""
+    arr = np.asarray(m_ref, dtype=float)
+    if arr.ndim == 0:
+        return np.full(n, float(arr))
+    if arr.shape != (n,):
+        raise ValueError(f"m_ref must be scalar or length {n}")
+    return arr

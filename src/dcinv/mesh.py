@@ -6,9 +6,7 @@ Coordinate conventions used throughout the package:
   surface is the top edge of the mesh at z = 0.
 * ``hz`` is ordered top to bottom, so cell row 0 is the shallowest.
 * Model vectors are flattened row-major with rows = depth slices:
-  ``flat = iz * nx + ix``.  :class:`GridIndexMap` is the single owner of
-  that rule; every consumer (network output, difference operators, file
-  I/O) goes through it.
+  ``flat = iz * nx + ix``, so ``values.reshape(mesh.shape)`` is the image.
 """
 
 from __future__ import annotations
@@ -69,49 +67,6 @@ class TensorMesh2D:
     def shape(self) -> tuple[int, int]:
         """(nz, nx), the grid shape used for images of the model."""
         return (self.nz, self.nx)
-
-
-@dataclass(frozen=True)
-class GridIndexMap:
-    """Bijection between (ix, iz) grid coordinates and flat model indices.
-
-    Flattening is row-major over depth slices: row 0 is the shallowest,
-    ``flat = iz * nx + ix``.
-    """
-
-    nx: int
-    nz: int
-    ordering: str = "row-major-shallow-first"
-
-    def __post_init__(self):
-        if self.nx < 1 or self.nz < 1:
-            raise ValueError("grid dimensions must be >= 1")
-
-    @property
-    def n_cells(self) -> int:
-        return self.nx * self.nz
-
-    def flatten(self, ix: int, iz: int) -> int:
-        if not (0 <= ix < self.nx and 0 <= iz < self.nz):
-            raise ValueError(f"grid index ({ix}, {iz}) outside {self.nx}x{self.nz}")
-        return iz * self.nx + ix
-
-    def unflatten(self, k: int) -> tuple[int, int]:
-        if not (0 <= k < self.n_cells):
-            raise ValueError(f"flat index {k} outside [0, {self.n_cells})")
-        return (k % self.nx, k // self.nx)
-
-    def to_grid(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        if values.size != self.n_cells:
-            raise ValueError(f"expected {self.n_cells} values, got {values.size}")
-        return values.reshape(self.nz, self.nx)
-
-    def to_vector(self, grid: np.ndarray) -> np.ndarray:
-        grid = np.asarray(grid)
-        if grid.shape != (self.nz, self.nx):
-            raise ValueError(f"expected shape {(self.nz, self.nx)}, got {grid.shape}")
-        return grid.reshape(-1)
 
 
 def build_mesh(n_core_x: int, n_core_z: int, dx: float, dz: float,

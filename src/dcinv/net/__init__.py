@@ -1,8 +1,6 @@
 """Convolutional model generator: layers, architecture, checkpoints."""
 
 from .layers import (
-    bilinear_upsample2,
-    bilinear_upsample2_backward,
     conv2d_valid,
     conv2d_valid_backward,
     crop2d,
@@ -13,14 +11,12 @@ from .layers import (
     dropout_backward,
     leaky_relu,
     leaky_relu_backward,
-    nearest_upsample2,
-    nearest_upsample2_backward,
-    scale_neg8,
-    scale_neg8_backward,
     sigmoid,
     sigmoid_backward,
     transposed_conv2,
     transposed_conv2_backward,
+    upsample2,
+    upsample2_backward,
 )
 from .model import (
     ArchConfig,

@@ -52,68 +52,42 @@ def sigmoid_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * y * (1.0 - y)
 
 
-def scale_neg8(x: np.ndarray) -> np.ndarray:
-    return -8.0 * x
-
-
-def scale_neg8_backward(g: np.ndarray) -> np.ndarray:
-    return -8.0 * g
-
-
 # -- upsampling -----------------------------------------------------------
 
-def _up2_axis(n: int):
-    """Source indices and weights for doubling one axis with half-pixel centers.
+def _up2_matrix(n: int, kind: str) -> np.ndarray:
+    """Dense (2n, n) matrix that doubles one axis of length n.
 
-    Output sample i maps to source coordinate (i + 0.5)/2 - 0.5; the two
-    neighbours are edge-clamped, so every output is a convex combination.
+    ``bilinear``: output sample i sits at source coordinate (i + 0.5)/2 - 0.5
+    (half-pixel centers) and mixes its two edge-clamped neighbours, so every
+    row is a convex combination.  ``nearest``: output i copies source i // 2.
     """
+    if kind == "nearest":
+        return np.repeat(np.eye(n), 2, axis=0)
+    if kind != "bilinear":
+        raise ValueError(f"unknown upsampler {kind!r}; expected 'bilinear' or 'nearest'")
     src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
     i0 = np.floor(src).astype(int)
     w1 = src - i0
-    lo = np.clip(i0, 0, n - 1)
-    hi = np.clip(i0 + 1, 0, n - 1)
-    return lo, hi, 1.0 - w1, w1
+    rows = np.arange(2 * n)
+    u = np.zeros((2 * n, n))
+    # Two statements, so the weights of neighbours clamped to one edge add up.
+    u[rows, np.clip(i0, 0, n - 1)] += 1.0 - w1
+    u[rows, np.clip(i0 + 1, 0, n - 1)] += w1
+    return u
 
 
-def bilinear_upsample2(x: np.ndarray) -> np.ndarray:
-    """Double H and W by bilinear interpolation (half-pixel convention)."""
-    h, w = x.shape[-2], x.shape[-1]
-    ry0, ry1, wy0, wy1 = _up2_axis(h)
-    cx0, cx1, wx0, wx1 = _up2_axis(w)
-    wy0 = wy0[:, None]
-    wy1 = wy1[:, None]
-    return (wy0 * wx0 * x[..., ry0[:, None], cx0[None, :]]
-            + wy0 * wx1 * x[..., ry0[:, None], cx1[None, :]]
-            + wy1 * wx0 * x[..., ry1[:, None], cx0[None, :]]
-            + wy1 * wx1 * x[..., ry1[:, None], cx1[None, :]])
+def upsample2(x: np.ndarray, kind: str) -> np.ndarray:
+    """Double H and W by a separable interpolation: ``U_h X U_w^T`` per channel."""
+    u_h = _up2_matrix(x.shape[-2], kind)
+    u_w = _up2_matrix(x.shape[-1], kind)
+    return u_h @ x @ u_w.T
 
 
-def bilinear_upsample2_backward(g: np.ndarray, in_shape) -> np.ndarray:
-    """Exact transpose: scatter each output gradient back with the same weights."""
-    h, w = in_shape[-2], in_shape[-1]
-    ry0, ry1, wy0, wy1 = _up2_axis(h)
-    cx0, cx1, wx0, wx1 = _up2_axis(w)
-    wy0 = wy0[:, None]
-    wy1 = wy1[:, None]
-    gx = np.zeros(in_shape, dtype=float)
-    lead = (slice(None),) * (len(in_shape) - 2)
-    np.add.at(gx, lead + (ry0[:, None], cx0[None, :]), wy0 * wx0 * g)
-    np.add.at(gx, lead + (ry0[:, None], cx1[None, :]), wy0 * wx1 * g)
-    np.add.at(gx, lead + (ry1[:, None], cx0[None, :]), wy1 * wx0 * g)
-    np.add.at(gx, lead + (ry1[:, None], cx1[None, :]), wy1 * wx1 * g)
-    return gx
-
-
-def nearest_upsample2(x: np.ndarray) -> np.ndarray:
-    """Replicate every pixel into a 2x2 block."""
-    return np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
-
-
-def nearest_upsample2_backward(g: np.ndarray) -> np.ndarray:
-    """Sum gradients over each 2x2 block."""
-    s = g.shape
-    return g.reshape(s[:-2] + (s[-2] // 2, 2, s[-1] // 2, 2)).sum(axis=(-3, -1))
+def upsample2_backward(g: np.ndarray, kind: str) -> np.ndarray:
+    """Exact transpose of :func:`upsample2`: ``U_h^T G U_w``."""
+    u_h = _up2_matrix(g.shape[-2] // 2, kind)
+    u_w = _up2_matrix(g.shape[-1] // 2, kind)
+    return u_h.T @ g @ u_w
 
 
 def transposed_conv2(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -216,12 +216,10 @@ def net_forward(params: NetParams, z: np.ndarray, mesh_shape: tuple[int, int],
 
     for i in range(1, arch.n_blocks + 1):
         up_in = t
-        if arch.upsampler == "bilinear":
-            u = layers.bilinear_upsample2(t)
-        elif arch.upsampler == "nearest":
-            u = layers.nearest_upsample2(t)
-        else:
+        if arch.upsampler == "transposed":
             u = layers.transposed_conv2(t, a[f"up{i}.k"], a[f"up{i}.b"])
+        else:
+            u = layers.upsample2(t, arch.upsampler)
         c = layers.conv2d_valid(u, a[f"conv{i}.k"], a[f"conv{i}.b"])
         trace.blocks.append(_BlockCache(up_in=up_in, conv_in=u, conv_pre=c))
         t = layers.leaky_relu(c, arch.negative_slope)
@@ -260,14 +258,12 @@ def net_backward(trace: ForwardTrace, g: np.ndarray) -> dict[str, np.ndarray]:
         gk, gb, gu = layers.conv2d_valid_backward(blk.conv_in, a[f"conv{i}.k"], glr)
         grads[f"conv{i}.k"] = gk
         grads[f"conv{i}.b"] = gb
-        if arch.upsampler == "bilinear":
-            gt = layers.bilinear_upsample2_backward(gu, blk.up_in.shape)
-        elif arch.upsampler == "nearest":
-            gt = layers.nearest_upsample2_backward(gu)
-        else:
+        if arch.upsampler == "transposed":
             guk, gub, gt = layers.transposed_conv2_backward(blk.up_in, a[f"up{i}.k"], gu)
             grads[f"up{i}.k"] = guk
             grads[f"up{i}.b"] = gub
+        else:
+            gt = layers.upsample2_backward(gu, arch.upsampler)
 
     gact = gt.reshape(-1)
     gfc = layers.leaky_relu_backward(trace.fc_pre, gact, arch.negative_slope)

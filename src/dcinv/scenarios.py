@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GridIndexMap, TensorMesh2D, build_mesh, cell_centers
+from .mesh import TensorMesh2D, build_mesh, cell_centers
 from .survey import Survey, build_dipole_dipole_survey
 
 
@@ -68,10 +68,6 @@ class ScenarioSpec:
         return build_dipole_dipole_survey(self.line_length, self.station_spacing,
                                           self.max_receivers,
                                           x0=-0.5 * self.line_length)
-
-    def index_map(self) -> GridIndexMap:
-        mesh = self.mesh()
-        return GridIndexMap(nx=mesh.nx, nz=mesh.nz)
 
     def core_bounds(self):
         """(x_min, x_max, depth_max) of the core region."""

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .forward import DataWeights, DCSimulation
-from .mesh import GridIndexMap, TensorMesh2D, cell_centers
+from .forward import DataWeights, DCSimulation, _reference_vector, chi_factor, phi_d
+from .mesh import TensorMesh2D, cell_centers
 from .survey import Survey
 from .trace import EpochRecord, InversionTrace
 
@@ -76,10 +76,7 @@ class DifferenceOperators:
     d_z: sp.csr_matrix
 
 
-def build_difference_operators(mesh: TensorMesh2D,
-                               index_map: GridIndexMap | None = None) -> DifferenceOperators:
-    if index_map is None:
-        index_map = GridIndexMap(nx=mesh.nx, nz=mesh.nz)
+def build_difference_operators(mesh: TensorMesh2D) -> DifferenceOperators:
     nx, nz = mesh.nx, mesh.nz
     xc, zc = cell_centers(mesh)
 
@@ -230,15 +227,6 @@ def _reg_hessian_apply(v: np.ndarray, cfg: RegularizationConfig,
     return out
 
 
-def _reference_vector(m_ref, n: int) -> np.ndarray:
-    arr = np.asarray(m_ref, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"m_ref must be scalar or length {n}")
-    return arr
-
-
 def _cg_matfree(apply_h, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
     """Plain CG on a matrix-free SPD operator; inexact by design."""
     x = np.zeros_like(rhs)
@@ -302,7 +290,6 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
     m = np.array(m0, dtype=float, copy=True)
     m_ref = _reference_vector(reg.m_ref, m.size)
     w2 = weights.values ** 2
-    n_data = d_obs.size
 
     sparse_norms = min(reg.p_s, reg.p_x, reg.p_z) < 2.0
     irls_state = IRLSState()  # first pass is plain L2
@@ -317,9 +304,8 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
     for _ in range(gn.max_beta_steps):
         for _ in range(gn.iterations_per_beta):
             d_pred = sim.predict(m)
-            r = d_pred - d_obs
-            chi = float((weights.values * r) @ (weights.values * r)) / n_data
-            pd = 0.5 * chi * n_data
+            pd = phi_d(d_pred, d_obs, weights)
+            chi = chi_factor(d_pred, d_obs, weights)
             pm, g_reg = phi_m(m, reg, ops, irls_state, m_ref, sens)
             it += 1
             trace.records.append(EpochRecord(epoch=it, beta=beta_val, phi_d=pd,
@@ -330,7 +316,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
                 trace.final_model = m
                 return trace
 
-            grad = sim.jt_vec(m, w2 * r) + beta_val * g_reg
+            grad = sim.jt_vec(m, w2 * (d_pred - d_obs)) + beta_val * g_reg
 
             def apply_h(v):
                 jv = sim.j_vec(m, v)
@@ -348,9 +334,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
             accepted = False
             for _ in range(gn.line_search_max):
                 m_try = m + alpha * dm
-                d_try = sim.predict(m_try)
-                pd_try = 0.5 * float((weights.values * (d_try - d_obs)) @
-                                     (weights.values * (d_try - d_obs)))
+                pd_try = phi_d(sim.predict(m_try), d_obs, weights)
                 pm_try, _ = phi_m(m_try, reg, ops, irls_state, m_ref, sens)
                 if pd_try + beta_val * pm_try <= obj0 + 1e-4 * alpha * gd:
                     accepted = True
@@ -366,10 +350,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
         if sparse_norms:
             irls_state = update_irls(m, reg, ops, m_ref, sens)
 
-    d_pred = sim.predict(m)
-    chi = float((weights.values * (d_pred - d_obs)) @
-                (weights.values * (d_pred - d_obs))) / n_data
-    trace.converged = chi <= gn.target_chi
+    trace.converged = chi_factor(sim.predict(m), d_obs, weights) <= gn.target_chi
     trace.final_model = m
     return trace
 

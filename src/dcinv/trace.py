@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridParseError
+from .errors import ParseError
 
 TRACE_HEADER = "# dcinv trace v1"
 GRID_HEADER = "# dcinv grid v1"
@@ -47,7 +47,7 @@ def save_trace(path, trace: InversionTrace, method: str = "") -> None:
 def load_trace(path) -> InversionTrace:
     trace = InversionTrace()
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -56,9 +56,14 @@ def load_trace(path) -> InversionTrace:
                     trace.converged = line.split("converged=")[1].split()[0] == "1"
                 continue
             tok = line.split()
-            trace.records.append(EpochRecord(epoch=int(tok[0]), beta=float(tok[1]),
-                                             phi_d=float(tok[2]), phi_m=float(tok[3]),
-                                             chi=float(tok[4])))
+            if len(tok) != 5:
+                raise ParseError(f"expected 5 values per record, got {len(tok)}", ln)
+            try:
+                trace.records.append(EpochRecord(
+                    epoch=int(tok[0]), beta=float(tok[1]), phi_d=float(tok[2]),
+                    phi_m=float(tok[3]), chi=float(tok[4])))
+            except ValueError:
+                raise ParseError("non-numeric value", ln) from None
     return trace
 
 
@@ -83,23 +88,23 @@ def load_grid(path):
             tok = line.split()
             if nx is None:
                 if len(tok) != 2:
-                    raise GridParseError("expected header 'nx nz'", ln)
+                    raise ParseError("expected header 'nx nz'", ln)
                 try:
                     nx, nz = int(tok[0]), int(tok[1])
                 except ValueError:
-                    raise GridParseError("non-integer grid dimensions", ln) from None
+                    raise ParseError("non-integer grid dimensions", ln) from None
                 if nx < 1 or nz < 1:
-                    raise GridParseError("grid dimensions must be positive", ln)
+                    raise ParseError("grid dimensions must be positive", ln)
                 continue
             try:
                 row = [float(t) for t in tok]
             except ValueError:
-                raise GridParseError("non-numeric value", ln) from None
+                raise ParseError("non-numeric value", ln) from None
             if len(row) != nx:
-                raise GridParseError(f"expected {nx} values per row, got {len(row)}", ln)
+                raise ParseError(f"expected {nx} values per row, got {len(row)}", ln)
             rows.append(row)
     if nx is None:
-        raise GridParseError("empty grid file", 1)
+        raise ParseError("empty grid file", 1)
     if len(rows) != nz:
-        raise GridParseError(f"expected {nz} rows, got {len(rows)}", ln)
+        raise ParseError(f"expected {nz} rows, got {len(rows)}", ln)
     return np.asarray(rows).reshape(-1), nx, nz

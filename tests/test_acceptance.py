@@ -118,12 +118,10 @@ class TestAcceptance:
         # upsamplers
         x = rng.standard_normal((1, 2, 3, 4))
         g = rng.standard_normal((1, 2, 6, 8))
-        worst_layer = max(worst_layer, rel_err(
-            L.bilinear_upsample2_backward(g, x.shape).reshape(-1),
-            fd_grad(lambda: float((g * L.bilinear_upsample2(x)).sum()), x)))
-        worst_layer = max(worst_layer, rel_err(
-            L.nearest_upsample2_backward(g).reshape(-1),
-            fd_grad(lambda: float((g * L.nearest_upsample2(x)).sum()), x)))
+        for kind in ("bilinear", "nearest"):
+            worst_layer = max(worst_layer, rel_err(
+                L.upsample2_backward(g, kind).reshape(-1),
+                fd_grad(lambda: float((g * L.upsample2(x, kind)).sum()), x)))
 
         # activations (inputs kept away from the leaky kink)
         x = rng.standard_normal((1, 1, 4, 5))
@@ -135,9 +133,6 @@ class TestAcceptance:
         worst_layer = max(worst_layer, rel_err(
             L.sigmoid_backward(L.sigmoid(x), g).reshape(-1),
             fd_grad(lambda: float((g * L.sigmoid(x)).sum()), x)))
-        worst_layer = max(worst_layer, rel_err(
-            L.scale_neg8_backward(g).reshape(-1),
-            fd_grad(lambda: float((g * L.scale_neg8(x)).sum()), x)))
 
         # dropout with a frozen mask, and crop
         y, mask = L.dropout(x, 0.3, "train", np.random.default_rng(9))
@@ -337,8 +332,8 @@ class TestAcceptance:
         bil, near = [], []
         for _ in range(25):
             x = rng.standard_normal((1, 1, 6, 9))
-            bil.append(mean_abs_gradient(L.bilinear_upsample2(x)[0, 0]))
-            near.append(mean_abs_gradient(L.nearest_upsample2(x)[0, 0]))
+            bil.append(mean_abs_gradient(L.upsample2(x, "bilinear")[0, 0]))
+            near.append(mean_abs_gradient(L.upsample2(x, "nearest")[0, 0]))
         ok = float(np.mean(bil)) < float(np.mean(near))
         report(9, "bilinear upsampling smooths more than nearest-neighbour",
                ok, f"bilinear {np.mean(bil):.4f} vs nearest {np.mean(near):.4f}")

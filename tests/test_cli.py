@@ -50,6 +50,14 @@ class TestExitCodes:
         code = main(["simulate", "--case", "9", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_unparsable_data_file_is_io_error(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("# dcinv data v1 n_data=1\n-25 0 25 50 abc 0.1\n")
+        code = main(["invert-conv", "--scale", "desk", "--data", str(data),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_optional_float_is_coerced_from_field_type(self):

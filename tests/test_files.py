@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcinv.errors import GridParseError
+from dcinv.errors import ParseError
 from dcinv.fileio import load_config, load_data, save_data
 from dcinv.render import ramp_color, read_ppm, render_grid
 from dcinv.survey import build_dipole_dipole_survey
@@ -37,6 +37,20 @@ class TestDataFile:
         with pytest.raises(ValueError):
             save_data(tmp_path / "d.txt", survey, np.ones(2), np.ones(2))
 
+    @pytest.mark.parametrize("bad_line", ["-25 0 25 50 abc 0.1", "-25 0 25 50 1.0"])
+    def test_parse_error_carries_line_number(self, tmp_path, bad_line):
+        p = tmp_path / "d.txt"
+        p.write_text(f"# dcinv data v1 n_data=2\n-25 0 25 50 1.0 0.1\n\n{bad_line}\n")
+        with pytest.raises(ParseError) as exc:
+            load_data(p)
+        assert exc.value.line_no == 4
+
+    def test_no_data_rows_is_parse_error(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("# dcinv data v1 n_data=0\n")
+        with pytest.raises(ParseError):
+            load_data(p)
+
 
 class TestGridFile:
     def test_round_trip(self, tmp_path):
@@ -58,14 +72,14 @@ class TestGridFile:
     def test_parse_error_carries_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("# dcinv grid v1\n3 2\n0 1 2\n0 oops 2\n")
-        with pytest.raises(GridParseError) as exc:
+        with pytest.raises(ParseError) as exc:
             load_grid(p)
         assert exc.value.line_no == 4
 
     def test_wrong_row_length(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("3 2\n0 1 2\n0 1\n")
-        with pytest.raises(GridParseError):
+        with pytest.raises(ParseError):
             load_grid(p)
 
 
@@ -82,6 +96,15 @@ class TestTraceFile:
         assert len(back.records) == 2
         assert back.records[1].phi_d == 5.0
         assert back.records[0].beta == 0.9
+
+    @pytest.mark.parametrize("bad_line", ["1 0.5 2.0", "1 0.5 2.0 0.1 nan-ish"])
+    def test_parse_error_carries_line_number(self, tmp_path, bad_line):
+        p = tmp_path / "trace.txt"
+        p.write_text(f"# dcinv trace v1 method=dip converged=0\n"
+                     f"# epoch beta phi_d phi_m chi\n1 0.5 2.0 0.1 1.0\n{bad_line}\n")
+        with pytest.raises(ParseError) as exc:
+            load_trace(p)
+        assert exc.value.line_no == 4
 
     def test_byte_stable(self, tmp_path):
         trace = InversionTrace(records=[

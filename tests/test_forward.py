@@ -22,21 +22,21 @@ class TestAssembly:
         """1x2 unit-cell mesh: the single interior face carries sigma."""
         mesh = TensorMesh2D(hx=np.array([1.0, 1.0]), hz=np.array([1.0]), origin_x=0.0)
         sigma = np.array([2.0, 2.0])
-        a = assemble_system(mesh, sigma).matrix.toarray()
+        a = assemble_system(mesh, sigma).toarray()
         assert np.isclose(a[0, 1], -2.0)
         assert np.isclose(a[1, 0], -2.0)
 
     def test_harmonic_mean_face(self):
         """Adjacent sigma {1, 3} on unit geometry: face conductance 1.5."""
         mesh = TensorMesh2D(hx=np.array([1.0, 1.0]), hz=np.array([1.0]), origin_x=0.0)
-        a = assemble_system(mesh, np.array([1.0, 3.0])).matrix.toarray()
+        a = assemble_system(mesh, np.array([1.0, 3.0])).toarray()
         assert np.isclose(a[0, 1], -1.5)
         assert np.isclose(a[0, 1], -2 * 1 * 3 / (1 + 3))
 
     def test_symmetric_and_positive_definite(self):
         """3x3 uniform mesh: A = A^T entrywise, smallest eigenvalue > 0."""
         mesh = build_mesh(3, 3, 1.0, 1.0, 0, 1.0)
-        a = assemble_system(mesh, np.full(9, 0.7)).matrix.toarray()
+        a = assemble_system(mesh, np.full(9, 0.7)).toarray()
         assert np.abs(a - a.T).max() == 0.0
         assert np.linalg.eigvalsh(a).min() > 0
 
@@ -46,7 +46,7 @@ class TestAssembly:
             mesh = build_mesh(rng.integers(2, 8), rng.integers(2, 6), 2.0, 3.0,
                               int(rng.integers(0, 3)), 1.5)
             sigma = np.exp(rng.standard_normal(mesh.n_cells))
-            a = assemble_system(mesh, sigma).matrix
+            a = assemble_system(mesh, sigma)
             assert abs(a - a.T).max() == 0.0
 
     def test_nonpositive_sigma_rejected(self):
@@ -71,7 +71,7 @@ class TestSolve:
 
     def test_single_cell(self):
         mesh = TensorMesh2D(hx=np.array([1.0]), hz=np.array([1.0]), origin_x=0.0)
-        a = assemble_system(mesh, np.array([1.0])).matrix.toarray()
+        a = assemble_system(mesh, np.array([1.0])).toarray()
         phi = factor_system(mesh, np.array([1.0])).solve(np.array([2.0]))
         assert np.isclose(phi[0], 2.0 / a[0, 0])
 
@@ -88,7 +88,7 @@ class TestSolve:
         for mesh in meshes:
             sigma = np.exp(rng.standard_normal(mesh.n_cells))
             q = rng.standard_normal((mesh.n_cells, 3))
-            ref = np.linalg.solve(assemble_system(mesh, sigma).matrix.toarray(), q)
+            ref = np.linalg.solve(assemble_system(mesh, sigma).toarray(), q)
             factor = factor_system(mesh, sigma)
             assert rel_err(factor.solve(q), ref) < 1e-12
             assert rel_err(factor.solve(q[:, 0]), ref[:, 0]) < 1e-12

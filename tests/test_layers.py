@@ -67,13 +67,12 @@ class TestActivations:
 
     def test_sigmoid_midpoint_and_scale(self):
         assert L.sigmoid(np.array(0.0)) == 0.5
-        assert L.scale_neg8(L.sigmoid(np.array(0.0))) == -4.0
 
     def test_sigmoid_range_times_scale(self):
         x = np.linspace(-40, 40, 401)
-        out = L.scale_neg8(L.sigmoid(x))
-        assert np.all(out >= -8.0)
-        assert np.all(out <= 0.0)
+        out = L.sigmoid(x)
+        assert np.all(out >= 0.0)
+        assert np.all(out <= 1.0)
 
     def test_sigmoid_derivative(self):
         """d sigmoid / dx at 0 is exactly 1/4."""
@@ -83,15 +82,80 @@ class TestActivations:
         fd = fd_wrt(lambda: float(L.sigmoid(x)[0]), x, eps=1e-6)
         assert abs(fd[0] - 0.25) < 1e-9
 
-    def test_scale_neg8_backward(self):
-        g = np.array([1.0, -2.0])
-        assert np.array_equal(L.scale_neg8_backward(g), [-8.0, 16.0])
+
+FULL_SCALE_BLOCK_INPUTS = [(1, 1, 6, 29), (1, 64, 10, 56), (1, 32, 18, 110)]
 
 
-class TestBilinearUpsample:
+def per_pixel_upsample2(x, g, kind):
+    """Reference forward and transpose, pixel by pixel.
+
+    Output pixel (i, j) reads four source pixels with weights
+    ``w_row * w_col``; bilinear uses half-pixel centers and clamps at the
+    edges, nearest reads (i // 2, j // 2).  The transpose returns each
+    term of <up(x), g> to the source pixel it read, so <up(x), g> =
+    <x, up^T(g)> holds term by term.
+    """
+    def taps(n):
+        if kind == "nearest":
+            i = np.arange(2 * n) // 2
+            return [((a, 1.0), (a, 0.0)) for a in i]
+        src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
+        i0 = np.floor(src).astype(int)
+        w1 = src - i0
+        return [((min(max(a, 0), n - 1), 1.0 - b), (min(a + 1, n - 1), b))
+                for a, b in zip(i0, w1)]
+
+    rows, cols = taps(x.shape[-2]), taps(x.shape[-1])
+    y = np.zeros(g.shape)
+    gx = np.zeros(x.shape)
+    for i, row_taps in enumerate(rows):
+        for j, col_taps in enumerate(cols):
+            for r, wr in row_taps:
+                for c, wc in col_taps:
+                    y[..., i, j] += wr * wc * x[..., r, c]
+                    gx[..., r, c] += wr * wc * g[..., i, j]
+    return y, gx
+
+
+class _UpsampleContract:
+    """Checks shared by both interpolating kinds; subclasses set KIND."""
+
+    KIND = ""
+
+    def test_transpose_identity(self):
+        """<up(x), g> = <x, up^T(g)> to machine precision."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((1, 2, 4, 5))
+        g = rng.standard_normal((1, 2, 8, 10))
+        lhs = float((L.upsample2(x, self.KIND) * g).sum())
+        rhs = float((x * L.upsample2_backward(g, self.KIND)).sum())
+        assert abs(lhs - rhs) / abs(lhs) < 1e-12
+
+    def test_gradient_vs_fd(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((1, 2, 3, 4))
+        g = rng.standard_normal((1, 2, 6, 8))
+        gx = L.upsample2_backward(g, self.KIND)
+        fd = fd_wrt(lambda: float((g * L.upsample2(x, self.KIND)).sum()), x)
+        assert rel_err(gx, fd) < 1e-7
+
+    @pytest.mark.parametrize("shape", FULL_SCALE_BLOCK_INPUTS)
+    def test_matches_per_pixel_reference(self, shape):
+        """The input of each full-scale generator block, forward and backward."""
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal(shape[:2] + (2 * shape[2], 2 * shape[3]))
+        y_ref, gx_ref = per_pixel_upsample2(x, g, self.KIND)
+        assert np.abs(L.upsample2(x, self.KIND) - y_ref).max() <= 1e-13
+        assert np.abs(L.upsample2_backward(g, self.KIND) - gx_ref).max() <= 1e-13
+
+
+class TestBilinearUpsample(_UpsampleContract):
+    KIND = "bilinear"
+
     def test_constant_preserved(self):
         x = np.full((1, 1, 3, 4), 2.5)
-        y = L.bilinear_upsample2(x)
+        y = L.upsample2(x, "bilinear")
         assert y.shape == (1, 1, 6, 8)
         assert np.allclose(y, 2.5)
 
@@ -99,7 +163,7 @@ class TestBilinearUpsample:
         """Half-pixel-center weights on [[1,2],[3,4]]: corners are copies and
         the (1,1) output is 0.5625*1 + 0.1875*2 + 0.1875*3 + 0.0625*4."""
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        y = L.bilinear_upsample2(x)[0, 0]
+        y = L.upsample2(x, "bilinear")[0, 0]
         assert y.shape == (4, 4)
         assert y[0, 0] == 1.0 and y[0, 3] == 2.0
         assert y[3, 0] == 3.0 and y[3, 3] == 4.0
@@ -109,32 +173,17 @@ class TestBilinearUpsample:
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 3, 5, 7))
-        y = L.bilinear_upsample2(x)
+        y = L.upsample2(x, "bilinear")
         assert y.min() >= x.min() - 1e-12
         assert y.max() <= x.max() + 1e-12
 
-    def test_transpose_identity(self):
-        """<up(x), g> = <x, up^T(g)> to machine precision."""
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 2, 4, 5))
-        g = rng.standard_normal((1, 2, 8, 10))
-        lhs = float((L.bilinear_upsample2(x) * g).sum())
-        rhs = float((x * L.bilinear_upsample2_backward(g, x.shape)).sum())
-        assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
-    def test_gradient_vs_fd(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((1, 1, 3, 4))
-        g = rng.standard_normal((1, 1, 6, 8))
-        gx = L.bilinear_upsample2_backward(g, x.shape)
-        fd = fd_wrt(lambda: float((g * L.bilinear_upsample2(x)).sum()), x)
-        assert rel_err(gx, fd) < 1e-7
+class TestNearestUpsample(_UpsampleContract):
+    KIND = "nearest"
 
-
-class TestNearestUpsample:
     def test_block_replication(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        y = L.nearest_upsample2(x)[0, 0]
+        y = L.upsample2(x, "nearest")[0, 0]
         expected = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]],
                             dtype=float)
         assert np.array_equal(y, expected)
@@ -142,7 +191,7 @@ class TestNearestUpsample:
     def test_value_multiset_times_four(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 1, 3, 5))
-        y = L.nearest_upsample2(x)
+        y = L.upsample2(x, "nearest")
         vx, cx = np.unique(x, return_counts=True)
         vy, cy = np.unique(y, return_counts=True)
         assert np.array_equal(vx, vy)
@@ -150,17 +199,16 @@ class TestNearestUpsample:
 
     def test_backward_sums_blocks(self):
         g = np.arange(16.0).reshape(1, 1, 4, 4)
-        gx = L.nearest_upsample2_backward(g)
+        gx = L.upsample2_backward(g, "nearest")
         assert gx.shape == (1, 1, 2, 2)
         assert gx[0, 0, 0, 0] == 0 + 1 + 4 + 5
 
-    def test_gradient_vs_fd(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((1, 2, 3, 3))
-        g = rng.standard_normal((1, 2, 6, 6))
-        gx = L.nearest_upsample2_backward(g)
-        fd = fd_wrt(lambda: float((g * L.nearest_upsample2(x)).sum()), x)
-        assert rel_err(gx, fd) < 1e-7
+
+def test_unknown_upsampler_kind_raises():
+    with pytest.raises(ValueError, match="bicubic"):
+        L.upsample2(np.ones((1, 1, 2, 2)), "bicubic")
+    with pytest.raises(ValueError, match="bicubic"):
+        L.upsample2_backward(np.ones((1, 1, 4, 4)), "bicubic")
 
 
 class TestTransposedConv:
@@ -296,6 +344,6 @@ class TestSmoothingComparison:
         bil, near = [], []
         for _ in range(25):
             x = rng.standard_normal((1, 1, 6, 9))
-            bil.append(mean_abs_gradient(L.bilinear_upsample2(x)[0, 0]))
-            near.append(mean_abs_gradient(L.nearest_upsample2(x)[0, 0]))
+            bil.append(mean_abs_gradient(L.upsample2(x, "bilinear")[0, 0]))
+            near.append(mean_abs_gradient(L.upsample2(x, "nearest")[0, 0]))
         assert np.mean(bil) < np.mean(near)

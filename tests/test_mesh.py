@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dcinv.mesh import GridIndexMap, TensorMesh2D, build_mesh, cell_centers
+from dcinv.mesh import TensorMesh2D, build_mesh, cell_centers
 
 
 class TestBuildMesh:
@@ -94,33 +92,3 @@ class TestCellCenters:
         xc, zc = cell_centers(mesh)
         assert np.all(np.diff(xc) > 0)
         assert np.all(np.diff(zc) > 0)
-
-
-class TestGridIndexMap:
-    @given(nx=st.integers(1, 40), nz=st.integers(1, 40))
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_all_indices(self, nx, nz):
-        idx = GridIndexMap(nx=nx, nz=nz)
-        for k in range(nx * nz):
-            ix, iz = idx.unflatten(k)
-            assert idx.flatten(ix, iz) == k
-
-    def test_row_major_shallow_first(self):
-        idx = GridIndexMap(nx=3, nz=2)
-        # row 0 is the shallowest slice
-        assert idx.flatten(0, 0) == 0
-        assert idx.flatten(2, 0) == 2
-        assert idx.flatten(0, 1) == 3
-
-    def test_grid_vector_round_trip(self):
-        idx = GridIndexMap(nx=4, nz=3)
-        v = np.arange(12.0)
-        assert np.array_equal(idx.to_vector(idx.to_grid(v)), v)
-        assert idx.to_grid(v)[1, 0] == 4.0
-
-    def test_out_of_range(self):
-        idx = GridIndexMap(nx=3, nz=2)
-        with pytest.raises(ValueError):
-            idx.flatten(3, 0)
-        with pytest.raises(ValueError):
-            idx.unflatten(6)
