@@ -3,8 +3,9 @@
 Subcommands: ``simulate`` (scenario to synthetic data files),
 ``invert-dip``, ``invert-conv``, ``ablate``, ``render``, ``check``, and
 ``replay``.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 I/O error, including a grid, data or trace file that does not parse
-(the message names the line).
+3 I/O error, including a grid, data, trace or manifest file that does not
+parse (the message names the line) and a ``--pretrained`` checkpoint whose
+architecture is not the run's.
 
 A ``--config`` file (INI-style, one section per module) supplies defaults
 for any [dip], [tikhonov], or [scenario] keys; command-line flags
@@ -22,7 +23,7 @@ from . import fileio
 from .ablation import SUITES, run_ablation
 from .checks import run_all
 from .dip import DipConfig
-from .errors import NumericalFailure, ParseError, SolverFailure
+from .errors import CheckpointMismatch, NumericalFailure, ParseError, SolverFailure
 from .render import render_grid
 from .runs import (conventional_manifest, dip_manifest, replay, run_from_manifest,
                    simulate_manifest)
@@ -262,6 +263,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except CheckpointMismatch as e:
+        print(f"checkpoint mismatch: {e}", file=sys.stderr)
         return EXIT_IO
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

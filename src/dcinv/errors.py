@@ -10,8 +10,13 @@ class NumericalFailure(RuntimeError):
 
 
 class ParseError(ValueError):
-    """A grid, data or trace file could not be parsed; carries the offending line number."""
+    """A grid, data, trace, survey or manifest file could not be parsed; carries
+    the offending line number."""
 
     def __init__(self, message, line_no):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class CheckpointMismatch(ValueError):
+    """A checkpoint's architecture differs from the one a run derives for its mesh."""

@@ -72,4 +72,7 @@ def save_manifest(path, manifest: dict) -> None:
 
 def load_manifest(path) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"malformed JSON: {e.msg}", e.lineno) from None

@@ -124,7 +124,9 @@ def conv2d_valid(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross-correlation over the valid region only (no padding, stride 1).
 
     x (n, c_in, h, w); k (c_out, c_in, kh, kw); output (n, c_out, h-kh+1,
-    w-kw+1).
+    w-kw+1).  Flattened, tap (p, q) sends input pixel t + p*w + q to pixel t
+    of a w-wide output: one matmul per tap, and the wrapped columns are cut
+    (the backward pass zero-pads g over them).
     """
     n, c, h, w = x.shape
     co, ci, kh, kw = k.shape
@@ -135,11 +137,13 @@ def conv2d_valid(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape != (co,):
         raise ValueError("bias shape mismatch")
     ho, wo = h - kh + 1, w - kw + 1
-    y = np.zeros((n, co, ho, wo))
-    for p in range(kh):
-        for q in range(kw):
-            y += np.einsum("ncij,oc->noij", x[:, :, p:p + ho, q:q + wo], k[:, :, p, q])
-    return y + b[:, None, None]
+    run = (ho - 1) * w + wo
+    x2 = x.reshape(n, c, h * w)
+    y = np.zeros((n, co, ho * w))
+    for p, q in np.ndindex(kh, kw):
+        s = p * w + q
+        y[..., :run] += k[:, :, p, q] @ x2[..., s:s + run]
+    return y.reshape(n, co, ho, w)[..., :wo] + b[:, None, None]
 
 
 def conv2d_valid_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
@@ -148,20 +152,16 @@ def conv2d_valid_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
     ho, wo = h - kh + 1, w - kw + 1
     if g.shape != (n, co, ho, wo):
         raise ValueError("gradient shape mismatch")
-    gb = g.sum(axis=(0, 2, 3))
+    run = (ho - 1) * w + wo
+    x2 = x.reshape(n, c, h * w)
+    g2 = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, kw - 1))).reshape(n, co, ho * w)[..., :run]
     gk = np.empty_like(k)
-    for p in range(kh):
-        for q in range(kw):
-            gk[:, :, p, q] = np.einsum("noij,ncij->oc", g, x[:, :, p:p + ho, q:q + wo])
-    gpad = np.zeros((n, co, h + kh - 1, w + kw - 1))
-    gpad[:, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = g
-    gx = np.zeros_like(x)
-    for p in range(kh):
-        for q in range(kw):
-            gx += np.einsum("noij,oc->ncij",
-                            gpad[:, :, p:p + h, q:q + w],
-                            k[:, :, kh - 1 - p, kw - 1 - q])
-    return gk, gb, gx
+    gx = np.zeros((n, c, h * w))
+    for p, q in np.ndindex(kh, kw):
+        s = p * w + q
+        gk[:, :, p, q] = (g2 @ x2[..., s:s + run].swapaxes(1, 2)).sum(axis=0)
+        gx[..., s:s + run] += k[:, :, p, q].T @ g2
+    return gk, g.sum(axis=(0, 2, 3)), gx.reshape(x.shape)
 
 
 # -- dropout and cropping -------------------------------------------------

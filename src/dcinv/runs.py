@@ -15,8 +15,9 @@ import numpy as np
 
 from . import fileio
 from .dip import DipConfig, invert_stage2, pretrain_stage1
+from .errors import CheckpointMismatch
 from .forward import DCSimulation, weights_from_std
-from .net import (arch_for_mesh, init_params, load_params, sample_latent,
+from .net import (ArchConfig, arch_for_mesh, init_params, load_params, sample_latent,
                   save_params)
 from .scenarios import ScenarioSpec, add_noise, paint_model
 from .tikhonov import GNConfig, RegularizationConfig, gauss_newton_invert
@@ -50,7 +51,8 @@ def dip_manifest(spec: ScenarioSpec, cfg: DipConfig, arch_opts: dict,
                  out_dir: str, data_path: str | None = None,
                  pretrained: str | None = None) -> dict:
     """``pretrained`` may point at a stage-1 checkpoint to reuse, skipping
-    pretraining (valid for the same reference model and architecture)."""
+    pretraining (valid for the same reference model; an architecture other
+    than the one the run derives raises :class:`CheckpointMismatch`)."""
     return {"version": MANIFEST_VERSION, "method": "dip",
             "scenario": spec.to_dict(), "config": _dip_cfg_to_dict(cfg),
             "arch": dict(arch_opts), "data": data_path,
@@ -92,6 +94,17 @@ def _obs_for_run(manifest: dict, spec: ScenarioSpec, out_dir: str):
     return mesh, survey, d_obs, std
 
 
+def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -> None:
+    """Reject a checkpoint whose architecture is not the one this run derives
+    from its mesh, ``arch`` options and dropout rate."""
+    want = derived.to_dict()
+    diffs = [f"{key} {value} != {want[key]}"
+             for key, value in stored.to_dict().items() if value != want[key]]
+    if diffs:
+        raise CheckpointMismatch(f"checkpoint {path} does not match the run's "
+                                 f"architecture (checkpoint != run): {', '.join(diffs)}")
+
+
 def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
     """Execute a manifest; returns {output name: absolute path}.
 
@@ -123,6 +136,7 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         z = sample_latent(cfg.rng_seed, arch.latent_dim)
         if manifest.get("pretrained"):
             params = load_params(manifest["pretrained"])
+            _check_checkpoint_arch(manifest["pretrained"], params.arch, arch)
         else:
             params = init_params(cfg.rng_seed, arch)
             pretrain_stage1(params, z, mesh, cfg)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParseError
+
 
 @dataclass(frozen=True)
 class Survey:
@@ -120,11 +122,20 @@ def survey_from_rows(rows: np.ndarray) -> Survey:
 
 
 def load_survey(path) -> Survey:
+    """Survey from the first four columns ``Ax Bx Mx Nx`` of each line."""
     rows = []
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(tok) for tok in line.split()[:4]])
+            tok = line.split()
+            if len(tok) < 4:
+                raise ParseError(f"expected columns Ax Bx Mx Nx, got {len(tok)}", ln)
+            try:
+                rows.append([float(t) for t in tok[:4]])
+            except ValueError:
+                raise ParseError("non-numeric value", ln) from None
+    if not rows:
+        raise ParseError("no survey rows", 1)
     return survey_from_rows(np.asarray(rows))

@@ -58,6 +58,13 @@ class TestExitCodes:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_malformed_manifest_is_io_error(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text('{"kind": \n')
+        code = main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_optional_float_is_coerced_from_field_type(self):
@@ -173,3 +180,19 @@ class TestPretrainedReuse:
         # same pretrained start + same data/seeds -> identical trace
         assert ((out1 / "trace.txt").read_bytes()
                 == (out2 / "trace.txt").read_bytes())
+
+    def test_checkpoint_of_another_architecture_is_io_error(self, tmp_path, capsys):
+        """A 1-block checkpoint given to a 3-block run is refused, not cropped."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[dip]\nepochs_stage1 = 2\nepochs_stage2 = 1\n")
+        first = tmp_path / "first"
+        assert main(["invert-dip", "--case", "1", "--scale", "desk", "--blocks", "1",
+                     "--config", str(cfg), "--out", str(first)]) == 0
+        code = main(["invert-dip", "--case", "1", "--scale", "desk", "--blocks", "3",
+                     "--config", str(cfg), "--out", str(tmp_path / "second"),
+                     "--pretrained", str(first / "pretrained.npz")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "channels [64] != [64, 32, 8]" in err
+        assert "seed_shape" in err
+        assert not (tmp_path / "second" / "trace.txt").exists()

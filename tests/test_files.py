@@ -4,7 +4,7 @@ import pytest
 from dcinv.errors import ParseError
 from dcinv.fileio import load_config, load_data, save_data
 from dcinv.render import ramp_color, read_ppm, render_grid
-from dcinv.survey import build_dipole_dipole_survey
+from dcinv.survey import build_dipole_dipole_survey, load_survey
 from dcinv.trace import (EpochRecord, InversionTrace, load_grid, load_trace,
                          save_grid, save_trace)
 
@@ -50,6 +50,22 @@ class TestDataFile:
         p.write_text("# dcinv data v1 n_data=0\n")
         with pytest.raises(ParseError):
             load_data(p)
+
+
+class TestSurveyFile:
+    @pytest.mark.parametrize("bad_line", ["0 25 50 abc", "0 25 50"])
+    def test_parse_error_carries_line_number(self, tmp_path, bad_line):
+        p = tmp_path / "s.txt"
+        p.write_text(f"# dipole-dipole n_data=2\n-25 0 25 50\n\n{bad_line}\n")
+        with pytest.raises(ParseError) as exc:
+            load_survey(p)
+        assert exc.value.line_no == 4
+
+    def test_no_rows_is_parse_error(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("# dipole-dipole n_data=0\n")
+        with pytest.raises(ParseError):
+            load_survey(p)
 
 
 class TestGridFile:

@@ -241,7 +241,68 @@ class TestTransposedConv:
         assert rel_err(gx, fd_wrt(loss, x)) < 1e-7
 
 
+def per_tap_conv2d(x, k, b, g):
+    """Reference conv and its gradients: one einsum per kernel tap on the
+    shifted input window; gx correlates a zero-padded g with the flipped
+    kernel.  Returns (y, gk, gb, gx) for the loss <g, conv(x)>."""
+    n, c, h, w = x.shape
+    co, ci, kh, kw = k.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    y = np.zeros((n, co, ho, wo))
+    gk = np.empty_like(k)
+    for p in range(kh):
+        for q in range(kw):
+            y += np.einsum("ncij,oc->noij", x[:, :, p:p + ho, q:q + wo], k[:, :, p, q])
+            gk[:, :, p, q] = np.einsum("noij,ncij->oc", g, x[:, :, p:p + ho, q:q + wo])
+    gpad = np.zeros((n, co, h + kh - 1, w + kw - 1))
+    gpad[:, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = g
+    gx = np.zeros_like(x)
+    for p in range(kh):
+        for q in range(kw):
+            gx += np.einsum("noij,oc->ncij", gpad[:, :, p:p + h, q:q + w],
+                            k[:, :, kh - 1 - p, kw - 1 - q])
+    return y + b[:, None, None], gk, g.sum(axis=(0, 2, 3)), gx
+
+
+# (input shape, output channels, kernel size): the four full-scale generator
+# convs, a batch of 2, a non-square kernel and a 1x1 output.
+CONV_CASES = [((1, 1, 12, 58), 64, (3, 3)), ((1, 64, 20, 112), 32, (3, 3)),
+              ((1, 32, 36, 220), 8, (3, 3)), ((1, 8, 34, 218), 1, (3, 3)),
+              ((2, 3, 7, 9), 4, (3, 3)), ((1, 2, 5, 6), 3, (2, 3)),
+              ((1, 2, 3, 3), 3, (3, 3))]
+
+
+def conv_case(shape, co, khw, seed=10):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((co, shape[1]) + khw)
+    b = rng.standard_normal(co)
+    g = rng.standard_normal((shape[0], co, shape[2] - khw[0] + 1, shape[3] - khw[1] + 1))
+    return x, k, b, g
+
+
 class TestConv2dValid:
+    @pytest.mark.parametrize("shape,co,khw", CONV_CASES)
+    def test_matches_per_tap_reference(self, shape, co, khw):
+        x, k, b, g = conv_case(shape, co, khw)
+        y_ref, gk_ref, gb_ref, gx_ref = per_tap_conv2d(x, k, b, g)
+        y = L.conv2d_valid(x, k, b)
+        gk, gb, gx = L.conv2d_valid_backward(x, k, g)
+        assert y.shape == y_ref.shape and gx.shape == x.shape and gk.shape == k.shape
+        assert rel_err(y, y_ref) < 1e-12
+        assert rel_err(gk, gk_ref) < 1e-12
+        assert rel_err(gb, gb_ref) < 1e-12
+        assert rel_err(gx, gx_ref) < 1e-12
+
+    @pytest.mark.parametrize("shape,co,khw", CONV_CASES)
+    def test_adjoint_identity(self, shape, co, khw):
+        """conv(x) - b is linear in x and in k: <conv(x) - b, g> = <x, gx> = <k, gk>."""
+        x, k, b, g = conv_case(shape, co, khw)
+        lhs = float(((L.conv2d_valid(x, k, b) - b[:, None, None]) * g).sum())
+        gk, _, gx = L.conv2d_valid_backward(x, k, g)
+        assert abs(lhs - float((x * gx).sum())) <= 1e-12 * abs(lhs)
+        assert abs(lhs - float((k * gk).sum())) <= 1e-12 * abs(lhs)
+
     def test_center_one_kernel(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((1, 1, 5, 6))
