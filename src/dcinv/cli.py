@@ -4,8 +4,9 @@ Subcommands: ``simulate`` (scenario to synthetic data files),
 ``invert-dip``, ``invert-conv``, ``ablate``, ``render``, ``check``, and
 ``replay``.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
 3 I/O error, including a grid, data, trace or manifest file that does not
-parse (the message names the line) and a ``--pretrained`` checkpoint whose
-architecture is not the run's.
+parse (the message names the line), a manifest missing a key or holding a
+value of the wrong type, and a ``--pretrained`` file that is not a
+checkpoint or whose architecture is not the run's.
 
 A ``--config`` file (INI-style, one section per module) supplies defaults
 for any [dip], [tikhonov], or [scenario] keys; command-line flags
@@ -23,7 +24,8 @@ from . import fileio
 from .ablation import SUITES, run_ablation
 from .checks import run_all
 from .dip import DipConfig
-from .errors import CheckpointMismatch, NumericalFailure, ParseError, SolverFailure
+from .errors import (CheckpointError, ManifestError, NumericalFailure, ParseError,
+                     SolverFailure)
 from .render import render_grid
 from .runs import (conventional_manifest, dip_manifest, replay, run_from_manifest,
                    simulate_manifest)
@@ -264,8 +266,11 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_IO
-    except CheckpointMismatch as e:
-        print(f"checkpoint mismatch: {e}", file=sys.stderr)
+    except CheckpointError as e:
+        print(f"checkpoint error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except ManifestError as e:
+        print(f"manifest error: {e}", file=sys.stderr)
         return EXIT_IO
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

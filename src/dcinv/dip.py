@@ -11,8 +11,9 @@ with beta = exp(-t / tau) cooling over epochs.  The data-misfit gradient
 is bridged into weight space through a surrogate loss: with Jv =
 grad_m phi_d held fixed, the scalar (1 - beta) * <Jv, m> + beta *
 ||m - m_ref||_1 has exactly the same weight gradient as the true
-objective, so one adjoint solve per source per epoch is all the physics
-the optimizer needs.
+objective, so one J^T v per epoch (no solve beyond the model's own, see
+:class:`~dcinv.forward.DCSimulation`) is all the physics the optimizer
+needs.
 """
 
 from __future__ import annotations

@@ -18,5 +18,14 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class CheckpointMismatch(ValueError):
+class CheckpointError(ValueError):
+    """A file given as a network checkpoint is not one: not an ``.npz`` archive,
+    no readable architecture descriptor, or arrays that do not fit it."""
+
+
+class CheckpointMismatch(CheckpointError):
     """A checkpoint's architecture differs from the one a run derives for its mesh."""
+
+
+class ManifestError(ValueError):
+    """A run manifest parsed as JSON but lacks a key or holds a value of the wrong type."""

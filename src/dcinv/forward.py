@@ -123,14 +123,42 @@ class _FaceGeometry:
                            -t_int[n_xf:].reshape(nz - 1, nx).T,
                            -t_int[:n_xf].reshape(nz, nx - 1).T)
 
-    def conductance_derivatives(self, sigma: np.ndarray):
-        """dT/dsigma_a and dT/dsigma_b per interior face, dT/dsigma_c per boundary face."""
-        inv = self.int_da / sigma[self.int_a] + self.int_db / sigma[self.int_b]
-        common = self.int_len / inv ** 2
-        dt_da = common * self.int_da / sigma[self.int_a] ** 2
-        dt_db = common * self.int_db / sigma[self.int_b] ** 2
-        dt_dc = self.bnd_len / self.bnd_d
-        return dt_da, dt_db, dt_dc
+    def apply(self, t_int: np.ndarray, t_bnd: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """A(t) u on every column of u (n, k), for face conductances ordered as
+        :meth:`conductances` returns them; slice differences on the (nz, nx, k) grid."""
+        nx, nz = self.nx, self.nz
+        n_xf = nz * (nx - 1)
+        u = u.reshape(nz, nx, -1)
+        out = np.zeros(u.shape)
+        flux = t_int[:n_xf].reshape(nz, nx - 1, 1) * (u[:, :-1] - u[:, 1:])
+        out[:, :-1] += flux
+        out[:, 1:] -= flux
+        flux = t_int[n_xf:].reshape(nz - 1, nx, 1) * (u[:-1] - u[1:])
+        out[:-1] += flux
+        out[1:] -= flux
+        out[:, 0] += t_bnd[:nz, None] * u[:, 0]
+        out[:, -1] += t_bnd[nz:2 * nz, None] * u[:, -1]
+        out[-1] += t_bnd[2 * nz:, None] * u[-1]
+        return out.reshape(self.n_cells, -1)
+
+    def products(self, u: np.ndarray, v: np.ndarray):
+        """sum_k (u_a - u_b)(v_a - v_b) per interior face and sum_k u_c v_c per
+        boundary face, over the columns of u and v (n, k): d(v^T A u)/dt."""
+        nx, nz = self.nx, self.nz
+        ug = u.reshape(nz, nx, -1)
+        vg = v.reshape(nz, nx, -1)
+        fx = np.einsum("zxk,zxk->zx", ug[:, :-1] - ug[:, 1:], vg[:, :-1] - vg[:, 1:])
+        fz = np.einsum("zxk,zxk->zx", ug[:-1] - ug[1:], vg[:-1] - vg[1:])
+        bnd = np.einsum("fk,fk->f", u[self.bnd_c], v[self.bnd_c])
+        return np.concatenate([fx.ravel(), fz.ravel()]), bnd
+
+    def log_derivatives(self, sigma: np.ndarray):
+        """dT/dm_a and dT/dm_b per interior face, dT/dm_c per boundary face,
+        for log-conductivity m = log(sigma)."""
+        ra = self.int_da / sigma[self.int_a]
+        rb = self.int_db / sigma[self.int_b]
+        common = self.int_len / (ra + rb) ** 2
+        return common * ra, common * rb, self.bnd_len * sigma[self.bnd_c] / self.bnd_d
 
 
 def _electrode_cells(mesh: TensorMesh2D, positions: np.ndarray) -> np.ndarray:
@@ -216,12 +244,17 @@ def factor_system(mesh: TensorMesh2D, sigma: np.ndarray) -> BlockFactor:
 
 
 class DCSimulation:
-    """F(m), J v and J^T v for one mesh + survey, with per-model caching.
+    """F(m), J v and J^T v for one mesh + survey, from one solve per model.
 
-    The operator is factored once per model (:class:`BlockFactor`); the
-    factor and the fields of every source are cached, so ``predict``,
-    ``j_vec``, ``jt_vec`` and every Gauss-Newton inner-CG product at the
-    same model reuse them, each costing one forward and one backward sweep.
+    Every source and receiver sits on one of a few electrode cells, so per
+    model the operator is factored once (:class:`BlockFactor`) and solved
+    once for ``G = A^-1 E``, one unit source per distinct electrode cell.
+    The fields are differences of its columns (superposition).  ``A`` is
+    symmetric, so ``G`` also maps sources at the receivers (reciprocity):
+    the adjoint fields of ``J^T v`` are ``-G R`` and the receiver readout
+    of ``A^-1 b`` in ``J v`` is ``G^T b``.  ``predict``, ``j_vec``,
+    ``jt_vec`` and every Gauss-Newton inner-CG product at the same model
+    make no further solve.
     """
 
     def __init__(self, mesh: TensorMesh2D, survey: Survey):
@@ -229,29 +262,28 @@ class DCSimulation:
         self.survey = survey
         self.faces = _FaceGeometry(mesh)
 
-        cells = _electrode_cells(mesh, survey.electrodes)
-        self.src_a = np.array([cells[a] for a, _ in survey.sources])
-        self.src_b = np.array([cells[b] for _, b in survey.sources])
-        self.rx_m = []
-        self.rx_n = []
-        for rx in survey.receivers:
-            self.rx_m.append(np.array([cells[m] for m, _ in rx]))
-            self.rx_n.append(np.array([cells[n] for _, n in rx]))
+        # One column of G per distinct electrode cell; electrodes sharing a
+        # cell share a column.
+        self.cells, col = np.unique(_electrode_cells(mesh, survey.electrodes),
+                                    return_inverse=True)
+        self.src_a = col[[a for a, _ in survey.sources]]
+        self.src_b = col[[b for _, b in survey.sources]]
+        # Per datum: its source and the columns of its M and N electrodes.
+        self.rx_src = np.repeat(np.arange(survey.n_sources),
+                                [len(rx) for rx in survey.receivers])
+        self.rx_m = col[[m for rx in survey.receivers for m, _ in rx]]
+        self.rx_n = col[[n for rx in survey.receivers for _, n in rx]]
         self.n_data = survey.n_data
         self.n_sources = survey.n_sources
 
-        n = mesh.n_cells
-        self.q = np.zeros((n, self.n_sources))
-        for s in range(self.n_sources):
-            self.q[self.src_a[s], s] += 1.0
-            self.q[self.src_b[s], s] -= 1.0
-
         self._model = None
-        self._factor = None
+        self._green = None
+        self._dt = None  # log_derivatives at the model
         self._fields = None
 
     # -- caching helpers -------------------------------------------------
-    def _system(self, m: np.ndarray) -> BlockFactor:
+    def _system(self, m: np.ndarray) -> np.ndarray:
+        """G = A^-1 E at m: potentials of a unit source at each electrode cell."""
         m = np.asarray(m, dtype=float)
         if m.shape != (self.mesh.n_cells,):
             raise ValueError(f"model must have {self.mesh.n_cells} entries")
@@ -260,98 +292,66 @@ class DCSimulation:
         if self._model is None or not np.array_equal(m, self._model):
             self._model = None  # stays unset if the factorization fails
             self._fields = None
-            self._factor = self.faces.factor(np.exp(m))
+            sigma = np.exp(m)
+            e = np.zeros((self.mesh.n_cells, self.cells.size))
+            e[self.cells, np.arange(self.cells.size)] = 1.0
+            self._green = self.faces.factor(sigma).solve(e)
+            self._dt = self.faces.log_derivatives(sigma)
             self._model = m.copy()
-        return self._factor
+        return self._green
 
     def fields(self, m: np.ndarray) -> np.ndarray:
         """Potentials, one column per source, at the given model."""
-        factor = self._system(m)
+        g = self._system(m)
         if self._fields is None:
-            self._fields = factor.solve(self.q)
+            self._fields = g[:, self.src_a] - g[:, self.src_b]
         return self._fields
+
+    def _at_receivers(self, u: np.ndarray) -> np.ndarray:
+        """Per datum, u[M] - u[N] of its source's column; u is (n_elec_cells, n_src)."""
+        return u[self.rx_m, self.rx_src] - u[self.rx_n, self.rx_src]
 
     # -- forward and sensitivities ---------------------------------------
     def predict(self, m: np.ndarray) -> np.ndarray:
-        phi = self.fields(m)
-        out = np.empty(self.n_data)
-        k = 0
-        for s in range(self.n_sources):
-            ph = phi[:, s]
-            nrx = self.rx_m[s].size
-            out[k:k + nrx] = ph[self.rx_m[s]] - ph[self.rx_n[s]]
-            k += nrx
-        return out
-
-    def _rx_transpose(self, v: np.ndarray) -> np.ndarray:
-        """P^T v: scatter data-space values onto receiver cells, per source."""
-        out = np.zeros((self.mesh.n_cells, self.n_sources))
-        k = 0
-        for s in range(self.n_sources):
-            nrx = self.rx_m[s].size
-            vs = v[k:k + nrx]
-            np.add.at(out[:, s], self.rx_m[s], vs)
-            np.add.at(out[:, s], self.rx_n[s], -vs)
-            k += nrx
-        return out
+        g = self._system(m)[self.cells]  # only the rows of the electrode cells
+        return self._at_receivers(g[:, self.src_a] - g[:, self.src_b])
 
     def j_vec(self, m: np.ndarray, w: np.ndarray) -> np.ndarray:
         """J w: directional derivative of the data with respect to log-conductivity."""
         w = np.asarray(w, dtype=float)
         if w.shape != (self.mesh.n_cells,):
             raise ValueError("direction must be a model-space vector")
-        factor = self._system(m)
+        g = self._system(m)
         phi = self.fields(m)
-        sigma = np.exp(self._model)
-        dsigma = sigma * w
-
         f = self.faces
-        dt_da, dt_db, dt_dc = f.conductance_derivatives(sigma)
-        dt_int = dt_da * dsigma[f.int_a] + dt_db * dsigma[f.int_b]
-        dt_bnd = dt_dc * dsigma[f.bnd_c]
-
-        # rhs = -(dA) phi per source
-        du = phi[f.int_a, :] - phi[f.int_b, :]
-        rhs = np.zeros_like(phi)
-        contrib = dt_int[:, None] * du
-        np.add.at(rhs, f.int_a, -contrib)
-        np.add.at(rhs, f.int_b, contrib)
-        np.add.at(rhs, f.bnd_c, -dt_bnd[:, None] * phi[f.bnd_c, :])
-
-        dphi = factor.solve(rhs)
-        out = np.empty(self.n_data)
-        k = 0
-        for s in range(self.n_sources):
-            ph = dphi[:, s]
-            nrx = self.rx_m[s].size
-            out[k:k + nrx] = ph[self.rx_m[s]] - ph[self.rx_n[s]]
-            k += nrx
-        return out
+        dt_a, dt_b, dt_c = self._dt
+        dt_int = dt_a * w[f.int_a] + dt_b * w[f.int_b]
+        # The receiver readout of A^-1 (-dA phi) is G^T (-dA phi).
+        return self._at_receivers(g.T @ -f.apply(dt_int, dt_c * w[f.bnd_c], phi))
 
     def jt_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """J^T v by the adjoint-state method: one extra solve per source."""
+        """J^T v by the adjoint-state method, adjoint fields from G."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n_data,):
             raise ValueError("v must be a data-space vector")
-        factor = self._system(m)
+        g = self._system(m)
         phi = self.fields(m)
-        sigma = np.exp(self._model)
 
-        lam = factor.solve(-self._rx_transpose(v))
+        # P^T v in electrode columns: +v at M, -v at N, per source.
+        n_src = self.n_sources
+        size = self.cells.size * n_src
+        r = (np.bincount(self.rx_m * n_src + self.rx_src, v, size)
+             - np.bincount(self.rx_n * n_src + self.rx_src, v, size))
+        lam = g @ -r.reshape(self.cells.size, n_src)
 
         f = self.faces
-        dt_da, dt_db, dt_dc = f.conductance_derivatives(sigma)
-        # lambda^T (dA/dsigma_c u) summed over sources, per face then per cell
-        du = phi[f.int_a, :] - phi[f.int_b, :]
-        dl = lam[f.int_a, :] - lam[f.int_b, :]
-        face_form = np.einsum("fs,fs->f", du, dl)
-        bnd_form = np.einsum("fs,fs->f", phi[f.bnd_c, :], lam[f.bnd_c, :])
-
-        grad_sigma = np.zeros(self.mesh.n_cells)
-        np.add.at(grad_sigma, f.int_a, dt_da * face_form)
-        np.add.at(grad_sigma, f.int_b, dt_db * face_form)
-        np.add.at(grad_sigma, f.bnd_c, dt_dc * bnd_form)
-        return grad_sigma * sigma
+        dt_a, dt_b, dt_c = self._dt
+        # lambda^T (dA/dm_c phi) summed over sources, per face then per cell
+        face_form, bnd_form = f.products(phi, lam)
+        n = self.mesh.n_cells
+        return (np.bincount(f.int_a, dt_a * face_form, n)
+                + np.bincount(f.int_b, dt_b * face_form, n)
+                + np.bincount(f.bnd_c, dt_c * bnd_form, n))
 
 
 def predict(mesh: TensorMesh2D, survey: Survey, m: np.ndarray) -> np.ndarray:

@@ -16,10 +16,12 @@ covering a mesh.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..errors import CheckpointError
 from . import layers
 
 UPSAMPLERS = ("bilinear", "nearest", "transposed")
@@ -280,10 +282,25 @@ def save_params(path, params: NetParams) -> None:
 
 
 def load_params(path) -> NetParams:
-    with np.load(path, allow_pickle=False) as f:
-        arch = ArchConfig.from_dict(json.loads(str(f["__arch__"])))
-        arrays = {k: f[k] for k in f.files if k != "__arch__"}
+    """Read a :func:`save_params` checkpoint; any other file raises
+    :class:`~dcinv.errors.CheckpointError` naming it."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise CheckpointError(f"checkpoint {path} is not an .npz archive") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"checkpoint {path} is a single array, not an .npz archive")
+    with archive as f:
+        if "__arch__" not in f.files:
+            raise CheckpointError(f"checkpoint {path} has no __arch__ "
+                                  "(architecture) entry")
+        try:
+            arch = ArchConfig.from_dict(json.loads(str(f["__arch__"])))
+            arrays = {k: f[k] for k in f.files if k != "__arch__"}
+        except (ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
+            raise CheckpointError(f"checkpoint {path} is unreadable: {e!r}") from None
     expected = {name for name, _, _ in _layer_shapes(arch)}
     if set(arrays) != expected:
-        raise ValueError("checkpoint arrays do not match the stored architecture")
+        raise CheckpointError(f"checkpoint {path}: arrays do not match the stored "
+                              "architecture")
     return NetParams(arch=arch, arrays=arrays)

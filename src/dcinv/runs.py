@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fileio
 from .dip import DipConfig, invert_stage2, pretrain_stage1
-from .errors import CheckpointMismatch
+from .errors import CheckpointMismatch, ManifestError
 from .forward import DCSimulation, weights_from_std
 from .net import (ArchConfig, arch_for_mesh, init_params, load_params, sample_latent,
                   save_params)
@@ -82,11 +82,38 @@ def _simulate(spec: ScenarioSpec):
     return mesh, survey, truth, d_noisy, std
 
 
+_KINDS = {dict: "a JSON object", str: "a string"}
+
+
+def _entry(mapping: dict, key: str, kind: type, optional: bool = False,
+           within: str = "manifest"):
+    """``mapping[key]`` if it has type ``kind`` (or is absent or null when
+    ``optional``); otherwise a :class:`ManifestError` naming the key."""
+    value = mapping.get(key)
+    if value is None and optional:
+        return None
+    if key not in mapping:
+        raise ManifestError(f"{within} has no {key!r} entry")
+    if not isinstance(value, kind):
+        raise ManifestError(f"{within} entry {key!r} must be {_KINDS[kind]}, "
+                            f"got {type(value).__name__}")
+    return value
+
+
+def _built(key: str, build, fields: dict):
+    """``build(fields)``; entries that do not fit raise a :class:`ManifestError`."""
+    try:
+        return build(fields)
+    except (TypeError, KeyError) as e:
+        raise ManifestError(f"manifest entry {key!r} does not fit: {e}") from None
+
+
 def _obs_for_run(manifest: dict, spec: ScenarioSpec, out_dir: str):
     """Observed data for an inversion run: from file if given, else simulated."""
     mesh = spec.mesh()
-    if manifest.get("data"):
-        survey, d_obs, std = fileio.load_data(manifest["data"])
+    data_path = _entry(manifest, "data", str, optional=True)
+    if data_path:
+        survey, d_obs, std = fileio.load_data(data_path)
     else:
         mesh, survey, truth, d_obs, std = _simulate(spec)
         save_grid(os.path.join(out_dir, "model_true.txt"), truth, mesh.nx, mesh.nz)
@@ -111,10 +138,12 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
     The manifest fully determines the run (scenario, configuration and
     seeds), so repeated executions produce identical output files.
     """
-    out_dir = out_dir or manifest["out_dir"]
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"manifest must be a JSON object, got {type(manifest).__name__}")
+    method = _entry(manifest, "method", str)
+    spec = _built("scenario", ScenarioSpec.from_dict, _entry(manifest, "scenario", dict))
+    out_dir = out_dir or _entry(manifest, "out_dir", str)
     os.makedirs(out_dir, exist_ok=True)
-    spec = ScenarioSpec.from_dict(manifest["scenario"])
-    method = manifest["method"]
     paths = {}
 
     if method == "simulate":
@@ -125,18 +154,19 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         fileio.save_data(paths["data"], survey, d_noisy, std)
 
     elif method == "dip":
-        cfg = _dip_cfg_from_dict(manifest["config"])
+        cfg = _built("config", _dip_cfg_from_dict, _entry(manifest, "config", dict))
         mesh, survey, d_obs, std = _obs_for_run(manifest, spec, out_dir)
         weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
-        arch_opts = dict(manifest.get("arch", {}))
+        arch_opts = _entry(manifest, "arch", dict, optional=True) or {}
         arch = arch_for_mesh(mesh.nz, mesh.nx,
                              n_blocks=int(arch_opts.get("n_blocks", 3)),
                              upsampler=arch_opts.get("upsampler", "bilinear"),
                              dropout_rate=cfg.dropout_rate)
         z = sample_latent(cfg.rng_seed, arch.latent_dim)
-        if manifest.get("pretrained"):
-            params = load_params(manifest["pretrained"])
-            _check_checkpoint_arch(manifest["pretrained"], params.arch, arch)
+        pretrained = _entry(manifest, "pretrained", str, optional=True)
+        if pretrained:
+            params = load_params(pretrained)
+            _check_checkpoint_arch(pretrained, params.arch, arch)
         else:
             params = init_params(cfg.rng_seed, arch)
             pretrain_stage1(params, z, mesh, cfg)
@@ -151,11 +181,13 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         save_params(paths["checkpoint"], trace.final_params)
 
     elif method == "conventional":
-        reg_d = dict(manifest["config"]["reg"])
+        config = _entry(manifest, "config", dict)
+        reg_d = dict(_entry(config, "reg", dict, within="manifest config"))
         if isinstance(reg_d.get("m_ref"), list):
             reg_d["m_ref"] = np.asarray(reg_d["m_ref"])
-        reg = RegularizationConfig(**reg_d)
-        gn = GNConfig(**manifest["config"]["gn"])
+        reg = _built("config.reg", lambda d: RegularizationConfig(**d), reg_d)
+        gn = _built("config.gn", lambda d: GNConfig(**d),
+                    _entry(config, "gn", dict, within="manifest config"))
         mesh, survey, d_obs, std = _obs_for_run(manifest, spec, out_dir)
         weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
         trace = gauss_newton_invert(mesh, survey, d_obs, weights, reg, gn)
@@ -165,7 +197,7 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         save_grid(paths["model"], trace.final_model, mesh.nx, mesh.nz)
 
     else:
-        raise ValueError(f"unknown manifest method {method!r}")
+        raise ManifestError(f"unknown manifest method {method!r}")
 
     manifest_path = os.path.join(out_dir, "manifest.json")
     fileio.save_manifest(manifest_path, {**manifest, "out_dir": out_dir})

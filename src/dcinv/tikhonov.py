@@ -284,7 +284,9 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
     each solving (J^T W^2 J + beta hess phi_m) dm = -grad by matrix-free CG
     followed by a backtracking (Armijo) line search on the frozen-weight
     objective.  IRLS weights are refreshed between beta steps when any
-    norm is below 2.  Stops at the target chi-factor or the step budget.
+    norm is below 2.  Stops at the target chi-factor, on a line search that
+    finds no decrease, or when the step budget is spent; ``stop_reason``
+    says which (``target_chi``, ``line_search`` or ``budget``).
     """
     d_obs = np.asarray(d_obs, dtype=float)
     m = np.array(m0, dtype=float, copy=True)
@@ -313,6 +315,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
                                              loss=pd + beta_val * pm))
             if chi <= gn.target_chi:
                 trace.converged = True
+                trace.stop_reason = "target_chi"
                 trace.final_model = m
                 return trace
 
@@ -342,6 +345,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
                 alpha *= 0.5
             if not accepted:
                 trace.converged = False
+                trace.stop_reason = "line_search"
                 trace.final_model = m
                 return trace
             m = m_try
@@ -351,6 +355,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
             irls_state = update_irls(m, reg, ops, m_ref, sens)
 
     trace.converged = chi_factor(sim.predict(m), d_obs, weights) <= gn.target_chi
+    trace.stop_reason = "target_chi" if trace.converged else "budget"
     trace.final_model = m
     return trace
 

@@ -29,6 +29,9 @@ class InversionTrace:
     final_params: object = None  # NetParams for the reparameterized flavour
     converged: bool = False
     models: list[np.ndarray] | None = None  # per-epoch models when requested
+    # Why Gauss-Newton ended: "target_chi", "line_search" or "budget"; not
+    # written to trace files.
+    stop_reason: str = ""
 
     @property
     def n_epochs(self) -> int:

@@ -65,6 +65,20 @@ class TestExitCodes:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_manifest_missing_a_key_is_io_error(self, tmp_path, capsys):
+        manifest = tmp_path / "partial.json"
+        manifest.write_text('{"method": "dip"}\n')
+        code = main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "no 'scenario' entry" in capsys.readouterr().err
+
+    def test_manifest_of_the_wrong_type_is_io_error(self, tmp_path, capsys):
+        manifest = tmp_path / "list.json"
+        manifest.write_text("[1, 2]\n")
+        code = main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "must be a JSON object, got list" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_optional_float_is_coerced_from_field_type(self):
@@ -196,3 +210,21 @@ class TestPretrainedReuse:
         assert "channels [64] != [64, 32, 8]" in err
         assert "seed_shape" in err
         assert not (tmp_path / "second" / "trace.txt").exists()
+
+    def test_npz_without_architecture_is_io_error(self, tmp_path, capsys):
+        checkpoint = tmp_path / "noarch.npz"
+        np.savez(checkpoint, w=np.zeros(3))
+        code = main(["invert-dip", "--case", "1", "--scale", "desk",
+                     "--out", str(tmp_path / "o"), "--pretrained", str(checkpoint)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(checkpoint) in err and "__arch__" in err
+
+    def test_text_file_as_checkpoint_is_io_error(self, tmp_path, capsys):
+        checkpoint = tmp_path / "notes.txt"
+        checkpoint.write_text("not a checkpoint\n")
+        code = main(["invert-dip", "--case", "1", "--scale", "desk",
+                     "--out", str(tmp_path / "o"), "--pretrained", str(checkpoint)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"checkpoint {checkpoint} is not an .npz archive" in err

@@ -8,9 +8,9 @@ import pytest
 
 import dcinv
 from dcinv.errors import SolverFailure
-from dcinv.forward import (DataWeights, DCSimulation, assemble_system,
-                           build_data_weights, factor_system, phi_d, predict,
-                           weights_from_std)
+from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, _electrode_cells,
+                           _FaceGeometry, assemble_system, build_data_weights,
+                           factor_system, phi_d, predict, weights_from_std)
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
 
@@ -244,6 +244,120 @@ class TestSensitivityProducts:
             fm = phi_d(predict(mesh, survey, m - eps * w), d_obs, weights)
             fd = (fp - fm) / (2 * eps)
             assert abs(fd - g @ w) / abs(fd) < 1e-5
+
+
+def dense_products(mesh, survey, m, w, v):
+    """predict, J w and J^T v from the dense operator, one numpy.linalg.solve each.
+
+    The derivative of the operator is taken by complex step on its assembly
+    (exact to rounding): along w for J w, and cell by cell for J^T v.
+    """
+    cells = _electrode_cells(mesh, survey.electrodes)
+    faces = _FaceGeometry(mesh)
+    a = assemble_system(mesh, np.exp(m)).toarray()
+    q = np.zeros((mesh.n_cells, survey.n_sources))
+    p = np.zeros((survey.n_data, mesh.n_cells, survey.n_sources))
+    k = 0
+    for s, ((ia, ib), rx) in enumerate(zip(survey.sources, survey.receivers)):
+        q[cells[ia], s] += 1.0
+        q[cells[ib], s] -= 1.0
+        for im, in_ in rx:
+            p[k, cells[im], s] += 1.0
+            p[k, cells[in_], s] -= 1.0
+            k += 1
+    h = 1e-30
+
+    def d_operator(direction):
+        return faces.assemble(np.exp(m + 1j * h * direction)).imag / h
+
+    phi = np.linalg.solve(a, q)
+    d = np.einsum("kns,ns->k", p, phi)
+    jw = np.einsum("kns,ns->k", p, np.linalg.solve(a, -d_operator(w) @ phi))
+    lam = np.linalg.solve(a, -np.einsum("kns,k->ns", p, v))
+    jtv = np.array([np.sum(lam * (d_operator(e_j) @ phi))
+                    for e_j in np.eye(mesh.n_cells)])
+    return phi, d, jw, jtv
+
+
+class TestAgainstDenseReference:
+    """The electrode-column products against a solve per product, at 1e-10."""
+
+    def check(self, mesh, survey, m, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(mesh.n_cells)
+        v = rng.standard_normal(survey.n_data)
+        phi, d, jw, jtv = dense_products(mesh, survey, m, w, v)
+        sim = DCSimulation(mesh, survey)
+        assert rel_err(sim.fields(m), phi) < 1e-10
+        assert rel_err(sim.predict(m), d) < 1e-10
+        assert rel_err(sim.j_vec(m, w), jw) < 1e-10
+        assert rel_err(sim.jt_vec(m, v), jtv) < 1e-10
+        return sim
+
+    def test_desk_case1(self):
+        spec, truth = dcinv.build_case1(45.0, "desk")
+        self.check(spec.mesh(), spec.survey(), truth, seed=21)
+
+    def test_electrodes_sharing_a_cell(self):
+        """20 m cells under a 10 m station spacing: electrodes pair up in
+        cells, so some sources inject nothing and some data read zero."""
+        mesh = build_mesh(4, 3, 20.0, 10.0, 2, 1.5)
+        survey = build_dipole_dipole_survey(60.0, 10.0, 24, x0=-30.0)
+        rng = np.random.default_rng(22)
+        m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
+        sim = self.check(mesh, survey, m, seed=23)
+        cells = _electrode_cells(mesh, survey.electrodes)
+        assert np.unique(cells).size < cells.size
+        assert sim.cells.size == np.unique(cells).size
+        zero = [s for s, (a, b) in enumerate(survey.sources) if cells[a] == cells[b]]
+        assert zero and np.all(sim.fields(m)[:, zero] == 0.0)
+
+    def test_operator_applied_on_the_grid(self):
+        """A(t) u from face slices equals the assembled matrix times u."""
+        rng = np.random.default_rng(24)
+        for mesh in (build_mesh(6, 4, 2.0, 3.0, 1, 1.5),
+                     TensorMesh2D(hx=np.array([2.0]), hz=np.array([1.0, 2.0]),
+                                  origin_x=0.0)):
+            sigma = np.exp(rng.standard_normal(mesh.n_cells))
+            u = rng.standard_normal((mesh.n_cells, 3))
+            faces = _FaceGeometry(mesh)
+            au = faces.apply(*faces.conductances(sigma), u)
+            assert rel_err(au, assemble_system(mesh, sigma) @ u) < 1e-12
+
+
+class TestSolveCount:
+    """One factor and one solve per model, however many products it serves."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"factor": 0, "solve": 0}
+        init, solve = BlockFactor.__init__, BlockFactor.solve
+
+        def counted_init(self, *args):
+            counts["factor"] += 1
+            init(self, *args)
+
+        def counted_solve(self, b):
+            counts["solve"] += 1
+            return solve(self, b)
+
+        monkeypatch.setattr(BlockFactor, "__init__", counted_init)
+        monkeypatch.setattr(BlockFactor, "solve", counted_solve)
+        return counts
+
+    def test_one_factor_and_one_solve_per_model(self, counts):
+        mesh, survey, sim = tiny_dc_problem()
+        rng = np.random.default_rng(25)
+        m = -4.0 + 0.3 * rng.standard_normal(mesh.n_cells)
+        sim.predict(m)
+        for _ in range(5):
+            sim.j_vec(m, rng.standard_normal(mesh.n_cells))
+            sim.jt_vec(m, rng.standard_normal(survey.n_data))
+        assert counts == {"factor": 1, "solve": 1}
+        sim.jt_vec(m + 0.1, rng.standard_normal(survey.n_data))
+        sim.predict(m + 0.1)
+        sim.j_vec(m + 0.1, rng.standard_normal(mesh.n_cells))
+        assert counts == {"factor": 2, "solve": 2}
 
 
 class TestWeightsAndMisfit:

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from dcinv.errors import CheckpointError
 from dcinv.net import (ArchConfig, arch_for_mesh, init_params, load_params,
                        net_backward, net_forward, param_count, sample_latent,
                        save_params)
@@ -207,3 +210,22 @@ class TestCheckpoint:
         save_params(path, params)
         m1, _ = net_forward(load_params(path), z, (10, 12))
         assert np.array_equal(m0, m1)
+
+    def test_files_that_are_not_checkpoints_raise_checkpoint_error(self, tmp_path):
+        """A lone array, a truncated archive, a bad descriptor and missing
+        arrays each raise CheckpointError naming the file."""
+        arch = arch_for_mesh(10, 12, 2)
+        good = tmp_path / "good.npz"
+        save_params(good, init_params(3, arch))
+        lone = tmp_path / "lone.npy"
+        np.save(lone, np.zeros(3))
+        cut = tmp_path / "cut.npz"
+        cut.write_bytes(good.read_bytes()[:200])
+        bad_arch = tmp_path / "bad_arch.npz"
+        np.savez(bad_arch, __arch__=np.array('{"latent_dim": 8}'))
+        partial = tmp_path / "partial.npz"
+        with np.load(good) as f:
+            np.savez(partial, **{k: f[k] for k in f.files[:2]})
+        for path in (lone, cut, bad_arch, partial):
+            with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                load_params(path)

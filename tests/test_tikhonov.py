@@ -204,8 +204,34 @@ class TestGaussNewton:
         gn = GNConfig(target_chi=1.0, max_beta_steps=3)
         trace = gauss_newton_invert(mesh, survey, d, weights, reg, gn, m0=truth)
         assert trace.converged
+        assert trace.stop_reason == "target_chi"
         assert trace.n_epochs == 1
         assert np.array_equal(trace.final_model, truth)
+
+    def test_stop_reasons_line_search_and_budget(self):
+        """No line-search trial stops at the first step; an unreachable
+        target spends the budget."""
+        mesh, survey, sim = tiny_dc_problem(n_core_x=10, n_core_z=5, n_pad=1,
+                                            line=40.0, spacing=10.0)
+        truth = np.full(mesh.n_cells, np.log(0.02))
+        d = sim.predict(truth)
+        weights = weights_from_std(0.05 * np.abs(d))
+        reg = RegularizationConfig(m_ref=float(np.log(0.01)))
+        m0 = np.full(mesh.n_cells, np.log(0.01))
+
+        gn = GNConfig(beta0=1.0, line_search_max=0)
+        trace = gauss_newton_invert(mesh, survey, d, weights, reg, gn)
+        assert trace.stop_reason == "line_search"
+        assert not trace.converged
+        assert trace.n_epochs == 1
+        assert np.array_equal(trace.final_model, m0)
+
+        gn = GNConfig(beta0=1.0, max_beta_steps=2, iterations_per_beta=1,
+                      target_chi=1e-12)
+        trace = gauss_newton_invert(mesh, survey, d, weights, reg, gn)
+        assert trace.stop_reason == "budget"
+        assert not trace.converged
+        assert trace.n_epochs == 2
 
     def test_objective_never_increases_within_beta(self):
         """Accepted steps do not increase phi_d + beta*phi_m at fixed beta
