@@ -7,15 +7,14 @@ model, and a conventional Tikhonov/IRLS Gauss-Newton benchmark.
 
 from .adam import AdamState, adam_step, init_adam
 from .dip import DipConfig, beta, invert_stage2, pretrain_stage1, surrogate_loss
-from .forward import (DataWeights, DCSimulation, assemble_system, build_data_weights,
-                      chi_factor, j_vec, jt_vec, phi_d, predict, weights_from_std)
+from .forward import (DataWeights, DCSimulation, build_data_weights, chi_factor,
+                      phi_d, weights_from_std)
 from .mesh import TensorMesh2D, build_mesh, cell_centers
 from .net import (ArchConfig, NetParams, arch_for_mesh, init_params, load_params,
                   net_backward, net_forward, param_count, sample_latent, save_params)
 from .scenarios import ScenarioSpec, add_noise, build_case1, build_case2, paint_model
 from .survey import Survey, build_dipole_dipole_survey, load_survey, save_survey
-from .tikhonov import (DifferenceOperators, GNConfig, IRLSState,
-                       RegularizationConfig, build_difference_operators,
+from .tikhonov import (DifferenceOperators, GNConfig, IRLSState, RegularizationConfig,
                        gauss_newton, gauss_newton_invert, irls_weights, phi_m,
                        sensitivity_weights, update_irls)
 from .trace import EpochRecord, InversionTrace, load_grid, load_trace, save_grid, save_trace

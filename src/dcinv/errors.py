@@ -11,11 +11,12 @@ class NumericalFailure(RuntimeError):
 
 class ParseError(ValueError):
     """A grid, data, trace, survey or manifest file could not be parsed; carries
-    the offending line number."""
+    the file's path and the offending line number."""
 
-    def __init__(self, message, line_no):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, message, line_no, path):
+        super().__init__(f"{path}: line {line_no}: {message}")
         self.line_no = line_no
+        self.path = path
 
 
 class CheckpointError(ValueError):

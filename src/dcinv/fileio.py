@@ -42,16 +42,16 @@ def load_data(path):
                 continue
             tok = line.split()
             if len(tok) != 6:
-                raise ParseError(f"expected 6 columns per datum, got {len(tok)}", ln)
+                raise ParseError(f"expected 6 columns per datum, got {len(tok)}", ln, path)
             try:
                 row = [float(t) for t in tok]
             except ValueError:
-                raise ParseError("non-numeric value", ln) from None
+                raise ParseError("non-numeric value", ln, path) from None
             rows.append(row[:4])
             vals.append(row[4])
             stds.append(row[5])
     if not rows:
-        raise ParseError("no data rows", 1)
+        raise ParseError("no data rows", 1, path)
     survey = survey_from_rows(np.asarray(rows))
     return survey, np.asarray(vals), np.asarray(stds)
 
@@ -75,4 +75,4 @@ def load_manifest(path) -> dict:
         try:
             return json.load(f)
         except json.JSONDecodeError as e:
-            raise ParseError(f"malformed JSON: {e.msg}", e.lineno) from None
+            raise ParseError(f"malformed JSON: {e.msg}", e.lineno, path) from None

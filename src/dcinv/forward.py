@@ -5,9 +5,9 @@ discretized cell-centered on a :class:`~dcinv.mesh.TensorMesh2D` (pure 2D
 physics: sources are lines perpendicular to the section).  Face
 conductances use distance-weighted harmonic averaging, the surface is
 zero-flux (no current leaves through the air), and the padded lateral and
-bottom boundaries are homogeneous Dirichlet.  The assembled operator is
-symmetric positive definite, which the adjoint-state sensitivity products
-below rely on.
+bottom boundaries are homogeneous Dirichlet.  The operator is symmetric
+positive definite, which the adjoint-state sensitivity products below
+rely on.
 
 The model vector ``m`` is log-conductivity on all cells (padding
 included); ``sigma = exp(m)``.  Sources inject a unit current (+1 at the A
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SolverFailure
 from .mesh import TensorMesh2D
@@ -43,7 +42,7 @@ class DataWeights:
 
 
 class _FaceGeometry:
-    """Face index arrays for one mesh, shared by assembly, the factor and sensitivities.
+    """Face index arrays for one mesh, shared by the factor, the operator and sensitivities.
 
     Interior face f couples cells ``a[f]`` and ``b[f]`` with conductance
     ``T = length / (da/sigma_a + db/sigma_b)`` (distance-weighted harmonic
@@ -89,12 +88,6 @@ class _FaceGeometry:
 
         self.nx, self.nz = nx, nz
         self.n_cells = nx * nz
-        # Fixed sparsity pattern: diagonal + one off-diagonal pair per interior face.
-        rows = np.concatenate([self.int_a, self.int_b, self.int_a, self.int_b,
-                               self.bnd_c])
-        cols = np.concatenate([self.int_b, self.int_a, self.int_a, self.int_b,
-                               self.bnd_c])
-        self._pattern = (rows, cols)
 
     def conductances(self, sigma: np.ndarray):
         t_int = self.int_len / (self.int_da / sigma[self.int_a]
@@ -102,17 +95,8 @@ class _FaceGeometry:
         t_bnd = self.bnd_len * sigma[self.bnd_c] / self.bnd_d
         return t_int, t_bnd
 
-    def assemble(self, sigma: np.ndarray) -> sp.csr_matrix:
-        t_int, t_bnd = self.conductances(sigma)
-        rows, cols = self._pattern
-        vals = np.concatenate([-t_int, -t_int, t_int, t_int, t_bnd])
-        a = sp.coo_matrix((vals, (rows, cols)),
-                          shape=(self.n_cells, self.n_cells)).tocsr()
-        a.sum_duplicates()
-        return a
-
     def factor(self, sigma: np.ndarray) -> BlockFactor:
-        """The operator ``assemble`` builds, factored block by cell column."""
+        """The operator, factored block by cell column."""
         t_int, t_bnd = self.conductances(sigma)
         n = self.n_cells
         diag = (np.bincount(self.int_a, t_int, n) + np.bincount(self.int_b, t_int, n)
@@ -233,13 +217,8 @@ def _checked_sigma(mesh: TensorMesh2D, sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def assemble_system(mesh: TensorMesh2D, sigma: np.ndarray) -> sp.csr_matrix:
-    """Cell-centered finite-volume operator for -div(sigma grad .), in CSR form."""
-    return _FaceGeometry(mesh).assemble(_checked_sigma(mesh, sigma))
-
-
 def factor_system(mesh: TensorMesh2D, sigma: np.ndarray) -> BlockFactor:
-    """Direct factor of the operator :func:`assemble_system` builds."""
+    """Direct factor of the finite-volume operator for -div(sigma grad .)."""
     return _FaceGeometry(mesh).factor(_checked_sigma(mesh, sigma))
 
 
@@ -352,19 +331,6 @@ class DCSimulation:
         return (np.bincount(f.int_a, dt_a * face_form, n)
                 + np.bincount(f.int_b, dt_b * face_form, n)
                 + np.bincount(f.bnd_c, dt_c * bnd_form, n))
-
-
-def predict(mesh: TensorMesh2D, survey: Survey, m: np.ndarray) -> np.ndarray:
-    """F(m): predicted potential differences, in survey order."""
-    return DCSimulation(mesh, survey).predict(np.asarray(m, dtype=float))
-
-
-def j_vec(mesh: TensorMesh2D, survey: Survey, m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return DCSimulation(mesh, survey).j_vec(np.asarray(m, dtype=float), w)
-
-
-def jt_vec(mesh: TensorMesh2D, survey: Survey, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return DCSimulation(mesh, survey).jt_vec(np.asarray(m, dtype=float), v)
 
 
 def build_data_weights(d_obs: np.ndarray, rel: float, floor: float) -> DataWeights:

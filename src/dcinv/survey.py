@@ -131,11 +131,11 @@ def load_survey(path) -> Survey:
                 continue
             tok = line.split()
             if len(tok) < 4:
-                raise ParseError(f"expected columns Ax Bx Mx Nx, got {len(tok)}", ln)
+                raise ParseError(f"expected columns Ax Bx Mx Nx, got {len(tok)}", ln, path)
             try:
                 rows.append([float(t) for t in tok[:4]])
             except ValueError:
-                raise ParseError("non-numeric value", ln) from None
+                raise ParseError("non-numeric value", ln, path) from None
     if not rows:
-        raise ParseError("no survey rows", 1)
+        raise ParseError("no survey rows", 1, path)
     return survey_from_rows(np.asarray(rows))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .forward import DataWeights, DCSimulation, _reference_vector, chi_factor, phi_d
 from .mesh import TensorMesh2D, cell_centers
@@ -68,36 +67,54 @@ class GNConfig:
             raise ValueError("cooling factor must be in (0, 1)")
 
 
-@dataclass(frozen=True)
 class DifferenceOperators:
-    """Sparse first differences, cell values to face differences / spacing."""
+    """First differences of cell values over center spacing, their exact
+    transposes and face means, as slices of the ``(nz, nx)`` cell grid.
 
-    d_x: sp.csr_matrix
-    d_z: sp.csr_matrix
+    Faces are ordered as the forward operator orders its interior faces:
+    ``D_x`` has one row per x face, row by row (``nz * (nx - 1)``), and
+    ``D_z`` one per z face (``(nz - 1) * nx``).
+    """
 
+    def __init__(self, mesh: TensorMesh2D):
+        xc, zc = cell_centers(mesh)
+        self.shape = mesh.shape
+        self.inv_dx = 1.0 / np.diff(xc)
+        self.inv_dz = 1.0 / np.diff(zc)[:, None]
 
-def build_difference_operators(mesh: TensorMesh2D) -> DifferenceOperators:
-    nx, nz = mesh.nx, mesh.nz
-    xc, zc = cell_centers(mesh)
+    def d_x(self, m: np.ndarray) -> np.ndarray:
+        """D_x m: per x face, the difference of its two cells over their spacing."""
+        g = np.reshape(m, self.shape)
+        return (g[:, 1:] * self.inv_dx - g[:, :-1] * self.inv_dx).ravel()
 
-    rows_x = nz * (nx - 1)
-    a = (np.arange(nz)[:, None] * nx + np.arange(nx - 1)[None, :]).ravel()
-    inv_dx = np.broadcast_to(1.0 / np.diff(xc)[None, :], (nz, nx - 1)).ravel()
-    dx = sp.coo_matrix(
-        (np.concatenate([-inv_dx, inv_dx]),
-         (np.concatenate([np.arange(rows_x), np.arange(rows_x)]),
-          np.concatenate([a, a + 1]))),
-        shape=(rows_x, nx * nz)).tocsr()
+    def d_z(self, m: np.ndarray) -> np.ndarray:
+        g = np.reshape(m, self.shape)
+        return (g[1:] * self.inv_dz - g[:-1] * self.inv_dz).ravel()
 
-    rows_z = (nz - 1) * nx
-    a = (np.arange(nz - 1)[:, None] * nx + np.arange(nx)[None, :]).ravel()
-    inv_dz = np.broadcast_to(1.0 / np.diff(zc)[:, None], (nz - 1, nx)).ravel()
-    dz = sp.coo_matrix(
-        (np.concatenate([-inv_dz, inv_dz]),
-         (np.concatenate([np.arange(rows_z), np.arange(rows_z)]),
-          np.concatenate([a, a + nx]))),
-        shape=(rows_z, nx * nz)).tocsr()
-    return DifferenceOperators(d_x=dx, d_z=dz)
+    def d_x_t(self, r: np.ndarray) -> np.ndarray:
+        """D_x^T r: each face value over its spacing, added to its second cell
+        and subtracted from its first."""
+        s = np.reshape(r, (self.shape[0], -1)) * self.inv_dx
+        out = np.zeros(self.shape)
+        out[:, 1:] = s
+        out[:, :-1] -= s
+        return out.ravel()
+
+    def d_z_t(self, r: np.ndarray) -> np.ndarray:
+        s = np.reshape(r, (-1, self.shape[1])) * self.inv_dz
+        out = np.zeros(self.shape)
+        out[1:] = s
+        out[:-1] -= s
+        return out.ravel()
+
+    def mean_x(self, c: np.ndarray) -> np.ndarray:
+        """Mean of the two cells each x face separates."""
+        g = np.reshape(c, self.shape)
+        return (0.5 * (g[:, :-1] + g[:, 1:])).ravel()
+
+    def mean_z(self, c: np.ndarray) -> np.ndarray:
+        g = np.reshape(c, self.shape)
+        return (0.5 * (g[:-1] + g[1:])).ravel()
 
 
 def irls_weights(r: np.ndarray, p: float, eps: float) -> np.ndarray:
@@ -110,21 +127,14 @@ def irls_weights(r: np.ndarray, p: float, eps: float) -> np.ndarray:
     return (r * r + eps * eps) ** (p / 2.0 - 1.0)
 
 
-def sensitivity_weights(mesh: TensorMesh2D, survey: Survey, m: np.ndarray,
-                        n_probes: int = 32, rng_seed: int = 0,
+def sensitivity_weights(sim, m: np.ndarray, n_probes: int = 32, rng_seed: int = 0,
                         floor: float = 1e-4) -> np.ndarray:
     """Estimated root diagonal of J^T J, normalized to max 1 and floored.
 
     Column norms are probed stochastically: for random +-1 data vectors v,
     E[(J^T v)_j^2] = sum_i J_ij^2.
     """
-    sim = DCSimulation(mesh, survey)
-    return _sensitivity_weights(sim, np.asarray(m, dtype=float), n_probes,
-                                rng_seed, floor)
-
-
-def _sensitivity_weights(sim, m: np.ndarray, n_probes: int, rng_seed: int,
-                         floor: float) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
     rng = np.random.default_rng(rng_seed)
     acc = np.zeros(m.size)
     for _ in range(n_probes):
@@ -156,16 +166,16 @@ def update_irls(m: np.ndarray, cfg: RegularizationConfig, ops: DifferenceOperato
     term's current residual (with a tiny absolute floor so an exactly-zero
     residual stays finite).
     """
-    ws_s, ws_x, ws_z = _term_weights_arrays(cfg, ops, sens, m.size)
+    ws_s, ws_x, ws_z = _term_weights(ops, sens)
     state = IRLSState()
     if cfg.p_s < 2.0:
         r = ws_s * (m - m_ref)
         state.w_s = irls_weights(r, cfg.p_s, _eps_of(r, cfg.irls_epsilon))
     if cfg.p_x < 2.0:
-        r = ws_x * (ops.d_x @ m)
+        r = ws_x * ops.d_x(m)
         state.w_x = irls_weights(r, cfg.p_x, _eps_of(r, cfg.irls_epsilon))
     if cfg.p_z < 2.0:
-        r = ws_z * (ops.d_z @ m)
+        r = ws_z * ops.d_z(m)
         state.w_z = irls_weights(r, cfg.p_z, _eps_of(r, cfg.irls_epsilon))
     return state
 
@@ -175,18 +185,11 @@ def _eps_of(r: np.ndarray, frac: float) -> float:
     return max(frac * scale, 1e-8)
 
 
-def _face_average(d: sp.csr_matrix, cell_values: np.ndarray) -> np.ndarray:
-    """Mean of the two adjacent cells' values, one entry per face row of d."""
-    a = sp.csr_matrix((np.abs(d.data), d.indices, d.indptr), shape=d.shape)
-    return (a @ cell_values) / (a @ np.ones(d.shape[1]))
-
-
-def _term_weights_arrays(cfg: RegularizationConfig, ops: DifferenceOperators,
-                         sens: np.ndarray | None, n: int):
+def _term_weights(ops: DifferenceOperators, sens: np.ndarray | None):
     """W_s (cells) and W_x / W_z (faces) diagonals; sensitivity-weighted when on."""
     if sens is None:
         return 1.0, 1.0, 1.0
-    return sens, _face_average(ops.d_x, sens), _face_average(ops.d_z, sens)
+    return sens, ops.mean_x(sens), ops.mean_z(sens)
 
 
 def phi_m(m: np.ndarray, cfg: RegularizationConfig, ops: DifferenceOperators,
@@ -196,7 +199,7 @@ def phi_m(m: np.ndarray, cfg: RegularizationConfig, ops: DifferenceOperators,
     m = np.asarray(m, dtype=float)
     if m_ref is None:
         m_ref = _reference_vector(cfg.m_ref, m.size)
-    ws_s, ws_x, ws_z = _term_weights_arrays(cfg, ops, sens, m.size)
+    ws_s, ws_x, ws_z = _term_weights(ops, sens)
 
     value = 0.0
     grad = np.zeros_like(m)
@@ -206,15 +209,15 @@ def phi_m(m: np.ndarray, cfg: RegularizationConfig, ops: DifferenceOperators,
     value += cfg.alpha_s * float(r @ wr)
     grad += cfg.alpha_s * 2.0 * (ws_s * wr)
 
-    r = ws_x * (ops.d_x @ m)
+    r = ws_x * ops.d_x(m)
     wr = irls_state.w_x * r
     value += cfg.alpha_x * float(r @ wr)
-    grad += cfg.alpha_x * 2.0 * (ops.d_x.T @ (ws_x * wr))
+    grad += cfg.alpha_x * 2.0 * ops.d_x_t(ws_x * wr)
 
-    r = ws_z * (ops.d_z @ m)
+    r = ws_z * ops.d_z(m)
     wr = irls_state.w_z * r
     value += cfg.alpha_z * float(r @ wr)
-    grad += cfg.alpha_z * 2.0 * (ops.d_z.T @ (ws_z * wr))
+    grad += cfg.alpha_z * 2.0 * ops.d_z_t(ws_z * wr)
     return value, grad
 
 
@@ -222,8 +225,8 @@ def _reg_hessian_apply(v: np.ndarray, cfg: RegularizationConfig,
                        ops: DifferenceOperators, irls_state: IRLSState,
                        ws_s, ws_x, ws_z) -> np.ndarray:
     out = cfg.alpha_s * 2.0 * (ws_s * (irls_state.w_s * (ws_s * v)))
-    out += cfg.alpha_x * 2.0 * (ops.d_x.T @ (ws_x * (irls_state.w_x * (ws_x * (ops.d_x @ v)))))
-    out += cfg.alpha_z * 2.0 * (ops.d_z.T @ (ws_z * (irls_state.w_z * (ws_z * (ops.d_z @ v)))))
+    out += cfg.alpha_x * 2.0 * ops.d_x_t(ws_x * (irls_state.w_x * (ws_x * ops.d_x(v))))
+    out += cfg.alpha_z * 2.0 * ops.d_z_t(ws_z * (irls_state.w_z * (ws_z * ops.d_z(v))))
     return out
 
 
@@ -266,7 +269,7 @@ def estimate_beta0(sim, m: np.ndarray, cfg: RegularizationConfig,
     x /= np.linalg.norm(x)
     jx = sim.j_vec(m, x)
     num = float(jx @ (weights.values ** 2 * jx))
-    ws_s, ws_x, ws_z = _term_weights_arrays(cfg, ops, sens, m.size)
+    ws_s, ws_x, ws_z = _term_weights(ops, sens)
     hx = _reg_hessian_apply(x, cfg, ops, irls_state, ws_s, ws_x, ws_z)
     den = float(x @ hx)
     if den <= 0:
@@ -295,7 +298,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
 
     sparse_norms = min(reg.p_s, reg.p_x, reg.p_z) < 2.0
     irls_state = IRLSState()  # first pass is plain L2
-    ws = _term_weights_arrays(reg, ops, sens, m.size)
+    ws = _term_weights(ops, sens)
 
     beta_val = gn.beta0 if gn.beta0 is not None else estimate_beta0(
         sim, m, reg, ops, irls_state, weights, sens,
@@ -365,11 +368,9 @@ def gauss_newton_invert(mesh: TensorMesh2D, survey: Survey, d_obs: np.ndarray,
                         gn: GNConfig, m0: np.ndarray | None = None) -> InversionTrace:
     """Gauss-Newton inversion on a mesh + survey pair; m0 defaults to m_ref."""
     sim = DCSimulation(mesh, survey)
-    ops = build_difference_operators(mesh)
     m_ref = _reference_vector(reg.m_ref, mesh.n_cells)
     m0 = m_ref.copy() if m0 is None else np.asarray(m0, dtype=float)
     sens = None
     if reg.use_sensitivity_weights:
-        sens = _sensitivity_weights(sim, m0, n_probes=32, rng_seed=gn.rng_seed,
-                                    floor=1e-4)
-    return gauss_newton(sim, d_obs, weights, reg, gn, m0, ops, sens)
+        sens = sensitivity_weights(sim, m0, rng_seed=gn.rng_seed)
+    return gauss_newton(sim, d_obs, weights, reg, gn, m0, DifferenceOperators(mesh), sens)

@@ -60,13 +60,13 @@ def load_trace(path) -> InversionTrace:
                 continue
             tok = line.split()
             if len(tok) != 5:
-                raise ParseError(f"expected 5 values per record, got {len(tok)}", ln)
+                raise ParseError(f"expected 5 values per record, got {len(tok)}", ln, path)
             try:
                 trace.records.append(EpochRecord(
                     epoch=int(tok[0]), beta=float(tok[1]), phi_d=float(tok[2]),
                     phi_m=float(tok[3]), chi=float(tok[4])))
             except ValueError:
-                raise ParseError("non-numeric value", ln) from None
+                raise ParseError("non-numeric value", ln, path) from None
     return trace
 
 
@@ -91,23 +91,23 @@ def load_grid(path):
             tok = line.split()
             if nx is None:
                 if len(tok) != 2:
-                    raise ParseError("expected header 'nx nz'", ln)
+                    raise ParseError("expected header 'nx nz'", ln, path)
                 try:
                     nx, nz = int(tok[0]), int(tok[1])
                 except ValueError:
-                    raise ParseError("non-integer grid dimensions", ln) from None
+                    raise ParseError("non-integer grid dimensions", ln, path) from None
                 if nx < 1 or nz < 1:
-                    raise ParseError("grid dimensions must be positive", ln)
+                    raise ParseError("grid dimensions must be positive", ln, path)
                 continue
             try:
                 row = [float(t) for t in tok]
             except ValueError:
-                raise ParseError("non-numeric value", ln) from None
+                raise ParseError("non-numeric value", ln, path) from None
             if len(row) != nx:
-                raise ParseError(f"expected {nx} values per row, got {len(row)}", ln)
+                raise ParseError(f"expected {nx} values per row, got {len(row)}", ln, path)
             rows.append(row)
     if nx is None:
-        raise ParseError("empty grid file", 1)
+        raise ParseError("empty grid file", 1, path)
     if len(rows) != nz:
-        raise ParseError(f"expected {nz} rows, got {len(rows)}", ln)
+        raise ParseError(f"expected {nz} rows, got {len(rows)}", ln, path)
     return np.asarray(rows).reshape(-1), nx, nz

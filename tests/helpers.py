@@ -3,7 +3,7 @@
 import numpy as np
 
 import dcinv
-from dcinv.forward import DCSimulation
+from dcinv.forward import DCSimulation, _FaceGeometry
 
 
 def central_diff_scalar(f, x, eps=1e-6):
@@ -63,3 +63,23 @@ def tiny_dc_problem(n_core_x=12, n_core_z=5, n_pad=2, line=50.0, spacing=10.0):
     mesh = dcinv.build_mesh(n_core_x, n_core_z, 5.0, 5.0, n_pad, 1.5)
     survey = dcinv.build_dipole_dipole_survey(line, spacing, 24, x0=-line / 2)
     return mesh, survey, DCSimulation(mesh, survey)
+
+
+def operator_entries(mesh, sigma):
+    """(rows, cols, values) of the finite-volume operator, four entries per
+    interior face and one per boundary face, from the face conductances
+    (independently of the grid-slice apply and of the block factor).
+    ``sigma`` may be complex, for complex-step derivatives."""
+    faces = _FaceGeometry(mesh)
+    t_int, t_bnd = faces.conductances(np.asarray(sigma))
+    ia, ib, ic = faces.int_a, faces.int_b, faces.bnd_c
+    return (np.concatenate([ia, ib, ia, ib, ic]), np.concatenate([ib, ia, ia, ib, ic]),
+            np.concatenate([-t_int, -t_int, t_int, t_int, t_bnd]))
+
+
+def dense_operator(mesh, sigma):
+    """The finite-volume operator as a dense matrix, duplicate entries summed."""
+    rows, cols, values = operator_entries(mesh, sigma)
+    a = np.zeros((mesh.n_cells, mesh.n_cells), dtype=values.dtype)
+    np.add.at(a, (rows, cols), values)
+    return a

@@ -12,16 +12,15 @@ import numpy as np
 import dcinv
 from dcinv.ablation import run_ablation
 from dcinv.dip import DipConfig, beta, invert_stage2, pretrain_stage1, surrogate_loss
-from dcinv.forward import DCSimulation, phi_d, predict, weights_from_std
+from dcinv.forward import DCSimulation, phi_d, weights_from_std
 from dcinv.metrics import mean_abs_gradient, pearson
 from dcinv.net import (arch_for_mesh, init_params, net_backward, net_forward,
                        param_count, sample_latent)
 from dcinv.net import layers as L
 from dcinv.runs import dip_manifest, run_from_manifest, replay
 from dcinv.scenarios import add_noise, build_case1
-from dcinv.tikhonov import (GNConfig, RegularizationConfig,
-                            build_difference_operators, gauss_newton_invert,
-                            phi_m, update_irls)
+from dcinv.tikhonov import (DifferenceOperators, GNConfig, RegularizationConfig,
+                            gauss_newton_invert, phi_m, update_irls)
 
 from helpers import rel_err, tiny_dc_problem
 
@@ -172,14 +171,14 @@ class TestAcceptance:
             wdir = rng2.standard_normal(mesh.n_cells)
             wdir /= np.linalg.norm(wdir)
             eps = 1e-5
-            fp = phi_d(predict(mesh, survey, m + eps * wdir), d_obs, weights)
-            fm = phi_d(predict(mesh, survey, m - eps * wdir), d_obs, weights)
+            fp = phi_d(sim.predict(m + eps * wdir), d_obs, weights)
+            fm = phi_d(sim.predict(m - eps * wdir), d_obs, weights)
             fd = (fp - fm) / (2 * eps)
             worst_phi_d = max(worst_phi_d, abs(fd - grad @ wdir) / abs(fd))
 
         # phi_m gradient within 1e-5
         mesh2 = dcinv.build_mesh(5, 4, 2.0, 2.0, 0, 1.0)
-        ops = build_difference_operators(mesh2)
+        ops = DifferenceOperators(mesh2)
         cfg = RegularizationConfig(alpha_s=0.3, alpha_x=0.7, alpha_z=0.5,
                                    p_s=1.0, p_x=1.0, p_z=0.0, m_ref=-4.0)
         mm = -4.0 + rng.standard_normal(mesh2.n_cells)
@@ -247,7 +246,7 @@ class TestAcceptance:
         survey = dcinv.build_dipole_dipole_survey(200.0, 25.0, 24, x0=-100.0)
         pad_extent = (5.0 * 1.5 ** np.arange(1, n_pad + 1)).sum()
         sigma0 = 0.01
-        d = predict(mesh, survey, np.full(mesh.n_cells, np.log(sigma0)))
+        d = DCSimulation(mesh, survey).predict(np.full(mesh.n_cells, np.log(sigma0)))
         rho = 1.0 / sigma0
         e = survey.electrodes
         worst = 0.0
@@ -272,12 +271,12 @@ class TestAcceptance:
 
     def test_07_scale_law(self):
         """predict(m + c) = e^-c predict(m) to 1e-8 relative."""
-        mesh, survey, _ = tiny_dc_problem()
+        mesh, survey, sim = tiny_dc_problem()
         rng = np.random.default_rng(4)
         m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
         c = 1.3
-        d0 = predict(mesh, survey, m)
-        d1 = predict(mesh, survey, m + c)
+        d0 = sim.predict(m)
+        d1 = sim.predict(m + c)
         err = rel_err(d1, np.exp(-c) * d0)
         report(7, "log-shift scale law to 1e-8 relative", err <= 1e-8,
                f"rel err {err:.2e}")

@@ -58,6 +58,21 @@ class TestExitCodes:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_parse_error_names_the_data_file(self, tmp_path, capsys):
+        data = tmp_path / "bad_data.txt"
+        data.write_text("# dcinv data v1 n_data=1\n-25 0 25 50 abc 0.1\n")
+        code = main(["invert-conv", "--scale", "desk", "--data", str(data),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"parse error: {data}: line 2: non-numeric value\n"
+
+    def test_parse_error_names_the_grid_file(self, tmp_path, capsys):
+        grid = tmp_path / "bad_grid.txt"
+        grid.write_text("# dcinv grid v1\n3 2\n0 1 2\n0 oops 2\n")
+        code = main(["render", "--grid", str(grid), "--out", str(tmp_path / "o.ppm")])
+        assert code == 3
+        assert capsys.readouterr().err == f"parse error: {grid}: line 4: non-numeric value\n"
+
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys):
         manifest = tmp_path / "bad.json"
         manifest.write_text('{"kind": \n')

@@ -43,7 +43,7 @@ class TestDataFile:
         p.write_text(f"# dcinv data v1 n_data=2\n-25 0 25 50 1.0 0.1\n\n{bad_line}\n")
         with pytest.raises(ParseError) as exc:
             load_data(p)
-        assert exc.value.line_no == 4
+        assert (exc.value.line_no, exc.value.path) == (4, p)
 
     def test_no_data_rows_is_parse_error(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -59,7 +59,7 @@ class TestSurveyFile:
         p.write_text(f"# dipole-dipole n_data=2\n-25 0 25 50\n\n{bad_line}\n")
         with pytest.raises(ParseError) as exc:
             load_survey(p)
-        assert exc.value.line_no == 4
+        assert (exc.value.line_no, exc.value.path) == (4, p)
 
     def test_no_rows_is_parse_error(self, tmp_path):
         p = tmp_path / "s.txt"
@@ -90,7 +90,7 @@ class TestGridFile:
         p.write_text("# dcinv grid v1\n3 2\n0 1 2\n0 oops 2\n")
         with pytest.raises(ParseError) as exc:
             load_grid(p)
-        assert exc.value.line_no == 4
+        assert (exc.value.line_no, exc.value.path) == (4, p)
 
     def test_wrong_row_length(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -120,7 +120,7 @@ class TestTraceFile:
                      f"# epoch beta phi_d phi_m chi\n1 0.5 2.0 0.1 1.0\n{bad_line}\n")
         with pytest.raises(ParseError) as exc:
             load_trace(p)
-        assert exc.value.line_no == 4
+        assert (exc.value.line_no, exc.value.path) == (4, p)
 
     def test_byte_stable(self, tmp_path):
         trace = InversionTrace(records=[

@@ -9,12 +9,12 @@ import pytest
 import dcinv
 from dcinv.errors import SolverFailure
 from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, _electrode_cells,
-                           _FaceGeometry, assemble_system, build_data_weights,
-                           factor_system, phi_d, predict, weights_from_std)
+                           _FaceGeometry, build_data_weights, factor_system, phi_d,
+                           weights_from_std)
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
 
-from helpers import rel_err, tiny_dc_problem
+from helpers import dense_operator, operator_entries, rel_err, tiny_dc_problem
 
 
 class TestAssembly:
@@ -22,21 +22,21 @@ class TestAssembly:
         """1x2 unit-cell mesh: the single interior face carries sigma."""
         mesh = TensorMesh2D(hx=np.array([1.0, 1.0]), hz=np.array([1.0]), origin_x=0.0)
         sigma = np.array([2.0, 2.0])
-        a = assemble_system(mesh, sigma).toarray()
+        a = dense_operator(mesh, sigma)
         assert np.isclose(a[0, 1], -2.0)
         assert np.isclose(a[1, 0], -2.0)
 
     def test_harmonic_mean_face(self):
         """Adjacent sigma {1, 3} on unit geometry: face conductance 1.5."""
         mesh = TensorMesh2D(hx=np.array([1.0, 1.0]), hz=np.array([1.0]), origin_x=0.0)
-        a = assemble_system(mesh, np.array([1.0, 3.0])).toarray()
+        a = dense_operator(mesh, np.array([1.0, 3.0]))
         assert np.isclose(a[0, 1], -1.5)
         assert np.isclose(a[0, 1], -2 * 1 * 3 / (1 + 3))
 
     def test_symmetric_and_positive_definite(self):
         """3x3 uniform mesh: A = A^T entrywise, smallest eigenvalue > 0."""
         mesh = build_mesh(3, 3, 1.0, 1.0, 0, 1.0)
-        a = assemble_system(mesh, np.full(9, 0.7)).toarray()
+        a = dense_operator(mesh, np.full(9, 0.7))
         assert np.abs(a - a.T).max() == 0.0
         assert np.linalg.eigvalsh(a).min() > 0
 
@@ -46,16 +46,16 @@ class TestAssembly:
             mesh = build_mesh(rng.integers(2, 8), rng.integers(2, 6), 2.0, 3.0,
                               int(rng.integers(0, 3)), 1.5)
             sigma = np.exp(rng.standard_normal(mesh.n_cells))
-            a = assemble_system(mesh, sigma)
-            assert abs(a - a.T).max() == 0.0
-
-    def test_nonpositive_sigma_rejected(self):
-        mesh = build_mesh(2, 2, 1.0, 1.0, 0, 1.0)
-        with pytest.raises(ValueError):
-            assemble_system(mesh, np.array([1.0, -1.0, 1.0, 1.0]))
+            a = dense_operator(mesh, sigma)
+            assert np.abs(a - a.T).max() == 0.0
 
 
 class TestSolve:
+    def test_nonpositive_sigma_rejected(self):
+        mesh = build_mesh(2, 2, 1.0, 1.0, 0, 1.0)
+        with pytest.raises(ValueError):
+            factor_system(mesh, np.array([1.0, -1.0, 1.0, 1.0]))
+
     def test_zero_source(self):
         mesh = build_mesh(4, 3, 1.0, 1.0, 0, 1.0)
         assert np.all(factor_system(mesh, np.ones(12)).solve(np.zeros(12)) == 0.0)
@@ -71,7 +71,7 @@ class TestSolve:
 
     def test_single_cell(self):
         mesh = TensorMesh2D(hx=np.array([1.0]), hz=np.array([1.0]), origin_x=0.0)
-        a = assemble_system(mesh, np.array([1.0])).toarray()
+        a = dense_operator(mesh, np.array([1.0]))
         phi = factor_system(mesh, np.array([1.0])).solve(np.array([2.0]))
         assert np.isclose(phi[0], 2.0 / a[0, 0])
 
@@ -88,18 +88,27 @@ class TestSolve:
         for mesh in meshes:
             sigma = np.exp(rng.standard_normal(mesh.n_cells))
             q = rng.standard_normal((mesh.n_cells, 3))
-            ref = np.linalg.solve(assemble_system(mesh, sigma).toarray(), q)
+            ref = np.linalg.solve(dense_operator(mesh, sigma), q)
             factor = factor_system(mesh, sigma)
             assert rel_err(factor.solve(q), ref) < 1e-12
             assert rel_err(factor.solve(q[:, 0]), ref[:, 0]) < 1e-12
 
-    def test_no_scipy_linear_algebra(self):
-        """Importing dcinv and predicting loads neither scipy.linalg nor scipy.sparse.linalg."""
+    def test_no_scipy(self):
+        """Importing dcinv, one predict and one sparse-norm Gauss-Newton
+        iteration with sensitivity weights (so the IRLS update and the face
+        means run) load no scipy module at all."""
         code = ("import sys, numpy as np, dcinv\n"
                 "spec, truth = dcinv.build_case1(45.0, 'desk')\n"
-                "dcinv.DCSimulation(spec.mesh(), spec.survey()).predict(truth)\n"
-                "print(sorted(k for k in sys.modules\n"
-                "             if k.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n")
+                "mesh, survey = spec.mesh(), spec.survey()\n"
+                "d = dcinv.DCSimulation(mesh, survey).predict(truth)\n"
+                "reg = dcinv.RegularizationConfig(p_s=0.0, p_x=1.0, p_z=1.0,\n"
+                "                                 use_sensitivity_weights=True)\n"
+                "gn = dcinv.GNConfig(max_beta_steps=1, iterations_per_beta=1,\n"
+                "                    target_chi=1e-12)\n"
+                "trace = dcinv.gauss_newton_invert(mesh, survey, d,\n"
+                "    dcinv.weights_from_std(0.05 * np.abs(d)), reg, gn)\n"
+                "assert trace.n_epochs == 1 and trace.stop_reason == 'budget'\n"
+                "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
         env = {**os.environ, "PYTHONPATH": str(Path(dcinv.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
@@ -111,17 +120,17 @@ class TestPredict:
         """Scaling sigma by c scales every datum by 1/c."""
         mesh, survey, sim = tiny_dc_problem()
         m = np.full(mesh.n_cells, np.log(0.01))
-        d1 = predict(mesh, survey, m)
-        d2 = predict(mesh, survey, m + np.log(3.0))
+        d1 = sim.predict(m)
+        d2 = sim.predict(m + np.log(3.0))
         assert rel_err(d2, d1 / 3.0) < 1e-9
 
     def test_log_shift_law(self):
         """predict(m + c) = e^-c predict(m) for any model."""
-        mesh, survey, _ = tiny_dc_problem()
+        mesh, survey, sim = tiny_dc_problem()
         rng = np.random.default_rng(5)
         m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
-        d0 = predict(mesh, survey, m)
-        d1 = predict(mesh, survey, m + 0.8)
+        d0 = sim.predict(m)
+        d1 = sim.predict(m + 0.8)
         assert rel_err(d1, np.exp(-0.8) * d0) < 1e-9
 
     def test_reciprocity(self):
@@ -133,16 +142,16 @@ class TestPredict:
                     receivers=(((3, 4),),))
         s2 = Survey(electrodes=survey.electrodes, sources=((3, 4),),
                     receivers=(((0, 1),),))
-        da = predict(mesh, s1, m)[0]
-        db = predict(mesh, s2, m)[0]
+        da = DCSimulation(mesh, s1).predict(m)[0]
+        db = DCSimulation(mesh, s2).predict(m)[0]
         assert abs(da - db) / abs(da) < 1e-9
 
     def test_monotone_in_conductivity(self):
         """Uniformly more conductive ground gives smaller |datum|."""
-        mesh, survey, _ = tiny_dc_problem()
+        mesh, survey, sim = tiny_dc_problem()
         mags = []
         for sigma in (0.005, 0.01, 0.02, 0.04):
-            d = predict(mesh, survey, np.full(mesh.n_cells, np.log(sigma)))
+            d = sim.predict(np.full(mesh.n_cells, np.log(sigma)))
             mags.append(np.abs(d).mean())
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
@@ -165,7 +174,7 @@ class TestPredict:
         survey = build_dipole_dipole_survey(200.0, 25.0, 24, x0=-100.0)
         pad_extent = (5.0 * 1.5 ** np.arange(1, n_pad + 1)).sum()
         sigma0 = 0.01
-        d = predict(mesh, survey, np.full(mesh.n_cells, np.log(sigma0)))
+        d = DCSimulation(mesh, survey).predict(np.full(mesh.n_cells, np.log(sigma0)))
         rho = 1.0 / sigma0
         e = survey.electrodes
         k = 0
@@ -223,7 +232,7 @@ class TestSensitivityProducts:
         rems = []
         eps_list = [1e-2, 1e-3, 1e-4]
         for eps in eps_list:
-            dp = predict(mesh, survey, m + eps * w)
+            dp = sim.predict(m + eps * w)
             rems.append(np.linalg.norm(dp - d0 - eps * jw))
         orders = [np.log(rems[i] / rems[i + 1]) / np.log(10) for i in range(2)]
         assert min(orders) >= 1.9
@@ -240,8 +249,8 @@ class TestSensitivityProducts:
         for _ in range(10):
             w = rng.standard_normal(mesh.n_cells)
             w /= np.linalg.norm(w)
-            fp = phi_d(predict(mesh, survey, m + eps * w), d_obs, weights)
-            fm = phi_d(predict(mesh, survey, m - eps * w), d_obs, weights)
+            fp = phi_d(sim.predict(m + eps * w), d_obs, weights)
+            fm = phi_d(sim.predict(m - eps * w), d_obs, weights)
             fd = (fp - fm) / (2 * eps)
             assert abs(fd - g @ w) / abs(fd) < 1e-5
 
@@ -249,12 +258,12 @@ class TestSensitivityProducts:
 def dense_products(mesh, survey, m, w, v):
     """predict, J w and J^T v from the dense operator, one numpy.linalg.solve each.
 
-    The derivative of the operator is taken by complex step on its assembly
-    (exact to rounding): along w for J w, and cell by cell for J^T v.
+    The derivative of the operator is taken by complex step on its entries
+    (exact to rounding): along w for J w, and cell by cell for J^T v, where
+    lambda^T dA phi is summed entry by entry.
     """
     cells = _electrode_cells(mesh, survey.electrodes)
-    faces = _FaceGeometry(mesh)
-    a = assemble_system(mesh, np.exp(m)).toarray()
+    a = dense_operator(mesh, np.exp(m))
     q = np.zeros((mesh.n_cells, survey.n_sources))
     p = np.zeros((survey.n_data, mesh.n_cells, survey.n_sources))
     k = 0
@@ -267,14 +276,14 @@ def dense_products(mesh, survey, m, w, v):
             k += 1
     h = 1e-30
 
-    def d_operator(direction):
-        return faces.assemble(np.exp(m + 1j * h * direction)).imag / h
-
     phi = np.linalg.solve(a, q)
     d = np.einsum("kns,ns->k", p, phi)
-    jw = np.einsum("kns,ns->k", p, np.linalg.solve(a, -d_operator(w) @ phi))
+    d_a = dense_operator(mesh, np.exp(m + 1j * h * w)).imag / h
+    jw = np.einsum("kns,ns->k", p, np.linalg.solve(a, -d_a @ phi))
     lam = np.linalg.solve(a, -np.einsum("kns,k->ns", p, v))
-    jtv = np.array([np.sum(lam * (d_operator(e_j) @ phi))
+    rows, cols, _ = operator_entries(mesh, np.exp(m))
+    pairs = np.einsum("es,es->e", lam[rows], phi[cols])
+    jtv = np.array([pairs @ operator_entries(mesh, np.exp(m + 1j * h * e_j))[2].imag / h
                     for e_j in np.eye(mesh.n_cells)])
     return phi, d, jw, jtv
 
@@ -322,7 +331,7 @@ class TestAgainstDenseReference:
             u = rng.standard_normal((mesh.n_cells, 3))
             faces = _FaceGeometry(mesh)
             au = faces.apply(*faces.conductances(sigma), u)
-            assert rel_err(au, assemble_system(mesh, sigma) @ u) < 1e-12
+            assert rel_err(au, dense_operator(mesh, sigma) @ u) < 1e-12
 
 
 class TestSolveCount:

@@ -4,10 +4,9 @@ import pytest
 import dcinv
 from dcinv.forward import weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh
-from dcinv.tikhonov import (GNConfig, IRLSState, RegularizationConfig,
-                            build_difference_operators, gauss_newton,
-                            gauss_newton_invert, irls_weights, phi_m,
-                            sensitivity_weights, update_irls)
+from dcinv.tikhonov import (DifferenceOperators, GNConfig, IRLSState,
+                            RegularizationConfig, gauss_newton, gauss_newton_invert,
+                            irls_weights, phi_m, sensitivity_weights, update_irls)
 
 from helpers import central_diff_scalar, rel_err, tiny_dc_problem
 
@@ -29,40 +28,109 @@ class LinearSim:
         return self.g.T @ v
 
 
+def dense_differences(mesh):
+    """D_x and D_z as dense matrices, filled face by face: -1/h at the face's
+    first cell and +1/h at its second, h the distance between their centers;
+    x faces row by row, then z faces."""
+    xc, zc = dcinv.cell_centers(mesh)
+    nx, nz = mesh.nx, mesh.nz
+    d_x = np.zeros((nz * (nx - 1), mesh.n_cells))
+    for iz in range(nz):
+        for ix in range(nx - 1):
+            face, cell = iz * (nx - 1) + ix, iz * nx + ix
+            d_x[face, cell] = -1.0 / (xc[ix + 1] - xc[ix])
+            d_x[face, cell + 1] = 1.0 / (xc[ix + 1] - xc[ix])
+    d_z = np.zeros(((nz - 1) * nx, mesh.n_cells))
+    for iz in range(nz - 1):
+        for ix in range(nx):
+            face = cell = iz * nx + ix
+            d_z[face, cell] = -1.0 / (zc[iz + 1] - zc[iz])
+            d_z[face, cell + nx] = 1.0 / (zc[iz + 1] - zc[iz])
+    return d_x, d_z
+
+
+def reference_meshes():
+    """Random padded meshes, plus a single row (no z faces) and a single column."""
+    rng = np.random.default_rng(0)
+    meshes = [build_mesh(int(rng.integers(2, 9)), int(rng.integers(2, 7)),
+                         float(rng.uniform(1, 5)), float(rng.uniform(1, 5)),
+                         int(rng.integers(0, 3)), 1.4) for _ in range(5)]
+    meshes.append(TensorMesh2D(hx=np.array([1.0, 2.0, 4.0, 3.0]), hz=np.array([2.0]),
+                               origin_x=0.0))
+    meshes.append(TensorMesh2D(hx=np.array([3.0]), hz=np.array([1.0, 2.0, 5.0]),
+                               origin_x=0.0))
+    return meshes
+
+
 class TestDifferenceOperators:
     def test_single_pair(self):
         mesh = TensorMesh2D(hx=np.array([1.0, 1.0]), hz=np.array([1.0]), origin_x=0.0)
-        ops = build_difference_operators(mesh)
-        assert ops.d_x.shape == (1, 2)
-        assert np.allclose(ops.d_x.toarray(), [[-1.0, 1.0]])
-        assert ops.d_z.shape == (0, 2)
+        ops = DifferenceOperators(mesh)
+        assert np.array_equal(ops.d_x(np.array([2.0, 5.0])), [3.0])
+        assert np.array_equal(ops.d_x_t(np.array([3.0])), [-3.0, 3.0])
+        assert ops.d_z(np.array([2.0, 5.0])).shape == (0,)
+        assert np.array_equal(ops.d_z_t(np.zeros(0)), np.zeros(2))
 
     def test_center_distance_scaling(self):
         """Widths 5 and 7.5: centers are 6.25 m apart, entries +-1/6.25."""
         mesh = TensorMesh2D(hx=np.array([5.0, 7.5]), hz=np.array([1.0]), origin_x=0.0)
-        ops = build_difference_operators(mesh)
-        row = ops.d_x.toarray()[0]
-        assert np.allclose(np.abs(row[row != 0]), 1.0 / 6.25)
+        ops = DifferenceOperators(mesh)
+        assert np.allclose(ops.d_x(np.array([0.0, 1.0])), 1.0 / 6.25)
+        assert np.allclose(ops.d_x(np.array([1.0, 0.0])), -1.0 / 6.25)
 
     def test_linear_ramp_gives_constant(self):
         mesh = build_mesh(6, 4, 2.0, 3.0, 0, 1.0)
-        ops = build_difference_operators(mesh)
+        ops = DifferenceOperators(mesh)
         xc, _ = dcinv.cell_centers(mesh)
         ramp = np.tile(3.0 * xc, 4)  # linear in x, constant in z
-        dx = ops.d_x @ ramp
+        dx = ops.d_x(ramp)
         assert np.allclose(dx, 3.0)
-        assert np.allclose(ops.d_z @ ramp, 0.0)
+        assert np.allclose(ops.d_z(ramp), 0.0)
 
     def test_annihilates_constants_random_meshes(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            mesh = build_mesh(int(rng.integers(2, 9)), int(rng.integers(2, 7)),
-                              float(rng.uniform(1, 5)), float(rng.uniform(1, 5)),
-                              int(rng.integers(0, 3)), 1.4)
-            ops = build_difference_operators(mesh)
+        for mesh in reference_meshes():
+            ops = DifferenceOperators(mesh)
             c = np.full(mesh.n_cells, 3.7)
-            assert np.allclose(ops.d_x @ c, 0.0)
-            assert np.allclose(ops.d_z @ c, 0.0)
+            assert np.allclose(ops.d_x(c), 0.0)
+            assert np.allclose(ops.d_z(c), 0.0)
+
+    def test_matches_per_face_reference(self):
+        """D m and D^T r against the face-by-face dense matrices; a one-row
+        mesh has no z faces and a one-column mesh no x faces."""
+        rng = np.random.default_rng(1)
+        for mesh in reference_meshes():
+            ops = DifferenceOperators(mesh)
+            m = rng.standard_normal(mesh.n_cells)
+            for apply, apply_t, dense in zip((ops.d_x, ops.d_z), (ops.d_x_t, ops.d_z_t),
+                                             dense_differences(mesh)):
+                r = rng.standard_normal(dense.shape[0])
+                assert apply(m).shape == (dense.shape[0],)
+                assert rel_err(apply(m), dense @ m) < 1e-14
+                assert rel_err(apply_t(r), dense.T @ r) < 1e-14
+
+    def test_adjoint_identity(self):
+        """<D m, r> = <m, D^T r> to 1e-14 relative."""
+        rng = np.random.default_rng(2)
+        for mesh in reference_meshes():
+            ops = DifferenceOperators(mesh)
+            for apply, apply_t in ((ops.d_x, ops.d_x_t), (ops.d_z, ops.d_z_t)):
+                m = rng.standard_normal(mesh.n_cells)
+                dm = apply(m)
+                r = rng.standard_normal(dm.size)
+                lhs, rhs = float(dm @ r), float(m @ apply_t(r))
+                assert abs(lhs - rhs) <= 1e-14 * max(abs(lhs), abs(rhs), 1e-300)
+
+    def test_face_mean(self):
+        """Each face's value is the mean of the two cells its row of D couples."""
+        rng = np.random.default_rng(3)
+        for mesh in reference_meshes():
+            ops = DifferenceOperators(mesh)
+            c = np.exp(rng.standard_normal(mesh.n_cells))
+            for mean, dense in zip((ops.mean_x, ops.mean_z), dense_differences(mesh)):
+                coupled = np.abs(dense) > 0
+                ref = (coupled @ c) / coupled.sum(axis=1)
+                assert mean(c).shape == ref.shape
+                assert rel_err(mean(c), ref) < 1e-15
 
 
 class TestIrlsWeights:
@@ -88,8 +156,7 @@ class TestIrlsWeights:
 class TestPhiM:
     def _setup(self):
         mesh = build_mesh(5, 4, 2.0, 2.0, 0, 1.0)
-        ops = build_difference_operators(mesh)
-        return mesh, ops
+        return mesh, DifferenceOperators(mesh)
 
     def test_zero_at_reference_constant(self):
         mesh, ops = self._setup()
@@ -142,15 +209,15 @@ class TestSensitivityWeights:
                                 for j in range(mesh.n_cells)])
         true_w = np.sqrt((cols ** 2).sum(axis=0))
         true_w /= true_w.max()
-        est = sensitivity_weights(mesh, survey, m, n_probes=300, rng_seed=0)
+        est = sensitivity_weights(sim, m, n_probes=300, rng_seed=0)
         keep = true_w > 1e-3  # floor region is clamped by construction
         assert np.median(np.abs(est[keep] - true_w[keep]) / true_w[keep]) < 0.15
 
     def test_range_and_floor(self):
         mesh, survey, sim = tiny_dc_problem(n_core_x=8, n_core_z=4, n_pad=1,
                                             line=30.0, spacing=10.0)
-        w = sensitivity_weights(mesh, survey, np.full(mesh.n_cells, -4.0),
-                                n_probes=16, rng_seed=1)
+        w = sensitivity_weights(sim, np.full(mesh.n_cells, -4.0), n_probes=16,
+                                rng_seed=1)
         assert np.all(w > 0.0)
         assert np.all(w <= 1.0)
         assert w.min() >= 1e-4
@@ -159,8 +226,8 @@ class TestSensitivityWeights:
         """Weights shrink down a vertical profile through the array center."""
         mesh, survey, sim = tiny_dc_problem(n_core_x=10, n_core_z=6, n_pad=2,
                                             line=40.0, spacing=10.0)
-        w = sensitivity_weights(mesh, survey, np.full(mesh.n_cells, -4.0),
-                                n_probes=64, rng_seed=2)
+        w = sensitivity_weights(sim, np.full(mesh.n_cells, -4.0), n_probes=64,
+                                rng_seed=2)
         grid = w.reshape(mesh.nz, mesh.nx)
         center = mesh.nx // 2
         profile = grid[:, center]
@@ -181,15 +248,15 @@ class TestGaussNewton:
         d = g @ rng.standard_normal(n)
         weights = weights_from_std(np.full(8, 0.1))
         reg = RegularizationConfig(alpha_s=0.3, alpha_x=0.2, alpha_z=0.1, m_ref=0.0)
-        ops = build_difference_operators(mesh)
+        ops = DifferenceOperators(mesh)
         gn = GNConfig(beta0=2.0, iterations_per_beta=1, max_beta_steps=1,
                       cg_tol=1e-12, cg_maxiter=500, target_chi=1e-12)
         trace = gauss_newton(LinearSim(g), d, weights, reg, gn, np.zeros(n), ops)
 
         w2 = np.diag(weights.values ** 2)
-        hreg = 2.0 * (reg.alpha_s * np.eye(n)
-                      + reg.alpha_x * (ops.d_x.T @ ops.d_x).toarray()
-                      + reg.alpha_z * (ops.d_z.T @ ops.d_z).toarray())
+        dtd_x = np.column_stack([ops.d_x_t(ops.d_x(e)) for e in np.eye(n)])
+        dtd_z = np.column_stack([ops.d_z_t(ops.d_z(e)) for e in np.eye(n)])
+        hreg = 2.0 * (reg.alpha_s * np.eye(n) + reg.alpha_x * dtd_x + reg.alpha_z * dtd_z)
         m_star = np.linalg.solve(g.T @ w2 @ g + 2.0 * hreg, g.T @ w2 @ d)
         assert rel_err(trace.final_model, m_star) < 1e-8
 
