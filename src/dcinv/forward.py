@@ -126,15 +126,42 @@ class _FaceGeometry:
         return out.reshape(self.n_cells, -1)
 
     def products(self, u: np.ndarray, v: np.ndarray):
-        """sum_k (u_a - u_b)(v_a - v_b) per interior face and sum_k u_c v_c per
-        boundary face, over the columns of u and v (n, k): d(v^T A u)/dt."""
+        """d(v^T A u)/dt: sum_k (u_a - u_b)(v_a - v_b) per interior face and
+        sum_k u_c v_c per boundary face, over the columns of u and v (n, k);
+        shaped as :meth:`differences` gives face values."""
         nx, nz = self.nx, self.nz
         ug = u.reshape(nz, nx, -1)
         vg = v.reshape(nz, nx, -1)
         fx = np.einsum("zxk,zxk->zx", ug[:, :-1] - ug[:, 1:], vg[:, :-1] - vg[:, 1:])
         fz = np.einsum("zxk,zxk->zx", ug[:-1] - ug[1:], vg[:-1] - vg[1:])
-        bnd = np.einsum("fk,fk->f", u[self.bnd_c], v[self.bnd_c])
-        return np.concatenate([fx.ravel(), fz.ravel()]), bnd
+        return fx, fz, np.einsum("fk,fk->f", u[self.bnd_c], v[self.bnd_c])
+
+    def differences(self, u: np.ndarray):
+        """Face values of cell values ``u`` (..., n_cells), for any leading
+        shape: ``u_a - u_b`` on x faces (..., nz, nx - 1) and z faces
+        (..., nz - 1, nx), and ``u_c`` on Dirichlet faces (..., n_bnd)."""
+        g = u.reshape(u.shape[:-1] + (self.nz, self.nx))
+        return (g[..., :, :-1] - g[..., :, 1:], g[..., :-1, :] - g[..., 1:, :],
+                u[..., self.bnd_c])
+
+    def to_cells(self, dt, fx: np.ndarray, fz: np.ndarray, fb: np.ndarray) -> np.ndarray:
+        """Chain rule from face conductances to log-conductivity: per cell, the
+        sum over its faces of dT/dm (``dt`` as :meth:`log_derivatives` gives
+        it) times the face value.  Face values are shaped as
+        :meth:`differences` gives them, with any leading shape; the result is
+        (..., n_cells)."""
+        nx, nz = self.nx, self.nz
+        n_xf = nz * (nx - 1)
+        dt_a, dt_b, dt_c = dt
+        out = np.zeros(fx.shape[:-2] + (nz, nx))
+        out[..., :, :-1] += dt_a[:n_xf].reshape(nz, nx - 1) * fx
+        out[..., :, 1:] += dt_b[:n_xf].reshape(nz, nx - 1) * fx
+        out[..., :-1, :] += dt_a[n_xf:].reshape(nz - 1, nx) * fz
+        out[..., 1:, :] += dt_b[n_xf:].reshape(nz - 1, nx) * fz
+        out[..., :, 0] += dt_c[:nz] * fb[..., :nz]
+        out[..., :, -1] += dt_c[nz:2 * nz] * fb[..., nz:2 * nz]
+        out[..., -1, :] += dt_c[2 * nz:] * fb[..., 2 * nz:]
+        return out.reshape(fx.shape[:-2] + (self.n_cells,))
 
     def log_derivatives(self, sigma: np.ndarray):
         """dT/dm_a and dT/dm_b per interior face, dT/dm_c per boundary face,
@@ -223,7 +250,7 @@ def factor_system(mesh: TensorMesh2D, sigma: np.ndarray) -> BlockFactor:
 
 
 class DCSimulation:
-    """F(m), J v and J^T v for one mesh + survey, from one solve per model.
+    """F(m), J v, J^T v and J itself for one mesh + survey, from one solve per model.
 
     Every source and receiver sits on one of a few electrode cells, so per
     model the operator is factored once (:class:`BlockFactor`) and solved
@@ -232,8 +259,13 @@ class DCSimulation:
     symmetric, so ``G`` also maps sources at the receivers (reciprocity):
     the adjoint fields of ``J^T v`` are ``-G R`` and the receiver readout
     of ``A^-1 b`` in ``J v`` is ``G^T b``.  ``predict``, ``j_vec``,
-    ``jt_vec`` and every Gauss-Newton inner-CG product at the same model
-    make no further solve.
+    ``jt_vec`` and ``jacobian`` at the same model make no further solve.
+
+    The products suit callers that need one or two per model (the stage-2
+    loop); ``jacobian`` forms the dense ``n_data x n_cells`` matrix, which
+    pays off when a model serves many products (Gauss-Newton's inner CG and
+    sensitivity probes).  ``j_vec`` is kept as the independent reference for
+    the adjoint checks.
     """
 
     def __init__(self, mesh: TensorMesh2D, survey: Survey):
@@ -248,10 +280,12 @@ class DCSimulation:
         self.src_a = col[[a for a, _ in survey.sources]]
         self.src_b = col[[b for _, b in survey.sources]]
         # Per datum: its source and the columns of its M and N electrodes.
-        self.rx_src = np.repeat(np.arange(survey.n_sources),
-                                [len(rx) for rx in survey.receivers])
+        n_rx = [len(rx) for rx in survey.receivers]
+        self.rx_src = np.repeat(np.arange(survey.n_sources), n_rx)
         self.rx_m = col[[m for rx in survey.receivers for m, _ in rx]]
         self.rx_n = col[[n for rx in survey.receivers for _, n in rx]]
+        # The data of source s are rows src_rows[s]:src_rows[s + 1].
+        self.src_rows = np.concatenate([[0], np.cumsum(n_rx)])
         self.n_data = survey.n_data
         self.n_sources = survey.n_sources
 
@@ -259,6 +293,7 @@ class DCSimulation:
         self._green = None
         self._dt = None  # log_derivatives at the model
         self._fields = None
+        self._jacobian = None
 
     # -- caching helpers -------------------------------------------------
     def _system(self, m: np.ndarray) -> np.ndarray:
@@ -271,6 +306,7 @@ class DCSimulation:
         if self._model is None or not np.array_equal(m, self._model):
             self._model = None  # stays unset if the factorization fails
             self._fields = None
+            self._jacobian = None
             sigma = np.exp(m)
             e = np.zeros((self.mesh.n_cells, self.cells.size))
             e[self.cells, np.arange(self.cells.size)] = 1.0
@@ -323,14 +359,32 @@ class DCSimulation:
              - np.bincount(self.rx_n * n_src + self.rx_src, v, size))
         lam = g @ -r.reshape(self.cells.size, n_src)
 
-        f = self.faces
-        dt_a, dt_b, dt_c = self._dt
         # lambda^T (dA/dm_c phi) summed over sources, per face then per cell
-        face_form, bnd_form = f.products(phi, lam)
-        n = self.mesh.n_cells
-        return (np.bincount(f.int_a, dt_a * face_form, n)
-                + np.bincount(f.int_b, dt_b * face_form, n)
-                + np.bincount(f.bnd_c, dt_c * bnd_form, n))
+        f = self.faces
+        return f.to_cells(self._dt, *f.products(phi, lam))
+
+    def jacobian(self, m: np.ndarray) -> np.ndarray:
+        """J (n_data, n_cells) at m, read-only, cached with G until the model changes.
+
+        Row k is ``J^T e_k``, built as :meth:`jt_vec` builds it: the adjoint
+        field of datum k is ``G_N - G_M``, paired with its source's field.
+        Source by source, so no temporary exceeds one source's receivers.
+        """
+        g = self._system(m)
+        if self._jacobian is None:
+            f = self.faces
+            gt = np.ascontiguousarray(g.T)  # one row per electrode cell
+            jac = np.empty((self.n_data, self.mesh.n_cells))
+            for s in range(self.n_sources):
+                rows = slice(self.src_rows[s], self.src_rows[s + 1])
+                phi = f.differences(gt[self.src_a[s]] - gt[self.src_b[s]])
+                lam = f.differences(gt[self.rx_n[rows]] - gt[self.rx_m[rows]])
+                for face_phi, face_lam in zip(phi, lam):
+                    face_lam *= face_phi  # d(lam^T A phi)/dt per face
+                jac[rows] = f.to_cells(self._dt, *lam)
+            jac.setflags(write=False)
+            self._jacobian = jac
+        return self._jacobian
 
 
 def build_data_weights(d_obs: np.ndarray, rel: float, floor: float) -> DataWeights:

@@ -1,6 +1,11 @@
 """Conventional Tikhonov inversion: smallness + first-order smoothness with
 configurable norms p <= 2 via iteratively reweighted least squares, solved
-by inexact Gauss-Newton with matrix-free conjugate-gradient inner solves.
+by inexact Gauss-Newton with conjugate-gradient inner solves.
+
+Each model that needs sensitivities has its Jacobian formed once
+(``sim.jacobian``: desk scale is 21 x 1,216), so every inner-CG product,
+the gradient and the sensitivity probes are matrix products with it; the
+regularization Hessian is applied matrix-free on the cell grid.
 
 The regularizer is
 
@@ -132,16 +137,13 @@ def sensitivity_weights(sim, m: np.ndarray, n_probes: int = 32, rng_seed: int = 
     """Estimated root diagonal of J^T J, normalized to max 1 and floored.
 
     Column norms are probed stochastically: for random +-1 data vectors v,
-    E[(J^T v)_j^2] = sum_i J_ij^2.
+    E[(J^T v)_j^2] = sum_i J_ij^2.  All probes are one product with J.
     """
     m = np.asarray(m, dtype=float)
     rng = np.random.default_rng(rng_seed)
-    acc = np.zeros(m.size)
-    for _ in range(n_probes):
-        v = rng.choice([-1.0, 1.0], size=sim.n_data)
-        jt = sim.jt_vec(m, v)
-        acc += jt * jt
-    w = np.sqrt(acc / n_probes)
+    probes = rng.choice([-1.0, 1.0], size=(n_probes, sim.n_data))
+    jt = probes @ sim.jacobian(m)  # row i is (J^T v_i)^T
+    w = np.sqrt((jt * jt).sum(axis=0) / n_probes)
     top = w.max()
     if top == 0:
         raise ValueError("zero sensitivity everywhere; check the model/survey")
@@ -267,7 +269,7 @@ def estimate_beta0(sim, m: np.ndarray, cfg: RegularizationConfig,
     rng = np.random.default_rng(rng_seed)
     x = rng.standard_normal(m.size)
     x /= np.linalg.norm(x)
-    jx = sim.j_vec(m, x)
+    jx = sim.jacobian(m) @ x
     num = float(jx @ (weights.values ** 2 * jx))
     ws_s, ws_x, ws_z = _term_weights(ops, sens)
     hx = _reg_hessian_apply(x, cfg, ops, irls_state, ws_s, ws_x, ws_z)
@@ -283,13 +285,16 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
                  sens: np.ndarray | None = None) -> InversionTrace:
     """Inexact Gauss-Newton with beta cooling against any simulator.
 
-    Per outer beta step: ``iterations_per_beta`` Gauss-Newton iterations,
-    each solving (J^T W^2 J + beta hess phi_m) dm = -grad by matrix-free CG
-    followed by a backtracking (Armijo) line search on the frozen-weight
-    objective.  IRLS weights are refreshed between beta steps when any
-    norm is below 2.  Stops at the target chi-factor, on a line search that
-    finds no decrease, or when the step budget is spent; ``stop_reason``
-    says which (``target_chi``, ``line_search`` or ``budget``).
+    The simulator provides ``predict(m)``, ``jacobian(m)`` (the dense
+    ``n_data x n_cells`` J) and ``n_data``.  Per outer beta step:
+    ``iterations_per_beta`` Gauss-Newton iterations, each solving
+    (J^T W^2 J + beta hess phi_m) dm = -grad by CG on J, formed once per
+    iteration, followed by a backtracking (Armijo) line search on the
+    frozen-weight objective.  IRLS weights are refreshed between beta steps
+    when any norm is below 2.  Stops at the target chi-factor, on a line
+    search that finds no decrease, or when the step budget is spent;
+    ``stop_reason`` says which (``target_chi``, ``line_search`` or
+    ``budget``).
     """
     d_obs = np.asarray(d_obs, dtype=float)
     m = np.array(m0, dtype=float, copy=True)
@@ -322,11 +327,11 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
                 trace.final_model = m
                 return trace
 
-            grad = sim.jt_vec(m, w2 * (d_pred - d_obs)) + beta_val * g_reg
+            jac = sim.jacobian(m)
+            grad = jac.T @ (w2 * (d_pred - d_obs)) + beta_val * g_reg
 
             def apply_h(v):
-                jv = sim.j_vec(m, v)
-                out = sim.jt_vec(m, w2 * jv)
+                out = jac.T @ (w2 * (jac @ v))
                 return out + beta_val * _reg_hessian_apply(v, reg, ops, irls_state, *ws)
 
             dm = _cg_matfree(apply_h, -grad, gn.cg_tol, gn.cg_maxiter)

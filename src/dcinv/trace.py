@@ -29,8 +29,8 @@ class InversionTrace:
     final_params: object = None  # NetParams for the reparameterized flavour
     converged: bool = False
     models: list[np.ndarray] | None = None  # per-epoch models when requested
-    # Why Gauss-Newton ended: "target_chi", "line_search" or "budget"; not
-    # written to trace files.
+    # Why Gauss-Newton ended: "target_chi", "line_search" or "budget"; empty
+    # for runs that do not set one.
     stop_reason: str = ""
 
     @property
@@ -39,9 +39,12 @@ class InversionTrace:
 
 
 def save_trace(path, trace: InversionTrace, method: str = "") -> None:
-    """One record per line: ``epoch beta phi_d phi_m chi``."""
+    """One record per line: ``epoch beta phi_d phi_m chi``.  The header
+    carries the method, whether the run converged and, when set, why it
+    stopped (``stop=<reason>``)."""
+    stop = f" stop={trace.stop_reason}" if trace.stop_reason else ""
     with open(path, "w") as f:
-        f.write(f"{TRACE_HEADER} method={method} converged={int(trace.converged)}\n")
+        f.write(f"{TRACE_HEADER} method={method} converged={int(trace.converged)}{stop}\n")
         f.write("# epoch beta phi_d phi_m chi\n")
         for r in trace.records:
             f.write(f"{r.epoch} {float(r.beta)!r} {float(r.phi_d)!r} {float(r.phi_m)!r} {float(r.chi)!r}\n")
@@ -57,6 +60,8 @@ def load_trace(path) -> InversionTrace:
             if line.startswith("#"):
                 if "converged=" in line:
                     trace.converged = line.split("converged=")[1].split()[0] == "1"
+                if "stop=" in line:
+                    trace.stop_reason = line.split("stop=")[1].split()[0]
                 continue
             tok = line.split()
             if len(tok) != 5:

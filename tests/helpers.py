@@ -83,3 +83,39 @@ def dense_operator(mesh, sigma):
     a = np.zeros((mesh.n_cells, mesh.n_cells), dtype=values.dtype)
     np.add.at(a, (rows, cols), values)
     return a
+
+
+class Traffic:
+    """Counts what the optimizers ask of a ``DCSimulation``: calls per method,
+    operator factorizations, the distinct models predicted or differentiated,
+    and the distinct Jacobian arrays handed out (one per build)."""
+
+    def __init__(self, monkeypatch):
+        from dcinv.forward import BlockFactor
+
+        self.calls = {"predict": 0, "j_vec": 0, "jt_vec": 0, "jacobian": 0, "factor": 0}
+        self.models = set()           # bytes of every model predicted or differentiated
+        self.jacobian_models = set()  # bytes of every model whose J was asked for
+        self.jacobians = {}           # id -> J; holding J keeps its id unique
+
+        def counted(name, method):
+            def wrapper(sim, m, *args):
+                self.calls[name] += 1
+                out = method(sim, m, *args)
+                if name in ("predict", "jacobian"):
+                    self.models.add(np.asarray(m, dtype=float).tobytes())
+                if name == "jacobian":
+                    self.jacobian_models.add(np.asarray(m, dtype=float).tobytes())
+                    self.jacobians[id(out)] = out
+                return out
+            return wrapper
+
+        for name in ("predict", "j_vec", "jt_vec", "jacobian"):
+            monkeypatch.setattr(DCSimulation, name, counted(name, getattr(DCSimulation, name)))
+        init = BlockFactor.__init__
+
+        def counted_init(factor, *args):
+            self.calls["factor"] += 1
+            init(factor, *args)
+
+        monkeypatch.setattr(BlockFactor, "__init__", counted_init)

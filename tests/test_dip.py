@@ -7,7 +7,7 @@ from dcinv.dip import (DipConfig, beta, chi_factor, invert_stage2,
 from dcinv.forward import DataWeights, DCSimulation, weights_from_std
 from dcinv.net import arch_for_mesh, init_params, net_forward, sample_latent
 
-from helpers import rel_err, tiny_dc_problem
+from helpers import Traffic, rel_err, tiny_dc_problem
 
 
 class TestBetaSchedule:
@@ -223,6 +223,21 @@ class TestInvertStage2:
         a, b = run(), run()
         assert np.array_equal(a.final_model, b.final_model)
         assert [r.phi_d for r in a.records] == [r.phi_d for r in b.records]
+
+    def test_one_matrix_free_product_per_epoch(self, monkeypatch):
+        """Each epoch is a new model needing one J^T v, so stage 2 never
+        forms J: one factor, one predict and one jt_vec per epoch."""
+        mesh, survey, sim, truth, d_clean = self._setup()
+        arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2)
+        params = init_params(0, arch)
+        z = sample_latent(0, 8)
+        weights = weights_from_std(0.05 * np.abs(d_clean))
+        traffic = Traffic(monkeypatch)
+        trace = invert_stage2(params, z, mesh, survey, d_clean, weights,
+                              DipConfig(epochs_stage2=5))
+        assert trace.n_epochs == 5
+        assert traffic.calls == {"predict": 5, "j_vec": 0, "jt_vec": 5,
+                                 "jacobian": 0, "factor": 5}
 
     def test_epoch_weight_of_data_term_grows(self):
         mesh, survey, sim, truth, d_clean = self._setup()

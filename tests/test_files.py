@@ -112,6 +112,26 @@ class TestTraceFile:
         assert len(back.records) == 2
         assert back.records[1].phi_d == 5.0
         assert back.records[0].beta == 0.9
+        assert back.stop_reason == ""
+
+    def test_stop_reason_round_trip(self, tmp_path):
+        trace = InversionTrace(records=[
+            EpochRecord(epoch=1, beta=0.9, phi_d=10.0, phi_m=1.5, chi=2.0)],
+            stop_reason="line_search")
+        p = tmp_path / "trace.txt"
+        save_trace(p, trace, method="conventional")
+        assert p.read_text().splitlines()[0].endswith("converged=0 stop=line_search")
+        back = load_trace(p)
+        assert back.stop_reason == "line_search"
+        assert not back.converged
+
+    def test_header_without_stop_reason_loads(self, tmp_path):
+        p = tmp_path / "trace.txt"
+        p.write_text("# dcinv trace v1 method=dip converged=1\n"
+                     "# epoch beta phi_d phi_m chi\n1 0.5 2.0 0.1 1.0\n")
+        back = load_trace(p)
+        assert back.converged and back.stop_reason == ""
+        assert len(back.records) == 1
 
     @pytest.mark.parametrize("bad_line", ["1 0.5 2.0", "1 0.5 2.0 0.1 nan-ish"])
     def test_parse_error_carries_line_number(self, tmp_path, bad_line):

@@ -301,6 +301,8 @@ class TestAgainstDenseReference:
         assert rel_err(sim.predict(m), d) < 1e-10
         assert rel_err(sim.j_vec(m, w), jw) < 1e-10
         assert rel_err(sim.jt_vec(m, v), jtv) < 1e-10
+        assert rel_err(sim.jacobian(m) @ w, jw) < 1e-10
+        assert rel_err(sim.jacobian(m).T @ v, jtv) < 1e-10
         return sim
 
     def test_desk_case1(self):
@@ -334,6 +336,66 @@ class TestAgainstDenseReference:
             assert rel_err(au, dense_operator(mesh, sigma) @ u) < 1e-12
 
 
+class TestJacobian:
+    """The explicit J against the matrix-free products and finite differences."""
+
+    @pytest.mark.parametrize("scale", ["desk", "full"])
+    def test_matches_products(self, scale):
+        spec, truth = dcinv.build_case1(45.0, scale)
+        mesh, survey = spec.mesh(), spec.survey()
+        sim = DCSimulation(mesh, survey)
+        rng = np.random.default_rng(26)
+        m = truth + 0.1 * rng.standard_normal(mesh.n_cells)
+        jac = sim.jacobian(m)
+        assert jac.shape == (survey.n_data, mesh.n_cells)
+        w = rng.standard_normal(mesh.n_cells)
+        v = rng.standard_normal(survey.n_data)
+        assert rel_err(jac @ w, sim.j_vec(m, w)) < 1e-12
+        assert rel_err(jac.T @ v, sim.jt_vec(m, v)) < 1e-12
+
+    def test_rows_match_central_differences(self):
+        """Each row of J against central differences of its datum, column j
+        from predict at m +- eps e_j."""
+        mesh, survey, sim = tiny_dc_problem()
+        m = -4.0 + 0.3 * np.random.default_rng(27).standard_normal(mesh.n_cells)
+        jac = sim.jacobian(m).copy()
+        fd_sim = DCSimulation(mesh, survey)
+        eps = 1e-5
+        fd = np.empty_like(jac)
+        for j, e in enumerate(np.eye(mesh.n_cells)):
+            fd[:, j] = (fd_sim.predict(m + eps * e) - fd_sim.predict(m - eps * e)) / (2 * eps)
+        for row, fd_row in zip(jac, fd):
+            assert rel_err(row, fd_row) < 1e-7
+
+    def test_new_model_gives_new_matrix(self):
+        mesh, survey, sim = tiny_dc_problem()
+        m = np.full(mesh.n_cells, -4.0)
+        j1 = sim.jacobian(m)
+        assert sim.jacobian(m) is j1
+        j2 = sim.jacobian(m + 0.1 * np.arange(mesh.n_cells) / mesh.n_cells)
+        assert j2 is not j1
+        assert not np.allclose(j2, j1)
+        assert np.array_equal(sim.jacobian(m), j1)
+
+    def test_failed_factorization_leaves_no_stale_matrix(self):
+        mesh, survey, sim = tiny_dc_problem()
+        m = np.full(mesh.n_cells, -4.0)
+        j1 = sim.jacobian(m).copy()
+        bad = m.copy()
+        bad[mesh.n_cells // 2] = -800.0
+        for _ in range(2):
+            with np.errstate(divide="ignore"), pytest.raises(SolverFailure):
+                sim.jacobian(bad)
+        assert np.array_equal(sim.jacobian(m), j1)
+
+    def test_read_only(self):
+        mesh, survey, sim = tiny_dc_problem()
+        jac = sim.jacobian(np.full(mesh.n_cells, -4.0))
+        assert not jac.flags.writeable
+        with pytest.raises(ValueError):
+            jac[0, 0] = 1.0
+
+
 class TestSolveCount:
     """One factor and one solve per model, however many products it serves."""
 
@@ -362,6 +424,7 @@ class TestSolveCount:
         for _ in range(5):
             sim.j_vec(m, rng.standard_normal(mesh.n_cells))
             sim.jt_vec(m, rng.standard_normal(survey.n_data))
+            sim.jacobian(m)
         assert counts == {"factor": 1, "solve": 1}
         sim.jt_vec(m + 0.1, rng.standard_normal(survey.n_data))
         sim.predict(m + 0.1)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import dcinv
-from dcinv.forward import weights_from_std
+from dcinv.forward import DCSimulation, weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.tikhonov import (DifferenceOperators, GNConfig, IRLSState,
                             RegularizationConfig, gauss_newton, gauss_newton_invert,
                             irls_weights, phi_m, sensitivity_weights, update_irls)
 
-from helpers import central_diff_scalar, rel_err, tiny_dc_problem
+from helpers import Traffic, central_diff_scalar, rel_err, tiny_dc_problem
 
 
 class LinearSim:
@@ -21,11 +21,8 @@ class LinearSim:
     def predict(self, m):
         return self.g @ m
 
-    def j_vec(self, m, w):
-        return self.g @ w
-
-    def jt_vec(self, m, v):
-        return self.g.T @ v
+    def jacobian(self, m):
+        return self.g
 
 
 def dense_differences(mesh):
@@ -213,6 +210,22 @@ class TestSensitivityWeights:
         keep = true_w > 1e-3  # floor region is clamped by construction
         assert np.median(np.abs(est[keep] - true_w[keep]) / true_w[keep]) < 0.15
 
+    def test_matches_per_probe_products(self):
+        """One product with J gives the estimate of one jt_vec per probe, and
+        the probes drawn in one call are the draws of one call per probe."""
+        spec, _ = dcinv.build_case1(45.0, "desk")
+        mesh, survey = spec.mesh(), spec.survey()
+        sim = DCSimulation(mesh, survey)
+        m = np.random.default_rng(7).normal(np.log(0.01), 0.3, mesh.n_cells)
+        rng = np.random.default_rng(3)
+        acc = np.zeros(mesh.n_cells)
+        for _ in range(32):
+            jt = sim.jt_vec(m, rng.choice([-1.0, 1.0], size=survey.n_data))
+            acc += jt * jt
+        ref = np.sqrt(acc / 32)
+        ref = np.maximum(ref / ref.max(), 1e-4)
+        assert rel_err(sensitivity_weights(sim, m, n_probes=32, rng_seed=3), ref) < 1e-12
+
     def test_range_and_floor(self):
         mesh, survey, sim = tiny_dc_problem(n_core_x=8, n_core_z=4, n_pad=1,
                                             line=30.0, spacing=10.0)
@@ -349,3 +362,27 @@ class TestGaussNewton:
         trace = gauss_newton_invert(mesh, survey, d_noisy, weights, reg, gn)
         assert trace.records[-1].chi < trace.records[0].chi
         assert trace.records[-1].chi <= 1.5
+
+
+class TestTraffic:
+    def test_gauss_newton_forms_j_once_per_model(self, monkeypatch):
+        """A desk sparse-norm run with sensitivity weights factors once per
+        distinct model, builds J once per model that needs products, and
+        makes no matrix-free product: the probes, the gradient and every
+        inner-CG step are products with J."""
+        spec, truth = dcinv.build_case1(45.0, "desk")
+        mesh, survey = spec.mesh(), spec.survey()
+        d = DCSimulation(mesh, survey).predict(truth)
+        d_obs = d * (1 + 0.05 * np.random.default_rng(6).standard_normal(d.size))
+        weights = weights_from_std(0.05 * np.abs(d))
+        reg = RegularizationConfig(p_s=0, p_x=1, p_z=1, alpha_s=0.005, alpha_x=0.5,
+                                   alpha_z=0.5, use_sensitivity_weights=True)
+        traffic = Traffic(monkeypatch)
+        trace = gauss_newton_invert(mesh, survey, d_obs, weights, reg, GNConfig())
+        assert trace.converged and trace.n_epochs >= 2
+        assert traffic.calls["j_vec"] == traffic.calls["jt_vec"] == 0
+        assert traffic.calls["factor"] == len(traffic.models)
+        assert len(traffic.jacobians) == len(traffic.jacobian_models)
+        # m0 serves the probes, beta0 and the first iteration; the model that
+        # reaches the target needs no J.
+        assert len(traffic.jacobians) == trace.n_epochs - 1
