@@ -335,6 +335,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
                 return out + beta_val * _reg_hessian_apply(v, reg, ops, irls_state, *ws)
 
             dm = _cg_matfree(apply_h, -grad, gn.cg_tol, gn.cg_maxiter)
+            del jac  # so that at most one J (19 MB at full scale) is ever alive
             gd = float(grad @ dm)
             if gd >= 0:
                 dm = -grad  # CG returned a non-descent direction; fall back

@@ -1,5 +1,7 @@
 """Shared finite-difference oracles and small problem factories."""
 
+import weakref
+
 import numpy as np
 
 import dcinv
@@ -87,16 +89,20 @@ def dense_operator(mesh, sigma):
 
 class Traffic:
     """Counts what the optimizers ask of a ``DCSimulation``: calls per method,
-    operator factorizations, the distinct models predicted or differentiated,
-    and the distinct Jacobian arrays handed out (one per build)."""
+    operator factorizations and solves, the distinct models predicted or
+    differentiated, the Jacobian builds (distinct arrays handed out) and the
+    most earlier builds still alive when a new one is handed out."""
 
     def __init__(self, monkeypatch):
         from dcinv.forward import BlockFactor
 
-        self.calls = {"predict": 0, "j_vec": 0, "jt_vec": 0, "jacobian": 0, "factor": 0}
+        self.calls = {"predict": 0, "j_vec": 0, "jt_vec": 0, "jacobian": 0,
+                      "factor": 0, "solve": 0}
         self.models = set()           # bytes of every model predicted or differentiated
         self.jacobian_models = set()  # bytes of every model whose J was asked for
-        self.jacobians = {}           # id -> J; holding J keeps its id unique
+        self.jacobian_builds = 0
+        self.most_alive = 0           # earlier J still referenced at a new build
+        built = []                    # weak references, so counting frees nothing late
 
         def counted(name, method):
             def wrapper(sim, m, *args):
@@ -106,16 +112,25 @@ class Traffic:
                     self.models.add(np.asarray(m, dtype=float).tobytes())
                 if name == "jacobian":
                     self.jacobian_models.add(np.asarray(m, dtype=float).tobytes())
-                    self.jacobians[id(out)] = out
+                    if not any(ref() is out for ref in built):
+                        self.jacobian_builds += 1
+                        alive = sum(ref() is not None for ref in built)
+                        self.most_alive = max(self.most_alive, alive)
+                        built.append(weakref.ref(out))
                 return out
             return wrapper
 
         for name in ("predict", "j_vec", "jt_vec", "jacobian"):
             monkeypatch.setattr(DCSimulation, name, counted(name, getattr(DCSimulation, name)))
-        init = BlockFactor.__init__
+        init, solve = BlockFactor.__init__, BlockFactor.solve
 
         def counted_init(factor, *args):
             self.calls["factor"] += 1
             init(factor, *args)
 
+        def counted_solve(factor, b):
+            self.calls["solve"] += 1
+            return solve(factor, b)
+
         monkeypatch.setattr(BlockFactor, "__init__", counted_init)
+        monkeypatch.setattr(BlockFactor, "solve", counted_solve)

@@ -226,7 +226,7 @@ class TestInvertStage2:
 
     def test_one_matrix_free_product_per_epoch(self, monkeypatch):
         """Each epoch is a new model needing one J^T v, so stage 2 never
-        forms J: one factor, one predict and one jt_vec per epoch."""
+        forms J: one factor, one solve, one predict and one jt_vec per epoch."""
         mesh, survey, sim, truth, d_clean = self._setup()
         arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2)
         params = init_params(0, arch)
@@ -237,7 +237,7 @@ class TestInvertStage2:
                               DipConfig(epochs_stage2=5))
         assert trace.n_epochs == 5
         assert traffic.calls == {"predict": 5, "j_vec": 0, "jt_vec": 5,
-                                 "jacobian": 0, "factor": 5}
+                                 "jacobian": 0, "factor": 5, "solve": 5}
 
     def test_epoch_weight_of_data_term_grows(self):
         mesh, survey, sim, truth, d_clean = self._setup()

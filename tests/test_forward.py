@@ -14,7 +14,7 @@ from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, _electrode_ce
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
 
-from helpers import dense_operator, operator_entries, rel_err, tiny_dc_problem
+from helpers import Traffic, dense_operator, operator_entries, rel_err, tiny_dc_problem
 
 
 class TestAssembly:
@@ -399,24 +399,8 @@ class TestJacobian:
 class TestSolveCount:
     """One factor and one solve per model, however many products it serves."""
 
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"factor": 0, "solve": 0}
-        init, solve = BlockFactor.__init__, BlockFactor.solve
-
-        def counted_init(self, *args):
-            counts["factor"] += 1
-            init(self, *args)
-
-        def counted_solve(self, b):
-            counts["solve"] += 1
-            return solve(self, b)
-
-        monkeypatch.setattr(BlockFactor, "__init__", counted_init)
-        monkeypatch.setattr(BlockFactor, "solve", counted_solve)
-        return counts
-
-    def test_one_factor_and_one_solve_per_model(self, counts):
+    def test_one_factor_and_one_solve_per_model(self, monkeypatch):
+        traffic = Traffic(monkeypatch)
         mesh, survey, sim = tiny_dc_problem()
         rng = np.random.default_rng(25)
         m = -4.0 + 0.3 * rng.standard_normal(mesh.n_cells)
@@ -425,11 +409,11 @@ class TestSolveCount:
             sim.j_vec(m, rng.standard_normal(mesh.n_cells))
             sim.jt_vec(m, rng.standard_normal(survey.n_data))
             sim.jacobian(m)
-        assert counts == {"factor": 1, "solve": 1}
+        assert (traffic.calls["factor"], traffic.calls["solve"]) == (1, 1)
         sim.jt_vec(m + 0.1, rng.standard_normal(survey.n_data))
         sim.predict(m + 0.1)
         sim.j_vec(m + 0.1, rng.standard_normal(mesh.n_cells))
-        assert counts == {"factor": 2, "solve": 2}
+        assert (traffic.calls["factor"], traffic.calls["solve"]) == (2, 2)
 
 
 class TestWeightsAndMisfit:

@@ -381,8 +381,11 @@ class TestTraffic:
         trace = gauss_newton_invert(mesh, survey, d_obs, weights, reg, GNConfig())
         assert trace.converged and trace.n_epochs >= 2
         assert traffic.calls["j_vec"] == traffic.calls["jt_vec"] == 0
-        assert traffic.calls["factor"] == len(traffic.models)
-        assert len(traffic.jacobians) == len(traffic.jacobian_models)
+        assert traffic.calls["factor"] == traffic.calls["solve"] == len(traffic.models)
+        assert traffic.jacobian_builds == len(traffic.jacobian_models)
+        # The previous model's J (19 MB at full scale) is gone before the
+        # next one is built.
+        assert traffic.most_alive == 0
         # m0 serves the probes, beta0 and the first iteration; the model that
         # reaches the target needs no J.
-        assert len(traffic.jacobians) == trace.n_epochs - 1
+        assert traffic.jacobian_builds == trace.n_epochs - 1
