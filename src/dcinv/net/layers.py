@@ -8,6 +8,8 @@ and inputs are never mutated.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 
@@ -35,7 +37,7 @@ def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
 
 
 def leaky_relu_backward(x: np.ndarray, g: np.ndarray, slope: float = 0.2) -> np.ndarray:
-    return g * np.where(x > 0, 1.0, slope)
+    return np.where(x > 0, g, slope * g)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -54,55 +56,66 @@ def sigmoid_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 # -- upsampling -----------------------------------------------------------
 
+@cache
 def _up2_matrix(n: int, kind: str) -> np.ndarray:
-    """Dense (2n, n) matrix that doubles one axis of length n.
+    """Dense (2n, n) matrix that doubles one axis of length n; cached, read-only.
 
     ``bilinear``: output sample i sits at source coordinate (i + 0.5)/2 - 0.5
     (half-pixel centers) and mixes its two edge-clamped neighbours, so every
     row is a convex combination.  ``nearest``: output i copies source i // 2.
     """
     if kind == "nearest":
-        return np.repeat(np.eye(n), 2, axis=0)
-    if kind != "bilinear":
+        u = np.repeat(np.eye(n), 2, axis=0)
+    elif kind == "bilinear":
+        src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
+        i0 = np.floor(src).astype(int)
+        w1 = src - i0
+        rows = np.arange(2 * n)
+        u = np.zeros((2 * n, n))
+        # Two statements, so the weights of neighbours clamped to one edge add up.
+        u[rows, np.clip(i0, 0, n - 1)] += 1.0 - w1
+        u[rows, np.clip(i0 + 1, 0, n - 1)] += w1
+    else:
         raise ValueError(f"unknown upsampler {kind!r}; expected 'bilinear' or 'nearest'")
-    src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
-    i0 = np.floor(src).astype(int)
-    w1 = src - i0
-    rows = np.arange(2 * n)
-    u = np.zeros((2 * n, n))
-    # Two statements, so the weights of neighbours clamped to one edge add up.
-    u[rows, np.clip(i0, 0, n - 1)] += 1.0 - w1
-    u[rows, np.clip(i0 + 1, 0, n - 1)] += w1
+    u.setflags(write=False)
     return u
 
 
 def upsample2(x: np.ndarray, kind: str) -> np.ndarray:
-    """Double H and W by a separable interpolation: ``U_h X U_w^T`` per channel."""
-    u_h = _up2_matrix(x.shape[-2], kind)
-    u_w = _up2_matrix(x.shape[-1], kind)
-    return u_h @ x @ u_w.T
+    """Double H and W by a separable interpolation: ``U_h X U_w^T`` per channel.
+
+    The wide axis goes first, as one GEMM over every channel and row.
+    """
+    n, c, h, w = x.shape
+    t = (x.reshape(-1, w) @ _up2_matrix(w, kind).T).reshape(n, c, h, 2 * w)
+    return _up2_matrix(h, kind) @ t
 
 
 def upsample2_backward(g: np.ndarray, kind: str) -> np.ndarray:
     """Exact transpose of :func:`upsample2`: ``U_h^T G U_w``."""
-    u_h = _up2_matrix(g.shape[-2] // 2, kind)
-    u_w = _up2_matrix(g.shape[-1] // 2, kind)
-    return u_h.T @ g @ u_w
+    n, c, h2, w2 = g.shape
+    t = _up2_matrix(h2 // 2, kind).T @ g
+    return (t.reshape(-1, w2) @ _up2_matrix(w2 // 2, kind)).reshape(n, c, h2 // 2, w2 // 2)
 
 
 def transposed_conv2(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stride-2 transposed convolution with a 2x2 kernel: doubles H and W.
 
     Kernel k has shape (c_in, c_out, 2, 2); blocks do not overlap, so a
-    delta kernel produces a zero-interleaved copy of the input.
+    delta kernel produces a zero-interleaved copy of the input, and tap
+    (a, q) is one matmul ``k[:, :, a, q].T @ x`` written to the sub-lattice
+    ``y[..., a::2, q::2]``.
     """
     n, c, h, w = x.shape
     if k.ndim != 4 or k.shape[0] != c or k.shape[2:] != (2, 2):
         raise ValueError(f"kernel shape {k.shape} incompatible with input {x.shape}")
     if b.shape != (k.shape[1],):
         raise ValueError("bias shape mismatch")
-    y6 = np.einsum("ncij,coab->noiajb", x, k)
-    y = y6.reshape(n, k.shape[1], 2 * h, 2 * w)
+    co = k.shape[1]
+    x2 = x.reshape(n, c, h * w)
+    y = np.empty((n, co, 2 * h, 2 * w))
+    for a, q in np.ndindex(2, 2):
+        y[..., a::2, q::2] = (k[:, :, a, q].T @ x2).reshape(n, co, h, w)
     return y + b[:, None, None]
 
 
@@ -111,11 +124,14 @@ def transposed_conv2_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
     co = k.shape[1]
     if g.shape != (n, co, 2 * h, 2 * w):
         raise ValueError("gradient shape mismatch")
-    g6 = g.reshape(n, co, h, 2, w, 2)
-    gk = np.einsum("ncij,noiajb->coab", x, g6)
-    gb = g.sum(axis=(0, 2, 3))
-    gx = np.einsum("noiajb,coab->ncij", g6, k)
-    return gk, gb, gx
+    x2 = x.reshape(n, c, h * w)
+    gk = np.empty_like(k)
+    gx = np.zeros((n, c, h * w))
+    for a, q in np.ndindex(2, 2):
+        g_aq = g[..., a::2, q::2].reshape(n, co, h * w)
+        gk[:, :, a, q] = (x2 @ g_aq.swapaxes(1, 2)).sum(axis=0)
+        gx += k[:, :, a, q] @ g_aq
+    return gk, g.sum(axis=(0, 2, 3)), gx.reshape(x.shape)
 
 
 # -- convolution ----------------------------------------------------------
@@ -125,8 +141,9 @@ def conv2d_valid(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     x (n, c_in, h, w); k (c_out, c_in, kh, kw); output (n, c_out, h-kh+1,
     w-kw+1).  Flattened, tap (p, q) sends input pixel t + p*w + q to pixel t
-    of a w-wide output: one matmul per tap, and the wrapped columns are cut
-    (the backward pass zero-pads g over them).
+    of a w-wide output: one matmul per tap, and the wrapped columns are cut.
+    When the taps' stacked windows are no taller than the output (a
+    few-channel input), they are stacked and the conv is one matmul.
     """
     n, c, h, w = x.shape
     co, ci, kh, kw = k.shape
@@ -140,27 +157,40 @@ def conv2d_valid(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     run = (ho - 1) * w + wo
     x2 = x.reshape(n, c, h * w)
     y = np.zeros((n, co, ho * w))
-    for p, q in np.ndindex(kh, kw):
-        s = p * w + q
-        y[..., :run] += k[:, :, p, q] @ x2[..., s:s + run]
+    if kh * kw * c <= co:
+        taps = [x2[..., p * w + q:p * w + q + run] for p, q in np.ndindex(kh, kw)]
+        y[..., :run] = k.transpose(0, 2, 3, 1).reshape(co, -1) @ np.concatenate(taps, axis=1)
+    else:
+        for p, q in np.ndindex(kh, kw):
+            s = p * w + q
+            y[..., :run] += k[:, :, p, q] @ x2[..., s:s + run]
     return y.reshape(n, co, ho, w)[..., :wo] + b[:, None, None]
 
 
 def conv2d_valid_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
+    """Gradients (gk, gb, gx) of <g, conv2d_valid(x, k, b)>.
+
+    The kw taps of kernel row p differ only by the column offset q, so g is
+    stacked once, written w wide at offsets 0..kw-1 (row block q), and each
+    kernel row is two matmuls against the input rows p..p+ho-1.
+    """
     n, c, h, w = x.shape
     co, ci, kh, kw = k.shape
     ho, wo = h - kh + 1, w - kw + 1
     if g.shape != (n, co, ho, wo):
         raise ValueError("gradient shape mismatch")
-    run = (ho - 1) * w + wo
+    span = ho * w  # = run + kw - 1: the run of one tap plus the row's offsets
     x2 = x.reshape(n, c, h * w)
-    g2 = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, kw - 1))).reshape(n, co, ho * w)[..., :run]
+    stack = np.zeros((n, kw, co, ho, w))
+    for q in range(kw):
+        stack[:, q, :, :, q:q + wo] = g
+    g2 = stack.reshape(n, kw * co, span)
     gk = np.empty_like(k)
     gx = np.zeros((n, c, h * w))
-    for p, q in np.ndindex(kh, kw):
-        s = p * w + q
-        gk[:, :, p, q] = (g2 @ x2[..., s:s + run].swapaxes(1, 2)).sum(axis=0)
-        gx[..., s:s + run] += k[:, :, p, q].T @ g2
+    for p in range(kh):
+        xp = x2[..., p * w:p * w + span]
+        gk[:, :, p, :] = (g2 @ xp.swapaxes(1, 2)).sum(axis=0).reshape(kw, co, c).transpose(1, 2, 0)
+        gx[..., p * w:p * w + span] += k[:, :, p, :].transpose(1, 2, 0).reshape(c, kw * co) @ g2
     return gk, g.sum(axis=(0, 2, 3)), gx.reshape(x.shape)
 
 

@@ -56,6 +56,18 @@ class TestActivations:
         assert L.leaky_relu(np.array(-1.0)) == -0.2
         assert L.leaky_relu(np.array(3.0)) == 3.0
 
+    def test_leaky_relu_backward_is_bitwise_the_slope_product(self):
+        """Selecting g or slope*g equals multiplying g by 1 or slope, bit for bit."""
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((1, 3, 5, 7))
+        x[0, 0, 0, :4] = [0.0, -0.0, -1e-300, 1e-300]
+        g = rng.standard_normal(x.shape)
+        g[0, 1, 0, :2] = [0.0, -0.0]
+        for slope in (0.2, 0.01):
+            gx = L.leaky_relu_backward(x, g, slope)
+            ref = g * np.where(x > 0, 1.0, slope)
+            assert gx.tobytes() == ref.tobytes()
+
     def test_leaky_relu_gradient(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 3, 3)) + 0.3  # keep away from the kink
@@ -204,6 +216,15 @@ class TestNearestUpsample(_UpsampleContract):
         assert gx[0, 0, 0, 0] == 0 + 1 + 4 + 5
 
 
+@pytest.mark.parametrize("kind", ["bilinear", "nearest"])
+def test_up2_matrix_is_cached_and_read_only(kind):
+    u = L._up2_matrix(7, kind)
+    assert L._up2_matrix(7, kind) is u
+    assert u.shape == (14, 7) and not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 5.0
+
+
 def test_unknown_upsampler_kind_raises():
     with pytest.raises(ValueError, match="bicubic"):
         L.upsample2(np.ones((1, 1, 2, 2)), "bicubic")
@@ -211,7 +232,37 @@ def test_unknown_upsampler_kind_raises():
         L.upsample2_backward(np.ones((1, 1, 4, 4)), "bicubic")
 
 
+def einsum_transposed_conv2(x, k, b, g):
+    """Reference transposed conv and its gradients, one 6-index einsum each:
+    input pixel (i, j) and tap (a, q) write output pixel (2i + a, 2j + q).
+    Returns (y, gk, gb, gx) for the loss <g, tconv(x)>."""
+    n, c, h, w = x.shape
+    co = k.shape[1]
+    y = np.einsum("ncij,coab->noiajb", x, k).reshape(n, co, 2 * h, 2 * w)
+    g6 = g.reshape(n, co, h, 2, w, 2)
+    gk = np.einsum("ncij,noiajb->coab", x, g6)
+    gx = np.einsum("noiajb,coab->ncij", g6, k)
+    return y + b[:, None, None], gk, g.sum(axis=(0, 2, 3)), gx
+
+
 class TestTransposedConv:
+    @pytest.mark.parametrize("shape", FULL_SCALE_BLOCK_INPUTS + [(2, 3, 4, 5)])
+    def test_matches_einsum_reference(self, shape):
+        """The input of each full-scale generator block, and a batch of 2; one
+        more output channel than input, so a swapped kernel axis fails."""
+        rng = np.random.default_rng(15)
+        c = shape[1]
+        x = rng.standard_normal(shape)
+        k = rng.standard_normal((c, c + 1, 2, 2))
+        b = rng.standard_normal(c + 1)
+        g = rng.standard_normal((shape[0], c + 1, 2 * shape[2], 2 * shape[3]))
+        y_ref, gk_ref, gb_ref, gx_ref = einsum_transposed_conv2(x, k, b, g)
+        gk, gb, gx = L.transposed_conv2_backward(x, k, g)
+        assert rel_err(L.transposed_conv2(x, k, b), y_ref) < 1e-12
+        assert rel_err(gk, gk_ref) < 1e-12
+        assert rel_err(gb, gb_ref) < 1e-12
+        assert rel_err(gx, gx_ref) < 1e-12
+
     def test_delta_kernel_interleaves(self):
         """A delta kernel writes the input into one corner of each 2x2 block."""
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
@@ -265,11 +316,14 @@ def per_tap_conv2d(x, k, b, g):
 
 
 # (input shape, output channels, kernel size): the four full-scale generator
-# convs, a batch of 2, a non-square kernel and a 1x1 output.
+# convs, a batch of 2, a kernel wider than tall, a 1x1 output, a batch of 2
+# whose stacked input (9 rows) is no taller than its output (16 channels),
+# and a kernel taller than wide.
 CONV_CASES = [((1, 1, 12, 58), 64, (3, 3)), ((1, 64, 20, 112), 32, (3, 3)),
               ((1, 32, 36, 220), 8, (3, 3)), ((1, 8, 34, 218), 1, (3, 3)),
               ((2, 3, 7, 9), 4, (3, 3)), ((1, 2, 5, 6), 3, (2, 3)),
-              ((1, 2, 3, 3), 3, (3, 3))]
+              ((1, 2, 3, 3), 3, (3, 3)), ((2, 1, 6, 7), 16, (3, 3)),
+              ((1, 3, 6, 5), 2, (3, 2))]
 
 
 def conv_case(shape, co, khw, seed=10):
