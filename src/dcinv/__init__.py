@@ -5,6 +5,27 @@ test-time-learned convolutional reparameterization of the log-conductivity
 model, and a conventional Tikhonov/IRLS Gauss-Newton benchmark.
 """
 
+import ctypes
+import os
+
+
+def _keep_freed_heap() -> None:
+    """On glibc, keep freed arrays in the heap for the next pass or model.
+
+    glibc's dynamic thresholds give the largest arrays of each pass back to
+    the system when they are freed (unmapped or trimmed), so the next pass
+    page-faults them in again.  Fixed thresholds (mmap above 32 MiB, trim
+    above 64 MiB) keep them.  Other C libraries are left as they are.
+    """
+    if ("CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})
+            and os.confstr("CS_GNU_LIBC_VERSION")):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
+
 from .adam import AdamState, adam_step, init_adam
 from .dip import DipConfig, beta, invert_stage2, pretrain_stage1, surrogate_loss
 from .forward import (DataWeights, DCSimulation, build_data_weights, chi_factor,

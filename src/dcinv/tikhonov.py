@@ -223,12 +223,22 @@ def phi_m(m: np.ndarray, cfg: RegularizationConfig, ops: DifferenceOperators,
     return value, grad
 
 
-def _reg_hessian_apply(v: np.ndarray, cfg: RegularizationConfig,
-                       ops: DifferenceOperators, irls_state: IRLSState,
-                       ws_s, ws_x, ws_z) -> np.ndarray:
-    out = cfg.alpha_s * 2.0 * (ws_s * (irls_state.w_s * (ws_s * v)))
-    out += cfg.alpha_x * 2.0 * ops.d_x_t(ws_x * (irls_state.w_x * (ws_x * ops.d_x(v))))
-    out += cfg.alpha_z * 2.0 * ops.d_z_t(ws_z * (irls_state.w_z * (ws_z * ops.d_z(v))))
+def _reg_hessian_diagonals(cfg: RegularizationConfig, irls_state: IRLSState,
+                           ws_s, ws_x, ws_z):
+    """Diagonals of the frozen-weight regularization Hessian, one per term:
+    ``alpha * 2 * ws * w * ws`` on cells (smallness) and on x and z faces."""
+    return (cfg.alpha_s * 2.0 * ws_s * irls_state.w_s * ws_s,
+            cfg.alpha_x * 2.0 * ws_x * irls_state.w_x * ws_x,
+            cfg.alpha_z * 2.0 * ws_z * irls_state.w_z * ws_z)
+
+
+def _reg_hessian_apply(v: np.ndarray, ops: DifferenceOperators, h) -> np.ndarray:
+    """hess phi_m v = h_s v + D_x^T (h_x D_x v) + D_z^T (h_z D_z v), for the
+    diagonals ``h`` from :func:`_reg_hessian_diagonals`."""
+    h_s, h_x, h_z = h
+    out = h_s * v
+    out += ops.d_x_t(h_x * ops.d_x(v))
+    out += ops.d_z_t(h_z * ops.d_z(v))
     return out
 
 
@@ -271,8 +281,8 @@ def estimate_beta0(sim, m: np.ndarray, cfg: RegularizationConfig,
     x /= np.linalg.norm(x)
     jx = sim.jacobian(m) @ x
     num = float(jx @ (weights.values ** 2 * jx))
-    ws_s, ws_x, ws_z = _term_weights(ops, sens)
-    hx = _reg_hessian_apply(x, cfg, ops, irls_state, ws_s, ws_x, ws_z)
+    h = _reg_hessian_diagonals(cfg, irls_state, *_term_weights(ops, sens))
+    hx = _reg_hessian_apply(x, ops, h)
     den = float(x @ hx)
     if den <= 0:
         raise ValueError("regularization curvature vanished; check alphas")
@@ -329,10 +339,11 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
 
             jac = sim.jacobian(m)
             grad = jac.T @ (w2 * (d_pred - d_obs)) + beta_val * g_reg
+            h = _reg_hessian_diagonals(reg, irls_state, *ws)
 
             def apply_h(v):
                 out = jac.T @ (w2 * (jac @ v))
-                return out + beta_val * _reg_hessian_apply(v, reg, ops, irls_state, *ws)
+                return out + beta_val * _reg_hessian_apply(v, ops, h)
 
             dm = _cg_matfree(apply_h, -grad, gn.cg_tol, gn.cg_maxiter)
             del jac  # so that at most one J (19 MB at full scale) is ever alive

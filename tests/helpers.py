@@ -1,5 +1,6 @@
 """Shared finite-difference oracles and small problem factories."""
 
+import sys
 import weakref
 
 import numpy as np
@@ -90,8 +91,9 @@ def dense_operator(mesh, sigma):
 class Traffic:
     """Counts what the optimizers ask of a ``DCSimulation``: calls per method,
     operator factorizations and solves, the distinct models predicted or
-    differentiated, the Jacobian builds (distinct arrays handed out) and the
-    most earlier builds still alive when a new one is handed out."""
+    differentiated, the Jacobian builds (distinct arrays handed out), the
+    most earlier builds still alive when a new one is handed out, and the
+    ``np.linalg.inv`` calls made from ``dcinv.forward``."""
 
     def __init__(self, monkeypatch):
         from dcinv.forward import BlockFactor
@@ -102,6 +104,7 @@ class Traffic:
         self.jacobian_models = set()  # bytes of every model whose J was asked for
         self.jacobian_builds = 0
         self.most_alive = 0           # earlier J still referenced at a new build
+        self.inverses = 0             # np.linalg.inv calls from dcinv.forward
         built = []                    # weak references, so counting frees nothing late
 
         def counted(name, method):
@@ -134,3 +137,11 @@ class Traffic:
 
         monkeypatch.setattr(BlockFactor, "__init__", counted_init)
         monkeypatch.setattr(BlockFactor, "solve", counted_solve)
+        inv = np.linalg.inv
+
+        def counted_inv(a):
+            if sys._getframe(1).f_globals.get("__name__") == "dcinv.forward":
+                self.inverses += 1
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,15 +77,24 @@ class TestSolve:
         assert np.isclose(phi[0], 2.0 / a[0, 0])
 
     def test_matches_dense_solve(self):
-        """Wide, tall (nz > nx), one-column and one-cell meshes, random
-        conductivities and a block of right-hand sides, vs numpy.linalg.solve."""
+        """Wide, tall (nz > nx), one-column and one-cell meshes, and 2, 3, 5 and
+        6 columns (both ends meet at one middle column for odd nx, at a coupled
+        pair for even nx), random conductivities and a block of right-hand
+        sides, vs numpy.linalg.solve."""
         rng = np.random.default_rng(7)
+
+        def ragged(nx, nz):
+            return TensorMesh2D(hx=rng.uniform(1.0, 3.0, nx), hz=rng.uniform(1.0, 3.0, nz),
+                                origin_x=0.0)
+
         meshes = [build_mesh(9, 4, 2.0, 2.0, 2, 1.5),
                   build_mesh(3, 8, 2.0, 2.0, 1, 1.5),
                   TensorMesh2D(hx=np.array([2.0]), hz=np.array([1.0, 2.0, 4.0]),
                                origin_x=0.0),
-                  TensorMesh2D(hx=np.array([1.0]), hz=np.array([1.0]), origin_x=0.0)]
+                  TensorMesh2D(hx=np.array([1.0]), hz=np.array([1.0]), origin_x=0.0),
+                  ragged(2, 3), ragged(3, 2), ragged(5, 4), ragged(6, 3), ragged(7, 12)]
         assert meshes[0].nx > meshes[0].nz and meshes[1].nz > meshes[1].nx
+        assert meshes[-1].nz > meshes[-1].nx and meshes[-1].nx % 2
         for mesh in meshes:
             sigma = np.exp(rng.standard_normal(mesh.n_cells))
             q = rng.standard_normal((mesh.n_cells, 3))
@@ -92,6 +102,36 @@ class TestSolve:
             factor = factor_system(mesh, sigma)
             assert rel_err(factor.solve(q), ref) < 1e-12
             assert rel_err(factor.solve(q[:, 0]), ref[:, 0]) < 1e-12
+
+    @pytest.mark.parametrize("nx, column", [(nx, j) for nx in (1, 2, 3, 5, 6)
+                                            for j in range(nx)])
+    def test_singular_pivot_names_its_column(self, nx, column):
+        """Every cell column in turn is cut off and zeroed, so its pivot alone
+        is singular: on the left sweep, on the right sweep and where they meet."""
+        nz = 3
+        mesh = build_mesh(nx, nz, 1.0, 1.0, 0, 1.0)
+        sigma = np.exp(np.random.default_rng(nx).standard_normal(mesh.n_cells))
+        g = dense_operator(mesh, sigma).reshape(nz, nx, nz, nx)
+        ix, iz = np.arange(nx)[:, None], np.arange(nz)[None, :]
+        diag = g[iz, ix, iz, ix]
+        z_off = g[iz[:, :-1], ix, iz[:, 1:], ix]
+        x_off = g[iz, ix[:-1], iz, ix[1:]]
+        diag[column] = 0.0
+        z_off[column] = 0.0
+        x_off[max(column - 1, 0):column + 1] = 0.0
+        with pytest.raises(SolverFailure, match=rf"cell column {column} "):
+            BlockFactor(diag, z_off, x_off)
+
+    def test_pivots_are_inverted_in_pairs(self, monkeypatch):
+        """Factoring an nx-column grid makes at most nx // 2 + 2 inverse calls,
+        so the two ends are not eliminated one column per call."""
+        traffic = Traffic(monkeypatch)
+        spec, truth = dcinv.build_case1(45.0, "desk")
+        meshes = [build_mesh(nx, 3, 1.0, 1.0, 0, 1.0) for nx in (1, 2, 3, 5, 6)]
+        for mesh in meshes + [spec.mesh()]:
+            before = traffic.inverses
+            factor_system(mesh, np.ones(mesh.n_cells))
+            assert 1 <= traffic.inverses - before <= mesh.nx // 2 + 2
 
     def test_no_scipy(self):
         """Importing dcinv, one predict and one sparse-norm Gauss-Newton
@@ -414,6 +454,22 @@ class TestSolveCount:
         sim.predict(m + 0.1)
         sim.j_vec(m + 0.1, rng.standard_normal(mesh.n_cells))
         assert (traffic.calls["factor"], traffic.calls["solve"]) == (2, 2)
+
+
+def test_full_scale_predict_peak_memory():
+    """predict at a new full-scale model allocates at most 6.6 MiB at its peak
+    (tracemalloc): G, its unit sources, the pivots and the solve's one
+    gathered sweep buffer and output (the one-ended factor read 6.38 MiB)."""
+    spec, truth = dcinv.build_case1(45.0, "full")
+    sim = DCSimulation(spec.mesh(), spec.survey())
+    sim.predict(truth)
+    tracemalloc.start()
+    try:
+        sim.predict(truth + 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.6 * 2**20
 
 
 class TestWeightsAndMisfit:

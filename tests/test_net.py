@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 
@@ -191,15 +192,8 @@ class TestBackward:
         assert np.all(grads["conv1.b"][dead] == 0.0)
 
 
-def test_full_scale_pass_peak_memory():
-    """One full-scale training pass on case 1 (forward with dropout, then
-    backward) allocates at most 13.0 MiB at its peak (tracemalloc).
-
-    The conv backward that stacks the gradient once per kernel row reads
-    about 12.5 MiB and the per-tap one about 11.5 MiB; stacking all nine
-    taps of a kernel at once reads about 15.0 MiB, and the process's peak
-    RSS rises with it.
-    """
+def full_scale_pass():
+    """One full-scale training pass on case 1: forward with dropout, then backward."""
     spec, _ = build_case1(scale="full")
     shape = spec.mesh().shape
     params = init_params(0, arch_for_mesh(*shape, dropout_rate=0.1))
@@ -210,6 +204,19 @@ def test_full_scale_pass_peak_memory():
         _, tr = net_forward(params, z, shape, mode="train", rng=np.random.default_rng(2))
         net_backward(tr, g)
 
+    return one_pass
+
+
+def test_full_scale_pass_peak_memory():
+    """One full-scale training pass on case 1 (forward with dropout, then
+    backward) allocates at most 13.0 MiB at its peak (tracemalloc).
+
+    The conv backward that stacks the gradient once per kernel row reads
+    about 12.5 MiB and the per-tap one about 11.5 MiB; stacking all nine
+    taps of a kernel at once reads about 15.0 MiB, and the process's peak
+    RSS rises with it.
+    """
+    one_pass = full_scale_pass()
     one_pass()  # fills the upsampler's matrix cache
     tracemalloc.start()
     try:
@@ -218,6 +225,25 @@ def test_full_scale_pass_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 13.0 * 2**20
+
+
+@pytest.mark.skipif(not ("CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})
+                         and os.confstr("CS_GNU_LIBC_VERSION")),
+                    reason="heap thresholds are set on glibc only")
+def test_warm_full_scale_passes_reuse_the_heap():
+    """20 warm full-scale training passes make fewer than 200 minor page
+    faults in all: freed arrays stay in the heap for the next pass instead
+    of being unmapped or trimmed and faulted in again (about 61,000 with
+    glibc's dynamic thresholds on a 2-vCPU x86-64 VM)."""
+    import resource
+
+    one_pass = full_scale_pass()
+    for _ in range(2):
+        one_pass()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        one_pass()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 class TestCheckpoint:

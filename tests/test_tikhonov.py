@@ -5,8 +5,10 @@ import dcinv
 from dcinv.forward import DCSimulation, weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.tikhonov import (DifferenceOperators, GNConfig, IRLSState,
-                            RegularizationConfig, gauss_newton, gauss_newton_invert,
-                            irls_weights, phi_m, sensitivity_weights, update_irls)
+                            RegularizationConfig, _reg_hessian_apply,
+                            _reg_hessian_diagonals, _term_weights, gauss_newton,
+                            gauss_newton_invert, irls_weights, phi_m,
+                            sensitivity_weights, update_irls)
 
 from helpers import Traffic, central_diff_scalar, rel_err, tiny_dc_problem
 
@@ -194,6 +196,35 @@ class TestPhiM:
         for _ in range(10):
             value, _ = phi_m(rng.standard_normal(mesh.n_cells), cfg, ops, IRLSState())
             assert value >= 0.0
+
+
+class TestRegHessian:
+    @staticmethod
+    def nested(v, cfg, ops, state, ws_s, ws_x, ws_z):
+        """The Hessian apply with its weight products nested around v."""
+        out = cfg.alpha_s * 2.0 * (ws_s * (state.w_s * (ws_s * v)))
+        out += cfg.alpha_x * 2.0 * ops.d_x_t(ws_x * (state.w_x * (ws_x * ops.d_x(v))))
+        out += cfg.alpha_z * 2.0 * ops.d_z_t(ws_z * (state.w_z * (ws_z * ops.d_z(v))))
+        return out
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_frozen_diagonals_match_nested_products(self, weighted):
+        """Plain L2 and sparse norms with sensitivity weights, at desk scale."""
+        spec, truth = dcinv.build_case1(45.0, "desk")
+        mesh = spec.mesh()
+        ops = DifferenceOperators(mesh)
+        rng = np.random.default_rng(31)
+        cfg = RegularizationConfig(alpha_s=0.005, alpha_x=0.5, alpha_z=0.7,
+                                   p_s=0.0, p_x=1.0, p_z=1.0)
+        sens = rng.uniform(1e-3, 1.0, mesh.n_cells) if weighted else None
+        state = (update_irls(truth, cfg, ops, np.full(mesh.n_cells, cfg.m_ref), sens)
+                 if weighted else IRLSState())
+        ws = _term_weights(ops, sens)
+        h = _reg_hessian_diagonals(cfg, state, *ws)
+        for _ in range(5):
+            v = rng.standard_normal(mesh.n_cells)
+            assert rel_err(_reg_hessian_apply(v, ops, h),
+                           self.nested(v, cfg, ops, state, *ws)) <= 1e-14
 
 
 class TestSensitivityWeights:
