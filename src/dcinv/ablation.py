@@ -9,6 +9,7 @@ Individual run failures are recorded and the suite continues.
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -42,42 +43,52 @@ def suite_variants(suite: str, cfg: DipConfig):
     raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
 
 
-def run_ablation(suite: str, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
+def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
                  workers: int = 1):
-    """Execute one suite; returns (manifests, summary rows) and writes
-    ``summary.txt`` plus one subdirectory per run under ``out_dir``."""
+    """Execute a sequence of suites on one data realization; returns
+    (manifests, rows): a manifest per distinct run, a row per (suite, label).
+    A variant that recurs across suites (``blocks-3`` is ``dropout-0``) runs
+    once, into the subdirectory of its first label under ``out_dir``;
+    ``summary.txt`` holds one table per suite."""
     os.makedirs(out_dir, exist_ok=True)
     sim_paths = run_from_manifest(simulate_manifest(spec, os.path.join(out_dir, "data")))
     data_path = sim_paths["data"]
     truth, nx, nz = load_grid(sim_paths["model_true"])
 
-    manifests = []
-    for label, arch_opts, run_cfg in suite_variants(suite, cfg):
-        manifests.append(dip_manifest(spec, run_cfg, arch_opts,
-                                      os.path.join(out_dir, label), data_path))
+    runs, plan = {}, []  # runs: manifest by what it runs; plan: (suite, label, run)
+    for suite in suites:
+        for label, arch_opts, run_cfg in suite_variants(suite, cfg):
+            manifest = dip_manifest(spec, run_cfg, arch_opts,
+                                    os.path.join(out_dir, label), data_path)
+            # a manifest determines its run up to where the run writes
+            key = json.dumps({**manifest, "out_dir": None}, sort_keys=True)
+            runs.setdefault(key, manifest)
+            plan.append((suite, label, key))
+    manifests = list(runs.values())
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_guarded, manifests))
     else:
         outcomes = [_run_guarded(m) for m in manifests]
+    by_run = dict(zip(runs, outcomes))
 
     rows = []
-    for manifest, (ok, err) in zip(manifests, outcomes):
-        label = os.path.basename(manifest["out_dir"])
+    for suite, label, key in plan:
+        (ok, err), run_dir = by_run[key], runs[key]["out_dir"]
         if not ok:
-            rows.append({"run": label, "status": f"failed: {err}",
+            rows.append({"suite": suite, "run": label, "status": f"failed: {err}",
                          "chi": float("nan"), "rmse": float("nan"),
                          "smoothness": float("nan")})
             continue
-        model, _, _ = load_grid(os.path.join(manifest["out_dir"], "model.txt"))
-        trace = load_trace(os.path.join(manifest["out_dir"], "trace.txt"))
-        rows.append({"run": label, "status": "ok",
+        model, _, _ = load_grid(os.path.join(run_dir, "model.txt"))
+        trace = load_trace(os.path.join(run_dir, "trace.txt"))
+        rows.append({"suite": suite, "run": label, "status": "ok",
                      "chi": trace.records[-1].chi if trace.records else float("nan"),
                      "rmse": rmse(model, truth),
                      "smoothness": mean_abs_gradient(model.reshape(nz, nx))})
 
-    _write_summary(os.path.join(out_dir, "summary.txt"), suite, rows)
+    _write_summary(os.path.join(out_dir, "summary.txt"), suites, rows)
     return manifests, rows
 
 
@@ -89,10 +100,12 @@ def _run_guarded(manifest: dict):
         return False, f"{type(e).__name__}: {e}"
 
 
-def _write_summary(path, suite: str, rows) -> None:
+def _write_summary(path, suites, rows) -> None:
     with open(path, "w") as f:
-        f.write(f"# dcinv ablation v1 suite={suite}\n")
-        f.write(f"{'run':24s} {'chi':>10s} {'rmse':>10s} {'smoothness':>12s}  status\n")
-        for r in rows:
-            f.write(f"{r['run']:24s} {r['chi']:10.4f} {r['rmse']:10.4f} "
-                    f"{r['smoothness']:12.6f}  {r['status']}\n")
+        for suite in suites:
+            f.write(f"# dcinv ablation v1 suite={suite}\n")
+            f.write(f"{'run':24s} {'chi':>10s} {'rmse':>10s} {'smoothness':>12s}  status\n")
+            for r in rows:
+                if r["suite"] == suite:
+                    f.write(f"{r['run']:24s} {r['chi']:10.4f} {r['rmse']:10.4f} "
+                            f"{r['smoothness']:12.6f}  {r['status']}\n")

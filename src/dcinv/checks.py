@@ -1,8 +1,7 @@
-"""Built-in numerical self-tests behind the ``check`` CLI command.
+"""Numerical checks behind the ``check`` CLI command and the acceptance suite.
 
-Each check returns (name, passed, detail); :func:`run_all` executes the
-lot.  These are fast smoke versions of the adjoint, gradient, and
-surrogate-equivalence verifications the test suite runs at full strength.
+Each check returns (description, passed, detail) at the strength its release
+criterion states; :func:`run_all` executes the lot.
 """
 
 from __future__ import annotations
@@ -16,114 +15,121 @@ from .net import arch_for_mesh, init_params, net_backward, net_forward, sample_l
 from .survey import build_dipole_dipole_survey
 
 
-def _tiny_problem(seed=0):
-    mesh = build_mesh(12, 5, 5.0, 5.0, 2, 1.5)
-    survey = build_dipole_dipole_survey(50.0, 10.0, 24, x0=-25.0)
-    sim = DCSimulation(mesh, survey)
-    return mesh, survey, sim
+def central_difference(f, x: np.ndarray, eps: float) -> np.ndarray:
+    """Central-difference gradient of the scalar ``f()`` with respect to ``x``.
+
+    ``f`` takes no arguments and reads ``x``, which is perturbed in place one
+    entry at a time and restored; the gradient has the shape of ``x``.
+    """
+    flat = x.reshape(-1)
+    g = np.empty(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = f()
+        flat[i] = orig - eps
+        fm = f()
+        flat[i] = orig
+        g[i] = (fp - fm) / (2 * eps)
+    return g.reshape(x.shape)
 
 
-def check_adjoint(seed: int = 0, n_trials: int = 5, tol: float = 1e-8):
-    """<Jw, v> == <w, J^T v> on random models and vectors."""
-    mesh, survey, sim = _tiny_problem()
+def rel_err(a, b) -> float:
+    """Norm-wise relative difference against the reference ``b``.
+
+    Component-wise relative error is meaningless for entries whose true
+    value is about 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def check_adjoint(seed: int = 0):
+    """<J w, v> == <w, J^T v> within 1e-8 relative on 50 random meshes."""
     rng = np.random.default_rng(seed)
+    line = 30.0  # 7 stations at 5 m spacing inside the smallest core
+    survey = build_dipole_dipole_survey(line, 5.0, 24, x0=-line / 2)
     worst = 0.0
-    for _ in range(n_trials):
+    for _ in range(50):
+        nx = int(rng.integers(8, 11))
+        nz = int(rng.integers(3, 7))
+        mesh = build_mesh(nx, nz, 5.0, 5.0, int(rng.integers(1, 3)), 1.5)
+        sim = DCSimulation(mesh, survey)
         m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
         w = rng.standard_normal(mesh.n_cells)
         v = rng.standard_normal(survey.n_data)
         lhs = float(sim.j_vec(m, w) @ v)
         rhs = float(w @ sim.jt_vec(m, v))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    return "adjoint identity", worst <= tol, f"max rel err {worst:.2e}"
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    return ("adjoint identity within 1e-8 over 50 meshes", worst <= 1e-8,
+            f"max rel err {worst:.2e}")
 
 
-def check_net_gradient(seed: int = 0, tol: float = 1e-6):
-    """End-to-end parameter gradient of a tiny generator vs central differences.
-
-    Compared norm-wise per parameter array: component-wise relative error
-    is meaningless for entries whose true gradient is ~0.
-    """
+def check_net_gradient(seed: int = 0):
+    """Every parameter gradient of a tiny generator (one block, column crop)
+    within 1e-6 of central differences."""
     arch = arch_for_mesh(3, 5, n_blocks=1, latent_dim=3, channels=(2,))
     params = init_params(seed, arch)
     z = sample_latent(seed, 3)
-    shape = (3, 5)
-    rng = np.random.default_rng(seed + 1)
-    g = rng.standard_normal(15)
-
-    m, tr = net_forward(params, z, shape)
+    g = np.random.default_rng(seed + 1).standard_normal(15)
+    _, tr = net_forward(params, z, (3, 5))
     grads = net_backward(tr, g)
 
-    worst = 0.0
-    eps = 1e-5
-    for key, arr in params.arrays.items():
-        flat = arr.reshape(-1)
-        fd = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            mp, _ = net_forward(params, z, shape)
-            flat[i] = orig - eps
-            mm, _ = net_forward(params, z, shape)
-            flat[i] = orig
-            fd[i] = float(g @ (mp - mm)) / (2 * eps)
-        an = grads[key].reshape(-1)
-        err = np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-300)
-        worst = max(worst, err)
-    return "network gradients", worst <= tol, f"max rel err {worst:.2e}"
+    def f():
+        return float(g @ net_forward(params, z, (3, 5))[0])
+
+    worst = max(rel_err(grads[key], central_difference(f, arr, 1e-5))
+                for key, arr in params.arrays.items())
+    return ("network gradients within 1e-6 (every array)", worst <= 1e-6,
+            f"max rel err {worst:.2e}")
 
 
-def check_surrogate(seed: int = 0, tol: float = 1e-6):
-    """Surrogate-loss weight gradient vs finite differences of the true objective."""
-    mesh, survey, sim = _tiny_problem()
+def check_surrogate(seed: int = 0):
+    """Backpropagating the surrogate loss gives the weight gradient of the
+    true objective (data misfit + L1), within 1e-6 of central differences of
+    that objective on every parameter array."""
+    mesh = build_mesh(12, 5, 5.0, 5.0, 2, 1.5)
+    survey = build_dipole_dipole_survey(50.0, 10.0, 24, x0=-25.0)
+    sim = DCSimulation(mesh, survey)
     arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=1, latent_dim=3, channels=(2,))
     params = init_params(seed, arch)
     z = sample_latent(seed, 3)
-    rng = np.random.default_rng(seed + 2)
+    rng = np.random.default_rng(seed + 1)
 
     m0, _ = net_forward(params, z, mesh.shape)
-    d_obs = sim.predict(m0 + 0.2 * rng.standard_normal(m0.size))
+    d_obs = sim.predict(m0 + 0.1 * rng.standard_normal(m0.size))
     w = weights_from_std(0.05 * np.abs(d_obs) + 1e-6)
     m_ref = np.full(mesh.n_cells, -4.6)
     b = 0.37
 
-    def true_objective():
-        m, _ = net_forward(params, z, mesh.shape)
-        r = w.values * (sim.predict(m) - d_obs)
-        return (1 - b) * 0.5 * float(r @ r) + b * float(np.abs(m - m_ref).sum())
-
     m, tr = net_forward(params, z, mesh.shape)
-    r = sim.predict(m) - d_obs
-    jv = sim.jt_vec(m, w.values ** 2 * r)
+    jv = sim.jt_vec(m, w.values ** 2 * (sim.predict(m) - d_obs))
     _, g_m = surrogate_loss(m, jv, b, m_ref)
     grads = net_backward(tr, g_m)
 
-    worst = 0.0
-    eps = 3e-5
-    for key in ("fc.w", "conv1.k", "out.b"):
-        flat = params.arrays[key].reshape(-1)
-        idx = rng.choice(flat.size, size=min(6, flat.size), replace=False)
-        fd = np.empty(idx.size)
-        for j, i in enumerate(idx):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = true_objective()
-            flat[i] = orig - eps
-            fm = true_objective()
-            flat[i] = orig
-            fd[j] = (fp - fm) / (2 * eps)
-        an = grads[key].reshape(-1)[idx]
-        err = np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-300)
-        worst = max(worst, err)
-    return "surrogate gradient bridge", worst <= tol, f"max rel err {worst:.2e}"
+    def true_objective():
+        mm, _ = net_forward(params, z, mesh.shape)
+        r = w.values * (sim.predict(mm) - d_obs)
+        return (1 - b) * 0.5 * float(r @ r) + b * float(np.abs(mm - m_ref).sum())
+
+    # truncation-bound: steps of 3e-5 read up to 1.1e-6 on seeds 0-19, 1e-5 at most
+    # 1.3e-7 (seed 2 aside, where a leaky ReLU input lies 1.6e-5 from its kink)
+    worst = max(rel_err(grads[key], central_difference(true_objective, arr, 1e-5))
+                for key, arr in params.arrays.items())
+    return ("surrogate-loss weight gradients within 1e-6 of the true objective "
+            "(every array)", worst <= 1e-6, f"max rel err {worst:.2e}")
 
 
 def check_beta():
-    ok = (beta(0, 1000.0) == 1.0
-          and abs(beta(1000.0, 1000.0) - np.exp(-1)) < 1e-15)
-    vals = [beta(t, 7.0) for t in range(100)]
-    ok = ok and all(a > b for a, b in zip(vals, vals[1:]))
-    return "cooling schedule", ok, "beta(0)=1, beta(tau)=1/e, strictly decreasing"
+    """beta(0) = 1, beta(tau) = 1/e to 1e-15, strictly decreasing over 1e4 steps."""
+    tau = 1000.0
+    vals = np.array([beta(t, tau) for t in range(10_000)])
+    ok = (vals[0] == 1.0
+          and np.isclose(beta(tau, tau), np.exp(-1.0), rtol=1e-15, atol=0.0)
+          and np.all(np.diff(vals) < 0.0))
+    return ("cooling schedule", bool(ok),
+            "beta(0)=1, beta(tau)=1/e, strictly decreasing over 1e4 steps")
 
 
 def run_all(seed: int = 0):

@@ -173,17 +173,11 @@ def _dip_config(args, config) -> DipConfig:
     cfg = DipConfig()
     if "dip" in config:
         cfg = _apply_section(cfg, config["dip"])
-    overrides = {}
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-    if args.lr is not None:
-        overrides["lr"] = args.lr
-    if args.dropout is not None:
-        overrides["dropout_rate"] = args.dropout
-    if args.epochs is not None:
-        overrides["epochs_stage2"] = args.epochs
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
+    # ``ablate`` takes only --epochs and --seed; the rest come from --config
+    flags = (("tau", "tau"), ("lr", "lr"), ("dropout", "dropout_rate"),
+             ("epochs", "epochs_stage2"), ("seed", "rng_seed"))
+    overrides = {field: getattr(args, flag) for flag, field in flags
+                 if getattr(args, flag, None) is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -227,7 +221,7 @@ def _run(args) -> int:
     elif args.command == "ablate":
         spec = _scenario(args, config)
         cfg = _dip_config(args, config)
-        _, rows = run_ablation(args.suite, spec, cfg, args.out, workers=args.workers)
+        _, rows = run_ablation([args.suite], spec, cfg, args.out, workers=args.workers)
         for r in rows:
             print(f"{r['run']:24s} chi={r['chi']:.3f} rmse={r['rmse']:.3f} "
                   f"smoothness={r['smoothness']:.5f} [{r['status']}]")

@@ -30,8 +30,6 @@ class DataWeights:
     """Diagonal of the data weighting matrix, one strictly positive entry per datum."""
 
     values: np.ndarray
-    rel: float = 0.0
-    floor: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -440,24 +438,13 @@ class DCSimulation:
         return self._jacobian
 
 
-def build_data_weights(d_obs: np.ndarray, rel: float, floor: float) -> DataWeights:
-    """W_d diagonal: 1 / (rel * |d| + floor) per datum."""
-    d_obs = np.asarray(d_obs, dtype=float)
-    if rel < 0 or floor < 0 or (rel == 0 and floor == 0):
-        raise ValueError("need rel >= 0, floor >= 0, not both zero")
-    denom = rel * np.abs(d_obs) + floor
-    if np.any(denom == 0):
-        raise ValueError("zero uncertainty for a datum; use a positive floor")
-    return DataWeights(values=1.0 / denom, rel=rel, floor=floor)
-
-
 def weights_from_std(std: np.ndarray, floor: float = 0.0) -> DataWeights:
     """W_d from per-datum standard deviations (optionally floored)."""
     std = np.asarray(std, dtype=float)
     denom = np.maximum(std, floor)
     if np.any(denom <= 0):
         raise ValueError("standard deviations must be positive (or provide a floor)")
-    return DataWeights(values=1.0 / denom, rel=0.0, floor=floor)
+    return DataWeights(values=1.0 / denom)
 
 
 def phi_d(d_pred: np.ndarray, d_obs: np.ndarray, weights: DataWeights) -> float:

@@ -26,14 +26,6 @@ from .trace import save_grid, save_trace
 MANIFEST_VERSION = 1
 
 
-def _dip_cfg_to_dict(cfg: DipConfig) -> dict:
-    return asdict(cfg)
-
-
-def _dip_cfg_from_dict(d: dict) -> DipConfig:
-    return DipConfig(**d)
-
-
 def _reg_cfg_to_dict(cfg: RegularizationConfig) -> dict:
     d = asdict(cfg)
     if isinstance(d["m_ref"], np.ndarray):
@@ -54,7 +46,7 @@ def dip_manifest(spec: ScenarioSpec, cfg: DipConfig, arch_opts: dict,
     pretraining (valid for the same reference model; an architecture other
     than the one the run derives raises :class:`CheckpointMismatch`)."""
     return {"version": MANIFEST_VERSION, "method": "dip",
-            "scenario": spec.to_dict(), "config": _dip_cfg_to_dict(cfg),
+            "scenario": spec.to_dict(), "config": asdict(cfg),
             "arch": dict(arch_opts), "data": data_path,
             "pretrained": pretrained, "out_dir": out_dir,
             "outputs": {"trace": "trace.txt", "model": "model.txt",
@@ -109,7 +101,8 @@ def _built(key: str, build, fields: dict):
 
 
 def _obs_for_run(manifest: dict, spec: ScenarioSpec, out_dir: str):
-    """Observed data for an inversion run: from file if given, else simulated."""
+    """Observed data for an inversion run, from file if given, else simulated,
+    and its data weights: the stds floored at 1e-4 median |d_obs|."""
     mesh = spec.mesh()
     data_path = _entry(manifest, "data", str, optional=True)
     if data_path:
@@ -118,7 +111,8 @@ def _obs_for_run(manifest: dict, spec: ScenarioSpec, out_dir: str):
         mesh, survey, truth, d_obs, std = _simulate(spec)
         save_grid(os.path.join(out_dir, "model_true.txt"), truth, mesh.nx, mesh.nz)
         fileio.save_data(os.path.join(out_dir, "data.txt"), survey, d_obs, std)
-    return mesh, survey, d_obs, std
+    weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
+    return mesh, survey, d_obs, weights
 
 
 def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -> None:
@@ -154,9 +148,8 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         fileio.save_data(paths["data"], survey, d_noisy, std)
 
     elif method == "dip":
-        cfg = _built("config", _dip_cfg_from_dict, _entry(manifest, "config", dict))
-        mesh, survey, d_obs, std = _obs_for_run(manifest, spec, out_dir)
-        weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
+        cfg = _built("config", lambda d: DipConfig(**d), _entry(manifest, "config", dict))
+        mesh, survey, d_obs, weights = _obs_for_run(manifest, spec, out_dir)
         arch_opts = _entry(manifest, "arch", dict, optional=True) or {}
         arch = arch_for_mesh(mesh.nz, mesh.nx,
                              n_blocks=int(arch_opts.get("n_blocks", 3)),
@@ -188,8 +181,7 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         reg = _built("config.reg", lambda d: RegularizationConfig(**d), reg_d)
         gn = _built("config.gn", lambda d: GNConfig(**d),
                     _entry(config, "gn", dict, within="manifest config"))
-        mesh, survey, d_obs, std = _obs_for_run(manifest, spec, out_dir)
-        weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
+        mesh, survey, d_obs, weights = _obs_for_run(manifest, spec, out_dir)
         trace = gauss_newton_invert(mesh, survey, d_obs, weights, reg, gn)
         paths["trace"] = os.path.join(out_dir, "trace.txt")
         paths["model"] = os.path.join(out_dir, "model.txt")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverFailure
 from .forward import DataWeights, DCSimulation, _reference_vector, chi_factor, phi_d
 from .mesh import TensorMesh2D, cell_centers
 from .survey import Survey
@@ -300,8 +301,9 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
     ``iterations_per_beta`` Gauss-Newton iterations, each solving
     (J^T W^2 J + beta hess phi_m) dm = -grad by CG on J, formed once per
     iteration, followed by a backtracking (Armijo) line search on the
-    frozen-weight objective.  IRLS weights are refreshed between beta steps
-    when any norm is below 2.  Stops at the target chi-factor, on a line
+    frozen-weight objective; a trial whose forward solve fails is rejected
+    like one that fails the Armijo test.  IRLS weights are refreshed between
+    beta steps when any norm is below 2.  Stops at the target chi-factor, on a line
     search that finds no decrease, or when the step budget is spent;
     ``stop_reason`` says which (``target_chi``, ``line_search`` or
     ``budget``).
@@ -357,7 +359,10 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
             accepted = False
             for _ in range(gn.line_search_max):
                 m_try = m + alpha * dm
-                pd_try = phi_d(sim.predict(m_try), d_obs, weights)
+                try:
+                    pd_try = phi_d(sim.predict(m_try), d_obs, weights)
+                except SolverFailure:  # e.g. a conductivity underflowed
+                    pd_try = np.inf
                 pm_try, _ = phi_m(m_try, reg, ops, irls_state, m_ref, sens)
                 if pd_try + beta_val * pm_try <= obj0 + 1e-4 * alpha * gd:
                     accepted = True

@@ -5,31 +5,11 @@ import weakref
 
 import numpy as np
 
-import dcinv
+from dcinv.checks import central_difference, rel_err  # noqa: F401 (shared with the tests)
 from dcinv.forward import DCSimulation, _FaceGeometry
-
-
-def central_diff_scalar(f, x, eps=1e-6):
-    """Central-difference gradient of a scalar function of a flat array."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x)
-        flat[i] = orig - eps
-        fm = f(x)
-        flat[i] = orig
-        g[i] = (fp - fm) / (2 * eps)
-    return g
-
-
-def rel_err(a, b):
-    """Norm-wise relative difference against the reference b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+from dcinv.mesh import build_mesh
+from dcinv.net import net_forward
+from dcinv.survey import build_dipole_dipole_survey
 
 
 def param_fd_grads(params, z, shape, g, eps=1e-5, mode="eval", rng_factory=None):
@@ -38,33 +18,19 @@ def param_fd_grads(params, z, shape, g, eps=1e-5, mode="eval", rng_factory=None)
     ``rng_factory`` recreates the generator per call so dropout draws are
     identical across perturbed evaluations.
     """
-    from dcinv.net import net_forward
-
     def evaluate():
         rng = rng_factory() if rng_factory else None
         m, _ = net_forward(params, z, shape, mode=mode, rng=rng)
         return float(np.asarray(g) @ m)
 
-    out = {}
-    for key, arr in params.arrays.items():
-        flat = arr.reshape(-1)
-        fd = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = evaluate()
-            flat[i] = orig - eps
-            fm = evaluate()
-            flat[i] = orig
-            fd[i] = (fp - fm) / (2 * eps)
-        out[key] = fd.reshape(arr.shape)
-    return out
+    return {key: central_difference(evaluate, arr, eps)
+            for key, arr in params.arrays.items()}
 
 
 def tiny_dc_problem(n_core_x=12, n_core_z=5, n_pad=2, line=50.0, spacing=10.0):
     """Small mesh + survey + simulation for sensitivity tests."""
-    mesh = dcinv.build_mesh(n_core_x, n_core_z, 5.0, 5.0, n_pad, 1.5)
-    survey = dcinv.build_dipole_dipole_survey(line, spacing, 24, x0=-line / 2)
+    mesh = build_mesh(n_core_x, n_core_z, 5.0, 5.0, n_pad, 1.5)
+    survey = build_dipole_dipole_survey(line, spacing, 24, x0=-line / 2)
     return mesh, survey, DCSimulation(mesh, survey)
 
 

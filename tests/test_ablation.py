@@ -32,7 +32,7 @@ class TestRunAblation:
     def test_emits_table_and_per_run_outputs(self, tmp_path):
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(epochs_stage1=150, epochs_stage2=3, tau=50.0)
-        manifests, rows = run_ablation("dropout", spec, cfg, str(tmp_path))
+        manifests, rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
         assert len(rows) == 2
         assert all(r["status"] == "ok" for r in rows)
         assert all(np.isfinite(r["chi"]) for r in rows)
@@ -62,7 +62,7 @@ class TestRunAblation:
         monkeypatch.setattr(ab, "run_from_manifest", flaky)
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(epochs_stage1=100, epochs_stage2=2, tau=50.0)
-        _, rows = run_ablation("dropout", spec, cfg, str(tmp_path))
+        _, rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
         assert rows[0]["status"].startswith("failed")
         assert rows[1]["status"] == "ok"
         assert np.isnan(rows[0]["chi"])

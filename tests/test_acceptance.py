@@ -9,16 +9,19 @@ import time
 
 import numpy as np
 
-import dcinv
-from dcinv.ablation import run_ablation
-from dcinv.dip import DipConfig, beta, invert_stage2, pretrain_stage1, surrogate_loss
-from dcinv.forward import DCSimulation, phi_d, weights_from_std
+from dcinv.ablation import SUITES, run_ablation
+from dcinv.checks import (central_difference, check_adjoint, check_beta,
+                          check_net_gradient, check_surrogate)
+from dcinv.dip import DipConfig, invert_stage2, pretrain_stage1
+from dcinv.fileio import load_manifest
+from dcinv.forward import DCSimulation, chi_factor, phi_d, weights_from_std
+from dcinv.mesh import build_mesh
 from dcinv.metrics import mean_abs_gradient, pearson
-from dcinv.net import (arch_for_mesh, init_params, net_backward, net_forward,
-                       param_count, sample_latent)
+from dcinv.net import arch_for_mesh, init_params, net_forward, param_count, sample_latent
 from dcinv.net import layers as L
 from dcinv.runs import dip_manifest, run_from_manifest, replay
 from dcinv.scenarios import add_noise, build_case1
+from dcinv.survey import build_dipole_dipole_survey
 from dcinv.tikhonov import (DifferenceOperators, GNConfig, RegularizationConfig,
                             gauss_newton_invert, phi_m, update_irls)
 
@@ -41,48 +44,19 @@ class TestAcceptance:
 
     def test_02_survey_count(self):
         """700 m line / 25 m spacing / 24 receivers gives exactly 348 data."""
-        n = dcinv.build_dipole_dipole_survey(700.0, 25.0, 24).n_data
+        n = build_dipole_dipole_survey(700.0, 25.0, 24).n_data
         report(2, "dipole-dipole survey yields exactly 348 data",
                n == 348, f"got {n}")
 
     def test_03_adjoint_suite(self):
         """<Jw, v> = <w, J^T v> within 1e-8 relative over 50 random draws."""
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(50):
-            nx = int(rng.integers(8, 11))
-            nz = int(rng.integers(3, 7))
-            mesh = dcinv.build_mesh(nx, nz, 5.0, 5.0, int(rng.integers(1, 3)), 1.5)
-            line = 30.0  # 7 stations at 5 m spacing inside the core
-            survey = dcinv.build_dipole_dipole_survey(line, 5.0, 24, x0=-line / 2)
-            sim = DCSimulation(mesh, survey)
-            m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
-            w = rng.standard_normal(mesh.n_cells)
-            v = rng.standard_normal(survey.n_data)
-            lhs = float(sim.j_vec(m, w) @ v)
-            rhs = float(w @ sim.jt_vec(m, v))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-        report(3, "adjoint identity within 1e-8 over 50 draws",
-               worst <= 1e-8, f"max rel err {worst:.2e}")
+        report(3, *check_adjoint())
 
     def test_04_gradient_suite(self):
         """Every layer and the end-to-end tiny net match central finite
         differences within 1e-6; phi_d and phi_m gradients within 1e-5."""
         rng = np.random.default_rng(1)
         worst_layer = 0.0
-
-        def fd_grad(f, x, eps=1e-6):
-            flat = x.reshape(-1)
-            out = np.empty(flat.size)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                fp = f()
-                flat[i] = orig - eps
-                fm = f()
-                flat[i] = orig
-                out[i] = (fp - fm) / (2 * eps)
-            return out
 
         # dense
         x = rng.standard_normal(4)
@@ -92,7 +66,7 @@ class TestAcceptance:
         gw, gb, gx = L.dense_backward(x, w, g)
         loss = lambda: float(g @ L.dense_forward(x, w, b))
         for an, var in ((gw, w), (gb, b), (gx, x)):
-            worst_layer = max(worst_layer, rel_err(an.reshape(-1), fd_grad(loss, var)))
+            worst_layer = max(worst_layer, rel_err(an, central_difference(loss, var, 1e-6)))
 
         # conv (valid), both kernels and input
         x = rng.standard_normal((1, 2, 6, 7))
@@ -102,7 +76,7 @@ class TestAcceptance:
         gk, gb, gx = L.conv2d_valid_backward(x, k, g)
         loss = lambda: float((g * L.conv2d_valid(x, k, b)).sum())
         for an, var in ((gk, k), (gb, b), (gx, x)):
-            worst_layer = max(worst_layer, rel_err(an.reshape(-1), fd_grad(loss, var)))
+            worst_layer = max(worst_layer, rel_err(an, central_difference(loss, var, 1e-6)))
 
         # transposed conv
         x = rng.standard_normal((1, 2, 3, 4))
@@ -112,52 +86,38 @@ class TestAcceptance:
         gk, gb, gx = L.transposed_conv2_backward(x, k, g)
         loss = lambda: float((g * L.transposed_conv2(x, k, b)).sum())
         for an, var in ((gk, k), (gb, b), (gx, x)):
-            worst_layer = max(worst_layer, rel_err(an.reshape(-1), fd_grad(loss, var)))
+            worst_layer = max(worst_layer, rel_err(an, central_difference(loss, var, 1e-6)))
 
         # upsamplers
         x = rng.standard_normal((1, 2, 3, 4))
         g = rng.standard_normal((1, 2, 6, 8))
         for kind in ("bilinear", "nearest"):
             worst_layer = max(worst_layer, rel_err(
-                L.upsample2_backward(g, kind).reshape(-1),
-                fd_grad(lambda: float((g * L.upsample2(x, kind)).sum()), x)))
+                L.upsample2_backward(g, kind),
+                central_difference(lambda: float((g * L.upsample2(x, kind)).sum()), x, 1e-6)))
 
         # activations (inputs kept away from the leaky kink)
         x = rng.standard_normal((1, 1, 4, 5))
         x[np.abs(x) < 0.05] = 0.5
         g = rng.standard_normal(x.shape)
         worst_layer = max(worst_layer, rel_err(
-            L.leaky_relu_backward(x, g).reshape(-1),
-            fd_grad(lambda: float((g * L.leaky_relu(x)).sum()), x)))
+            L.leaky_relu_backward(x, g),
+            central_difference(lambda: float((g * L.leaky_relu(x)).sum()), x, 1e-6)))
         worst_layer = max(worst_layer, rel_err(
-            L.sigmoid_backward(L.sigmoid(x), g).reshape(-1),
-            fd_grad(lambda: float((g * L.sigmoid(x)).sum()), x)))
+            L.sigmoid_backward(L.sigmoid(x), g),
+            central_difference(lambda: float((g * L.sigmoid(x)).sum()), x, 1e-6)))
 
         # dropout with a frozen mask, and crop
         y, mask = L.dropout(x, 0.3, "train", np.random.default_rng(9))
         worst_layer = max(worst_layer, rel_err(
-            L.dropout_backward(g, mask, 0.3).reshape(-1),
-            fd_grad(lambda: float((g * x * mask).sum()) / 0.7, x)))
+            L.dropout_backward(g, mask, 0.3),
+            central_difference(lambda: float((g * x * mask).sum()) / 0.7, x, 1e-6)))
         gc = rng.standard_normal((1, 1, 3, 4))
         worst_layer = max(worst_layer, rel_err(
-            L.crop2d_backward(gc, x.shape, 0).reshape(-1),
-            fd_grad(lambda: float((gc * L.crop2d(x, (3, 4))[0]).sum()), x)))
+            L.crop2d_backward(gc, x.shape, 0),
+            central_difference(lambda: float((gc * L.crop2d(x, (3, 4))[0]).sum()), x, 1e-6)))
 
-        # end-to-end tiny generator
-        arch = arch_for_mesh(3, 5, n_blocks=1, latent_dim=3, channels=(2,))
-        params = init_params(1, arch)
-        z = sample_latent(2, 3)
-        gm = rng.standard_normal(15)
-        _, tr = net_forward(params, z, (3, 5))
-        grads = net_backward(tr, gm)
-        worst_net = 0.0
-        for key, arr in params.arrays.items():
-            an = grads[key].reshape(-1)
-            def f():
-                m, _ = net_forward(params, z, (3, 5))
-                return float(gm @ m)
-            fd = fd_grad(f, arr, eps=1e-5)
-            worst_net = max(worst_net, rel_err(an, fd))
+        _, net_ok, net_detail = check_net_gradient()
 
         # phi_d gradient (adjoint route) within 1e-5
         mesh, survey, sim = tiny_dc_problem()
@@ -177,7 +137,7 @@ class TestAcceptance:
             worst_phi_d = max(worst_phi_d, abs(fd - grad @ wdir) / abs(fd))
 
         # phi_m gradient within 1e-5
-        mesh2 = dcinv.build_mesh(5, 4, 2.0, 2.0, 0, 1.0)
+        mesh2 = build_mesh(5, 4, 2.0, 2.0, 0, 1.0)
         ops = DifferenceOperators(mesh2)
         cfg = RegularizationConfig(alpha_s=0.3, alpha_x=0.7, alpha_z=0.5,
                                    p_s=1.0, p_x=1.0, p_z=0.0, m_ref=-4.0)
@@ -185,65 +145,26 @@ class TestAcceptance:
         m_ref = np.full(mesh2.n_cells, -4.0)
         state = update_irls(mm, cfg, ops, m_ref)
         _, gphi = phi_m(mm, cfg, ops, state)
-        fd = fd_grad(lambda: phi_m(mm, cfg, ops, state)[0], mm, eps=1e-7)
+        fd = central_difference(lambda: phi_m(mm, cfg, ops, state)[0], mm, 1e-7)
         worst_phi_m = rel_err(gphi, fd)
 
-        ok = worst_layer <= 1e-6 and worst_net <= 1e-6 and \
+        ok = worst_layer <= 1e-6 and net_ok and \
             worst_phi_d <= 1e-5 and worst_phi_m <= 1e-5
         report(4, "layer/net gradients within 1e-6; phi_d, phi_m within 1e-5",
-               ok, f"layers {worst_layer:.2e}, net {worst_net:.2e}, "
+               ok, f"layers {worst_layer:.2e}, net {net_detail}, "
                    f"phi_d {worst_phi_d:.2e}, phi_m {worst_phi_m:.2e}")
 
     def test_05_surrogate_loss_equivalence(self):
         """Weight gradients of the surrogate loss equal finite-difference
         gradients of the true objective within 1e-6 relative (every array)."""
-        mesh, survey, sim = tiny_dc_problem()
-        arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=1, latent_dim=3,
-                             channels=(2,))
-        params = init_params(0, arch)
-        z = sample_latent(0, 3)
-        rng = np.random.default_rng(1)
-
-        m0, _ = net_forward(params, z, mesh.shape)
-        d_obs = sim.predict(m0 + 0.1 * rng.standard_normal(m0.size))
-        weights = weights_from_std(0.05 * np.abs(d_obs) + 1e-6)
-        m_ref = np.full(mesh.n_cells, -4.6)
-        b = 0.37
-
-        m, tr = net_forward(params, z, mesh.shape)
-        jv = sim.jt_vec(m, weights.values ** 2 * (sim.predict(m) - d_obs))
-        _, g_m = surrogate_loss(m, jv, b, m_ref)
-        grads = net_backward(tr, g_m)
-
-        def true_objective():
-            mm, _ = net_forward(params, z, mesh.shape)
-            r = weights.values * (sim.predict(mm) - d_obs)
-            return ((1 - b) * 0.5 * float(r @ r)
-                    + b * float(np.abs(mm - m_ref).sum()))
-
-        worst = 0.0
-        eps = 3e-5
-        for key, arr in params.arrays.items():
-            flat = arr.reshape(-1)
-            fd = np.empty(flat.size)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                fp = true_objective()
-                flat[i] = orig - eps
-                fm = true_objective()
-                flat[i] = orig
-                fd[i] = (fp - fm) / (2 * eps)
-            worst = max(worst, rel_err(grads[key].reshape(-1), fd))
-        report(5, "surrogate-loss weight gradients match the true objective "
-                  "within 1e-6", worst <= 1e-6, f"max rel err {worst:.2e}")
+        report(5, *check_surrogate())
 
     def test_06_forward_accuracy_half_space(self):
         """Uniform half-space data match the 2D line-source solution within
         3% at offsets up to a fifth of the padding extent."""
         n_pad = 11
-        mesh = dcinv.build_mesh(50, 12, 5.0, 5.0, n_pad, 1.5)
-        survey = dcinv.build_dipole_dipole_survey(200.0, 25.0, 24, x0=-100.0)
+        mesh = build_mesh(50, 12, 5.0, 5.0, n_pad, 1.5)
+        survey = build_dipole_dipole_survey(200.0, 25.0, 24, x0=-100.0)
         pad_extent = (5.0 * 1.5 ** np.arange(1, n_pad + 1)).sum()
         sigma0 = 0.01
         d = DCSimulation(mesh, survey).predict(np.full(mesh.n_cells, np.log(sigma0)))
@@ -304,7 +225,7 @@ class TestAcceptance:
         m_start, _ = net_forward(params, z, mesh.shape)
         corr_start = pearson(m_start, truth)
         trace = invert_stage2(params, z, mesh, survey, d_obs, weights, cfg)
-        chi_dip = dcinv.chi_factor(sim.predict(trace.final_model), d_obs, weights)
+        chi_dip = chi_factor(sim.predict(trace.final_model), d_obs, weights)
         corr_final = pearson(trace.final_model, truth)
 
         # conventional benchmark with sparse norms
@@ -340,32 +261,27 @@ class TestAcceptance:
     def test_10_ablation_matrix(self, tmp_path):
         """The ablation harness executes all three suites (3 upsamplers,
         1/3/5 blocks, dropout on/off) and tabulates chi, model RMSE, and
-        the smoothness metric for every run."""
+        the smoothness metric for every run: 8 rows from 6 distinct runs,
+        since blocks-3 is dropout-0 and upsampler-bilinear is dropout-0.1."""
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(tau=300.0, lr=1e-4, epochs_stage1=1500, epochs_stage2=150,
                         dropout_rate=0.1, rng_seed=0)
-        all_rows = []
-        for suite in ("upsampler", "blocks", "dropout"):
-            _, rows = run_ablation(suite, spec, cfg, str(tmp_path / suite))
-            all_rows.extend(rows)
-            table = (tmp_path / suite / "summary.txt").read_text()
-            assert "chi" in table and "rmse" in table and "smoothness" in table
-        ok = (len(all_rows) == 8
-              and all(r["status"] == "ok" for r in all_rows)
+        _, rows = run_ablation(SUITES, spec, cfg, str(tmp_path))
+        table = (tmp_path / "summary.txt").read_text()
+        runs = [p for p in tmp_path.glob("*/manifest.json")
+                if load_manifest(p)["method"] == "dip"]
+        ok = (len(rows) == 8 and len(runs) == 6
+              and all(table.count(f"suite={suite}\n") == 1 for suite in SUITES)
+              and all(r["status"] == "ok" for r in rows)
               and all(np.isfinite(r["chi"]) and np.isfinite(r["rmse"])
-                      and np.isfinite(r["smoothness"]) for r in all_rows))
-        detail = "; ".join(f"{r['run']} chi={r['chi']:.2f}" for r in all_rows)
-        report(10, "ablation matrix (8 runs) completes with full metrics",
-               ok, detail)
+                      and np.isfinite(r["smoothness"]) for r in rows))
+        detail = "; ".join(f"{r['run']} chi={r['chi']:.2f}" for r in rows)
+        report(10, f"ablation matrix ({len(rows)} rows, {len(runs)} runs) completes "
+                   "with full metrics", ok, detail)
 
     def test_11_beta_schedule(self):
         """beta(0) = 1, beta(tau) = 1/e, strictly decreasing over 1e4 steps."""
-        tau = 1000.0
-        vals = np.array([beta(t, tau) for t in range(10_000)])
-        ok = (vals[0] == 1.0
-              and np.isclose(beta(tau, tau), np.exp(-1.0), rtol=1e-15)
-              and np.all(np.diff(vals) < 0.0))
-        report(11, "cooling schedule endpoints and strict monotonicity", ok)
+        report(11, *check_beta())
 
     def test_12_replay_determinism(self, tmp_path):
         """Replaying a run manifest reproduces the trace file bitwise."""

@@ -118,6 +118,27 @@ class TestCheck:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    def test_a_failing_check_is_a_numerical_failure(self, capsys, monkeypatch):
+        import dcinv.checks
+
+        monkeypatch.setattr(dcinv.checks, "check_beta",
+                            lambda: ("cooling schedule", False, "beta(tau) != 1/e"))
+        assert main(["check"]) == 2
+        assert "FAIL cooling schedule: beta(tau) != 1/e" in capsys.readouterr().out
+
+
+class TestAblate:
+    def test_one_suite_writes_one_table(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[dip]\nepochs_stage1 = 100\nepochs_stage2 = 2\ntau = 50\n")
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--suite", "dropout", "--case", "1", "--scale", "desk",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert summary.startswith("# dcinv ablation v1 suite=dropout\n")
+        assert summary.count("# dcinv ablation") == 1
+        assert (out / "dropout-0" / "model.txt").exists()
+
 
 class TestInversionCommands:
     def test_invert_dip_writes_outputs(self, tmp_path):

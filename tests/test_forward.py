@@ -10,8 +10,7 @@ import pytest
 import dcinv
 from dcinv.errors import SolverFailure
 from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, _electrode_cells,
-                           _FaceGeometry, build_data_weights, factor_system, phi_d,
-                           weights_from_std)
+                           _FaceGeometry, factor_system, phi_d, weights_from_std)
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
 
@@ -474,22 +473,22 @@ def test_full_scale_predict_peak_memory():
 
 class TestWeightsAndMisfit:
     def test_weights_relative(self):
-        w = build_data_weights(np.array([2.0]), rel=0.05, floor=0.0)
-        assert np.isclose(w.values[0], 10.0)
+        w = weights_from_std(0.05 * np.abs(np.array([2.0, -4.0])))
+        assert np.allclose(w.values, [10.0, 5.0])
 
     def test_weights_floor_only(self):
-        w = build_data_weights(np.array([0.0]), rel=0.05, floor=1e-6)
+        w = weights_from_std(np.array([0.0]), floor=1e-6)
         assert np.isclose(w.values[0], 1e6)
 
-    def test_weights_absolute_value(self):
-        w = build_data_weights(np.array([-2.0]), rel=0.05, floor=0.0)
-        assert np.isclose(w.values[0], 10.0)
+    def test_weights_floor_applies_below_it(self):
+        w = weights_from_std(np.array([0.1, 1e-9, 2e-6]), floor=1e-6)
+        assert np.allclose(w.values, [10.0, 1e6, 5e5])
 
     def test_weights_invalid(self):
-        with pytest.raises(ValueError):
-            build_data_weights(np.array([1.0]), rel=0.0, floor=0.0)
-        with pytest.raises(ValueError):
-            build_data_weights(np.array([0.0]), rel=0.05, floor=0.0)
+        """A non-positive std without a floor has no weight."""
+        for std in ([0.0], [1.0, -0.1]):
+            with pytest.raises(ValueError):
+                weights_from_std(np.array(std))
 
     def test_phi_d_zero_at_fit(self):
         w = DataWeights(values=np.ones(3))

@@ -1,6 +1,9 @@
 """Static audit: the package imports only the standard library, numpy and itself."""
 
 import ast
+import importlib.util
+import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -25,3 +28,18 @@ def test_every_import_is_stdlib_numpy_or_dcinv():
             outside += [f"{path.relative_to(root)}: {name}" for name in modules
                         if name.split(".")[0] not in ALLOWED]
     assert outside == []
+
+
+def test_namespace_is_what_the_readme_and_the_benchmark_use():
+    """Every ``dcinv.<name>`` in ``perfbench/*.py`` and ``README.md`` that is
+    not a submodule exists, and the package exports no other public name."""
+    repo = Path(__file__).resolve().parents[1]
+    texts = [path.read_text() for path in sorted((repo / "perfbench").glob("*.py"))]
+    texts.append((repo / "README.md").read_text())
+    used = {name for text in texts for name in re.findall(r"\bdcinv\.(\w+)", text)
+            if importlib.util.find_spec(f"dcinv.{name}") is None}
+    assert len(texts) > 1 and used
+    assert [name for name in sorted(used) if not hasattr(dcinv, name)] == []
+    exported = {name for name, value in vars(dcinv).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == {name for name in used if not name.startswith("_")}

@@ -4,23 +4,7 @@ import pytest
 from dcinv.metrics import mean_abs_gradient
 from dcinv.net import layers as L
 
-from helpers import rel_err
-
-
-def fd_wrt(f, x, eps=1e-6):
-    """Central-difference Jacobian-vector products: returns d f_scalar / d x."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f()
-        flat[i] = orig - eps
-        fm = f()
-        flat[i] = orig
-        g[i] = (fp - fm) / (2 * eps)
-    return g.reshape(x.shape)
+from helpers import central_difference, rel_err
 
 
 class TestDense:
@@ -42,9 +26,10 @@ class TestDense:
         b = rng.standard_normal(6)
         g = rng.standard_normal(6)
         gw, gb, gx = L.dense_backward(x, w, g)
-        assert rel_err(gw, fd_wrt(lambda: g @ L.dense_forward(x, w, b), w)) < 1e-7
-        assert rel_err(gb, fd_wrt(lambda: g @ L.dense_forward(x, w, b), b)) < 1e-7
-        assert rel_err(gx, fd_wrt(lambda: g @ L.dense_forward(x, w, b), x)) < 1e-7
+        loss = lambda: g @ L.dense_forward(x, w, b)
+        assert rel_err(gw, central_difference(loss, w, 1e-6)) < 1e-7
+        assert rel_err(gb, central_difference(loss, b, 1e-6)) < 1e-7
+        assert rel_err(gx, central_difference(loss, x, 1e-6)) < 1e-7
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -74,7 +59,7 @@ class TestActivations:
         x[np.abs(x) < 0.05] = 0.5
         g = rng.standard_normal(x.shape)
         gx = L.leaky_relu_backward(x, g)
-        fd = fd_wrt(lambda: float((g * L.leaky_relu(x)).sum()), x)
+        fd = central_difference(lambda: float((g * L.leaky_relu(x)).sum()), x, 1e-6)
         assert rel_err(gx, fd) < 1e-7
 
     def test_sigmoid_midpoint_and_scale(self):
@@ -91,7 +76,7 @@ class TestActivations:
         y = L.sigmoid(np.array(0.0))
         assert L.sigmoid_backward(y, np.array(1.0)) == 0.25
         x = np.array([0.0])
-        fd = fd_wrt(lambda: float(L.sigmoid(x)[0]), x, eps=1e-6)
+        fd = central_difference(lambda: float(L.sigmoid(x)[0]), x, 1e-6)
         assert abs(fd[0] - 0.25) < 1e-9
 
 
@@ -148,7 +133,8 @@ class _UpsampleContract:
         x = rng.standard_normal((1, 2, 3, 4))
         g = rng.standard_normal((1, 2, 6, 8))
         gx = L.upsample2_backward(g, self.KIND)
-        fd = fd_wrt(lambda: float((g * L.upsample2(x, self.KIND)).sum()), x)
+        fd = central_difference(lambda: float((g * L.upsample2(x, self.KIND)).sum()),
+                                x, 1e-6)
         assert rel_err(gx, fd) < 1e-7
 
     @pytest.mark.parametrize("shape", FULL_SCALE_BLOCK_INPUTS)
@@ -287,9 +273,9 @@ class TestTransposedConv:
         g = rng.standard_normal((1, 3, 6, 8))
         gk, gb, gx = L.transposed_conv2_backward(x, k, g)
         loss = lambda: float((g * L.transposed_conv2(x, k, b)).sum())
-        assert rel_err(gk, fd_wrt(loss, k)) < 1e-7
-        assert rel_err(gb, fd_wrt(loss, b)) < 1e-7
-        assert rel_err(gx, fd_wrt(loss, x)) < 1e-7
+        assert rel_err(gk, central_difference(loss, k, 1e-6)) < 1e-7
+        assert rel_err(gb, central_difference(loss, b, 1e-6)) < 1e-7
+        assert rel_err(gx, central_difference(loss, x, 1e-6)) < 1e-7
 
 
 def per_tap_conv2d(x, k, b, g):
@@ -383,9 +369,9 @@ class TestConv2dValid:
         g = rng.standard_normal((1, 3, 4, 5))
         gk, gb, gx = L.conv2d_valid_backward(x, k, g)
         loss = lambda: float((g * L.conv2d_valid(x, k, b)).sum())
-        assert rel_err(gk, fd_wrt(loss, k)) < 1e-7
-        assert rel_err(gb, fd_wrt(loss, b)) < 1e-7
-        assert rel_err(gx, fd_wrt(loss, x)) < 1e-7
+        assert rel_err(gk, central_difference(loss, k, 1e-6)) < 1e-7
+        assert rel_err(gb, central_difference(loss, b, 1e-6)) < 1e-7
+        assert rel_err(gx, central_difference(loss, x, 1e-6)) < 1e-7
 
 
 class TestDropout:

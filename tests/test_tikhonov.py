@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 import dcinv
+from dcinv.errors import SolverFailure
 from dcinv.forward import DCSimulation, weights_from_std
-from dcinv.mesh import TensorMesh2D, build_mesh
+from dcinv.mesh import TensorMesh2D, build_mesh, cell_centers
 from dcinv.tikhonov import (DifferenceOperators, GNConfig, IRLSState,
                             RegularizationConfig, _reg_hessian_apply,
                             _reg_hessian_diagonals, _term_weights, gauss_newton,
                             gauss_newton_invert, irls_weights, phi_m,
                             sensitivity_weights, update_irls)
 
-from helpers import Traffic, central_diff_scalar, rel_err, tiny_dc_problem
+from helpers import Traffic, central_difference, rel_err, tiny_dc_problem
 
 
 class LinearSim:
@@ -31,7 +32,7 @@ def dense_differences(mesh):
     """D_x and D_z as dense matrices, filled face by face: -1/h at the face's
     first cell and +1/h at its second, h the distance between their centers;
     x faces row by row, then z faces."""
-    xc, zc = dcinv.cell_centers(mesh)
+    xc, zc = cell_centers(mesh)
     nx, nz = mesh.nx, mesh.nz
     d_x = np.zeros((nz * (nx - 1), mesh.n_cells))
     for iz in range(nz):
@@ -80,7 +81,7 @@ class TestDifferenceOperators:
     def test_linear_ramp_gives_constant(self):
         mesh = build_mesh(6, 4, 2.0, 3.0, 0, 1.0)
         ops = DifferenceOperators(mesh)
-        xc, _ = dcinv.cell_centers(mesh)
+        xc, _ = cell_centers(mesh)
         ramp = np.tile(3.0 * xc, 4)  # linear in x, constant in z
         dx = ops.d_x(ramp)
         assert np.allclose(dx, 3.0)
@@ -185,8 +186,7 @@ class TestPhiM:
         m_ref = np.full(mesh.n_cells, -4.0)
         state = update_irls(m, cfg, ops, m_ref)
         _, grad = phi_m(m, cfg, ops, state)
-        fd = central_diff_scalar(lambda mm: phi_m(mm, cfg, ops, state)[0], m,
-                                 eps=1e-7)
+        fd = central_difference(lambda: phi_m(m, cfg, ops, state)[0], m, 1e-7)
         assert rel_err(grad, fd) < 1e-7
 
     def test_nonnegative(self):
@@ -343,6 +343,34 @@ class TestGaussNewton:
         assert trace.stop_reason == "budget"
         assert not trace.converged
         assert trace.n_epochs == 2
+
+    def test_failed_trial_halves_the_step(self):
+        """A line-search trial whose solve fails is rejected like one that
+        fails the Armijo test: the step halves and the run goes on."""
+
+        class FirstTrialFails(LinearSim):
+            def predict(self, m):
+                self.models.append(m.copy())
+                if len(self.models) == 2:  # the first trial of the first step
+                    raise SolverFailure("conductivity underflow")
+                return super().predict(m)
+
+        rng = np.random.default_rng(3)
+        mesh = build_mesh(4, 3, 1.0, 1.0, 0, 1.0)
+        n = mesh.n_cells
+        g = rng.standard_normal((8, n))
+        sim = FirstTrialFails(g)
+        sim.models = []
+        gn = GNConfig(beta0=2.0, iterations_per_beta=1, max_beta_steps=1,
+                      cg_tol=1e-12, cg_maxiter=500, target_chi=1e-12)
+        trace = gauss_newton(sim, g @ rng.standard_normal(n),
+                             weights_from_std(np.full(8, 0.1)),
+                             RegularizationConfig(m_ref=0.0), gn, np.zeros(n),
+                             DifferenceOperators(mesh))
+        first_trial, second_trial = sim.models[1], sim.models[2]
+        assert np.array_equal(second_trial, 0.5 * first_trial)  # m0 = 0
+        assert np.array_equal(trace.final_model, second_trial)
+        assert trace.stop_reason == "budget"
 
     def test_objective_never_increases_within_beta(self):
         """Accepted steps do not increase phi_d + beta*phi_m at fixed beta
