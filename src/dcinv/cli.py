@@ -3,8 +3,8 @@
 Subcommands: ``simulate`` (scenario to synthetic data files),
 ``invert-dip``, ``invert-conv``, ``ablate``, ``render``, ``check``, and
 ``replay``.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 I/O error, including a grid, data, trace or manifest file that does not
-parse (the message names the line), a manifest missing a key or holding a
+3 I/O error, including a grid, data, trace, manifest or INI file that does
+not parse (the message names the line), a manifest missing a key or holding a
 value of the wrong type, and a ``--pretrained`` file that is not a
 checkpoint or whose architecture is not the run's.
 
@@ -16,6 +16,7 @@ override it.  The full schema is documented in the README.
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from dataclasses import fields, replace
 from typing import get_args, get_type_hints
@@ -36,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,12 +63,9 @@ def _apply_section(cfg, section: dict[str, str]):
         if key not in names:
             raise ValueError(f"unknown config key {key!r} for {type(cfg).__name__}")
         kind = _field_kind(hints[key])
-        if kind is bool:
-            updates[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-            continue
-        try:
-            updates[key] = kind(raw)
-        except ValueError:
+        try:  # booleans are configparser's words: 1/yes/true/on, 0/no/false/off
+            updates[key] = _BOOLEANS[raw.strip().lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
             raise ValueError(f"config key {key!r} for {type(cfg).__name__} must be "
                              f"{kind.__name__}, got {raw!r}") from None
     return replace(cfg, **updates)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import re
 
 import numpy as np
 
@@ -57,11 +58,38 @@ def load_data(path):
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
-    """Flat key-value config with one section per module."""
+    """Flat key-value config with one section per module; a file that does
+    not parse raises :class:`ParseError` naming the offending line."""
     parser = configparser.ConfigParser()
     with open(path) as f:
-        parser.read_file(f)
-    return {section: dict(parser[section]) for section in parser.sections()}
+        text = f.read()
+    try:
+        parser.read_string(text, source=str(path))
+        return {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.DuplicateOptionError as e:
+        raise ParseError(f"duplicate key {e.option!r} in [{e.section}]", e.lineno, path) from None
+    except configparser.DuplicateSectionError as e:
+        raise ParseError(f"duplicate section [{e.section}]", e.lineno, path) from None
+    except configparser.MissingSectionHeaderError as e:
+        raise ParseError("a key above the first [section]", e.lineno, path) from None
+    except configparser.ParsingError as e:
+        raise ParseError("expected 'key = value'", e.errors[0][0], path) from None
+    except configparser.InterpolationError as e:
+        # Values are interpolated when read out, after parsing dropped the line numbers.
+        raise ParseError(e.message.splitlines()[0],
+                         _key_line(text, e.section, e.option), path) from None
+
+
+def _key_line(text: str, section: str, key: str) -> int:
+    """Line number of ``key`` in ``[section]``, else in ``[DEFAULT]``, else 1."""
+    current, found = None, {}
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line.startswith("["):
+            current = line[1:line.find("]")]
+        elif re.split("[=:]", line, maxsplit=1)[0].strip().lower() == key:
+            found.setdefault(current, ln)
+    return found.get(section) or found.get(configparser.DEFAULTSECT) or 1
 
 
 def save_manifest(path, manifest: dict) -> None:

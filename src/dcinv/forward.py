@@ -40,88 +40,61 @@ class DataWeights:
 
 
 class _FaceGeometry:
-    """Face index arrays for one mesh, shared by the factor, the operator and sensitivities.
+    """The faces of one mesh as slices of the ``(nz, nx)`` cell grid, shared
+    by the factor and the sensitivities.
 
-    Interior face f couples cells ``a[f]`` and ``b[f]`` with conductance
-    ``T = length / (da/sigma_a + db/sigma_b)`` (distance-weighted harmonic
-    mean over the center-to-center distance).  Dirichlet boundary face f
-    couples cell ``c[f]`` to a zero ghost value: ``T = length * sigma_c /
-    dc``.  The top surface contributes nothing (natural zero-flux).
+    Face values come as three arrays: x faces ``(nz, nx - 1)``, each between
+    a cell ``a`` and its right neighbour ``b``; z faces ``(nz - 1, nx)``,
+    each between ``a`` and the cell ``b`` below it; and Dirichlet faces
+    ``(n_bnd,)``: the left column, the right column, then the bottom row.
+    Interior faces have conductance ``T = length / (da/sigma_a +
+    db/sigma_b)`` (distance-weighted harmonic mean over the center-to-center
+    distance), Dirichlet faces ``T = length * sigma_c / dc`` toward a zero
+    ghost value.  The top surface contributes nothing (natural zero-flux).
     """
 
     def __init__(self, mesh: TensorMesh2D):
         nx, nz = mesh.nx, mesh.nz
         hx, hz = mesh.hx, mesh.hz
-
-        ix = np.arange(nx - 1)
-        iz = np.arange(nz)
-        a_x = (iz[:, None] * nx + ix[None, :]).ravel()
-        self.int_a = a_x
-        self.int_b = a_x + 1
-        self.int_len = np.broadcast_to(hz[:, None], (nz, nx - 1)).ravel().copy()
-        self.int_da = np.broadcast_to(0.5 * hx[None, :-1], (nz, nx - 1)).ravel().copy()
-        self.int_db = np.broadcast_to(0.5 * hx[None, 1:], (nz, nx - 1)).ravel().copy()
-
-        ix = np.arange(nx)
-        iz = np.arange(nz - 1)
-        a_z = (iz[:, None] * nx + ix[None, :]).ravel()
-        self.int_a = np.concatenate([self.int_a, a_z])
-        self.int_b = np.concatenate([self.int_b, a_z + nx])
-        self.int_len = np.concatenate([self.int_len,
-                                       np.broadcast_to(hx[None, :], (nz - 1, nx)).ravel()])
-        self.int_da = np.concatenate([self.int_da,
-                                      np.broadcast_to(0.5 * hz[:-1, None], (nz - 1, nx)).ravel()])
-        self.int_db = np.concatenate([self.int_db,
-                                      np.broadcast_to(0.5 * hz[1:, None], (nz - 1, nx)).ravel()])
-
-        # Dirichlet faces: left/right columns and bottom row.
-        left = np.arange(nz) * nx
-        right = left + nx - 1
-        bottom = (nz - 1) * nx + np.arange(nx)
-        self.bnd_c = np.concatenate([left, right, bottom])
+        # Per x face and per z face: length, and distances to the centers of a and b.
+        self.x_geometry = (hz[:, None], 0.5 * hx[:-1], 0.5 * hx[1:])
+        self.z_geometry = (hx, 0.5 * hz[:-1, None], 0.5 * hz[1:, None])
         self.bnd_len = np.concatenate([hz, hz, hx])
-        self.bnd_d = np.concatenate([np.full(nz, 0.5 * hx[0]),
-                                     np.full(nz, 0.5 * hx[-1]),
+        self.bnd_d = np.concatenate([np.full(nz, 0.5 * hx[0]), np.full(nz, 0.5 * hx[-1]),
                                      0.5 * hz[-1] * np.ones(nx)])
-
         self.nx, self.nz = nx, nz
         self.n_cells = nx * nz
 
-    def conductances(self, sigma: np.ndarray):
-        t_int = self.int_len / (self.int_da / sigma[self.int_a]
-                                + self.int_db / sigma[self.int_b])
-        t_bnd = self.bnd_len * sigma[self.bnd_c] / self.bnd_d
-        return t_int, t_bnd
+    def at_faces(self, u: np.ndarray):
+        """Cell values ``u`` (..., n_cells), for any leading shape, at the
+        cells of each face: ``(u_a, u_b)`` on x faces and on z faces, and
+        ``u_c`` on Dirichlet faces."""
+        g = u.reshape(u.shape[:-1] + (self.nz, self.nx))
+        bnd = np.concatenate([g[..., :, 0], g[..., :, -1], g[..., -1, :]], axis=-1)
+        return (g[..., :, :-1], g[..., :, 1:]), (g[..., :-1, :], g[..., 1:, :]), bnd
+
+    def _resistances(self, sigma: np.ndarray):
+        """Per x face and per z face: ``(length, da/sigma_a, db/sigma_b)``; per
+        Dirichlet face: its conductance."""
+        x, z, sigma_c = self.at_faces(sigma)
+        interior = [(length, da / s_a, db / s_b) for (length, da, db), (s_a, s_b)
+                    in ((self.x_geometry, x), (self.z_geometry, z))]
+        return interior, self.bnd_len * sigma_c / self.bnd_d
 
     def factor(self, sigma: np.ndarray) -> BlockFactor:
         """The operator, factored block by cell column."""
-        t_int, t_bnd = self.conductances(sigma)
-        n = self.n_cells
-        diag = (np.bincount(self.int_a, t_int, n) + np.bincount(self.int_b, t_int, n)
-                + np.bincount(self.bnd_c, t_bnd, n))
-        nx, nz = self.nx, self.nz
-        n_xf = nz * (nx - 1)  # x faces come first, row by row
-        return BlockFactor(diag.reshape(nz, nx).T,
-                           -t_int[n_xf:].reshape(nz - 1, nx).T,
-                           -t_int[:n_xf].reshape(nz, nx - 1).T)
-
-    def apply(self, t_int: np.ndarray, t_bnd: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """A(t) u on every column of u (n, k), for face conductances ordered as
-        :meth:`conductances` returns them; slice differences on the (nz, nx, k) grid."""
-        nx, nz = self.nx, self.nz
-        n_xf = nz * (nx - 1)
-        u = u.reshape(nz, nx, -1)
-        out = np.zeros(u.shape)
-        flux = t_int[:n_xf].reshape(nz, nx - 1, 1) * (u[:, :-1] - u[:, 1:])
-        out[:, :-1] += flux
-        out[:, 1:] -= flux
-        flux = t_int[n_xf:].reshape(nz - 1, nx, 1) * (u[:-1] - u[1:])
-        out[:-1] += flux
-        out[1:] -= flux
-        out[:, 0] += t_bnd[:nz, None] * u[:, 0]
-        out[:, -1] += t_bnd[nz:2 * nz, None] * u[:, -1]
-        out[-1] += t_bnd[2 * nz:, None] * u[-1]
-        return out.reshape(self.n_cells, -1)
+        interior, t_bnd = self._resistances(sigma)
+        t_x, t_z = (length / (ra + rb) for length, ra, rb in interior)
+        # The diagonal sums, per cell, the faces where it is a, then those
+        # where it is b, then its Dirichlet faces; another order rounds
+        # differently.
+        sums = np.zeros((3, self.nz, self.nx))
+        sums[0, :, :-1] += t_x
+        sums[0, :-1] += t_z
+        sums[1, :, 1:] += t_x
+        sums[1, 1:] += t_z
+        self._add_dirichlet(sums[2], t_bnd)
+        return BlockFactor((sums[0] + sums[1] + sums[2]).T, -t_z.T, -t_x.T)
 
     def products(self, u: np.ndarray, v: np.ndarray):
         """d(v^T A u)/dt: sum_k (u_a - u_b)(v_a - v_b) per interior face and
@@ -132,15 +105,18 @@ class _FaceGeometry:
         vg = v.reshape(nz, nx, -1)
         fx = np.einsum("zxk,zxk->zx", ug[:, :-1] - ug[:, 1:], vg[:, :-1] - vg[:, 1:])
         fz = np.einsum("zxk,zxk->zx", ug[:-1] - ug[1:], vg[:-1] - vg[1:])
-        return fx, fz, np.einsum("fk,fk->f", u[self.bnd_c], v[self.bnd_c])
+        # Dirichlet faces gathered C-contiguous, since the fields are
+        # F-ordered and the einsum's summation order follows the memory order.
+        ub, vb = (np.ascontiguousarray(np.concatenate([g[:, 0], g[:, -1], g[-1]]))
+                  for g in (ug, vg))
+        return fx, fz, np.einsum("fk,fk->f", ub, vb)
 
     def differences(self, u: np.ndarray):
         """Face values of cell values ``u`` (..., n_cells), for any leading
         shape: ``u_a - u_b`` on x faces (..., nz, nx - 1) and z faces
         (..., nz - 1, nx), and ``u_c`` on Dirichlet faces (..., n_bnd)."""
-        g = u.reshape(u.shape[:-1] + (self.nz, self.nx))
-        return (g[..., :, :-1] - g[..., :, 1:], g[..., :-1, :] - g[..., 1:, :],
-                u[..., self.bnd_c])
+        (xa, xb), (za, zb), bnd = self.at_faces(u)
+        return xa - xb, za - zb, bnd
 
     def to_cells(self, dt, fx: np.ndarray, fz: np.ndarray, fb: np.ndarray) -> np.ndarray:
         """Chain rule from face conductances to log-conductivity: per cell, the
@@ -148,26 +124,32 @@ class _FaceGeometry:
         it) times the face value.  Face values are shaped as
         :meth:`differences` gives them, with any leading shape; the result is
         (..., n_cells)."""
-        nx, nz = self.nx, self.nz
-        n_xf = nz * (nx - 1)
-        dt_a, dt_b, dt_c = dt
-        out = np.zeros(fx.shape[:-2] + (nz, nx))
-        out[..., :, :-1] += dt_a[:n_xf].reshape(nz, nx - 1) * fx
-        out[..., :, 1:] += dt_b[:n_xf].reshape(nz, nx - 1) * fx
-        out[..., :-1, :] += dt_a[n_xf:].reshape(nz - 1, nx) * fz
-        out[..., 1:, :] += dt_b[n_xf:].reshape(nz - 1, nx) * fz
-        out[..., :, 0] += dt_c[:nz] * fb[..., :nz]
-        out[..., :, -1] += dt_c[nz:2 * nz] * fb[..., nz:2 * nz]
-        out[..., -1, :] += dt_c[2 * nz:] * fb[..., 2 * nz:]
+        (dt_xa, dt_xb), (dt_za, dt_zb), dt_c = dt
+        out = np.zeros(fx.shape[:-2] + (self.nz, self.nx))
+        out[..., :, :-1] += dt_xa * fx
+        out[..., :, 1:] += dt_xb * fx
+        out[..., :-1, :] += dt_za * fz
+        out[..., 1:, :] += dt_zb * fz
+        self._add_dirichlet(out, dt_c * fb)
         return out.reshape(fx.shape[:-2] + (self.n_cells,))
 
+    def _add_dirichlet(self, out: np.ndarray, fb: np.ndarray) -> None:
+        """Adds Dirichlet-face values (..., n_bnd) to their cells in the grid
+        ``out`` (..., nz, nx)."""
+        nz = self.nz
+        out[..., :, 0] += fb[..., :nz]
+        out[..., :, -1] += fb[..., nz:2 * nz]
+        out[..., -1, :] += fb[..., 2 * nz:]
+
     def log_derivatives(self, sigma: np.ndarray):
-        """dT/dm_a and dT/dm_b per interior face, dT/dm_c per boundary face,
-        for log-conductivity m = log(sigma)."""
-        ra = self.int_da / sigma[self.int_a]
-        rb = self.int_db / sigma[self.int_b]
-        common = self.int_len / (ra + rb) ** 2
-        return common * ra, common * rb, self.bnd_len * sigma[self.bnd_c] / self.bnd_d
+        """dT/dm_a and dT/dm_b per x face and per z face, dT/dm_c per
+        Dirichlet face, for log-conductivity m = log(sigma)."""
+        interior, t_bnd = self._resistances(sigma)
+        dt = []
+        for length, ra, rb in interior:
+            common = length / (ra + rb) ** 2
+            dt.append((common * ra, common * rb))
+        return dt[0], dt[1], t_bnd  # T_c is proportional to sigma_c
 
 
 def _electrode_cells(mesh: TensorMesh2D, positions: np.ndarray) -> np.ndarray:
@@ -390,10 +372,14 @@ class DCSimulation:
         g = self._system(m)
         phi = self.fields(m)
         f = self.faces
-        dt_a, dt_b, dt_c = self._dt
-        dt_int = dt_a * w[f.int_a] + dt_b * w[f.int_b]
+        w_x, w_z, w_c = f.at_faces(w)
+        # dA along w: per interior face dT_a w_a + dT_b w_b, per Dirichlet face dT_c w_c.
+        dt_x, dt_z = (dt_a * w_a + dt_b * w_b
+                      for (dt_a, dt_b), (w_a, w_b) in zip(self._dt, (w_x, w_z)))
+        da_phi = f.to_cells(((dt_x, -dt_x), (dt_z, -dt_z), self._dt[2] * w_c),
+                            *f.differences(phi.T))
         # The receiver readout of A^-1 (-dA phi) is G^T (-dA phi).
-        return self._at_receivers(g.T @ -f.apply(dt_int, dt_c * w[f.bnd_c], phi))
+        return self._at_receivers(g.T @ -da_phi.T)
 
     def jt_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J^T v by the adjoint-state method, adjoint fields from G."""
@@ -404,11 +390,10 @@ class DCSimulation:
         phi = self.fields(m)
 
         # P^T v in electrode columns: +v at M, -v at N, per source.
-        n_src = self.n_sources
-        size = self.cells.size * n_src
-        r = (np.bincount(self.rx_m * n_src + self.rx_src, v, size)
-             - np.bincount(self.rx_n * n_src + self.rx_src, v, size))
-        lam = g @ -r.reshape(self.cells.size, n_src)
+        r_m, r_n = np.zeros((2, self.cells.size, self.n_sources))
+        np.add.at(r_m, (self.rx_m, self.rx_src), v)
+        np.add.at(r_n, (self.rx_n, self.rx_src), v)
+        lam = g @ -(r_m - r_n)
 
         # lambda^T (dA/dm_c phi) summed over sources, per face then per cell
         f = self.faces

@@ -20,6 +20,7 @@ handled by freezing IRLS weights (r^2 + eps^2)^(p/2 - 1) for each outer
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,95 +153,69 @@ def sensitivity_weights(sim, m: np.ndarray, n_probes: int = 32, rng_seed: int = 
     return np.maximum(w, floor)
 
 
-@dataclass
-class IRLSState:
-    """Frozen reweighting diagonals for the current outer iteration."""
-
-    w_s: np.ndarray | float = 1.0
-    w_x: np.ndarray | float = 1.0
-    w_z: np.ndarray | float = 1.0
+L2 = (1.0, 1.0, 1.0)  # IRLS weights of plain least squares, one per term
 
 
-def update_irls(m: np.ndarray, cfg: RegularizationConfig, ops: DifferenceOperators,
-                m_ref: np.ndarray, sens: np.ndarray | None = None) -> IRLSState:
-    """Recompute IRLS weights at the current model.
+# One term ``alpha ||W D (m - ref)||_p`` of the regularizer; ``d_t`` is D^T.
+Term = namedtuple("Term", "alpha p d d_t w ref")
+
+
+def _identity(v: np.ndarray) -> np.ndarray:
+    return v
+
+
+def regularization_terms(cfg: RegularizationConfig, ops: DifferenceOperators,
+                         m_ref: np.ndarray, sens: np.ndarray | None = None):
+    """Smallness, x smoothness and z smoothness, built once per inversion;
+    with sensitivity weights, the smoothness terms take their face means."""
+    w_s, w_x, w_z = L2 if sens is None else (sens, ops.mean_x(sens), ops.mean_z(sens))
+    return (Term(cfg.alpha_s, cfg.p_s, _identity, _identity, w_s, m_ref),
+            Term(cfg.alpha_x, cfg.p_x, ops.d_x, ops.d_x_t, w_x, 0.0),
+            Term(cfg.alpha_z, cfg.p_z, ops.d_z, ops.d_z_t, w_z, 0.0))
+
+
+def update_irls(m: np.ndarray, terms, irls_epsilon: float) -> tuple:
+    """IRLS weights at the current model, one per term (1.0 where p = 2).
 
     The stabilizer for each term is ``irls_epsilon`` times the RMS of that
     term's current residual (with a tiny absolute floor so an exactly-zero
     residual stays finite).
     """
-    ws_s, ws_x, ws_z = _term_weights(ops, sens)
-    state = IRLSState()
-    if cfg.p_s < 2.0:
-        r = ws_s * (m - m_ref)
-        state.w_s = irls_weights(r, cfg.p_s, _eps_of(r, cfg.irls_epsilon))
-    if cfg.p_x < 2.0:
-        r = ws_x * ops.d_x(m)
-        state.w_x = irls_weights(r, cfg.p_x, _eps_of(r, cfg.irls_epsilon))
-    if cfg.p_z < 2.0:
-        r = ws_z * ops.d_z(m)
-        state.w_z = irls_weights(r, cfg.p_z, _eps_of(r, cfg.irls_epsilon))
-    return state
+    weights = list(L2)
+    for i, t in enumerate(terms):
+        if t.p < 2.0:
+            r = t.w * t.d(m - t.ref)
+            eps = max(irls_epsilon * float(np.sqrt(np.mean(r * r))), 1e-8)
+            weights[i] = irls_weights(r, t.p, eps)
+    return tuple(weights)
 
 
-def _eps_of(r: np.ndarray, frac: float) -> float:
-    scale = float(np.sqrt(np.mean(r * r)))
-    return max(frac * scale, 1e-8)
-
-
-def _term_weights(ops: DifferenceOperators, sens: np.ndarray | None):
-    """W_s (cells) and W_x / W_z (faces) diagonals; sensitivity-weighted when on."""
-    if sens is None:
-        return 1.0, 1.0, 1.0
-    return sens, ops.mean_x(sens), ops.mean_z(sens)
-
-
-def phi_m(m: np.ndarray, cfg: RegularizationConfig, ops: DifferenceOperators,
-          irls_state: IRLSState, m_ref: np.ndarray | None = None,
-          sens: np.ndarray | None = None):
+def phi_m(m: np.ndarray, terms, irls=L2):
     """Weighted-L2 surrogate value and exact gradient with frozen IRLS weights."""
     m = np.asarray(m, dtype=float)
-    if m_ref is None:
-        m_ref = _reference_vector(cfg.m_ref, m.size)
-    ws_s, ws_x, ws_z = _term_weights(ops, sens)
-
     value = 0.0
     grad = np.zeros_like(m)
-
-    r = ws_s * (m - m_ref)
-    wr = irls_state.w_s * r
-    value += cfg.alpha_s * float(r @ wr)
-    grad += cfg.alpha_s * 2.0 * (ws_s * wr)
-
-    r = ws_x * ops.d_x(m)
-    wr = irls_state.w_x * r
-    value += cfg.alpha_x * float(r @ wr)
-    grad += cfg.alpha_x * 2.0 * ops.d_x_t(ws_x * wr)
-
-    r = ws_z * ops.d_z(m)
-    wr = irls_state.w_z * r
-    value += cfg.alpha_z * float(r @ wr)
-    grad += cfg.alpha_z * 2.0 * ops.d_z_t(ws_z * wr)
+    for t, w in zip(terms, irls):
+        r = t.w * t.d(m - t.ref)
+        wr = w * r
+        value += t.alpha * float(r @ wr)
+        grad += t.alpha * 2.0 * t.d_t(t.w * wr)
     return value, grad
 
 
-def _reg_hessian_diagonals(cfg: RegularizationConfig, irls_state: IRLSState,
-                           ws_s, ws_x, ws_z):
-    """Diagonals of the frozen-weight regularization Hessian, one per term:
-    ``alpha * 2 * ws * w * ws`` on cells (smallness) and on x and z faces."""
-    return (cfg.alpha_s * 2.0 * ws_s * irls_state.w_s * ws_s,
-            cfg.alpha_x * 2.0 * ws_x * irls_state.w_x * ws_x,
-            cfg.alpha_z * 2.0 * ws_z * irls_state.w_z * ws_z)
+def reg_hessian(terms, irls=L2):
+    """``v -> hess phi_m v``, the sum over terms of ``D^T (h D v)``, with the
+    diagonals ``h = 2 alpha W w W`` frozen at the given IRLS weights."""
+    diagonals = [t.alpha * 2.0 * t.w * w * t.w for t, w in zip(terms, irls)]
 
+    def apply(v: np.ndarray) -> np.ndarray:
+        parts = (t.d_t(h * t.d(v)) for t, h in zip(terms, diagonals))
+        out = next(parts)  # a new array (h * D v), so the sum runs in place
+        for part in parts:
+            out += part
+        return out
 
-def _reg_hessian_apply(v: np.ndarray, ops: DifferenceOperators, h) -> np.ndarray:
-    """hess phi_m v = h_s v + D_x^T (h_x D_x v) + D_z^T (h_z D_z v), for the
-    diagonals ``h`` from :func:`_reg_hessian_diagonals`."""
-    h_s, h_x, h_z = h
-    out = h_s * v
-    out += ops.d_x_t(h_x * ops.d_x(v))
-    out += ops.d_z_t(h_z * ops.d_z(v))
-    return out
+    return apply
 
 
 def _cg_matfree(apply_h, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
@@ -268,23 +243,20 @@ def _cg_matfree(apply_h, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarra
     return x
 
 
-def estimate_beta0(sim, m: np.ndarray, cfg: RegularizationConfig,
-                   ops: DifferenceOperators, irls_state: IRLSState,
-                   weights: DataWeights, sens: np.ndarray | None,
+def estimate_beta0(sim, m: np.ndarray, terms, weights: DataWeights,
                    rng_seed: int = 0, ratio: float = 1.0) -> float:
     """Curvature-ratio estimate of the starting trade-off parameter.
 
     For a random direction x, compares x^T J^T W^T W J x against
-    x^T (hess phi_m) x so the two objective terms start balanced.
+    x^T (hess phi_m) x, at plain L2 weights, so the two objective terms
+    start balanced.
     """
     rng = np.random.default_rng(rng_seed)
     x = rng.standard_normal(m.size)
     x /= np.linalg.norm(x)
     jx = sim.jacobian(m) @ x
     num = float(jx @ (weights.values ** 2 * jx))
-    h = _reg_hessian_diagonals(cfg, irls_state, *_term_weights(ops, sens))
-    hx = _reg_hessian_apply(x, ops, h)
-    den = float(x @ hx)
+    den = float(x @ reg_hessian(terms)(x))
     if den <= 0:
         raise ValueError("regularization curvature vanished; check alphas")
     return ratio * num / den
@@ -313,13 +285,11 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
     m_ref = _reference_vector(reg.m_ref, m.size)
     w2 = weights.values ** 2
 
-    sparse_norms = min(reg.p_s, reg.p_x, reg.p_z) < 2.0
-    irls_state = IRLSState()  # first pass is plain L2
-    ws = _term_weights(ops, sens)
+    terms = regularization_terms(reg, ops, m_ref, sens)
+    irls = L2  # first pass is plain L2
 
     beta_val = gn.beta0 if gn.beta0 is not None else estimate_beta0(
-        sim, m, reg, ops, irls_state, weights, sens,
-        rng_seed=gn.rng_seed, ratio=gn.beta0_ratio)
+        sim, m, terms, weights, rng_seed=gn.rng_seed, ratio=gn.beta0_ratio)
 
     trace = InversionTrace()
     it = 0
@@ -328,7 +298,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
             d_pred = sim.predict(m)
             pd = phi_d(d_pred, d_obs, weights)
             chi = chi_factor(d_pred, d_obs, weights)
-            pm, g_reg = phi_m(m, reg, ops, irls_state, m_ref, sens)
+            pm, g_reg = phi_m(m, terms, irls)
             it += 1
             trace.records.append(EpochRecord(epoch=it, beta=beta_val, phi_d=pd,
                                              phi_m=pm, chi=chi,
@@ -341,11 +311,11 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
 
             jac = sim.jacobian(m)
             grad = jac.T @ (w2 * (d_pred - d_obs)) + beta_val * g_reg
-            h = _reg_hessian_diagonals(reg, irls_state, *ws)
+            hess_reg = reg_hessian(terms, irls)
 
             def apply_h(v):
                 out = jac.T @ (w2 * (jac @ v))
-                return out + beta_val * _reg_hessian_apply(v, ops, h)
+                return out + beta_val * hess_reg(v)
 
             dm = _cg_matfree(apply_h, -grad, gn.cg_tol, gn.cg_maxiter)
             del jac  # so that at most one J (19 MB at full scale) is ever alive
@@ -363,7 +333,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
                     pd_try = phi_d(sim.predict(m_try), d_obs, weights)
                 except SolverFailure:  # e.g. a conductivity underflowed
                     pd_try = np.inf
-                pm_try, _ = phi_m(m_try, reg, ops, irls_state, m_ref, sens)
+                pm_try, _ = phi_m(m_try, terms, irls)
                 if pd_try + beta_val * pm_try <= obj0 + 1e-4 * alpha * gd:
                     accepted = True
                     break
@@ -376,8 +346,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
             m = m_try
 
         beta_val *= gn.cooling_factor
-        if sparse_norms:
-            irls_state = update_irls(m, reg, ops, m_ref, sens)
+        irls = update_irls(m, terms, reg.irls_epsilon)  # stays L2 where p = 2
 
     trace.converged = chi_factor(sim.predict(m), d_obs, weights) <= gn.target_chi
     trace.stop_reason = "target_chi" if trace.converged else "budget"

@@ -58,10 +58,13 @@ def load_trace(path) -> InversionTrace:
             if not line:
                 continue
             if line.startswith("#"):
-                if "converged=" in line:
-                    trace.converged = line.split("converged=")[1].split()[0] == "1"
-                if "stop=" in line:
-                    trace.stop_reason = line.split("stop=")[1].split()[0]
+                header = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+                for key in ("converged", "stop"):
+                    if header.get(key) == "":
+                        raise ParseError(f"'{key}=' has no value", ln, path)
+                if "converged" in header:
+                    trace.converged = header["converged"] == "1"
+                trace.stop_reason = header.get("stop", trace.stop_reason)
                 continue
             tok = line.split()
             if len(tok) != 5:

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 
 from dcinv.checks import central_difference, rel_err  # noqa: F401 (shared with the tests)
-from dcinv.forward import DCSimulation, _FaceGeometry
+from dcinv.forward import DCSimulation
 from dcinv.mesh import build_mesh
 from dcinv.net import net_forward
 from dcinv.survey import build_dipole_dipole_survey
@@ -36,13 +36,27 @@ def tiny_dc_problem(n_core_x=12, n_core_z=5, n_pad=2, line=50.0, spacing=10.0):
 
 def operator_entries(mesh, sigma):
     """(rows, cols, values) of the finite-volume operator, four entries per
-    interior face and one per boundary face, from the face conductances
-    (independently of the grid-slice apply and of the block factor).
+    interior face and one per boundary face, with face index arrays and
+    conductances built here from ``mesh.hx`` and ``mesh.hz`` (independently
+    of the forward operator's grid slices and of the block factor).
     ``sigma`` may be complex, for complex-step derivatives."""
-    faces = _FaceGeometry(mesh)
-    t_int, t_bnd = faces.conductances(np.asarray(sigma))
-    ia, ib, ic = faces.int_a, faces.int_b, faces.bnd_c
-    return (np.concatenate([ia, ib, ia, ib, ic]), np.concatenate([ib, ia, ia, ib, ic]),
+    nx, nz = mesh.nx, mesh.nz
+    hx, hz = mesh.hx, mesh.hz
+    sigma = np.asarray(sigma)
+    cells = np.arange(mesh.n_cells).reshape(nz, nx)
+    # Interior faces: x faces, then z faces; each couples cells a and b.
+    a = np.concatenate([cells[:, :-1].ravel(), cells[:-1].ravel()])
+    b = np.concatenate([cells[:, 1:].ravel(), cells[1:].ravel()])
+    length = np.concatenate([np.repeat(hz, nx - 1), np.tile(hx, nz - 1)])
+    d_a = 0.5 * np.concatenate([np.tile(hx[:-1], nz), np.repeat(hz[:-1], nx)])
+    d_b = 0.5 * np.concatenate([np.tile(hx[1:], nz), np.repeat(hz[1:], nx)])
+    t_int = length / (d_a / sigma[a] + d_b / sigma[b])
+    # Dirichlet faces: left column, right column, bottom row; none on the surface.
+    c = np.concatenate([cells[:, 0], cells[:, -1], cells[-1]])
+    t_bnd = (np.concatenate([hz, hz, hx]) * sigma[c]
+             / (0.5 * np.concatenate([np.full(nz, hx[0]), np.full(nz, hx[-1]),
+                                      np.full(nx, hz[-1])])))
+    return (np.concatenate([a, b, a, b, c]), np.concatenate([b, a, a, b, c]),
             np.concatenate([-t_int, -t_int, t_int, t_int, t_bnd]))
 
 

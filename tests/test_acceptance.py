@@ -23,7 +23,8 @@ from dcinv.runs import dip_manifest, run_from_manifest, replay
 from dcinv.scenarios import add_noise, build_case1
 from dcinv.survey import build_dipole_dipole_survey
 from dcinv.tikhonov import (DifferenceOperators, GNConfig, RegularizationConfig,
-                            gauss_newton_invert, phi_m, update_irls)
+                            gauss_newton_invert, phi_m, regularization_terms,
+                            update_irls)
 
 from helpers import rel_err, tiny_dc_problem
 
@@ -142,10 +143,10 @@ class TestAcceptance:
         cfg = RegularizationConfig(alpha_s=0.3, alpha_x=0.7, alpha_z=0.5,
                                    p_s=1.0, p_x=1.0, p_z=0.0, m_ref=-4.0)
         mm = -4.0 + rng.standard_normal(mesh2.n_cells)
-        m_ref = np.full(mesh2.n_cells, -4.0)
-        state = update_irls(mm, cfg, ops, m_ref)
-        _, gphi = phi_m(mm, cfg, ops, state)
-        fd = central_difference(lambda: phi_m(mm, cfg, ops, state)[0], mm, 1e-7)
+        terms = regularization_terms(cfg, ops, np.full(mesh2.n_cells, -4.0))
+        irls = update_irls(mm, terms, cfg.irls_epsilon)
+        _, gphi = phi_m(mm, terms, irls)
+        fd = central_difference(lambda: phi_m(mm, terms, irls)[0], mm, 1e-7)
         worst_phi_m = rel_err(gphi, fd)
 
         ok = worst_layer <= 1e-6 and net_ok and \

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from dcinv.cli import _apply_section, main
 from dcinv.fileio import load_data, load_manifest
+from dcinv.tikhonov import RegularizationConfig
 from dcinv.trace import load_grid
 
 
@@ -96,6 +98,38 @@ class TestExitCodes:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("text, line", [
+        ("tau = 5\n[dip]\n", 1),                  # a key above the first section
+        ("[dip]\ntau = 5\ntau = 6\n", 3),          # a duplicate key
+        ("[dip]\ntau = 5%\n", 2),                  # a stray interpolation sign
+        ("[dip]\nlr = 0.1\n[gn]\ntau\n", 4),       # a line with no value
+    ])
+    def test_unparsable_file_is_io_error_naming_the_line(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = main(["invert-dip", "--scale", "desk", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"parse error: {cfg}: line {line}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("word, value", [("1", True), ("Yes", True), ("TRUE", True),
+                                             ("on", True), ("0", False), ("no", False),
+                                             ("False", False), ("OFF", False)])
+    def test_booleans_are_configparser_words(self, word, value):
+        reg = _apply_section(RegularizationConfig(), {"use_sensitivity_weights": word})
+        assert reg.use_sensitivity_weights is value
+
+    def test_misspelt_boolean_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[tikhonov]\nuse_sensitivity_weights = ture\n")
+        code = main(["invert-conv", "--scale", "desk", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "'use_sensitivity_weights' for RegularizationConfig must be bool, got 'ture'" \
+            in capsys.readouterr().err
+
     def test_optional_float_is_coerced_from_field_type(self):
         """[gn] beta0 defaults to None; a config value still becomes a float."""
         from dcinv.tikhonov import GNConfig

@@ -133,6 +133,15 @@ class TestTraceFile:
         assert back.converged and back.stop_reason == ""
         assert len(back.records) == 1
 
+    @pytest.mark.parametrize("header", ["method=dip converged=", "method=gn converged=0 stop=",
+                                        "method=gn converged= stop=budget"])
+    def test_header_key_without_value_is_parse_error(self, tmp_path, header):
+        p = tmp_path / "trace.txt"
+        p.write_text(f"# dcinv trace v1 {header}\n# epoch beta phi_d phi_m chi\n")
+        with pytest.raises(ParseError, match="has no value") as exc:
+            load_trace(p)
+        assert (exc.value.line_no, exc.value.path) == (1, p)
+
     @pytest.mark.parametrize("bad_line", ["1 0.5 2.0", "1 0.5 2.0 0.1 nan-ish"])
     def test_parse_error_carries_line_number(self, tmp_path, bad_line):
         p = tmp_path / "trace.txt"

@@ -10,7 +10,7 @@ import pytest
 import dcinv
 from dcinv.errors import SolverFailure
 from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, _electrode_cells,
-                           _FaceGeometry, factor_system, phi_d, weights_from_std)
+                           factor_system, phi_d, weights_from_std)
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
 
@@ -361,18 +361,6 @@ class TestAgainstDenseReference:
         assert sim.cells.size == np.unique(cells).size
         zero = [s for s, (a, b) in enumerate(survey.sources) if cells[a] == cells[b]]
         assert zero and np.all(sim.fields(m)[:, zero] == 0.0)
-
-    def test_operator_applied_on_the_grid(self):
-        """A(t) u from face slices equals the assembled matrix times u."""
-        rng = np.random.default_rng(24)
-        for mesh in (build_mesh(6, 4, 2.0, 3.0, 1, 1.5),
-                     TensorMesh2D(hx=np.array([2.0]), hz=np.array([1.0, 2.0]),
-                                  origin_x=0.0)):
-            sigma = np.exp(rng.standard_normal(mesh.n_cells))
-            u = rng.standard_normal((mesh.n_cells, 3))
-            faces = _FaceGeometry(mesh)
-            au = faces.apply(*faces.conductances(sigma), u)
-            assert rel_err(au, dense_operator(mesh, sigma) @ u) < 1e-12
 
 
 class TestJacobian:

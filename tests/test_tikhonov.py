@@ -5,11 +5,10 @@ import dcinv
 from dcinv.errors import SolverFailure
 from dcinv.forward import DCSimulation, weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh, cell_centers
-from dcinv.tikhonov import (DifferenceOperators, GNConfig, IRLSState,
-                            RegularizationConfig, _reg_hessian_apply,
-                            _reg_hessian_diagonals, _term_weights, gauss_newton,
-                            gauss_newton_invert, irls_weights, phi_m,
-                            sensitivity_weights, update_irls)
+from dcinv.tikhonov import (L2, DifferenceOperators, GNConfig, RegularizationConfig,
+                            gauss_newton, gauss_newton_invert, irls_weights, phi_m,
+                            reg_hessian, regularization_terms, sensitivity_weights,
+                            update_irls)
 
 from helpers import Traffic, central_difference, rel_err, tiny_dc_problem
 
@@ -154,57 +153,61 @@ class TestIrlsWeights:
 
 
 class TestPhiM:
-    def _setup(self):
+    def _setup(self, cfg):
         mesh = build_mesh(5, 4, 2.0, 2.0, 0, 1.0)
-        return mesh, DifferenceOperators(mesh)
+        m_ref = np.full(mesh.n_cells, cfg.m_ref)
+        return mesh, regularization_terms(cfg, DifferenceOperators(mesh), m_ref)
 
     def test_zero_at_reference_constant(self):
-        mesh, ops = self._setup()
         cfg = RegularizationConfig(m_ref=-4.0)
+        mesh, terms = self._setup(cfg)
         m = np.full(mesh.n_cells, -4.0)
-        value, grad = phi_m(m, cfg, ops, IRLSState())
+        value, grad = phi_m(m, terms)
         assert value == 0.0
         assert np.allclose(grad, 0.0)
 
     def test_smallness_unit_vector(self):
-        mesh, ops = self._setup()
         cfg = RegularizationConfig(alpha_s=1.0, alpha_x=0.0, alpha_z=0.0, m_ref=0.0)
+        mesh, terms = self._setup(cfg)
         m = np.zeros(mesh.n_cells)
         m[0] = 1.0
-        value, grad = phi_m(m, cfg, ops, IRLSState())
+        value, grad = phi_m(m, terms, L2)
         assert np.isclose(value, 1.0)
         expected = np.zeros(mesh.n_cells)
         expected[0] = 2.0
         assert np.allclose(grad, expected)
 
     def test_gradient_vs_fd(self):
-        mesh, ops = self._setup()
         rng = np.random.default_rng(1)
         cfg = RegularizationConfig(alpha_s=0.3, alpha_x=0.7, alpha_z=0.5,
                                    p_s=1.0, p_x=1.0, p_z=0.0, m_ref=-4.0)
+        mesh, terms = self._setup(cfg)
         m = -4.0 + rng.standard_normal(mesh.n_cells)
-        m_ref = np.full(mesh.n_cells, -4.0)
-        state = update_irls(m, cfg, ops, m_ref)
-        _, grad = phi_m(m, cfg, ops, state)
-        fd = central_difference(lambda: phi_m(m, cfg, ops, state)[0], m, 1e-7)
+        irls = update_irls(m, terms, cfg.irls_epsilon)
+        _, grad = phi_m(m, terms, irls)
+        fd = central_difference(lambda: phi_m(m, terms, irls)[0], m, 1e-7)
         assert rel_err(grad, fd) < 1e-7
 
     def test_nonnegative(self):
-        mesh, ops = self._setup()
         rng = np.random.default_rng(2)
         cfg = RegularizationConfig(alpha_s=0.1, alpha_x=1.0, alpha_z=1.0, m_ref=0.0)
+        mesh, terms = self._setup(cfg)
         for _ in range(10):
-            value, _ = phi_m(rng.standard_normal(mesh.n_cells), cfg, ops, IRLSState())
+            value, _ = phi_m(rng.standard_normal(mesh.n_cells), terms)
             assert value >= 0.0
 
 
 class TestRegHessian:
     @staticmethod
-    def nested(v, cfg, ops, state, ws_s, ws_x, ws_z):
-        """The Hessian apply with its weight products nested around v."""
-        out = cfg.alpha_s * 2.0 * (ws_s * (state.w_s * (ws_s * v)))
-        out += cfg.alpha_x * 2.0 * ops.d_x_t(ws_x * (state.w_x * (ws_x * ops.d_x(v))))
-        out += cfg.alpha_z * 2.0 * ops.d_z_t(ws_z * (state.w_z * (ws_z * ops.d_z(v))))
+    def nested(v, cfg, ops, irls, sens):
+        """The Hessian apply with its weight products nested around v, its
+        sensitivity weights taken as face means here."""
+        w_s, w_x, w_z = irls
+        ws_s, ws_x, ws_z = ((sens, ops.mean_x(sens), ops.mean_z(sens))
+                            if sens is not None else (1.0, 1.0, 1.0))
+        out = cfg.alpha_s * 2.0 * (ws_s * (w_s * (ws_s * v)))
+        out += cfg.alpha_x * 2.0 * ops.d_x_t(ws_x * (w_x * (ws_x * ops.d_x(v))))
+        out += cfg.alpha_z * 2.0 * ops.d_z_t(ws_z * (w_z * (ws_z * ops.d_z(v))))
         return out
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -217,14 +220,12 @@ class TestRegHessian:
         cfg = RegularizationConfig(alpha_s=0.005, alpha_x=0.5, alpha_z=0.7,
                                    p_s=0.0, p_x=1.0, p_z=1.0)
         sens = rng.uniform(1e-3, 1.0, mesh.n_cells) if weighted else None
-        state = (update_irls(truth, cfg, ops, np.full(mesh.n_cells, cfg.m_ref), sens)
-                 if weighted else IRLSState())
-        ws = _term_weights(ops, sens)
-        h = _reg_hessian_diagonals(cfg, state, *ws)
+        terms = regularization_terms(cfg, ops, np.full(mesh.n_cells, cfg.m_ref), sens)
+        irls = update_irls(truth, terms, cfg.irls_epsilon) if weighted else L2
+        hessian = reg_hessian(terms, irls)
         for _ in range(5):
             v = rng.standard_normal(mesh.n_cells)
-            assert rel_err(_reg_hessian_apply(v, ops, h),
-                           self.nested(v, cfg, ops, state, *ws)) <= 1e-14
+            assert rel_err(hessian(v), self.nested(v, cfg, ops, irls, sens)) <= 1e-14
 
 
 class TestSensitivityWeights:
