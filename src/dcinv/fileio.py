@@ -59,8 +59,9 @@ def load_data(path):
 
 def load_config(path) -> dict[str, dict[str, str]]:
     """Flat key-value config with one section per module; a file that does
-    not parse raises :class:`ParseError` naming the offending line."""
-    parser = configparser.ConfigParser()
+    not parse raises :class:`ParseError` naming the offending line.  A ``;``
+    after whitespace starts a comment, also after a value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     with open(path) as f:
         text = f.read()
     try:

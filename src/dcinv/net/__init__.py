@@ -17,6 +17,8 @@ from .layers import (
     transposed_conv2_backward,
     upsample2,
     upsample2_backward,
+    upsample_conv2d,
+    upsample_conv2d_backward,
 )
 from .model import (
     ArchConfig,

@@ -81,21 +81,40 @@ def _up2_matrix(n: int, kind: str) -> np.ndarray:
     return u
 
 
-def upsample2(x: np.ndarray, kind: str) -> np.ndarray:
-    """Double H and W by a separable interpolation: ``U_h X U_w^T`` per channel.
+@cache
+def _up2_conv_matrices(h: int, w: int, kind: str, kh: int, kw: int):
+    """Tall and wide factors (H, V) of a kh x kw valid conv of the upsampled
+    h x w image; cached, read-only.
 
-    The wide axis goes first, as one GEMM over every channel and row.
+    Tap (p, q) reads the upsampled image at (i + p, j + q), i.e. rows
+    ``U_h[p:p + ho]`` and ``U_w[q:q + wo]``.  H puts the kernel rows side by
+    side, ``H[i, a*kh + p] = U_h[i + p, a]``, and V stacks the kernel
+    columns, ``V[q*w + b, j] = U_w[j + q, b]``.  A 1x1 kernel gives U_h and
+    U_w^T: plain upsampling.
     """
+    if 2 * h < kh or 2 * w < kw:
+        raise ValueError(f"upsampled input {2 * h}x{2 * w} smaller than kernel {kh}x{kw}")
+    uh, uw = _up2_matrix(h, kind), _up2_matrix(w, kind)
+    ho, wo = 2 * h - kh + 1, 2 * w - kw + 1
+    hm = np.stack([uh[p:p + ho] for p in range(kh)], axis=2).reshape(ho, h * kh)
+    vm = np.concatenate([uw[q:q + wo].T for q in range(kw)])
+    hm.setflags(write=False)
+    vm.setflags(write=False)
+    return hm, vm
+
+
+def upsample2(x: np.ndarray, kind: str) -> np.ndarray:
+    """Double H and W by a separable interpolation: ``U_h X U_w^T`` per channel."""
     n, c, h, w = x.shape
-    t = (x.reshape(-1, w) @ _up2_matrix(w, kind).T).reshape(n, c, h, 2 * w)
-    return _up2_matrix(h, kind) @ t
+    hm, vm = _up2_conv_matrices(h, w, kind, 1, 1)
+    return ((hm @ x).reshape(-1, w) @ vm).reshape(n, c, 2 * h, 2 * w)
 
 
 def upsample2_backward(g: np.ndarray, kind: str) -> np.ndarray:
     """Exact transpose of :func:`upsample2`: ``U_h^T G U_w``."""
     n, c, h2, w2 = g.shape
-    t = _up2_matrix(h2 // 2, kind).T @ g
-    return (t.reshape(-1, w2) @ _up2_matrix(w2 // 2, kind)).reshape(n, c, h2 // 2, w2 // 2)
+    hm, vm = _up2_conv_matrices(h2 // 2, w2 // 2, kind, 1, 1)
+    return hm.T @ (g.reshape(-1, w2) @ vm.T).reshape(n, c, h2, w2 // 2)
 
 
 def transposed_conv2(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,6 +211,66 @@ def conv2d_valid_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
         gk[:, :, p, :] = (g2 @ xp.swapaxes(1, 2)).sum(axis=0).reshape(kw, co, c).transpose(1, 2, 0)
         gx[..., p * w:p * w + span] += k[:, :, p, :].transpose(1, 2, 0).reshape(c, kw * co) @ g2
     return gk, g.sum(axis=(0, 2, 3)), gx.reshape(x.shape)
+
+
+def _mix_matrix(k: np.ndarray) -> np.ndarray:
+    """Kernel k (co, ci, kh, kw) as a (kh*co*kw, ci) matrix, rows ordered (p, o, q)."""
+    co, ci, kh, kw = k.shape
+    return k.transpose(2, 0, 3, 1).reshape(kh * co * kw, ci)
+
+
+def upsample_conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
+    """``conv2d_valid(upsample2(x, kind), k, b)`` without forming the upsampled image.
+
+    The interpolation acts on each channel alone, so it commutes with the
+    kernel's channel mix:
+    ``conv(U x) = sum_pq U_h[p:p+ho] (k[:, :, p, q] @ x) U_w[q:q+wo]^T``.
+    The mix is one GEMM on the coarse grid; its rows are regrouped (a, p)
+    by (o, q, b), so the tall axis is one GEMM with H and the wide axis,
+    rows (i, o), one GEMM with V (see :func:`_up2_conv_matrices`).
+
+    When ``kh*kw*c_in <= c_out`` (a few-channel input), mixing first would
+    interpolate kh*kw*c_out maps instead of c_in, while the conv of the
+    upsampled image is one GEMM over its kh*kw*c_in stacked taps; so that
+    input is upsampled first and convolved by :func:`conv2d_valid`.
+    """
+    n, c, h, w = x.shape
+    co, ci, kh, kw = k.shape
+    if ci != c:
+        raise ValueError(f"kernel expects {ci} channels, input has {c}")
+    if b.shape != (co,):
+        raise ValueError("bias shape mismatch")
+    if kh * kw * c <= co:
+        return conv2d_valid(upsample2(x, kind), k, b)
+    hm, vm = _up2_conv_matrices(h, w, kind, kh, kw)
+    ho, wo = hm.shape[0], vm.shape[1]
+    z = _mix_matrix(k) @ x.reshape(n, c, h * w)  # (n, (p, o, q), (a, b))
+    z = z.reshape(n, kh, co * kw, h, w).transpose(0, 3, 1, 2, 4).reshape(n, h * kh, -1)
+    y = ((hm @ z).reshape(n * ho * co, kw * w) @ vm).reshape(n, ho, co, wo)
+    return np.add(y.transpose(0, 2, 1, 3), b[:, None, None], order="C")
+
+
+def upsample_conv2d_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray, kind: str):
+    """Gradients (gk, gb, gx) of <g, upsample_conv2d(x, k, b, kind)>: the
+    forward's three GEMMs transposed, in reverse order (or the composite
+    backward, upsampling recomputed, for a few-channel input)."""
+    n, c, h, w = x.shape
+    co, ci, kh, kw = k.shape
+    if kh * kw * c <= co:
+        gk, gb, gu = conv2d_valid_backward(upsample2(x, kind), k, g)
+        return gk, gb, upsample2_backward(gu, kind)
+    hm, vm = _up2_conv_matrices(h, w, kind, kh, kw)
+    ho, wo = hm.shape[0], vm.shape[1]
+    if g.shape != (n, co, ho, wo):
+        raise ValueError("gradient shape mismatch")
+    gt = g.transpose(0, 2, 1, 3).reshape(n * ho * co, wo) @ vm.T
+    gz = hm.T @ gt.reshape(n, ho, co * kw * w)  # (n, (a, p), (o, q, b))
+    gz = gz.reshape(n, h, kh * co * kw, w).transpose(0, 2, 1, 3).reshape(n, -1, h * w)
+    km, x2 = _mix_matrix(k), x.reshape(n, c, h * w)
+    gk = (gz @ x2.swapaxes(1, 2)).sum(axis=0).reshape(kh, co, kw, ci)
+    gx = km.T @ gz
+    return (np.ascontiguousarray(gk.transpose(1, 3, 0, 2)), g.sum(axis=(0, 2, 3)),
+            gx.reshape(x.shape))
 
 
 # -- dropout and cropping -------------------------------------------------

@@ -7,6 +7,11 @@ n upsample+conv(3x3 valid)+LeakyReLU blocks -> conv(3x3 valid) -> sigmoid
 row-major.  With a scale of -8 every output cell lies in (-8, 0), i.e.
 conductivities between exp(-8) and 1 S/m.
 
+With ``bilinear`` or ``nearest`` each upsample+conv is one fused operator
+(:func:`~dcinv.net.layers.upsample_conv2d`) that never forms the upsampled
+image; the ``transposed`` upsampler's learned kernel does not commute with
+the conv, so that variant upsamples and then convolves.
+
 Each upsample+conv block shrinks nothing but the valid-conv margin, so the
 spatial size after n blocks plus the output conv is ``2**n * (seed - 2)``
 per axis; :func:`arch_for_mesh` inverts that to pick the smallest seed
@@ -166,9 +171,9 @@ def param_count(params: NetParams) -> int:
 
 @dataclass
 class _BlockCache:
-    up_in: np.ndarray
-    conv_in: np.ndarray
+    up_in: np.ndarray  # the block's coarse input
     conv_pre: np.ndarray
+    conv_in: np.ndarray | None = None  # the transposed upsampler's output
 
 
 @dataclass
@@ -217,14 +222,15 @@ def net_forward(params: NetParams, z: np.ndarray, mesh_shape: tuple[int, int],
     t = act.reshape(1, 1, *arch.seed_shape)
 
     for i in range(1, arch.n_blocks + 1):
-        up_in = t
+        k, bias = a[f"conv{i}.k"], a[f"conv{i}.b"]
         if arch.upsampler == "transposed":
             u = layers.transposed_conv2(t, a[f"up{i}.k"], a[f"up{i}.b"])
+            blk = _BlockCache(up_in=t, conv_pre=layers.conv2d_valid(u, k, bias), conv_in=u)
         else:
-            u = layers.upsample2(t, arch.upsampler)
-        c = layers.conv2d_valid(u, a[f"conv{i}.k"], a[f"conv{i}.b"])
-        trace.blocks.append(_BlockCache(up_in=up_in, conv_in=u, conv_pre=c))
-        t = layers.leaky_relu(c, arch.negative_slope)
+            blk = _BlockCache(up_in=t, conv_pre=layers.upsample_conv2d(t, k, bias,
+                                                                       arch.upsampler))
+        trace.blocks.append(blk)
+        t = layers.leaky_relu(blk.conv_pre, arch.negative_slope)
 
     t, trace.dropout_mask = layers.dropout(t, arch.dropout_rate, mode, rng)
     trace.out_conv_in = t
@@ -257,15 +263,16 @@ def net_backward(trace: ForwardTrace, g: np.ndarray) -> dict[str, np.ndarray]:
     for i in range(arch.n_blocks, 0, -1):
         blk = trace.blocks[i - 1]
         glr = layers.leaky_relu_backward(blk.conv_pre, gt, arch.negative_slope)
-        gk, gb, gu = layers.conv2d_valid_backward(blk.conv_in, a[f"conv{i}.k"], glr)
-        grads[f"conv{i}.k"] = gk
-        grads[f"conv{i}.b"] = gb
+        k = a[f"conv{i}.k"]
         if arch.upsampler == "transposed":
+            gk, gb, gu = layers.conv2d_valid_backward(blk.conv_in, k, glr)
             guk, gub, gt = layers.transposed_conv2_backward(blk.up_in, a[f"up{i}.k"], gu)
             grads[f"up{i}.k"] = guk
             grads[f"up{i}.b"] = gub
         else:
-            gt = layers.upsample2_backward(gu, arch.upsampler)
+            gk, gb, gt = layers.upsample_conv2d_backward(blk.up_in, k, glr, arch.upsampler)
+        grads[f"conv{i}.k"] = gk
+        grads[f"conv{i}.b"] = gb
 
     gact = gt.reshape(-1)
     gfc = layers.leaky_relu_backward(trace.fc_pre, gact, arch.negative_slope)

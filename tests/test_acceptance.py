@@ -118,6 +118,20 @@ class TestAcceptance:
             L.crop2d_backward(gc, x.shape, 0),
             central_difference(lambda: float((gc * L.crop2d(x, (3, 4))[0]).sum()), x, 1e-6)))
 
+        # fused upsample + conv, channels mixed on the coarse grid (own draws,
+        # so the inputs above and below stay as they were)
+        rng_f = np.random.default_rng(4)
+        x = rng_f.standard_normal((1, 2, 3, 4))
+        k = rng_f.standard_normal((3, 2, 3, 3))
+        b = rng_f.standard_normal(3)
+        g = rng_f.standard_normal((1, 3, 4, 6))
+        for kind in ("bilinear", "nearest"):
+            gk, gb, gx = L.upsample_conv2d_backward(x, k, g, kind)
+            loss = lambda: float((g * L.upsample_conv2d(x, k, b, kind)).sum())
+            for an, var in ((gk, k), (gb, b), (gx, x)):
+                worst_layer = max(worst_layer,
+                                  rel_err(an, central_difference(loss, var, 1e-6)))
+
         _, net_ok, net_detail = check_net_gradient()
 
         # phi_d gradient (adjoint route) within 1e-5

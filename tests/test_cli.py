@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dcinv.cli import _apply_section, main
-from dcinv.fileio import load_data, load_manifest
-from dcinv.tikhonov import RegularizationConfig
+from dcinv.dip import DipConfig
+from dcinv.fileio import load_config, load_data, load_manifest
+from dcinv.tikhonov import GNConfig, RegularizationConfig
 from dcinv.trace import load_grid
 
 
@@ -132,9 +136,22 @@ class TestConfigFile:
 
     def test_optional_float_is_coerced_from_field_type(self):
         """[gn] beta0 defaults to None; a config value still becomes a float."""
-        from dcinv.tikhonov import GNConfig
         gn = _apply_section(GNConfig(), {"beta0": "1000"})
         assert gn.beta0 == 1000.0 and isinstance(gn.beta0, float)
+
+    def test_readme_sample_loads(self, tmp_path):
+        """The README's sample, inline comments and all, sets every value it shows."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        config = load_config(cfg)
+        dip = _apply_section(DipConfig(), config["dip"])
+        reg = _apply_section(RegularizationConfig(), config["tikhonov"])
+        gn = _apply_section(GNConfig(), config["gn"])
+        assert (dip.tau, dip.epochs_stage1, dip.chi_patience) == (1000.0, 5000, 50)
+        assert (reg.p_s, reg.irls_epsilon, reg.use_sensitivity_weights) == (0.0, 0.01, True)
+        assert (gn.cooling_factor, gn.cg_maxiter) == (0.5, 30)
+        assert config["scenario"] == {"case": "1", "dip": "45", "scale": "desk"}
 
     def test_bad_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -151,6 +168,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_seed_2_passes(self, capsys):
+        """On seed 2 a leaky-ReLU input lies 1.6e-5 from its kink; a fixed
+        1e-5 step on fc.w straddled it and read 9.9e-4 against the 1e-6 bound."""
+        assert main(["check", "--seed", "2"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_a_failing_check_is_a_numerical_failure(self, capsys, monkeypatch):
         import dcinv.checks

@@ -374,6 +374,74 @@ class TestConv2dValid:
         assert rel_err(gx, central_difference(loss, x, 1e-6)) < 1e-7
 
 
+# (input shape, output channels, kernel size): the three full-scale block
+# inputs, one input channel mixed on the coarse grid (9 taps > 8 outputs), a
+# batch of 2, the smallest valid input, and a kernel taller than wide.
+FUSED_CASES = [((1, 1, 6, 29), 64, (3, 3)), ((1, 64, 10, 56), 32, (3, 3)),
+               ((1, 32, 18, 110), 8, (3, 3)), ((1, 1, 6, 29), 8, (3, 3)),
+               ((2, 3, 4, 5), 4, (3, 3)), ((1, 2, 2, 2), 3, (3, 3)),
+               ((1, 3, 5, 4), 2, (3, 2))]
+
+
+def fused_case(shape, co, khw, seed=16):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((co, shape[1]) + khw)
+    b = rng.standard_normal(co)
+    g = rng.standard_normal((shape[0], co, 2 * shape[2] - khw[0] + 1,
+                             2 * shape[3] - khw[1] + 1))
+    return x, k, b, g
+
+
+@pytest.mark.parametrize("kind", ["bilinear", "nearest"])
+class TestUpsampleConv2d:
+    @pytest.mark.parametrize("shape,co,khw", FUSED_CASES)
+    def test_matches_composite(self, kind, shape, co, khw):
+        """Forward and every gradient equal upsample2 then conv2d_valid."""
+        x, k, b, g = fused_case(shape, co, khw)
+        u = L.upsample2(x, kind)
+        gk_ref, gb_ref, gu = L.conv2d_valid_backward(u, k, g)
+        y = L.upsample_conv2d(x, k, b, kind)
+        gk, gb, gx = L.upsample_conv2d_backward(x, k, g, kind)
+        assert y.flags.c_contiguous and gk.flags.c_contiguous and gx.flags.c_contiguous
+        assert y.shape == g.shape and gk.shape == k.shape and gx.shape == x.shape
+        assert rel_err(y, L.conv2d_valid(u, k, b)) <= 1e-14
+        assert rel_err(gk, gk_ref) <= 1e-14
+        assert rel_err(gb, gb_ref) <= 1e-14
+        assert rel_err(gx, L.upsample2_backward(gu, kind)) <= 1e-14
+
+    def test_gradients_vs_fd(self, kind):
+        x, k, b, g = fused_case((1, 2, 3, 4), 3, (3, 3))
+        gk, gb, gx = L.upsample_conv2d_backward(x, k, g, kind)
+        loss = lambda: float((g * L.upsample_conv2d(x, k, b, kind)).sum())
+        assert rel_err(gk, central_difference(loss, k, 1e-6)) < 1e-7
+        assert rel_err(gb, central_difference(loss, b, 1e-6)) < 1e-7
+        assert rel_err(gx, central_difference(loss, x, 1e-6)) < 1e-7
+
+    def test_factors_are_cached_and_read_only(self, kind):
+        """H and V come back as the same arrays; a 1x1 kernel's are U_h and U_w^T."""
+        hm, vm = L._up2_conv_matrices(5, 7, kind, 3, 3)
+        again = L._up2_conv_matrices(5, 7, kind, 3, 3)
+        assert again[0] is hm and again[1] is vm
+        assert hm.shape == (8, 15) and vm.shape == (21, 12)
+        for m in (hm, vm):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 5.0
+        h1, v1 = L._up2_conv_matrices(5, 7, kind, 1, 1)
+        assert np.array_equal(h1, L._up2_matrix(5, kind))
+        assert np.array_equal(v1, L._up2_matrix(7, kind).T)
+
+    def test_shape_errors(self, kind):
+        with pytest.raises(ValueError, match="smaller than kernel"):
+            L.upsample_conv2d(np.ones((1, 2, 1, 4)), np.ones((1, 2, 3, 3)), np.zeros(1), kind)
+        with pytest.raises(ValueError, match="expects 3 channels"):
+            L.upsample_conv2d(np.ones((1, 2, 3, 4)), np.ones((1, 3, 3, 3)), np.zeros(1), kind)
+        with pytest.raises(ValueError, match="gradient shape"):
+            L.upsample_conv2d_backward(np.ones((1, 2, 3, 4)), np.ones((1, 2, 3, 3)),
+                                       np.ones((1, 1, 3, 4)), kind)
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.ones((1, 1, 2, 2))
