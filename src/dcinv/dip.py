@@ -50,12 +50,23 @@ class DipConfig:
     store_models: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0:
+        # Each test is written so that NaN fails it.
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.lr <= 0 or self.stage1_lr <= 0:
+        if not (self.lr > 0 and self.stage1_lr > 0):
             raise ValueError("learning rates must be positive")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ValueError("Adam's decay rates adam_beta1 and adam_beta2 must be in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
+        if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
+            raise ValueError("epochs_stage1 and epochs_stage2 must be >= 0")
+        if not (self.stage1_tol >= 0 and self.chi_stop >= 0):
+            raise ValueError("stage1_tol and chi_stop must be >= 0")
+        if self.chi_patience < 1:
+            raise ValueError("chi_patience must be >= 1")
 
 
 def beta(t: float, tau: float) -> float:

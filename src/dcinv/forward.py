@@ -7,7 +7,9 @@ conductances use distance-weighted harmonic averaging, the surface is
 zero-flux (no current leaves through the air), and the padded lateral and
 bottom boundaries are homogeneous Dirichlet.  The operator is symmetric
 positive definite, which the adjoint-state sensitivity products below
-rely on.
+rely on.  It is solved directly (:class:`BlockFactor`): the even cell
+columns are condensed onto the odd ones, which are eliminated from both
+edges of the grid at once.
 
 The model vector ``m`` is log-conductivity on all cells (padding
 included); ``sigma = exp(m)``.  Sources inject a unit current (+1 at the A
@@ -96,20 +98,15 @@ class _FaceGeometry:
         self._add_dirichlet(sums[2], t_bnd)
         return BlockFactor((sums[0] + sums[1] + sums[2]).T, -t_z.T, -t_x.T)
 
-    def products(self, u: np.ndarray, v: np.ndarray):
-        """d(v^T A u)/dt: sum_k (u_a - u_b)(v_a - v_b) per interior face and
-        sum_k u_c v_c per boundary face, over the columns of u and v (n, k);
-        shaped as :meth:`differences` gives face values."""
-        nx, nz = self.nx, self.nz
-        ug = u.reshape(nz, nx, -1)
-        vg = v.reshape(nz, nx, -1)
-        fx = np.einsum("zxk,zxk->zx", ug[:, :-1] - ug[:, 1:], vg[:, :-1] - vg[:, 1:])
-        fz = np.einsum("zxk,zxk->zx", ug[:-1] - ug[1:], vg[:-1] - vg[1:])
-        # Dirichlet faces gathered C-contiguous, since the fields are
-        # F-ordered and the einsum's summation order follows the memory order.
-        ub, vb = (np.ascontiguousarray(np.concatenate([g[:, 0], g[:, -1], g[-1]]))
-                  for g in (ug, vg))
-        return fx, fz, np.einsum("fk,fk->f", ub, vb)
+    def quadratic(self, g: np.ndarray, mix: np.ndarray):
+        """``dg M dg^T`` per face, for the face values ``dg`` (k,) of the
+        columns of ``g`` (n, k) and a (k, k) matrix ``M``: d(v^T A u)/dt
+        summed over the columns of ``u = g S`` and ``v = g R`` when
+        ``M = S R^T``.  Shaped as :meth:`differences` gives face values."""
+        gg = g.reshape(self.nz, self.nx, -1)
+        faces = (gg[:, :-1] - gg[:, 1:], gg[:-1] - gg[1:],
+                 np.concatenate([gg[:, 0], gg[:, -1], gg[-1]]))
+        return tuple(np.einsum("...k,...k->...", d @ mix, d) for d in faces)
 
     def differences(self, u: np.ndarray):
         """Face values of cell values ``u`` (..., n_cells), for any leading
@@ -166,6 +163,11 @@ def _electrode_cells(mesh: TensorMesh2D, positions: np.ndarray) -> np.ndarray:
     return idx  # surface row iz = 0, so flat index == ix
 
 
+def _singular(column) -> SolverFailure:
+    return SolverFailure(f"singular operator in cell column {column} "
+                         "(has a conductivity underflowed to zero?)")
+
+
 def _inverted(pivots: np.ndarray, columns) -> np.ndarray:
     """``np.linalg.inv`` over a stack of pivots; a singular one raises
     :class:`SolverFailure` naming its cell column."""
@@ -177,24 +179,53 @@ def _inverted(pivots: np.ndarray, columns) -> np.ndarray:
                 np.linalg.inv(pivot)
             except np.linalg.LinAlgError:
                 break
-        raise SolverFailure(f"singular operator in cell column {j} "
-                            "(has a conductivity underflowed to zero?)") from e
+        raise _singular(j) from e
+
+
+def _tridiagonal_inverses(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
+    """Inverses (n, nz, nz) of n symmetric tridiagonal blocks, ``diag`` (n, nz)
+    and ``off`` (n, nz - 1), all at once: ``T = L D L^T`` row by row across
+    the blocks, then ``T^-1 = Y^T D^-1 Y`` with ``Y = L^-1``.  A zero (or
+    non-finite) pivot raises :class:`SolverFailure` naming its block's cell
+    column."""
+    n, nz = diag.shape
+    d = np.empty((n, nz))
+    y = np.zeros((n, nz, nz))
+    d[:, 0] = diag[:, 0]
+    y[:, 0, 0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, nz):
+            lower = off[:, i - 1] / d[:, i - 1]
+            d[:, i] = diag[:, i] - lower * off[:, i - 1]
+            np.multiply(y[:, i - 1, :i], -lower[:, None], out=y[:, i, :i])
+            y[:, i, i] = 1.0
+    singular = ~np.all(np.isfinite(d) & (d != 0.0), axis=1)
+    if np.any(singular):
+        raise _singular(columns[np.argmax(singular)])
+    return np.matmul(y.transpose(0, 2, 1) / d[:, None, :], y)
 
 
 class BlockFactor:
-    """Block LDL^T factor of the operator at one model, eliminated from both
-    edges of the grid at once; solves every right-hand side.
+    """Block LDL^T factor of the operator at one model: the even cell columns
+    condensed onto the odd ones, which are eliminated from both edges of the
+    grid at once; solves every right-hand side.
 
     Ordered column by column (cell ``(ix, iz)`` at ``ix * nz + iz``), the
-    5-point operator is block tridiagonal: ``nx`` dense ``nz x nz`` diagonal
-    blocks coupled by diagonal blocks of x-face conductances.  Cell columns
-    are eliminated in pairs, ``s`` from the left edge and ``nx - 1 - s`` from
-    the right, toward the middle column ``nx // 2``, which takes the Schur
-    complements of both its neighbours.  Each step inverts both pivots of a
-    pair in one call, so the factor and each sweep of a solve take
-    ``nx // 2 + 1`` sequential steps instead of ``nx``, for the same flops.
-    Row ``s`` of the inverted pivots holds columns ``s`` and ``nx - 1 - s``
-    (``8 nx nz^2`` bytes, one pivot more for odd ``nx``: 1.75 MB at full
+    5-point operator is block tridiagonal: ``nx`` tridiagonal ``nz x nz``
+    diagonal blocks coupled by diagonal blocks ``C`` of x-face conductances.
+    The even columns couple only to odd ones, so their blocks ``T`` are
+    inverted as they are, all in one batched sweep (one level of odd-even
+    reduction).  Eliminating them leaves a block tridiagonal operator on the
+    ``nx // 2`` odd columns, with dense diagonal blocks ``D - C T^-1 C -
+    C' T'^-1 C'`` and dense couplings ``-C' T'^-1 C''`` through the even
+    column between two odd ones, formed from ``T^-1`` when needed.  The odd
+    columns are eliminated in pairs, ``s`` from the left edge and
+    ``nx // 2 - 1 - s`` from the right, toward the middle one, which takes
+    the Schur complements of both its neighbours.  Each step inverts both
+    pivots of a pair in one call: ``nx // 4 + 1`` dense inverse calls, none
+    for a single column.  Kept: ``T^-1`` of the even columns and the
+    inverted pivots of the odd ones, row ``s`` holding a pair (one block per
+    column, one more for an odd count of odd columns: 1.76 MB at full
     scale, 214 x 32).  The block size is always ``nz``: every shipped mesh
     is wider than it is deep.
     """
@@ -204,67 +235,115 @@ class BlockFactor:
         coupling of cell iz to iz + 1; ``x_off`` (nx - 1, nz) coupling of
         column ix to ix + 1."""
         nx, nz = diag.shape
-        rows = np.arange((nx + 1) // 2)
-        cols = np.stack([rows, nx - 1 - rows], axis=1)  # (rows, 2): left, right
+        self.t_inv = t_inv = _tridiagonal_inverses(diag[::2], z_off[::2], range(0, nx, 2))
+        m = nx // 2  # odd columns; odd column j is cell column 2j + 1
+        rows = np.arange((m + 1) // 2)
+        cols = np.stack([rows, m - 1 - rows], axis=1)  # (rows, 2): left, right
+        odd = 2 * cols + 1
+        # x faces padded with a zero one past the last column, so the last
+        # odd column of an even nx has a (vanishing) right neighbour.
+        self.x_pad = x_pad = np.concatenate([x_off, np.zeros((1, nz))])
         i = np.arange(nz)
         pivots = np.zeros((rows.size, 2, nz, nz))
-        pivots[..., i, i] = diag[cols]
-        pivots[..., i[:-1], i[1:]] = z_off[cols]
-        pivots[..., i[1:], i[:-1]] = z_off[cols]
-        if nx % 2:
-            pivots[-1, 1] = 0.0  # the middle column is held once, in the left slot
-        # Row s couples to row s + 1 through x faces s (left) and nx - 2 - s (right).
-        couple = x_off[np.stack([rows[:-1], nx - 2 - rows[:-1]], axis=1)]
-        t = rows.size - 1  # the last row: the middle column, and its left neighbour for even nx
-        for s in range(t + 1):
-            if s:  # Schur complements of the previous pair
-                c = couple[s - 1]
-                pivots[s] -= c[:, :, None] * pivots[s - 1] * c[:, None, :]
-            if s < t:
-                pivots[s] = _inverted(pivots[s], cols[s])
-        if nx % 2:  # one middle column, coupled to both sweeps
-            pivots[t, 0] = _inverted(pivots[t, 0] + pivots[t, 1], cols[t, 0])
-        else:  # columns t and t + 1 meet through x faces t
-            c = x_off[t]
-            pivots[t, 0] = _inverted(pivots[t, 0], cols[t, 0])
-            pivots[t, 1] -= c[:, None] * pivots[t, 0] * c
-            pivots[t, 1] = _inverted(pivots[t, 1], cols[t, 1])
-        self.inv_pivots = pivots
+        pivots[..., i, i] = diag[odd]
+        pivots[..., i[:-1], i[1:]] = z_off[odd]
+        pivots[..., i[1:], i[:-1]] = z_off[odd]
+        # Condense: each odd column less C T^-1 C of both even neighbours.
+        # "clip" stands the last even column in for the missing right one of
+        # an even nx (its face is the padded zero), and lets take write into
+        # the buffer without a temporary.
+        term = np.empty_like(pivots)
+        for col, c in ((cols, x_pad[odd - 1]), (cols + 1, x_pad[odd])):
+            np.take(t_inv, col, axis=0, out=term, mode="clip")
+            term *= c[..., :, None]
+            term *= c[..., None, :]
+            pivots -= term
+        del term
+        t = rows.size - 1  # the last row: the middle odd column, and its left neighbour for even m
+        if m % 2:
+            pivots[t, 1] = 0.0  # the middle column is held once, in the left slot
         self.columns = cols
-        self.couple = couple
-        self.x_off = x_off
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for one vector (n,) or all columns of (n, k): both forward
-        sweeps at once toward the middle column, then back substitution
-        outward from it."""
-        p, c, cols = self.inv_pivots, self.couple, self.columns
-        t = cols.shape[0] - 1
-        nx, nz = self.x_off.shape[0] + 1, p.shape[-1]
-        odd = nx % 2
-        grid = np.asarray(b, dtype=float).reshape(nz, nx, -1).transpose(1, 0, 2)
-        x = grid[cols]  # (rows, 2, nz, k) in paired order, swept in place
-        if odd:
-            x[t, 1] = 0.0
+        k = self._couplings(cols[:-1], cols[1:])  # row s + 1 from row s
         for s in range(t + 1):
             if s:
-                x[s] -= c[s - 1][..., None] * x[s - 1]
+                pivots[s] -= k[s - 1] @ pivots[s - 1] @ k[s - 1].transpose(0, 2, 1)
+            if s < t:
+                pivots[s] = _inverted(pivots[s], odd[s])
+        if m % 2:  # one middle column, coupled to both sweeps
+            pivots[t, 0] = _inverted(pivots[t, 0] + pivots[t, 1], odd[t, 0])
+        elif m:  # odd columns t and t + 1 meet through the even column between them
+            k = self._couplings(cols[t, 0], cols[t, 1])
+            pivots[t, 0] = _inverted(pivots[t, 0], odd[t, 0])
+            pivots[t, 1] -= k @ pivots[t, 0] @ k.T
+            pivots[t, 1] = _inverted(pivots[t, 1], odd[t, 1])
+        self.inv_pivots = pivots
+
+    def _couplings(self, p, q):
+        """Block (q, p) of the condensed operator, for neighbouring odd
+        columns p and q (any matching shapes): ``-a T_e^-1 b``, through the
+        even column e between them, with a and b the faces of q and p onto
+        it.  One ``nz x nz`` block per pair."""
+        e = np.maximum(p, q)
+        k = np.take(self.t_inv, e, axis=0)
+        k *= self.x_pad[np.minimum(2 * q + 1, 2 * e)][..., :, None]
+        k *= -self.x_pad[np.minimum(2 * p + 1, 2 * e)][..., None, :]
+        return k
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for one vector (n,) or all columns of (n, k): the right-hand
+        side condensed onto the odd columns, both forward sweeps at once
+        toward the middle one, back substitution outward from it, then the
+        even columns recovered in one batched product."""
+        t_inv, p, cols, x_pad = self.t_inv, self.inv_pivots, self.columns, self.x_pad
+        t = cols.shape[0] - 1
+        nx, nz = x_pad.shape
+        m = nx // 2
+        odd = 2 * cols + 1
+        grid = np.asarray(b, dtype=float).reshape(nz, nx, -1).transpose(1, 0, 2)
+        y = t_inv @ grid[::2]  # T^-1 b on every even column
+        x = grid[odd]  # (rows, 2, nz, k) in paired order, swept in place
+        term = np.empty_like(x)
+        # Condense, as in the factor: each odd column less C T^-1 b of both neighbours.
+        for col, c in ((cols, x_pad[odd - 1]), (cols + 1, x_pad[odd])):
+            np.take(y, col, axis=0, out=term, mode="clip")
+            term *= c[..., None]
+            x -= term
+        del y, term
+        if m % 2:
+            x[t, 1] = 0.0
+        k = self._couplings(cols[:-1], cols[1:])
+        for s in range(t + 1):
+            if s:
+                x[s] -= k[s - 1] @ x[s - 1]
             if s < t:
                 x[s] = p[s] @ x[s]
-        if odd:
+        if m % 2:
             x[t, 0] = p[t, 0] @ (x[t, 0] + x[t, 1])
             x[t, 1] = x[t, 0]
-        else:
-            ct = self.x_off[t][:, None]
+        elif m:
+            km = self._couplings(cols[t, 0], cols[t, 1])
             x[t, 0] = p[t, 0] @ x[t, 0]
-            x[t, 1] = p[t, 1] @ (x[t, 1] - ct * x[t, 0])
-            x[t, 0] -= p[t, 0] @ (ct * x[t, 1])
+            x[t, 1] = p[t, 1] @ (x[t, 1] - km @ x[t, 0])
+            x[t, 0] -= p[t, 0] @ (km.T @ x[t, 1])
         for s in range(t - 1, -1, -1):
-            x[s] -= p[s] @ (c[s][..., None] * x[s + 1])
-        if not np.all(np.isfinite(x)):
-            raise SolverFailure("direct solve produced non-finite potentials")
+            x[s] -= p[s] @ (k[s].transpose(0, 2, 1) @ x[s + 1])
+        del k
         out = np.empty((nz, nx, x.shape[-1]))
-        out.transpose(1, 0, 2)[cols] = x
+        cells = out.transpose(1, 0, 2)
+        cells[odd] = x
+        # Each even column i: T^-1 (b - C x) over its odd neighbours, 2i + 1
+        # (for i < m) and 2i - 1 (for i > 0), with the sweep buffer as
+        # scratch, freed before the product.
+        ne = t_inv.shape[0]
+        even, scratch = cells[::2], x.reshape(-1, nz, x.shape[-1])
+        even[...] = grid[::2]
+        for dst, face, nbr in ((even[:m], x_pad[0:2 * m:2], cells[1::2]),
+                               (even[1:], x_pad[1:2 * ne - 1:2], cells[1:2 * ne - 1:2])):
+            dst -= np.multiply(face[..., None], nbr, out=scratch[:nbr.shape[0]])
+        del x, scratch
+        even[...] = t_inv @ even
+        if not np.all(np.isfinite(out)):
+            raise SolverFailure("direct solve produced non-finite potentials")
         return out.reshape(np.shape(b))
 
 
@@ -290,8 +369,9 @@ class DCSimulation:
     once for ``G = A^-1 E``, one unit source per distinct electrode cell.
     The fields are differences of its columns (superposition).  ``A`` is
     symmetric, so ``G`` also maps sources at the receivers (reciprocity):
-    the adjoint fields of ``J^T v`` are ``-G R`` and the receiver readout
-    of ``A^-1 b`` in ``J v`` is ``G^T b``.  ``predict``, ``j_vec``,
+    the adjoint fields of ``J^T v`` are ``-G R``, so that ``J^T v`` is a
+    quadratic form in the face differences of ``G`` alone, and the
+    receiver readout of ``A^-1 b`` in ``J v`` is ``G^T b``.  ``predict``, ``j_vec``,
     ``jt_vec`` and ``jacobian`` at the same model make no further solve.
 
     The products suit callers that need one or two per model (the stage-2
@@ -312,6 +392,10 @@ class DCSimulation:
                                     return_inverse=True)
         self.src_a = col[[a for a, _ in survey.sources]]
         self.src_b = col[[b for _, b in survey.sources]]
+        # S: the fields are G S, one column per source (+1 at A, -1 at B).
+        self.sources = np.zeros((self.cells.size, survey.n_sources))
+        np.add.at(self.sources, (self.src_a, np.arange(survey.n_sources)), 1.0)
+        np.add.at(self.sources, (self.src_b, np.arange(survey.n_sources)), -1.0)
         # Per datum: its source and the columns of its M and N electrodes.
         n_rx = [len(rx) for rx in survey.receivers]
         self.rx_src = np.repeat(np.arange(survey.n_sources), n_rx)
@@ -387,17 +471,16 @@ class DCSimulation:
         if v.shape != (self.n_data,):
             raise ValueError("v must be a data-space vector")
         g = self._system(m)
-        phi = self.fields(m)
 
         # P^T v in electrode columns: +v at M, -v at N, per source.
         r_m, r_n = np.zeros((2, self.cells.size, self.n_sources))
         np.add.at(r_m, (self.rx_m, self.rx_src), v)
         np.add.at(r_n, (self.rx_n, self.rx_src), v)
-        lam = g @ -(r_m - r_n)
 
-        # lambda^T (dA/dm_c phi) summed over sources, per face then per cell
+        # lambda^T (dA/dm_c phi) summed over sources, per face then per cell:
+        # with phi = G S and lambda = -G (r_m - r_n), a quadratic form in G.
         f = self.faces
-        return f.to_cells(self._dt, *f.products(phi, lam))
+        return f.to_cells(self._dt, *f.quadratic(g, self.sources @ (r_n - r_m).T))
 
     def jacobian(self, m: np.ndarray) -> np.ndarray:
         """J (n_data, n_cells) at m, read-only, cached with G until the model changes.

@@ -64,6 +64,8 @@ class ArchConfig:
             raise ValueError(f"upsampler must be one of {UPSAMPLERS}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
+        if not 0.0 <= self.negative_slope <= 1.0:  # the leaky ReLU takes a maximum
+            raise ValueError("negative slope must be in [0, 1]")
         object.__setattr__(self, "seed_shape", tuple(int(v) for v in self.seed_shape))
         object.__setattr__(self, "channels", tuple(int(v) for v in self.channels))
 

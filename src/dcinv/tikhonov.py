@@ -68,10 +68,19 @@ class GNConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.beta0 is not None and self.beta0 <= 0:
+        # Each test is written so that NaN fails it.
+        if self.beta0 is not None and not self.beta0 > 0:
             raise ValueError("beta0 must be positive")
+        if not self.beta0_ratio > 0:
+            raise ValueError("beta0_ratio must be positive")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling factor must be in (0, 1)")
+        if min(self.iterations_per_beta, self.max_beta_steps, self.cg_maxiter) < 1:
+            raise ValueError("iterations_per_beta, max_beta_steps and cg_maxiter must be >= 1")
+        if not (self.cg_tol >= 0 and self.target_chi >= 0):
+            raise ValueError("cg_tol and target_chi must be >= 0")
+        if self.line_search_max < 0:
+            raise ValueError("line_search_max must be >= 0")
 
 
 class DifferenceOperators:

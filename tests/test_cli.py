@@ -161,6 +161,36 @@ class TestConfigFile:
         assert code == 1
         assert "beta0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("dip", "adam_beta1", "1.5"), ("dip", "adam_beta2", "1.0"),
+        ("dip", "adam_eps", "0"), ("dip", "epochs_stage2", "-2"),
+        ("dip", "chi_patience", "0"), ("dip", "stage1_tol", "-1"), ("dip", "tau", "nan"),
+        ("gn", "cg_maxiter", "0"), ("gn", "max_beta_steps", "0"),
+        ("gn", "iterations_per_beta", "0"), ("gn", "target_chi", "-1"),
+        ("gn", "line_search_max", "-1"), ("gn", "cg_tol", "-0.5")])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, section, key, value):
+        """A value its config rejects exits 1 before the run starts, naming the
+        key, with no traceback."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        command = "invert-dip" if section == "dip" else "invert-conv"
+        code = main([command, "--scale", "desk", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("invalid arguments: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_edge_values_stay_valid(self):
+        """The boundary values the tests, the README and the benchmark use."""
+        gn = _apply_section(GNConfig(), {"cg_tol": "0", "line_search_max": "0",
+                                         "target_chi": "0"})
+        assert (gn.cg_tol, gn.line_search_max, gn.target_chi) == (0.0, 0, 0.0)
+        dip = _apply_section(DipConfig(), {"epochs_stage1": "0", "epochs_stage2": "0",
+                                           "adam_beta1": "0", "stage1_tol": "0"})
+        assert (dip.epochs_stage1, dip.epochs_stage2, dip.adam_beta1) == (0, 0, 0.0)
+
 
 class TestCheck:
     def test_self_tests_pass(self, capsys):

@@ -10,7 +10,7 @@ import pytest
 import dcinv
 from dcinv.errors import SolverFailure
 from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, _electrode_cells,
-                           factor_system, phi_d, weights_from_std)
+                           _tridiagonal_inverses, factor_system, phi_d, weights_from_std)
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
 
@@ -76,9 +76,10 @@ class TestSolve:
         assert np.isclose(phi[0], 2.0 / a[0, 0])
 
     def test_matches_dense_solve(self):
-        """Wide, tall (nz > nx), one-column and one-cell meshes, and 2, 3, 5 and
-        6 columns (both ends meet at one middle column for odd nx, at a coupled
-        pair for even nx), random conductivities and a block of right-hand
+        """Wide, tall (nz > nx), one-column and one-cell meshes, and ragged
+        meshes of 1 to 9 columns and 1 to 5 rows (both parities of nx and of
+        the odd-column count, so the odd columns meet at one middle column and
+        at a coupled pair), random conductivities and a block of right-hand
         sides, vs numpy.linalg.solve."""
         rng = np.random.default_rng(7)
 
@@ -91,9 +92,10 @@ class TestSolve:
                   TensorMesh2D(hx=np.array([2.0]), hz=np.array([1.0, 2.0, 4.0]),
                                origin_x=0.0),
                   TensorMesh2D(hx=np.array([1.0]), hz=np.array([1.0]), origin_x=0.0),
-                  ragged(2, 3), ragged(3, 2), ragged(5, 4), ragged(6, 3), ragged(7, 12)]
+                  ragged(7, 12)]
+        meshes += [ragged(nx, nz) for nx in range(1, 10) for nz in range(1, 6)]
         assert meshes[0].nx > meshes[0].nz and meshes[1].nz > meshes[1].nx
-        assert meshes[-1].nz > meshes[-1].nx and meshes[-1].nx % 2
+        assert meshes[4].nz > meshes[4].nx and meshes[4].nx % 2
         for mesh in meshes:
             sigma = np.exp(rng.standard_normal(mesh.n_cells))
             q = rng.standard_normal((mesh.n_cells, 3))
@@ -102,11 +104,30 @@ class TestSolve:
             assert rel_err(factor.solve(q), ref) < 1e-12
             assert rel_err(factor.solve(q[:, 0]), ref[:, 0]) < 1e-12
 
-    @pytest.mark.parametrize("nx, column", [(nx, j) for nx in (1, 2, 3, 5, 6)
-                                            for j in range(nx)])
+    @pytest.mark.parametrize("nz", [1, 2, 5, 32])
+    def test_tridiagonal_inverses_match_inv(self, nz):
+        """The batched LDL^T inverses of the even columns' blocks against
+        numpy.linalg.inv, block by block, at 1e-12."""
+        rng = np.random.default_rng(nz)
+        off = -rng.uniform(0.1, 1.0, (6, nz - 1))
+        diag = rng.uniform(0.1, 1.0, (6, nz))
+        diag[:, 1:] -= off
+        diag[:, :-1] -= off
+        blocks = np.zeros((6, nz, nz))
+        i = np.arange(nz)
+        blocks[:, i, i] = diag
+        blocks[:, i[:-1], i[1:]] = off
+        blocks[:, i[1:], i[:-1]] = off
+        inverses = _tridiagonal_inverses(diag, off, range(0, 12, 2))
+        for block, inverse in zip(blocks, inverses):
+            assert rel_err(inverse, np.linalg.inv(block)) < 1e-12
+
+    @pytest.mark.parametrize("nx, column", [(nx, j) for nx in range(1, 8) for j in range(nx)])
     def test_singular_pivot_names_its_column(self, nx, column):
-        """Every cell column in turn is cut off and zeroed, so its pivot alone
-        is singular: on the left sweep, on the right sweep and where they meet."""
+        """Every cell column in turn is cut off and zeroed, so its block alone
+        is singular: an even column when it is condensed, an odd one on the
+        left sweep, on the right sweep, as the odd middle column or as half of
+        the meeting pair."""
         nz = 3
         mesh = build_mesh(nx, nz, 1.0, 1.0, 0, 1.0)
         sigma = np.exp(np.random.default_rng(nx).standard_normal(mesh.n_cells))
@@ -122,15 +143,17 @@ class TestSolve:
             BlockFactor(diag, z_off, x_off)
 
     def test_pivots_are_inverted_in_pairs(self, monkeypatch):
-        """Factoring an nx-column grid makes at most nx // 2 + 2 inverse calls,
-        so the two ends are not eliminated one column per call."""
+        """Factoring an nx-column grid makes at most nx // 4 + 2 dense inverse
+        calls: the even columns are inverted in one batched sweep, and the
+        odd ones are not eliminated one column per call.  One column (a
+        single tridiagonal block) makes none."""
         traffic = Traffic(monkeypatch)
         spec, truth = dcinv.build_case1(45.0, "desk")
         meshes = [build_mesh(nx, 3, 1.0, 1.0, 0, 1.0) for nx in (1, 2, 3, 5, 6)]
         for mesh in meshes + [spec.mesh()]:
             before = traffic.inverses
             factor_system(mesh, np.ones(mesh.n_cells))
-            assert 1 <= traffic.inverses - before <= mesh.nx // 2 + 2
+            assert (mesh.nx > 1) <= traffic.inverses - before <= mesh.nx // 4 + 2
 
     def test_no_scipy(self):
         """Importing dcinv, one predict and one sparse-norm Gauss-Newton
@@ -445,8 +468,8 @@ class TestSolveCount:
 
 def test_full_scale_predict_peak_memory():
     """predict at a new full-scale model allocates at most 6.6 MiB at its peak
-    (tracemalloc): G, its unit sources, the pivots and the solve's one
-    gathered sweep buffer and output (the one-ended factor read 6.38 MiB)."""
+    (tracemalloc): G, its unit sources, the even columns' inverses, the
+    odd columns' pivots and the solve's buffers (5.83 MiB)."""
     spec, truth = dcinv.build_case1(45.0, "full")
     sim = DCSimulation(spec.mesh(), spec.survey())
     sim.predict(truth)

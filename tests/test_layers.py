@@ -53,6 +53,22 @@ class TestActivations:
             ref = g * np.where(x > 0, 1.0, slope)
             assert gx.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+    def test_leaky_relu_is_bitwise_the_selection(self, slope):
+        """The branch-free forms give the np.where selections bit for bit, on
+        signed zeros, NaN, subnormals, random and sign-clustered inputs."""
+        rng = np.random.default_rng(15)
+        special = [0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 1e-300, -1e-300]
+        clustered = np.repeat(rng.choice([-1.0, 1.0], 64), 64) * rng.uniform(0, 3, 64 * 64)
+        x = np.concatenate([special, rng.standard_normal(1000), clustered])
+        g = rng.standard_normal(x.size)
+        g[:4] = [0.0, -0.0, np.nan, -1.0]
+        with np.errstate(invalid="ignore"):
+            forward = np.where(x > 0, x, slope * x)
+        assert L.leaky_relu(x, slope).tobytes() == forward.tobytes()
+        assert L.leaky_relu_backward(x, g, slope).tobytes() == \
+            np.where(x > 0, g, slope * g).tobytes()
+
     def test_leaky_relu_gradient(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 3, 3)) + 0.3  # keep away from the kink

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import tracemalloc
@@ -68,6 +69,11 @@ class TestArchitecture:
             ArchConfig(upsampler="bicubic")
         with pytest.raises(ValueError):
             ArchConfig(dropout_rate=1.0)
+        for slope in (-0.1, 1.5, float("nan")):  # the leaky ReLU is a maximum on [0, 1]
+            with pytest.raises(ValueError, match="negative slope"):
+                ArchConfig(negative_slope=slope)
+        assert ArchConfig(negative_slope=0.0).negative_slope == 0.0
+        assert ArchConfig(negative_slope=1.0).negative_slope == 1.0
 
 
 class TestInitialization:
@@ -310,6 +316,10 @@ class TestCheckpoint:
         partial = tmp_path / "partial.npz"
         with np.load(good) as f:
             np.savez(partial, **{k: f[k] for k in f.files[:2]})
-        for path in (lone, cut, bad_arch, partial):
+        steep = tmp_path / "steep.npz"
+        with np.load(good) as f:
+            np.savez(steep, **{k: f[k] for k in f.files if k != "__arch__"},
+                     __arch__=np.array(json.dumps({**arch.to_dict(), "negative_slope": 2.0})))
+        for path in (lone, cut, bad_arch, partial, steep):
             with pytest.raises(CheckpointError, match=re.escape(str(path))):
                 load_params(path)
