@@ -4,7 +4,8 @@ Each suite runs the reparameterized inversion over one variant axis on a
 shared data realization and tabulates the chi-factor, model RMS error
 against the truth, and the mean absolute spatial gradient of the
 recovered model (the smoothness the upsampler is supposed to buy).
-Individual run failures are recorded and the suite continues.
+A run that fails numerically is recorded and the suite continues; any
+other error propagates.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .dip import DipConfig
+from .errors import NumericalFailure, SolverFailure
 from .metrics import mean_abs_gradient, rmse
 from .runs import dip_manifest, run_from_manifest, simulate_manifest
 from .scenarios import ScenarioSpec
@@ -96,7 +98,7 @@ def _run_guarded(manifest: dict):
     try:
         run_from_manifest(manifest)
         return True, ""
-    except Exception as e:  # suite keeps going; the row records the failure
+    except (SolverFailure, NumericalFailure) as e:  # the row records it; the suite goes on
         return False, f"{type(e).__name__}: {e}"
 
 

@@ -2,15 +2,16 @@
 
 Subcommands: ``simulate`` (scenario to synthetic data files),
 ``invert-dip``, ``invert-conv``, ``ablate``, ``render``, ``check``, and
-``replay``.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 I/O error, including a grid, data, trace, manifest or INI file that does
-not parse (the message names the line), a manifest missing a key or holding a
-value of the wrong type, and a ``--pretrained`` file that is not a
-checkpoint or whose architecture is not the run's.
+``replay``.  Exit codes: 0 success; 1 usage error, such as a flag or config
+value that its dataclass rejects; 2 numerical failure, also of any ``ablate``
+run; 3 I/O error: a grid, data, trace, manifest or INI file that does not
+parse (the message names the line), a manifest entry that is missing or that
+its dataclass rejects, or a ``--pretrained`` file that is not a checkpoint of
+the run's architecture.
 
-A ``--config`` file (INI-style, one section per module) supplies defaults
-for any [dip], [tikhonov], or [scenario] keys; command-line flags
-override it.  The full schema is documented in the README.
+A ``--config`` INI file fills [scenario] (case, dip, scale), [dip],
+[tikhonov] and [gn] (DipConfig, RegularizationConfig, GNConfig); flags
+override it.  Another section, or a key its section lacks, is a usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import get_args, get_type_hints
 
 from . import fileio
@@ -27,10 +28,11 @@ from .checks import run_all
 from .dip import DipConfig
 from .errors import (CheckpointError, ManifestError, NumericalFailure, ParseError,
                      SolverFailure)
+from .net.model import UPSAMPLERS
 from .render import render_grid
 from .runs import (conventional_manifest, dip_manifest, replay, run_from_manifest,
                    simulate_manifest)
-from .scenarios import build_case1, build_case2
+from .scenarios import ScenarioSpec, build_case1, build_case2
 from .tikhonov import GNConfig, RegularizationConfig
 
 EXIT_OK = 0
@@ -38,10 +40,27 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
+# error type -> (message prefix, exit code); the first match wins: ValueError comes last
+_FAILURES = {SolverFailure: ("numerical failure", EXIT_NUMERICAL),
+             NumericalFailure: ("numerical failure", EXIT_NUMERICAL),
+             ParseError: ("parse error", EXIT_IO), CheckpointError: ("checkpoint error", EXIT_IO),
+             ManifestError: ("manifest error", EXIT_IO), OSError: ("i/o error", EXIT_IO),
+             ValueError: ("invalid arguments", EXIT_USAGE)}
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+CASES = ("1", "2", "2.2")
+SCALES = ("full", "desk")
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    def _get_default_metavar_for_optional(self, action):
+        # named after the flag, not after its dest "<section>.<field>"
+        return action.option_strings[0].lstrip("-").replace("-", "_").upper()
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -71,84 +90,105 @@ def _apply_section(cfg, section: dict[str, str]):
     return replace(cfg, **updates)
 
 
-def _scenario(args, config):
-    section = config.get("scenario", {})
-    case = args.case if args.case is not None else section.get("case", "1")
-    dip_deg = args.dip if args.dip is not None else float(section.get("dip", 45.0))
-    scale = args.scale or section.get("scale", "full")
-    if case == "1":
-        spec, _ = build_case1(dip_deg, scale=scale)
-    elif case == "2":
-        spec, _ = build_case2(two_cylinders=False, scale=scale)
-    elif case == "2.2":
-        spec, _ = build_case2(two_cylinders=True, scale=scale)
-    else:
-        raise ValueError(f"unknown case {case!r} (choose 1, 2 or 2.2)")
-    if args.noise is not None:
-        spec = replace(spec, noise_rel=args.noise)
-    if args.seed is not None:
-        spec = replace(spec, noise_seed=args.seed)
-    return spec
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """The ``[scenario]`` section: which synthetic case to build, at what dip and scale."""
+
+    case: str = "1"
+    dip: float = 45.0  # dike dip in degrees, case 1 only
+    scale: str = "full"
+
+    def __post_init__(self):
+        if self.case not in CASES:
+            raise ValueError(f"scenario case must be one of {CASES}, got {self.case!r}")
+        if self.scale not in SCALES:
+            raise ValueError(f"scenario scale must be one of {SCALES}, got {self.scale!r}")
+
+    def spec(self) -> ScenarioSpec:
+        if self.case == "1":
+            return build_case1(self.dip, scale=self.scale)[0]
+        return build_case2(two_cylinders=self.case == "2.2", scale=self.scale)[0]
+
+
+# config-file section -> its dataclass; a flag with dest "<section>.<field>" overrides both
+_SECTIONS = {"scenario": ScenarioConfig, "dip": DipConfig,
+             "tikhonov": RegularizationConfig, "gn": GNConfig}
+
+
+def _flags_for(flags: dict, name: str) -> dict:
+    """The flags given for ``name``'s fields, by field name."""
+    prefix = name + "."
+    return {key[len(prefix):]: value for key, value in flags.items()
+            if key.startswith(prefix) and value is not None}
+
+
+def _load_config(path) -> dict[str, dict[str, str]]:
+    """The ``--config`` file's sections; one that fills no dataclass is a usage error."""
+    config = fileio.load_config(path) if path else {}
+    if extra := sorted(set(config) - set(_SECTIONS)):
+        raise ValueError(f"unknown config section [{extra[0]}]; expected one of {list(_SECTIONS)}")
+    return config
+
+
+def _section(name: str, flags: dict, config: dict):
+    """Section ``name``'s dataclass: defaults, then the config file, then the flags."""
+    cfg = _apply_section(_SECTIONS[name](), config.get(name, {}))
+    return replace(cfg, **_flags_for(flags, name))
+
+
+def _scenario(flags: dict, config: dict) -> ScenarioSpec:
+    return replace(_section("scenario", flags, config).spec(), **_flags_for(flags, "spec"))
 
 
 def _add_scenario_args(p):
-    p.add_argument("--case", choices=["1", "2", "2.2"], default=None)
-    p.add_argument("--dip", type=float, default=None, help="dike dip in degrees")
-    p.add_argument("--scale", choices=["full", "desk"], default=None)
-    p.add_argument("--noise", type=float, default=None, help="relative noise fraction")
-    p.add_argument("--seed", type=int, default=None)
-
-
-def _load_cfg_file(path):
-    return fileio.load_config(path) if path else {}
+    p.add_argument("--case", dest="scenario.case", choices=CASES)
+    p.add_argument("--dip", dest="scenario.dip", type=float, help="dike dip in degrees")
+    p.add_argument("--scale", dest="scenario.scale", choices=SCALES)
+    p.add_argument("--noise", dest="spec.noise_rel", type=float, help="relative noise fraction")
+    p.add_argument("--seed", dest="spec.noise_seed", type=int,
+                   help="seeds the data noise and the network (weights, latent, dropout)")
+    p.add_argument("--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dcinv", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="dcinv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write synthetic data for a scenario")
     _add_scenario_args(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default="runs/simulate")
 
     p = sub.add_parser("invert-dip", help="reparameterized (test-time-learning) inversion")
     _add_scenario_args(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--data", default=None, help="data file (else simulated from scenario)")
     p.add_argument("--out", default="runs/dip")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None, help="stage-2 epoch budget")
-    p.add_argument("--blocks", type=int, default=3, choices=[1, 2, 3, 4, 5])
-    p.add_argument("--upsampler", default="bilinear",
-                   choices=["bilinear", "nearest", "transposed"])
+    p.add_argument("--tau", dest="dip.tau", type=float)
+    p.add_argument("--lr", dest="dip.lr", type=float)
+    p.add_argument("--dropout", dest="dip.dropout_rate", type=float)
+    p.add_argument("--epochs", dest="dip.epochs_stage2", type=int, help="stage-2 epoch budget")
+    p.add_argument("--blocks", dest="arch.n_blocks", type=int, default=3, choices=[1, 2, 3, 4, 5])
+    p.add_argument("--upsampler", dest="arch.upsampler", default="bilinear", choices=UPSAMPLERS)
     p.add_argument("--pretrained", default=None,
                    help="stage-1 checkpoint to reuse (skips pretraining)")
 
     p = sub.add_parser("invert-conv", help="conventional Gauss-Newton inversion")
     _add_scenario_args(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--out", default="runs/conventional")
-    p.add_argument("--ps", type=float, default=None)
-    p.add_argument("--px", type=float, default=None)
-    p.add_argument("--pz", type=float, default=None)
-    p.add_argument("--alpha-s", type=float, default=None)
-    p.add_argument("--alpha-x", type=float, default=None)
-    p.add_argument("--alpha-z", type=float, default=None)
-    p.add_argument("--sensitivity", action="store_true",
+    for flag, field in (("--ps", "p_s"), ("--px", "p_x"), ("--pz", "p_z"),
+                        ("--alpha-s", "alpha_s"), ("--alpha-x", "alpha_x"),
+                        ("--alpha-z", "alpha_z")):
+        p.add_argument(flag, dest=f"tikhonov.{field}", type=float)
+    p.add_argument("--sensitivity", dest="tikhonov.use_sensitivity_weights",
+                   action="store_true", default=None,
                    help="enable sensitivity weighting in the regularizer")
 
     p = sub.add_parser("ablate", help="run an ablation suite")
     _add_scenario_args(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--out", default="runs/ablation")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", dest="dip.epochs_stage2", type=int)
 
     p = sub.add_parser("render", help="render a model grid file to a PPM image")
     p.add_argument("--grid", required=True)
@@ -169,62 +209,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dip_config(args, config) -> DipConfig:
-    cfg = DipConfig()
-    if "dip" in config:
-        cfg = _apply_section(cfg, config["dip"])
-    # ``ablate`` takes only --epochs and --seed; the rest come from --config
-    flags = (("tau", "tau"), ("lr", "lr"), ("dropout", "dropout_rate"),
-             ("epochs", "epochs_stage2"), ("seed", "rng_seed"))
-    overrides = {field: getattr(args, flag) for flag, field in flags
-                 if getattr(args, flag, None) is not None}
-    return replace(cfg, **overrides) if overrides else cfg
-
-
 def _run(args) -> int:
-    config = _load_cfg_file(getattr(args, "config", None))
+    config = _load_config(getattr(args, "config", None))
+    # --seed draws the data noise and seeds the network
+    flags = {**vars(args), "dip.rng_seed": getattr(args, "spec.noise_seed", None)}
 
     if args.command == "simulate":
-        spec = _scenario(args, config)
-        paths = run_from_manifest(simulate_manifest(spec, args.out))
+        paths = run_from_manifest(simulate_manifest(_scenario(flags, config), args.out))
         print(f"wrote {paths['data']} and {paths['model_true']}")
 
     elif args.command == "invert-dip":
-        spec = _scenario(args, config)
-        cfg = _dip_config(args, config)
-        arch_opts = {"n_blocks": args.blocks, "upsampler": args.upsampler}
-        manifest = dip_manifest(spec, cfg, arch_opts, args.out, data_path=args.data,
+        manifest = dip_manifest(_scenario(flags, config), _section("dip", flags, config),
+                                _flags_for(flags, "arch"), args.out, data_path=args.data,
                                 pretrained=args.pretrained)
         paths = run_from_manifest(manifest)
         print(f"wrote {paths['trace']} and {paths['model']}")
 
     elif args.command == "invert-conv":
-        spec = _scenario(args, config)
-        reg = RegularizationConfig()
-        if "tikhonov" in config:
-            reg = _apply_section(reg, config["tikhonov"])
-        overrides = {k: v for k, v in (("p_s", args.ps), ("p_x", args.px),
-                                       ("p_z", args.pz), ("alpha_s", args.alpha_s),
-                                       ("alpha_x", args.alpha_x),
-                                       ("alpha_z", args.alpha_z)) if v is not None}
-        if args.sensitivity:
-            overrides["use_sensitivity_weights"] = True
-        if overrides:
-            reg = replace(reg, **overrides)
-        gn = GNConfig()
-        if "gn" in config:
-            gn = _apply_section(gn, config["gn"])
-        manifest = conventional_manifest(spec, reg, gn, args.out, data_path=args.data)
+        manifest = conventional_manifest(_scenario(flags, config),
+                                         _section("tikhonov", flags, config),
+                                         _section("gn", flags, config), args.out,
+                                         data_path=args.data)
         paths = run_from_manifest(manifest)
         print(f"wrote {paths['trace']} and {paths['model']}")
 
     elif args.command == "ablate":
-        spec = _scenario(args, config)
-        cfg = _dip_config(args, config)
-        _, rows = run_ablation([args.suite], spec, cfg, args.out, workers=args.workers)
+        _, rows = run_ablation([args.suite], _scenario(flags, config),
+                               _section("dip", flags, config), args.out,
+                               workers=args.workers)
         for r in rows:
             print(f"{r['run']:24s} chi={r['chi']:.3f} rmse={r['rmse']:.3f} "
                   f"smoothness={r['smoothness']:.5f} [{r['status']}]")
+        if any(r["status"] != "ok" for r in rows):
+            return EXIT_NUMERICAL
 
     elif args.command == "render":
         render_grid(args.grid, args.out, vmin=args.vmin, vmax=args.vmax,
@@ -254,24 +271,10 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return _run(args)
-    except (SolverFailure, NumericalFailure) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except CheckpointError as e:
-        print(f"checkpoint error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ManifestError as e:
-        print(f"manifest error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"invalid arguments: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_FAILURES) as e:
+        prefix, code = next(outcome for kind, outcome in _FAILURES.items() if isinstance(e, kind))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

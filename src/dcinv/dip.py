@@ -24,7 +24,7 @@ import numpy as np
 
 from .adam import adam_step, init_adam
 from .errors import NumericalFailure, SolverFailure
-from .forward import DataWeights, DCSimulation, _reference_vector, chi_factor, phi_d
+from .forward import DataWeights, DCSimulation, chi_factor, phi_d
 from .mesh import TensorMesh2D
 from .net import NetParams, net_backward, net_forward
 from .survey import Survey
@@ -67,6 +67,8 @@ class DipConfig:
             raise ValueError("stage1_tol and chi_stop must be >= 0")
         if self.chi_patience < 1:
             raise ValueError("chi_patience must be >= 1")
+        if not (isinstance(self.m_ref, (int, float)) and np.isfinite(self.m_ref)):
+            raise ValueError(f"m_ref must be a finite number, got {self.m_ref!r}")
 
 
 def beta(t: float, tau: float) -> float:
@@ -107,7 +109,7 @@ def pretrain_stage1(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
     checkpointing and reuse.
     """
     n = mesh.n_cells
-    m_ref = _reference_vector(config.m_ref, n)
+    m_ref = np.full(n, float(config.m_ref))
     state = init_adam(params.arrays)
     for _ in range(config.epochs_stage1):
         m, tr = net_forward(params, z, mesh.shape, mode="eval")
@@ -128,7 +130,7 @@ def run_stage2(params: NetParams, z: np.ndarray, sim, d_obs: np.ndarray,
                mesh_shape: tuple[int, int]) -> InversionTrace:
     """Stage-2 loop against any simulator exposing predict/jt_vec/n_data."""
     n = mesh_shape[0] * mesh_shape[1]
-    m_ref = _reference_vector(config.m_ref, n)
+    m_ref = np.full(n, float(config.m_ref))
     d_obs = np.asarray(d_obs, dtype=float)
     w2 = weights.values ** 2
 

@@ -48,6 +48,8 @@ def load_data(path):
                 row = [float(t) for t in tok]
             except ValueError:
                 raise ParseError("non-numeric value", ln, path) from None
+            if not np.isfinite(row).all():
+                raise ParseError("non-finite value", ln, path)
             rows.append(row[:4])
             vals.append(row[4])
             stds.append(row[5])

@@ -528,13 +528,3 @@ def phi_d(d_pred: np.ndarray, d_obs: np.ndarray, weights: DataWeights) -> float:
 def chi_factor(d_pred: np.ndarray, d_obs: np.ndarray, weights: DataWeights) -> float:
     """Achieved misfit over its target N / 2: 2 phi_d / N = ||W_d r||^2 / N."""
     return 2.0 * phi_d(d_pred, d_obs, weights) / np.size(d_pred)
-
-
-def _reference_vector(m_ref, n: int) -> np.ndarray:
-    """The reference model as a length-n vector; a scalar means a uniform model."""
-    arr = np.asarray(m_ref, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"m_ref must be scalar or length {n}")
-    return arr

@@ -108,7 +108,8 @@ def arch_for_mesh(nz: int, nx: int, n_blocks: int = 3, upsampler: str = "bilinea
     """Smallest seed shape whose generated image covers an (nz, nx) mesh."""
     if channels is None:
         if n_blocks not in DEFAULT_CHANNELS:
-            raise ValueError(f"no default channel plan for {n_blocks} blocks")
+            raise ValueError(f"n_blocks must be one of {tuple(DEFAULT_CHANNELS)}, "
+                             f"got {n_blocks!r}")
         channels = DEFAULT_CHANNELS[n_blocks]
     elif len(channels) != n_blocks:
         raise ValueError("channel plan length must equal n_blocks")

@@ -26,13 +26,6 @@ from .trace import save_grid, save_trace
 MANIFEST_VERSION = 1
 
 
-def _reg_cfg_to_dict(cfg: RegularizationConfig) -> dict:
-    d = asdict(cfg)
-    if isinstance(d["m_ref"], np.ndarray):
-        d["m_ref"] = d["m_ref"].tolist()
-    return d
-
-
 def simulate_manifest(spec: ScenarioSpec, out_dir: str) -> dict:
     return {"version": MANIFEST_VERSION, "method": "simulate",
             "scenario": spec.to_dict(), "out_dir": out_dir,
@@ -58,20 +51,18 @@ def conventional_manifest(spec: ScenarioSpec, reg: RegularizationConfig,
                           gn: GNConfig, out_dir: str,
                           data_path: str | None = None) -> dict:
     return {"version": MANIFEST_VERSION, "method": "conventional",
-            "scenario": spec.to_dict(), "config": {"reg": _reg_cfg_to_dict(reg),
-                                                   "gn": asdict(gn)},
+            "scenario": spec.to_dict(), "config": {"reg": asdict(reg), "gn": asdict(gn)},
             "data": data_path, "out_dir": out_dir,
             "outputs": {"trace": "trace.txt", "model": "model.txt"}}
 
 
-def _simulate(spec: ScenarioSpec):
-    """Truth model, clean data, noisy data and generating stds for a scenario."""
-    mesh = spec.mesh()
+def _simulate(spec: ScenarioSpec, mesh):
+    """Survey, truth model, noisy data and generating stds for a scenario on its mesh."""
     survey = spec.survey()
     truth = paint_model(spec)
     d_clean = DCSimulation(mesh, survey).predict(truth)
     d_noisy, std = add_noise(d_clean, spec.noise_rel, spec.noise_seed)
-    return mesh, survey, truth, d_noisy, std
+    return survey, truth, d_noisy, std
 
 
 _KINDS = {dict: "a JSON object", str: "a string"}
@@ -93,26 +84,31 @@ def _entry(mapping: dict, key: str, kind: type, optional: bool = False,
 
 
 def _built(key: str, build, fields: dict):
-    """``build(fields)``; entries that do not fit raise a :class:`ManifestError`."""
+    """``build(fields)``; entries that do not fit, or hold a value that ``build``
+    rejects, raise a :class:`ManifestError`."""
     try:
         return build(fields)
-    except (TypeError, KeyError) as e:
+    except (TypeError, KeyError, ValueError) as e:
         raise ManifestError(f"manifest entry {key!r} does not fit: {e}") from None
 
 
-def _obs_for_run(manifest: dict, spec: ScenarioSpec, out_dir: str):
+def _arch(mesh, dropout_rate: float, n_blocks: int = 3, upsampler: str = "bilinear"):
+    """The network of a manifest's ``arch`` entry, which may hold only these two keys."""
+    return arch_for_mesh(mesh.nz, mesh.nx, n_blocks, upsampler, dropout_rate)
+
+
+def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
     """Observed data for an inversion run, from file if given, else simulated,
-    and its data weights: the stds floored at 1e-4 median |d_obs|."""
-    mesh = spec.mesh()
-    data_path = _entry(manifest, "data", str, optional=True)
+    and its data weights: the stds floored at 1e-4 median |d_obs|.  Makes ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
     if data_path:
         survey, d_obs, std = fileio.load_data(data_path)
     else:
-        mesh, survey, truth, d_obs, std = _simulate(spec)
+        survey, truth, d_obs, std = _simulate(spec, mesh)
         save_grid(os.path.join(out_dir, "model_true.txt"), truth, mesh.nx, mesh.nz)
         fileio.save_data(os.path.join(out_dir, "data.txt"), survey, d_obs, std)
     weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
-    return mesh, survey, d_obs, weights
+    return survey, d_obs, weights
 
 
 def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -> None:
@@ -130,18 +126,21 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
     """Execute a manifest; returns {output name: absolute path}.
 
     The manifest fully determines the run (scenario, configuration and
-    seeds), so repeated executions produce identical output files.
+    seeds), so repeated executions produce identical output files.  Every
+    entry is checked before the run writes anything.
     """
     if not isinstance(manifest, dict):
         raise ManifestError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     method = _entry(manifest, "method", str)
     spec = _built("scenario", ScenarioSpec.from_dict, _entry(manifest, "scenario", dict))
     out_dir = out_dir or _entry(manifest, "out_dir", str)
-    os.makedirs(out_dir, exist_ok=True)
+    data_path = _entry(manifest, "data", str, optional=True)
+    mesh = spec.mesh()
     paths = {}
 
     if method == "simulate":
-        mesh, survey, truth, d_noisy, std = _simulate(spec)
+        os.makedirs(out_dir, exist_ok=True)
+        survey, truth, d_noisy, std = _simulate(spec, mesh)
         paths["model_true"] = os.path.join(out_dir, "model_true.txt")
         paths["data"] = os.path.join(out_dir, "data.txt")
         save_grid(paths["model_true"], truth, mesh.nx, mesh.nz)
@@ -149,14 +148,11 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
 
     elif method == "dip":
         cfg = _built("config", lambda d: DipConfig(**d), _entry(manifest, "config", dict))
-        mesh, survey, d_obs, weights = _obs_for_run(manifest, spec, out_dir)
-        arch_opts = _entry(manifest, "arch", dict, optional=True) or {}
-        arch = arch_for_mesh(mesh.nz, mesh.nx,
-                             n_blocks=int(arch_opts.get("n_blocks", 3)),
-                             upsampler=arch_opts.get("upsampler", "bilinear"),
-                             dropout_rate=cfg.dropout_rate)
-        z = sample_latent(cfg.rng_seed, arch.latent_dim)
+        arch = _built("arch", lambda d: _arch(mesh, cfg.dropout_rate, **d),
+                      _entry(manifest, "arch", dict, optional=True) or {})
         pretrained = _entry(manifest, "pretrained", str, optional=True)
+        survey, d_obs, weights = _obs_for_run(data_path, spec, mesh, out_dir)
+        z = sample_latent(cfg.rng_seed, arch.latent_dim)
         if pretrained:
             params = load_params(pretrained)
             _check_checkpoint_arch(pretrained, params.arch, arch)
@@ -175,13 +171,11 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
 
     elif method == "conventional":
         config = _entry(manifest, "config", dict)
-        reg_d = dict(_entry(config, "reg", dict, within="manifest config"))
-        if isinstance(reg_d.get("m_ref"), list):
-            reg_d["m_ref"] = np.asarray(reg_d["m_ref"])
-        reg = _built("config.reg", lambda d: RegularizationConfig(**d), reg_d)
+        reg = _built("config.reg", lambda d: RegularizationConfig(**d),
+                     _entry(config, "reg", dict, within="manifest config"))
         gn = _built("config.gn", lambda d: GNConfig(**d),
                     _entry(config, "gn", dict, within="manifest config"))
-        mesh, survey, d_obs, weights = _obs_for_run(manifest, spec, out_dir)
+        survey, d_obs, weights = _obs_for_run(data_path, spec, mesh, out_dir)
         trace = gauss_newton_invert(mesh, survey, d_obs, weights, reg, gn)
         paths["trace"] = os.path.join(out_dir, "trace.txt")
         paths["model"] = os.path.join(out_dir, "model.txt")

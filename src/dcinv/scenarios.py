@@ -60,6 +60,10 @@ class ScenarioSpec:
     noise_rel: float = 0.05
     noise_seed: int = 0
 
+    def __post_init__(self):
+        if not self.noise_rel >= 0:  # NaN fails it too
+            raise ValueError(f"noise_rel must be >= 0, got {self.noise_rel}")
+
     def mesh(self) -> TensorMesh2D:
         return build_mesh(self.n_core_x, self.n_core_z, self.dx, self.dz,
                           self.n_pad, self.pad_factor)
@@ -201,7 +205,7 @@ def build_case2(two_cylinders: bool = False, scale: str = "full"):
 
 def add_noise(d: np.ndarray, rel: float, seed: int):
     """Gaussian noise with per-datum std = rel * |d|; returns (noisy, std)."""
-    if rel < 0:
+    if not rel >= 0:  # NaN fails it too
         raise ValueError("relative noise must be >= 0")
     d = np.asarray(d, dtype=float)
     std = rel * np.abs(d)

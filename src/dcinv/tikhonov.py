@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverFailure
-from .forward import DataWeights, DCSimulation, _reference_vector, chi_factor, phi_d
+from .forward import DataWeights, DCSimulation, chi_factor, phi_d
 from .mesh import TensorMesh2D, cell_centers
 from .survey import Survey
 from .trace import EpochRecord, InversionTrace
@@ -40,7 +40,7 @@ class RegularizationConfig:
     p_s: float = 2.0
     p_x: float = 2.0
     p_z: float = 2.0
-    m_ref: float | np.ndarray = float(np.log(0.01))
+    m_ref: float = float(np.log(0.01))
     irls_epsilon: float = 1e-2  # fraction of the running residual scale
     use_sensitivity_weights: bool = False
 
@@ -52,6 +52,8 @@ class RegularizationConfig:
                 raise ValueError("norms must lie in [0, 2]")
         if self.irls_epsilon <= 0:
             raise ValueError("irls_epsilon must be positive")
+        if not (isinstance(self.m_ref, (int, float)) and np.isfinite(self.m_ref)):
+            raise ValueError(f"m_ref must be a finite number, got {self.m_ref!r}")
 
 
 @dataclass
@@ -291,7 +293,7 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
     """
     d_obs = np.asarray(d_obs, dtype=float)
     m = np.array(m0, dtype=float, copy=True)
-    m_ref = _reference_vector(reg.m_ref, m.size)
+    m_ref = np.full(m.size, float(reg.m_ref))
     w2 = weights.values ** 2
 
     terms = regularization_terms(reg, ops, m_ref, sens)
@@ -368,7 +370,7 @@ def gauss_newton_invert(mesh: TensorMesh2D, survey: Survey, d_obs: np.ndarray,
                         gn: GNConfig, m0: np.ndarray | None = None) -> InversionTrace:
     """Gauss-Newton inversion on a mesh + survey pair; m0 defaults to m_ref."""
     sim = DCSimulation(mesh, survey)
-    m_ref = _reference_vector(reg.m_ref, mesh.n_cells)
+    m_ref = np.full(mesh.n_cells, float(reg.m_ref))
     m0 = m_ref.copy() if m0 is None else np.asarray(m0, dtype=float)
     sens = None
     if reg.use_sensitivity_weights:

@@ -3,6 +3,7 @@ import pytest
 
 from dcinv.ablation import run_ablation, suite_variants
 from dcinv.dip import DipConfig
+from dcinv.errors import NumericalFailure
 from dcinv.scenarios import build_case1
 
 
@@ -46,7 +47,8 @@ class TestRunAblation:
         # all variants invert the same shared data realization
         assert (tmp_path / "data" / "data.txt").exists()
 
-    def test_failure_recorded_suite_continues(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _first_dip_run_raises(monkeypatch, error):
         import dcinv.ablation as ab
 
         calls = {"n": 0}
@@ -56,13 +58,24 @@ class TestRunAblation:
             if manifest["method"] == "dip":
                 calls["n"] += 1
                 if calls["n"] == 1:
-                    raise RuntimeError("synthetic failure")
+                    raise error
             return real(manifest, out_dir)
 
         monkeypatch.setattr(ab, "run_from_manifest", flaky)
+
+    def test_failure_recorded_suite_continues(self, tmp_path, monkeypatch):
+        self._first_dip_run_raises(monkeypatch, NumericalFailure("synthetic failure"))
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(epochs_stage1=100, epochs_stage2=2, tau=50.0)
         _, rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
-        assert rows[0]["status"].startswith("failed")
+        assert rows[0]["status"] == "failed: NumericalFailure: synthetic failure"
         assert rows[1]["status"] == "ok"
         assert np.isnan(rows[0]["chi"])
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        """Only numerical failures become rows; anything else is a bug to surface."""
+        self._first_dip_run_raises(monkeypatch, TypeError("synthetic bug"))
+        spec, _ = build_case1(45.0, scale="desk")
+        cfg = DipConfig(epochs_stage1=100, epochs_stage2=2, tau=50.0)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_ablation(["dropout"], spec, cfg, str(tmp_path))

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcinv.cli import _apply_section, main
+from dcinv.cli import _SECTIONS, _apply_section, _load_config, _scenario, _section, main
 from dcinv.dip import DipConfig
-from dcinv.fileio import load_config, load_data, load_manifest
+from dcinv.fileio import load_data, load_manifest, save_manifest
+from dcinv.runs import conventional_manifest, dip_manifest, run_from_manifest
+from dcinv.scenarios import build_case1
 from dcinv.tikhonov import GNConfig, RegularizationConfig
 from dcinv.trace import load_grid
 
@@ -100,6 +102,38 @@ class TestExitCodes:
         assert code == 3
         assert "must be a JSON object, got list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, key, value", [
+        ("config", "tau", -1.0), ("arch", "upsampler", "bicubic"), ("arch", "n_blocks", "x"),
+        ("arch", "bogus", 1), ("arch", "latent_dim", 16), ("config", "m_ref", [1, 2]),
+        ("config", "m_ref", None), ("scenario", "noise_rel", float("nan"))])
+    def test_manifest_value_its_config_rejects_is_io_error(self, tmp_path, capsys,
+                                                           entry, key, value):
+        """A replayed manifest entry that its dataclass rejects exits 3 naming
+        the entry and the key, before the run writes anything."""
+        spec, _ = build_case1(45.0, scale="desk")
+        manifest = dip_manifest(spec, DipConfig(epochs_stage1=2, epochs_stage2=1),
+                                {"n_blocks": 3, "upsampler": "bilinear"}, str(tmp_path / "o"))
+        manifest[entry][key] = value
+        save_manifest(tmp_path / "m.json", manifest)
+        code = main(["replay", "--manifest", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"manifest error: manifest entry {entry!r} does not fit: ")
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_conventional_manifest_reference_must_be_one_number(self, tmp_path, capsys):
+        spec, _ = build_case1(45.0, scale="desk")
+        manifest = conventional_manifest(spec, RegularizationConfig(), GNConfig(),
+                                         str(tmp_path / "o"))
+        manifest["config"]["reg"]["m_ref"] = [1.0, 2.0]
+        save_manifest(tmp_path / "m.json", manifest)
+        code = main(["replay", "--manifest", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "'config.reg' does not fit" in err and "m_ref" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("text, line", [
@@ -144,14 +178,12 @@ class TestConfigFile:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
-        config = load_config(cfg)
-        dip = _apply_section(DipConfig(), config["dip"])
-        reg = _apply_section(RegularizationConfig(), config["tikhonov"])
-        gn = _apply_section(GNConfig(), config["gn"])
+        config = _load_config(cfg)
+        dip, reg, gn = (_section(name, {}, config) for name in ("dip", "tikhonov", "gn"))
         assert (dip.tau, dip.epochs_stage1, dip.chi_patience) == (1000.0, 5000, 50)
         assert (reg.p_s, reg.irls_epsilon, reg.use_sensitivity_weights) == (0.0, 0.01, True)
         assert (gn.cooling_factor, gn.cg_maxiter) == (0.5, 30)
-        assert config["scenario"] == {"case": "1", "dip": "45", "scale": "desk"}
+        assert _scenario({}, config) == build_case1(45.0, scale="desk")[0]
 
     def test_bad_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -167,10 +199,14 @@ class TestConfigFile:
         ("dip", "chi_patience", "0"), ("dip", "stage1_tol", "-1"), ("dip", "tau", "nan"),
         ("gn", "cg_maxiter", "0"), ("gn", "max_beta_steps", "0"),
         ("gn", "iterations_per_beta", "0"), ("gn", "target_chi", "-1"),
-        ("gn", "line_search_max", "-1"), ("gn", "cg_tol", "-0.5")])
+        ("gn", "line_search_max", "-1"), ("gn", "cg_tol", "-0.5"),
+        ("scenario", "nosie", "0.5"), ("scenario", "dip", "abc"),
+        ("scenario", "scale", "huge"), ("dipp", "tau", "5"), ("dip", "m_ref", "inf"),
+        ("tikhonov", "m_ref", "nan")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, section, key, value):
-        """A value its config rejects exits 1 before the run starts, naming the
-        key, with no traceback."""
+        """A value its config rejects, a key it lacks, or a section that fills
+        no config, exits 1 before the run starts, naming the key or section,
+        with no traceback."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
         command = "invert-dip" if section == "dip" else "invert-conv"
@@ -178,7 +214,8 @@ class TestConfigFile:
                      "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("invalid arguments: ") and key in err
+        assert err.startswith("invalid arguments: ")
+        assert (key if section in _SECTIONS else f"[{section}]") in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -225,6 +262,21 @@ class TestAblate:
         assert summary.startswith("# dcinv ablation v1 suite=dropout\n")
         assert summary.count("# dcinv ablation") == 1
         assert (out / "dropout-0" / "model.txt").exists()
+
+    def test_a_failed_run_exits_2_after_the_summary(self, tmp_path, monkeypatch):
+        import dcinv.ablation
+        from dcinv.errors import NumericalFailure
+
+        def failing(manifest, out_dir=None):
+            if manifest["method"] == "dip":
+                raise NumericalFailure("synthetic failure")
+            return run_from_manifest(manifest, out_dir)
+
+        monkeypatch.setattr(dcinv.ablation, "run_from_manifest", failing)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--suite", "dropout", "--scale", "desk",
+                     "--out", str(out)]) == 2
+        assert "failed: NumericalFailure: synthetic failure" in (out / "summary.txt").read_text()
 
 
 class TestInversionCommands:

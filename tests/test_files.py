@@ -37,7 +37,9 @@ class TestDataFile:
         with pytest.raises(ValueError):
             save_data(tmp_path / "d.txt", survey, np.ones(2), np.ones(2))
 
-    @pytest.mark.parametrize("bad_line", ["-25 0 25 50 abc 0.1", "-25 0 25 50 1.0"])
+    @pytest.mark.parametrize("bad_line", ["-25 0 25 50 abc 0.1", "-25 0 25 50 1.0",
+                                          "-25 0 25 50 nan 0.1", "-25 0 25 50 1.0 inf",
+                                          "1e400 0 25 50 1.0 0.1"])
     def test_parse_error_carries_line_number(self, tmp_path, bad_line):
         p = tmp_path / "d.txt"
         p.write_text(f"# dcinv data v1 n_data=2\n-25 0 25 50 1.0 0.1\n\n{bad_line}\n")

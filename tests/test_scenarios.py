@@ -128,6 +128,13 @@ class TestAddNoise:
         _, std = add_noise(d, 0.05, seed=1)
         assert np.allclose(std, [0.1, 0.2])
 
+    @pytest.mark.parametrize("rel", [-0.01, float("nan")])
+    def test_negative_or_nan_level_rejected(self, rel):
+        with pytest.raises(ValueError, match="noise"):
+            add_noise(np.ones(3), rel, seed=0)
+        with pytest.raises(ValueError, match="noise_rel"):
+            ScenarioSpec(name="bad", noise_rel=rel)
+
 
 class TestSpecRoundTrip:
     def test_to_from_dict(self):
