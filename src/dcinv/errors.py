@@ -10,8 +10,8 @@ class NumericalFailure(RuntimeError):
 
 
 class ParseError(ValueError):
-    """A grid, data, trace, survey, manifest or config file could not be
-    parsed; carries the file's path and the offending line number."""
+    """A grid, data, trace, manifest or config file could not be parsed;
+    carries the file's path and the offending line number."""
 
     def __init__(self, message, line_no, path):
         super().__init__(f"{path}: line {line_no}: {message}")

@@ -1,4 +1,5 @@
-"""Plain-text data files, key-value config files, and JSON manifests."""
+"""Plain-text data files and the row reader of every dcinv text file,
+key-value config files, and JSON manifests."""
 
 from __future__ import annotations
 
@@ -31,44 +32,73 @@ def save_data(path, survey: Survey, values: np.ndarray, std: np.ndarray) -> None
                 k += 1
 
 
-def load_data(path):
-    """Returns (survey, values, std) parsed from a data file."""
-    rows = []
-    vals = []
-    stds = []
-    with open(path) as f:
+def read_rows(path, width: int | None = None):
+    """Returns (header, rows) of a plain-text file.  Blank lines are skipped;
+    ``header`` maps each ``key=value`` token of a ``#`` line to its (line
+    number, value), a later line overriding an earlier one.  Every other line
+    is one (line number, floats) row of ``width`` values when given.  A key
+    with no value, a wrong value count, a non-numeric token or a non-finite
+    value raises :class:`ParseError` naming the line; so do bytes that are
+    not UTF-8, which become U+FFFD."""
+    header, rows = {}, []
+    with open(path, encoding="utf-8", errors="replace") as f:
         for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             tok = line.split()
-            if len(tok) != 6:
-                raise ParseError(f"expected 6 columns per datum, got {len(tok)}", ln, path)
+            if not tok:
+                continue
+            if tok[0].startswith("#"):
+                for key, _, value in (t.partition("=") for t in tok if "=" in t):
+                    if not value:
+                        raise ParseError(f"'{key}=' has no value", ln, path)
+                    header[key] = (ln, value)
+                continue
+            if width is not None and len(tok) != width:
+                raise ParseError(f"expected {width} values, got {len(tok)}", ln, path)
             try:
                 row = [float(t) for t in tok]
             except ValueError:
                 raise ParseError("non-numeric value", ln, path) from None
             if not np.isfinite(row).all():
                 raise ParseError("non-finite value", ln, path)
-            rows.append(row[:4])
-            vals.append(row[4])
-            stds.append(row[5])
+            rows.append((ln, row))
+    return header, rows
+
+
+def load_data(path):
+    """Returns (survey, values, std) parsed from a data file."""
+    header, rows = read_rows(path, width=6)
     if not rows:
         raise ParseError("no data rows", 1, path)
-    survey = survey_from_rows(np.asarray(rows))
-    return survey, np.asarray(vals), np.asarray(stds)
+    ln, n_data = header.get("n_data", (1, str(len(rows))))
+    if n_data != str(len(rows)):
+        raise ParseError(f"n_data={n_data} but the file has {len(rows)} data rows", ln, path)
+    for ln, (ax, bx, mx, nx, _, std) in rows:
+        if ax == bx:
+            raise ParseError("source electrodes A and B at one position", ln, path)
+        if mx == nx:
+            raise ParseError("receiver electrodes M and N at one position", ln, path)
+        if std < 0:
+            raise ParseError("negative std", ln, path)
+    table = np.array([row for _, row in rows])
+    # contiguous columns: a strided vector can take another BLAS kernel, with other rounding
+    return survey_from_rows(table[:, :4]), table[:, 4].copy(), table[:, 5].copy()
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
     """Flat key-value config with one section per module; a file that does
     not parse raises :class:`ParseError` naming the offending line.  A ``;``
-    after whitespace starts a comment, also after a value."""
+    after whitespace starts a comment, also after a value.  A non-empty
+    ``[DEFAULT]`` is returned as a section of its own, whose keys configparser
+    also copies into every other section."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     with open(path) as f:
         text = f.read()
     try:
         parser.read_string(text, source=str(path))
-        return {section: dict(parser[section]) for section in parser.sections()}
+        sections = {section: dict(parser[section]) for section in parser.sections()}
+        if parser.defaults():
+            sections[configparser.DEFAULTSECT] = dict(parser.defaults())
+        return sections
     except configparser.DuplicateOptionError as e:
         raise ParseError(f"duplicate key {e.option!r} in [{e.section}]", e.lineno, path) from None
     except configparser.DuplicateSectionError as e:

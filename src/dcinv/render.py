@@ -47,7 +47,9 @@ def render_grid(grid_path, out_path, vmin: float | None = None,
 
     One pixel per cell before ``upscale`` (integer replication).  When the
     padding cell counts are given, the core region is outlined with a
-    1-pixel black frame drawn just inside its boundary.
+    1-pixel black frame drawn just inside its boundary.  The grid fills in
+    a colour limit not given; limits given must be finite and leave
+    ``vmin < vmax``.
     """
     values, nx, nz = load_grid(grid_path)
     if upscale < 1:
@@ -55,6 +57,10 @@ def render_grid(grid_path, out_path, vmin: float | None = None,
     grid = values.reshape(nz, nx)
     lo = float(grid.min()) if vmin is None else float(vmin)
     hi = float(grid.max()) if vmax is None else float(vmax)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"colour limits must be finite, got vmin={lo}, vmax={hi}")
+    if (vmin, vmax) != (None, None) and not lo < hi:
+        raise ValueError(f"colour limits must have vmin < vmax, got vmin={lo}, vmax={hi}")
     if hi > lo:
         norm = (grid - lo) / (hi - lo)
     else:

@@ -65,7 +65,7 @@ def _simulate(spec: ScenarioSpec, mesh):
     return survey, truth, d_noisy, std
 
 
-_KINDS = {dict: "a JSON object", str: "a string"}
+_KINDS = {dict: "a JSON object", str: "a string", int: "an integer"}
 
 
 def _entry(mapping: dict, key: str, kind: type, optional: bool = False,
@@ -135,6 +135,9 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
     spec = _built("scenario", ScenarioSpec.from_dict, _entry(manifest, "scenario", dict))
     out_dir = out_dir or _entry(manifest, "out_dir", str)
     data_path = _entry(manifest, "data", str, optional=True)
+    if (version := _entry(manifest, "version", int)) != MANIFEST_VERSION:
+        raise ManifestError(f"manifest entry 'version' does not fit: this dcinv reads "
+                            f"version {MANIFEST_VERSION}, got {version}")
     mesh = spec.mesh()
     paths = {}
 

@@ -1,12 +1,10 @@
-"""Dipole-dipole survey geometry and its plain-text serialization."""
+"""Dipole-dipole survey geometry."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -84,16 +82,6 @@ def build_dipole_dipole_survey(line_length: float, station_spacing: float,
     return Survey(electrodes=electrodes, sources=tuple(sources), receivers=tuple(receivers))
 
 
-def save_survey(survey: Survey, path) -> None:
-    """One datum per line, columns ``Ax Bx Mx Nx`` in meters."""
-    e = survey.electrodes
-    with open(path, "w") as f:
-        f.write(f"# dipole-dipole n_data={survey.n_data}\n")
-        for (a, b), rx in zip(survey.sources, survey.receivers):
-            for m, n in rx:
-                f.write(f"{e[a]:.10g} {e[b]:.10g} {e[m]:.10g} {e[n]:.10g}\n")
-
-
 def survey_from_rows(rows: np.ndarray) -> Survey:
     """Rebuild a Survey from (n_data, 4) electrode-position rows.
 
@@ -120,22 +108,3 @@ def survey_from_rows(rows: np.ndarray) -> Survey:
                   sources=tuple(sources),
                   receivers=tuple(tuple(r) for r in receivers))
 
-
-def load_survey(path) -> Survey:
-    """Survey from the first four columns ``Ax Bx Mx Nx`` of each line."""
-    rows = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            if len(tok) < 4:
-                raise ParseError(f"expected columns Ax Bx Mx Nx, got {len(tok)}", ln, path)
-            try:
-                rows.append([float(t) for t in tok[:4]])
-            except ValueError:
-                raise ParseError("non-numeric value", ln, path) from None
-    if not rows:
-        raise ParseError("no survey rows", 1, path)
-    return survey_from_rows(np.asarray(rows))

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
+from .fileio import read_rows
 
 TRACE_HEADER = "# dcinv trace v1"
 GRID_HEADER = "# dcinv grid v1"
@@ -38,7 +39,7 @@ class InversionTrace:
         return len(self.records)
 
 
-def save_trace(path, trace: InversionTrace, method: str = "") -> None:
+def save_trace(path, trace: InversionTrace, method: str) -> None:
     """One record per line: ``epoch beta phi_d phi_m chi``.  The header
     carries the method, whether the run converged and, when set, why it
     stopped (``stop=<reason>``)."""
@@ -51,31 +52,17 @@ def save_trace(path, trace: InversionTrace, method: str = "") -> None:
 
 
 def load_trace(path) -> InversionTrace:
-    trace = InversionTrace()
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-                for key in ("converged", "stop"):
-                    if header.get(key) == "":
-                        raise ParseError(f"'{key}=' has no value", ln, path)
-                if "converged" in header:
-                    trace.converged = header["converged"] == "1"
-                trace.stop_reason = header.get("stop", trace.stop_reason)
-                continue
-            tok = line.split()
-            if len(tok) != 5:
-                raise ParseError(f"expected 5 values per record, got {len(tok)}", ln, path)
-            try:
-                trace.records.append(EpochRecord(
-                    epoch=int(tok[0]), beta=float(tok[1]), phi_d=float(tok[2]),
-                    phi_m=float(tok[3]), chi=float(tok[4])))
-            except ValueError:
-                raise ParseError("non-numeric value", ln, path) from None
-    return trace
+    header, rows = read_rows(path, width=5)
+    ln, converged = header.get("converged", (1, "0"))
+    if converged not in ("0", "1"):
+        raise ParseError(f"converged must be 0 or 1, got {converged!r}", ln, path)
+    records = []
+    for ln, (epoch, beta, phi_d, phi_m, chi) in rows:
+        if not epoch.is_integer():
+            raise ParseError("non-integer epoch", ln, path)
+        records.append(EpochRecord(int(epoch), beta, phi_d, phi_m, chi))
+    return InversionTrace(records=records, converged=converged == "1",
+                          stop_reason=header.get("stop", (1, ""))[1])
 
 
 def save_grid(path, values: np.ndarray, nx: int, nz: int) -> None:
@@ -89,33 +76,16 @@ def save_grid(path, values: np.ndarray, nx: int, nz: int) -> None:
 
 def load_grid(path):
     """Returns (values flattened row-major, nx, nz)."""
-    nx = nz = None
-    rows = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            if nx is None:
-                if len(tok) != 2:
-                    raise ParseError("expected header 'nx nz'", ln, path)
-                try:
-                    nx, nz = int(tok[0]), int(tok[1])
-                except ValueError:
-                    raise ParseError("non-integer grid dimensions", ln, path) from None
-                if nx < 1 or nz < 1:
-                    raise ParseError("grid dimensions must be positive", ln, path)
-                continue
-            try:
-                row = [float(t) for t in tok]
-            except ValueError:
-                raise ParseError("non-numeric value", ln, path) from None
-            if len(row) != nx:
-                raise ParseError(f"expected {nx} values per row, got {len(row)}", ln, path)
-            rows.append(row)
-    if nx is None:
+    _, rows = read_rows(path)
+    if not rows:
         raise ParseError("empty grid file", 1, path)
-    if len(rows) != nz:
-        raise ParseError(f"expected {nz} rows, got {len(rows)}", ln, path)
-    return np.asarray(rows).reshape(-1), nx, nz
+    (ln, dims), body = rows[0], rows[1:]
+    if len(dims) != 2 or not all(d.is_integer() and d >= 1 for d in dims):
+        raise ParseError("expected header 'nx nz' of positive integers", ln, path)
+    nx, nz = int(dims[0]), int(dims[1])
+    for ln, row in body:
+        if len(row) != nx:
+            raise ParseError(f"expected {nx} values per row, got {len(row)}", ln, path)
+    if len(body) != nz:
+        raise ParseError(f"expected {nz} rows, got {len(body)}", ln, path)
+    return np.array([row for _, row in body]).reshape(-1), nx, nz

@@ -10,7 +10,7 @@ from dcinv.fileio import load_data, load_manifest, save_manifest
 from dcinv.runs import conventional_manifest, dip_manifest, run_from_manifest
 from dcinv.scenarios import build_case1
 from dcinv.tikhonov import GNConfig, RegularizationConfig
-from dcinv.trace import load_grid
+from dcinv.trace import load_grid, save_grid
 
 
 class TestSimulate:
@@ -105,7 +105,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry, key, value", [
         ("config", "tau", -1.0), ("arch", "upsampler", "bicubic"), ("arch", "n_blocks", "x"),
         ("arch", "bogus", 1), ("arch", "latent_dim", 16), ("config", "m_ref", [1, 2]),
-        ("config", "m_ref", None), ("scenario", "noise_rel", float("nan"))])
+        ("config", "m_ref", None), ("scenario", "noise_rel", float("nan")),
+        ("version", None, 2)])
     def test_manifest_value_its_config_rejects_is_io_error(self, tmp_path, capsys,
                                                            entry, key, value):
         """A replayed manifest entry that its dataclass rejects exits 3 naming
@@ -113,13 +114,16 @@ class TestExitCodes:
         spec, _ = build_case1(45.0, scale="desk")
         manifest = dip_manifest(spec, DipConfig(epochs_stage1=2, epochs_stage2=1),
                                 {"n_blocks": 3, "upsampler": "bilinear"}, str(tmp_path / "o"))
-        manifest[entry][key] = value
+        if key is None:
+            manifest[entry] = value
+        else:
+            manifest[entry][key] = value
         save_manifest(tmp_path / "m.json", manifest)
         code = main(["replay", "--manifest", str(tmp_path / "m.json")])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"manifest error: manifest entry {entry!r} does not fit: ")
-        assert key in err and "Traceback" not in err
+        assert (key or entry) in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_conventional_manifest_reference_must_be_one_number(self, tmp_path, capsys):
@@ -202,7 +206,7 @@ class TestConfigFile:
         ("gn", "line_search_max", "-1"), ("gn", "cg_tol", "-0.5"),
         ("scenario", "nosie", "0.5"), ("scenario", "dip", "abc"),
         ("scenario", "scale", "huge"), ("dipp", "tau", "5"), ("dip", "m_ref", "inf"),
-        ("tikhonov", "m_ref", "nan")])
+        ("tikhonov", "m_ref", "nan"), ("DEFAULT", "tau", "5")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, section, key, value):
         """A value its config rejects, a key it lacks, or a section that fills
         no config, exits 1 before the run starts, naming the key or section,
@@ -352,6 +356,17 @@ class TestRenderCommand:
                      "--pad-z", "7"])
         assert code == 0
         assert img.read_bytes().startswith(b"P6\n128 38\n255\n")
+
+    @pytest.mark.parametrize("limits", [["--vmin", "nan"], ["--vmax", "inf"],
+                                        ["--vmin", "5", "--vmax", "1"], ["--vmin", "2"]])
+    def test_limits_it_cannot_honour_are_usage_errors(self, tmp_path, capsys, limits):
+        grid = tmp_path / "g.txt"
+        save_grid(grid, np.array([0.0, 0.5, 1.0, 0.25]), nx=2, nz=2)
+        code = main(["render", "--grid", str(grid), "--out", str(tmp_path / "g.ppm"), *limits])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("invalid arguments: colour limits must ")
+        assert not (tmp_path / "g.ppm").exists()
 
 
 class TestPretrainedReuse:

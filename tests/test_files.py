@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcinv.errors import ParseError
 from dcinv.fileio import load_config, load_data, save_data
 from dcinv.render import ramp_color, read_ppm, render_grid
-from dcinv.survey import build_dipole_dipole_survey, load_survey
+from dcinv.survey import build_dipole_dipole_survey
 from dcinv.trace import (EpochRecord, InversionTrace, load_grid, load_trace,
                          save_grid, save_trace)
 
@@ -39,7 +41,9 @@ class TestDataFile:
 
     @pytest.mark.parametrize("bad_line", ["-25 0 25 50 abc 0.1", "-25 0 25 50 1.0",
                                           "-25 0 25 50 nan 0.1", "-25 0 25 50 1.0 inf",
-                                          "1e400 0 25 50 1.0 0.1"])
+                                          "1e400 0 25 50 1.0 0.1", "-25 -25 25 50 1.0 0.1",
+                                          "-25 0 50 50 1.0 0.1", "-25 0 25 50 1.0 -0.1",
+                                          "# n_data=3", "# n_data="])
     def test_parse_error_carries_line_number(self, tmp_path, bad_line):
         p = tmp_path / "d.txt"
         p.write_text(f"# dcinv data v1 n_data=2\n-25 0 25 50 1.0 0.1\n\n{bad_line}\n")
@@ -52,22 +56,6 @@ class TestDataFile:
         p.write_text("# dcinv data v1 n_data=0\n")
         with pytest.raises(ParseError):
             load_data(p)
-
-
-class TestSurveyFile:
-    @pytest.mark.parametrize("bad_line", ["0 25 50 abc", "0 25 50"])
-    def test_parse_error_carries_line_number(self, tmp_path, bad_line):
-        p = tmp_path / "s.txt"
-        p.write_text(f"# dipole-dipole n_data=2\n-25 0 25 50\n\n{bad_line}\n")
-        with pytest.raises(ParseError) as exc:
-            load_survey(p)
-        assert (exc.value.line_no, exc.value.path) == (4, p)
-
-    def test_no_rows_is_parse_error(self, tmp_path):
-        p = tmp_path / "s.txt"
-        p.write_text("# dipole-dipole n_data=0\n")
-        with pytest.raises(ParseError):
-            load_survey(p)
 
 
 class TestGridFile:
@@ -99,6 +87,14 @@ class TestGridFile:
         p.write_text("3 2\n0 1 2\n0 1\n")
         with pytest.raises(ParseError):
             load_grid(p)
+
+    @pytest.mark.parametrize("bad_line", ["0 nan 2", "0 inf 2", "0 1e400 2"])
+    def test_non_finite_value_is_parse_error(self, tmp_path, bad_line):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# dcinv grid v1\n3 2\n0 1 2\n{bad_line}\n")
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            load_grid(p)
+        assert exc.value.line_no == 4
 
 
 class TestTraceFile:
@@ -144,7 +140,9 @@ class TestTraceFile:
             load_trace(p)
         assert (exc.value.line_no, exc.value.path) == (1, p)
 
-    @pytest.mark.parametrize("bad_line", ["1 0.5 2.0", "1 0.5 2.0 0.1 nan-ish"])
+    @pytest.mark.parametrize("bad_line", ["1 0.5 2.0", "1 0.5 2.0 0.1 nan-ish",
+                                          "1 0.5 2.0 0.1 inf", "1.5 0.5 2.0 0.1 1.0",
+                                          "# converged=2"])
     def test_parse_error_carries_line_number(self, tmp_path, bad_line):
         p = tmp_path / "trace.txt"
         p.write_text(f"# dcinv trace v1 method=dip converged=0\n"
@@ -161,6 +159,39 @@ class TestTraceFile:
         save_trace(p1, trace, method="x")
         save_trace(p2, load_trace(p1), method="x")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# whole lines of each format, and lines of numbers, non-finite and malformed
+# numbers, words, comments and header tokens
+_LINES = ["# dcinv data v1 n_data=2", "-25 0 25 50 1.0 0.1", "0 25 50 75 -0.3 0",
+          "25 25 0 50 1.0 0.1", "# dcinv grid v1", "1 1", "2 1", "0.5", "0.5 -1",
+          "# dcinv trace v1 method=dip converged=1", "1 0.5 2.0 0.1 1.0"]
+_TOKENS = ["0", "1", "2", "-1", "0.5", "nan", "inf", "-inf", "1e400", "abc", "0x10", "#",
+           "=", "n_data=", "n_data=1", "converged=", "converged=yes", "stop=budget"]
+_TEXTS = st.lists(st.one_of(st.sampled_from(_LINES),
+                            st.lists(st.sampled_from(_TOKENS), max_size=7).map(" ".join)),
+                  max_size=8).map("\n".join)
+
+
+class TestGarbage:
+    @given(text=_TEXTS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_every_loader_returns_or_raises_parse_error(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "garbage.txt"
+        p.write_text(text + "\n")
+        for load in (load_data, load_grid, load_trace):
+            try:
+                load(p)
+            except ParseError:
+                pass
+
+    def test_binary_file_is_parse_error(self, tmp_path):
+        p = tmp_path / "image.ppm"
+        p.write_bytes(b"P6\n2 1\n255\n\x8c\x00\xff\x9c\x01\x02\n")
+        for load in (load_data, load_grid, load_trace):
+            with pytest.raises(ParseError) as exc:
+                load(p)
+            assert exc.value.line_no == 1
 
 
 class TestConfigFile:

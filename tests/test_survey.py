@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcinv.survey import (Survey, build_dipole_dipole_survey, load_survey,
-                          save_survey)
+from dcinv.survey import Survey, build_dipole_dipole_survey
 
 
 def brute_force_count(n_stations: int, max_receivers: int) -> int:
@@ -88,21 +87,3 @@ class TestSurveyValidation:
             Survey(electrodes=np.array([0.0, 1.0]), sources=((0, 1),),
                    receivers=(((1, 2),),))
 
-
-class TestSurveySerialization:
-    def test_round_trip(self, tmp_path):
-        survey = build_dipole_dipole_survey(200.0, 25.0, 3, x0=-100.0)
-        path = tmp_path / "survey.txt"
-        save_survey(survey, path)
-        text = path.read_text()
-        assert text.startswith(f"# dipole-dipole n_data={survey.n_data}\n")
-        back = load_survey(path)
-        assert back.n_data == survey.n_data
-        assert np.allclose(back.electrodes[np.array(back.sources[0])],
-                           survey.electrodes[np.array(survey.sources[0])])
-        # every datum's four positions survive the trip
-        for s in range(survey.n_sources):
-            for k, (m, n) in enumerate(survey.receivers[s]):
-                bm, bn = back.receivers[s][k]
-                assert back.electrodes[bm] == survey.electrodes[m]
-                assert back.electrodes[bn] == survey.electrodes[n]
