@@ -85,6 +85,11 @@ class _FaceGeometry:
 
     def factor(self, sigma: np.ndarray) -> BlockFactor:
         """The operator, factored block by cell column."""
+        return BlockFactor(*self.blocks(sigma))
+
+    def blocks(self, sigma: np.ndarray):
+        """The operator by cell column, as :class:`BlockFactor` takes it: its
+        diagonal, in-column and column-to-column couplings."""
         interior, t_bnd = self._resistances(sigma)
         t_x, t_z = (length / (ra + rb) for length, ra, rb in interior)
         # The diagonal sums, per cell, the faces where it is a, then those
@@ -96,7 +101,7 @@ class _FaceGeometry:
         sums[1, :, 1:] += t_x
         sums[1, 1:] += t_z
         self._add_dirichlet(sums[2], t_bnd)
-        return BlockFactor((sums[0] + sums[1] + sums[2]).T, -t_z.T, -t_x.T)
+        return (sums[0] + sums[1] + sums[2]).T, -t_z.T, -t_x.T
 
     def quadratic(self, g: np.ndarray, mix: np.ndarray):
         """``dg M dg^T`` per face, for the face values ``dg`` (k,) of the
@@ -218,16 +223,21 @@ class BlockFactor:
     reduction).  Eliminating them leaves a block tridiagonal operator on the
     ``nx // 2`` odd columns, with dense diagonal blocks ``D - C T^-1 C -
     C' T'^-1 C'`` and dense couplings ``-C' T'^-1 C''`` through the even
-    column between two odd ones, formed from ``T^-1`` when needed.  The odd
-    columns are eliminated in pairs, ``s`` from the left edge and
-    ``nx // 2 - 1 - s`` from the right, toward the middle one, which takes
-    the Schur complements of both its neighbours.  Each step inverts both
-    pivots of a pair in one call: ``nx // 4 + 1`` dense inverse calls, none
-    for a single column.  Kept: ``T^-1`` of the even columns and the
-    inverted pivots of the odd ones, row ``s`` holding a pair (one block per
-    column, one more for an odd count of odd columns: 1.76 MB at full
-    scale, 214 x 32).  The block size is always ``nz``: every shipped mesh
-    is wider than it is deep.
+    column between two odd ones.  The odd columns are eliminated in pairs,
+    ``s`` from the left edge and ``nx // 2 - 1 - s`` from the right, toward
+    the middle one, which takes the Schur complements of both its
+    neighbours.  Each step inverts both pivots of a pair in one call:
+    ``nx // 4 + 1`` dense inverse calls, none for a single column.  Kept:
+    ``T^-1`` of the even columns, the inverted pivots of the odd ones, row
+    ``s`` holding a pair, and the couplings the elimination formed, which
+    every solve reuses (about ``12 nx nz^2`` bytes: 2.63 MB at full scale,
+    214 x 32).  The block size is always ``nz``: every shipped mesh is wider
+    than it is deep.
+
+    Both solves run one sweep (:meth:`_sweep`) and differ only in how they
+    condense the right-hand side onto the odd columns: :meth:`solve` from
+    any ``b``, :meth:`solve_surface` directly from unit sources at surface
+    cells, without forming them.
     """
 
     def __init__(self, diag: np.ndarray, z_off: np.ndarray, x_off: np.ndarray):
@@ -240,6 +250,11 @@ class BlockFactor:
         rows = np.arange((m + 1) // 2)
         cols = np.stack([rows, m - 1 - rows], axis=1)  # (rows, 2): left, right
         odd = 2 * cols + 1
+        # Slot of each odd column in the flattened (rows * 2) pairs; the
+        # middle column of an odd m is held in its row's left slot.
+        self.slots = np.empty(m, dtype=int)
+        self.slots[cols[:, 1]] = 2 * rows + 1
+        self.slots[cols[:, 0]] = 2 * rows
         # x faces padded with a zero one past the last column, so the last
         # odd column of an even nx has a (vanishing) right neighbour.
         self.x_pad = x_pad = np.concatenate([x_off, np.zeros((1, nz))])
@@ -263,7 +278,8 @@ class BlockFactor:
         if m % 2:
             pivots[t, 1] = 0.0  # the middle column is held once, in the left slot
         self.columns = cols
-        k = self._couplings(cols[:-1], cols[1:])  # row s + 1 from row s
+        self.couplings = k = self._couplings(cols[:-1], cols[1:])  # row s + 1 from row s
+        self.middle_coupling = None
         for s in range(t + 1):
             if s:
                 pivots[s] -= k[s - 1] @ pivots[s - 1] @ k[s - 1].transpose(0, 2, 1)
@@ -272,9 +288,9 @@ class BlockFactor:
         if m % 2:  # one middle column, coupled to both sweeps
             pivots[t, 0] = _inverted(pivots[t, 0] + pivots[t, 1], odd[t, 0])
         elif m:  # odd columns t and t + 1 meet through the even column between them
-            k = self._couplings(cols[t, 0], cols[t, 1])
+            self.middle_coupling = km = self._couplings(cols[t, 0], cols[t, 1])
             pivots[t, 0] = _inverted(pivots[t, 0], odd[t, 0])
-            pivots[t, 1] -= k @ pivots[t, 0] @ k.T
+            pivots[t, 1] -= km @ pivots[t, 0] @ km.T
             pivots[t, 1] = _inverted(pivots[t, 1], odd[t, 1])
         self.inv_pivots = pivots
 
@@ -290,28 +306,66 @@ class BlockFactor:
         return k
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for one vector (n,) or all columns of (n, k): the right-hand
-        side condensed onto the odd columns, both forward sweeps at once
-        toward the middle one, back substitution outward from it, then the
-        even columns recovered in one batched product."""
-        t_inv, p, cols, x_pad = self.t_inv, self.inv_pivots, self.columns, self.x_pad
-        t = cols.shape[0] - 1
+        """A^-1 b for one vector (n,) or all columns of (n, k): each odd
+        column's right-hand side less C T^-1 b of both even neighbours, then
+        :meth:`_sweep`."""
+        t_inv, cols, x_pad = self.t_inv, self.columns, self.x_pad
         nx, nz = x_pad.shape
-        m = nx // 2
         odd = 2 * cols + 1
         grid = np.asarray(b, dtype=float).reshape(nz, nx, -1).transpose(1, 0, 2)
-        y = t_inv @ grid[::2]  # T^-1 b on every even column
+        even = grid[::2].copy()
+        y = t_inv @ even  # T^-1 b on every even column
         x = grid[odd]  # (rows, 2, nz, k) in paired order, swept in place
         term = np.empty_like(x)
-        # Condense, as in the factor: each odd column less C T^-1 b of both neighbours.
         for col, c in ((cols, x_pad[odd - 1]), (cols + 1, x_pad[odd])):
             np.take(y, col, axis=0, out=term, mode="clip")
             term *= c[..., None]
             x -= term
         del y, term
+        return self._sweep(x, even).reshape(np.shape(b))
+
+    def solve_surface(self, columns) -> np.ndarray:
+        """A^-1 E (n, k), ``E`` a unit source in the surface cell of each of
+        ``k`` distinct cell columns: ``solve(E)``, bitwise, without forming
+        ``E``.  The condensed right-hand side is written directly: a source
+        on an odd column is a 1 in the first row of its slot, a source on
+        even column e is ``-C T_e^-1[:, 0]`` on each odd neighbour."""
+        nx, nz = self.x_pad.shape
+        columns = np.asarray(columns)
+        if (columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer)
+                or np.any((columns < 0) | (columns >= nx))
+                or np.unique(columns).size != columns.size):
+            raise ValueError(f"source columns must be distinct integers in [0, {nx})")
+        m, k = nx // 2, columns.size
+        x = np.zeros((self.columns.size, nz, k))
+        even = np.zeros((self.t_inv.shape[0], nz, k))
+        src = np.arange(k)
+        on_odd = columns % 2 == 1
+        x[self.slots[columns[on_odd] // 2], 0, src[on_odd]] = 1.0
+        e, src = columns[~on_odd] // 2, src[~on_odd]
+        even[e, 0, src] = 1.0
+        # Even column 2e has odd neighbours e (cell column 2e + 1, face 2e)
+        # and e - 1 (cell column 2e - 1, face 2e - 1), where they exist.
+        for nbr, face in ((e, 2 * e), (e - 1, 2 * e - 1)):
+            on = (nbr >= 0) & (nbr < m)
+            x[self.slots[nbr[on]], :, src[on]] = -(self.x_pad[face[on]]
+                                                    * self.t_inv[e[on], :, 0])
+        return self._sweep(x.reshape(self.columns.shape + (nz, k)), even).reshape(-1, k)
+
+    def _sweep(self, x: np.ndarray, even: np.ndarray) -> np.ndarray:
+        """The solve from a condensed right-hand side ``x`` (rows, 2, nz, k),
+        in the factor's paired order, and the even columns' own right-hand
+        side ``even`` (nx - nx // 2, nz, k); both are overwritten.  Both
+        forward sweeps run at once toward the middle odd column, back
+        substitution outward from it; then each even column is ``T^-1 (b -
+        C x)`` over its odd neighbours, in one batched product.  Returns the
+        potentials as an (nz, nx, k) cell grid."""
+        p, k, cols, x_pad = self.inv_pivots, self.couplings, self.columns, self.x_pad
+        t = cols.shape[0] - 1
+        nx, nz = x_pad.shape
+        m = nx // 2
         if m % 2:
-            x[t, 1] = 0.0
-        k = self._couplings(cols[:-1], cols[1:])
+            x[t, 1] = 0.0  # the middle column is held once, in the left slot
         for s in range(t + 1):
             if s:
                 x[s] -= k[s - 1] @ x[s - 1]
@@ -321,30 +375,26 @@ class BlockFactor:
             x[t, 0] = p[t, 0] @ (x[t, 0] + x[t, 1])
             x[t, 1] = x[t, 0]
         elif m:
-            km = self._couplings(cols[t, 0], cols[t, 1])
+            km = self.middle_coupling
             x[t, 0] = p[t, 0] @ x[t, 0]
             x[t, 1] = p[t, 1] @ (x[t, 1] - km @ x[t, 0])
             x[t, 0] -= p[t, 0] @ (km.T @ x[t, 1])
         for s in range(t - 1, -1, -1):
             x[s] -= p[s] @ (k[s].transpose(0, 2, 1) @ x[s + 1])
-        del k
+        # The odd columns in cell order, gathered to the head of the sweep buffer.
+        flat = x.reshape(-1, nz, x.shape[-1])
+        x_odd = flat[:m]
+        x_odd[...] = flat[self.slots]
+        ne = even.shape[0]
+        even[:m] -= x_pad[0:2 * m:2, :, None] * x_odd
+        even[1:] -= x_pad[1:2 * ne - 1:2, :, None] * x_odd[:ne - 1]
         out = np.empty((nz, nx, x.shape[-1]))
         cells = out.transpose(1, 0, 2)
-        cells[odd] = x
-        # Each even column i: T^-1 (b - C x) over its odd neighbours, 2i + 1
-        # (for i < m) and 2i - 1 (for i > 0), with the sweep buffer as
-        # scratch, freed before the product.
-        ne = t_inv.shape[0]
-        even, scratch = cells[::2], x.reshape(-1, nz, x.shape[-1])
-        even[...] = grid[::2]
-        for dst, face, nbr in ((even[:m], x_pad[0:2 * m:2], cells[1::2]),
-                               (even[1:], x_pad[1:2 * ne - 1:2], cells[1:2 * ne - 1:2])):
-            dst -= np.multiply(face[..., None], nbr, out=scratch[:nbr.shape[0]])
-        del x, scratch
-        even[...] = t_inv @ even
+        cells[1::2] = x_odd
+        np.matmul(self.t_inv, even, out=cells[::2])
         if not np.all(np.isfinite(out)):
             raise SolverFailure("direct solve produced non-finite potentials")
-        return out.reshape(np.shape(b))
+        return out
 
 
 def _checked_sigma(mesh: TensorMesh2D, sigma: np.ndarray) -> np.ndarray:
@@ -366,13 +416,15 @@ class DCSimulation:
 
     Every source and receiver sits on one of a few electrode cells, so per
     model the operator is factored once (:class:`BlockFactor`) and solved
-    once for ``G = A^-1 E``, one unit source per distinct electrode cell.
-    The fields are differences of its columns (superposition).  ``A`` is
-    symmetric, so ``G`` also maps sources at the receivers (reciprocity):
-    the adjoint fields of ``J^T v`` are ``-G R``, so that ``J^T v`` is a
-    quadratic form in the face differences of ``G`` alone, and the
-    receiver readout of ``A^-1 b`` in ``J v`` is ``G^T b``.  ``predict``, ``j_vec``,
-    ``jt_vec`` and ``jacobian`` at the same model make no further solve.
+    once for ``G = A^-1 E``, one unit source per distinct electrode cell,
+    by :meth:`BlockFactor.solve_surface`: the sources start on the condensed
+    columns, and ``E`` is never formed.  The fields are differences of its
+    columns (superposition).  ``A`` is symmetric, so ``G`` also maps sources
+    at the receivers (reciprocity): the adjoint fields of ``J^T v`` are
+    ``-G R``, so that ``J^T v`` is a quadratic form in the face differences
+    of ``G`` alone, and the receiver readout of ``A^-1 b`` in ``J v`` is
+    ``G^T b``.  ``predict``, ``j_vec``, ``jt_vec`` and ``jacobian`` at the
+    same model make no further solve.
 
     The products suit callers that need one or two per model (the stage-2
     loop); ``jacobian`` forms the dense ``n_data x n_cells`` matrix, which
@@ -425,9 +477,7 @@ class DCSimulation:
             self._fields = None
             self._jacobian = None
             sigma = np.exp(m)
-            e = np.zeros((self.mesh.n_cells, self.cells.size))
-            e[self.cells, np.arange(self.cells.size)] = 1.0
-            self._green = self.faces.factor(sigma).solve(e)
+            self._green = self.faces.factor(sigma).solve_surface(self.cells)
             self._dt = self.faces.log_derivatives(sigma)
             self._model = m.copy()
         return self._green

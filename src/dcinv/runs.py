@@ -99,12 +99,15 @@ def _arch(mesh, dropout_rate: float, n_blocks: int = 3, upsampler: str = "biline
 
 def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
     """Observed data for an inversion run, from file if given, else simulated,
-    and its data weights: the stds floored at 1e-4 median |d_obs|.  Makes ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
+    and its data weights: the stds floored at 1e-4 median |d_obs|.  Makes
+    ``out_dir`` once the data are in hand, so a data file that fails to parse
+    leaves nothing behind."""
     if data_path:
         survey, d_obs, std = fileio.load_data(data_path)
+        os.makedirs(out_dir, exist_ok=True)
     else:
         survey, truth, d_obs, std = _simulate(spec, mesh)
+        os.makedirs(out_dir, exist_ok=True)
         save_grid(os.path.join(out_dir, "model_true.txt"), truth, mesh.nx, mesh.nz)
         fileio.save_data(os.path.join(out_dir, "data.txt"), survey, d_obs, std)
     weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))

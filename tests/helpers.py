@@ -70,10 +70,11 @@ def dense_operator(mesh, sigma):
 
 class Traffic:
     """Counts what the optimizers ask of a ``DCSimulation``: calls per method,
-    operator factorizations and solves, the distinct models predicted or
-    differentiated, the Jacobian builds (distinct arrays handed out), the
-    most earlier builds still alive when a new one is handed out, and the
-    ``np.linalg.inv`` calls made from ``dcinv.forward``."""
+    operator factorizations and solves (general or surface-source), the
+    distinct models predicted or differentiated, the Jacobian builds
+    (distinct arrays handed out), the most earlier builds still alive when a
+    new one is handed out, and the ``np.linalg.inv`` calls made from
+    ``dcinv.forward``."""
 
     def __init__(self, monkeypatch):
         from dcinv.forward import BlockFactor
@@ -105,18 +106,21 @@ class Traffic:
 
         for name in ("predict", "j_vec", "jt_vec", "jacobian"):
             monkeypatch.setattr(DCSimulation, name, counted(name, getattr(DCSimulation, name)))
-        init, solve = BlockFactor.__init__, BlockFactor.solve
+        init = BlockFactor.__init__
 
         def counted_init(factor, *args):
             self.calls["factor"] += 1
             init(factor, *args)
 
-        def counted_solve(factor, b):
-            self.calls["solve"] += 1
-            return solve(factor, b)
+        def counted_solve(solve):
+            def wrapper(factor, b):
+                self.calls["solve"] += 1
+                return solve(factor, b)
+            return wrapper
 
         monkeypatch.setattr(BlockFactor, "__init__", counted_init)
-        monkeypatch.setattr(BlockFactor, "solve", counted_solve)
+        for name in ("solve", "solve_surface"):  # a general or a surface-source solve
+            monkeypatch.setattr(BlockFactor, name, counted_solve(getattr(BlockFactor, name)))
         inv = np.linalg.inv
 
         def counted_inv(a):

@@ -74,6 +74,27 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == f"parse error: {data}: line 2: non-numeric value\n"
 
+    @pytest.mark.parametrize("via", ["flags", "manifest"])
+    def test_data_file_that_fails_to_parse_leaves_no_output_directory(self, tmp_path,
+                                                                      capsys, via):
+        """A --data file with A = B exits 3 before the run makes its output
+        directory, whether the run comes from flags or from a manifest."""
+        data = tmp_path / "data.txt"
+        data.write_text("# dcinv data v1 n_data=1\n-25 -25 25 50 1.0 0.1\n")
+        out = tmp_path / "o"
+        if via == "flags":
+            code = main(["invert-conv", "--scale", "desk", "--data", str(data),
+                         "--out", str(out)])
+        else:
+            spec, _ = build_case1(45.0, scale="desk")
+            save_manifest(tmp_path / "m.json",
+                          conventional_manifest(spec, RegularizationConfig(), GNConfig(),
+                                                str(out), data_path=str(data)))
+            code = main(["replay", "--manifest", str(tmp_path / "m.json")])
+        assert code == 3
+        assert f"{data}: line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_names_the_grid_file(self, tmp_path, capsys):
         grid = tmp_path / "bad_grid.txt"
         grid.write_text("# dcinv grid v1\n3 2\n0 1 2\n0 oops 2\n")

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dcinv
 from dcinv.errors import SolverFailure
@@ -175,6 +178,44 @@ class TestSolve:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+
+@st.composite
+def _surface_problems(draw):
+    """A mesh of 1-40 x 1-20 cells with drawn widths (padding-sized cells
+    included), a log-conductivity anywhere in the generator's (-8, 0) range,
+    and distinct surface columns in any order."""
+    nx, nz = draw(st.integers(1, 40)), draw(st.integers(1, 20))
+    widths = st.floats(0.5, 60.0)
+    mesh = TensorMesh2D(hx=draw(arrays(float, nx, elements=widths)),
+                        hz=draw(arrays(float, nz, elements=widths)), origin_x=0.0)
+    m = draw(arrays(float, mesh.n_cells,
+                    elements=st.floats(-8.0, 0.0, exclude_min=True, exclude_max=True)))
+    columns = draw(st.lists(st.integers(0, nx - 1), min_size=1, max_size=nx, unique=True))
+    return mesh, np.exp(m), np.array(columns)
+
+
+class TestSurfaceSolve:
+    """``solve_surface``, the forward operator's one solve, against the
+    general solve of its unit sources and a dense solve."""
+
+    @given(problem=_surface_problems())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_general_and_dense_solves(self, problem):
+        mesh, sigma, columns = problem
+        e = np.zeros((mesh.n_cells, columns.size))
+        e[columns, np.arange(columns.size)] = 1.0
+        factor = factor_system(mesh, sigma)
+        general = factor.solve(e)
+        assert np.array_equal(factor.solve_surface(columns), general)
+        assert rel_err(general, np.linalg.solve(dense_operator(mesh, sigma), e)) < 1e-12
+
+    @pytest.mark.parametrize("columns", [[2, 2], [0, 3, 0], [-1], [5], [0, 5], [1.0],
+                                         [[0, 1]]])
+    def test_columns_must_be_distinct_and_on_the_grid(self, columns):
+        factor = factor_system(build_mesh(5, 3, 1.0, 1.0, 0, 1.0), np.ones(15))
+        with pytest.raises(ValueError, match="distinct"):
+            factor.solve_surface(columns)
 
 
 class TestPredict:
@@ -468,8 +509,9 @@ class TestSolveCount:
 
 def test_full_scale_predict_peak_memory():
     """predict at a new full-scale model allocates at most 6.6 MiB at its peak
-    (tracemalloc): G, its unit sources, the even columns' inverses, the
-    odd columns' pivots and the solve's buffers (5.83 MiB)."""
+    (tracemalloc): G, the even columns' inverses, the odd columns' pivots
+    and couplings, and the solve's buffers; no unit sources are formed
+    (5.90 MiB)."""
     spec, truth = dcinv.build_case1(45.0, "full")
     sim = DCSimulation(spec.mesh(), spec.survey())
     sim.predict(truth)
