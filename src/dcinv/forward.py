@@ -397,20 +397,6 @@ class BlockFactor:
         return out
 
 
-def _checked_sigma(mesh: TensorMesh2D, sigma: np.ndarray) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (mesh.n_cells,):
-        raise ValueError(f"sigma must have {mesh.n_cells} entries")
-    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-        raise ValueError("conductivities must be finite and strictly positive")
-    return sigma
-
-
-def factor_system(mesh: TensorMesh2D, sigma: np.ndarray) -> BlockFactor:
-    """Direct factor of the finite-volume operator for -div(sigma grad .)."""
-    return _FaceGeometry(mesh).factor(_checked_sigma(mesh, sigma))
-
-
 class DCSimulation:
     """F(m), J v, J^T v and J itself for one mesh + survey, from one solve per model.
 

@@ -48,12 +48,11 @@ def leaky_relu_backward(x: np.ndarray, g: np.ndarray, slope: float = 0.2) -> np.
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(np.asarray(x, dtype=float))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """``1 / (1 + exp(-x))`` where ``x >= 0``, else ``exp(x) / (1 + exp(x))``;
+    ``e = exp(-|x|)`` is the exponential of each branch and never overflows
+    (taken as ``min(x, -x)``, which keeps a NaN's sign as the branches do)."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -83,21 +83,15 @@ class ArchConfig:
         return (2 ** n * (self.seed_shape[0] - 2), 2 ** n * (self.seed_shape[1] - 2))
 
     def to_dict(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "seed_shape": list(self.seed_shape),
-            "channels": list(self.channels),
-            "upsampler": self.upsampler,
-            "negative_slope": self.negative_slope,
-            "output_scale": self.output_scale,
-            "dropout_rate": self.dropout_rate,
-        }
+        """The fields in declaration order, tuples as lists (the JSON form)."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
-        d = dict(d)
-        d["seed_shape"] = tuple(d["seed_shape"])
-        d["channels"] = tuple(d["channels"])
+        """Inverse of :meth:`to_dict`; every field must be present."""
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise ValueError(f"architecture lacks {', '.join(missing)}")
         return cls(**d)
 
 

@@ -157,12 +157,12 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         arch = _built("arch", lambda d: _arch(mesh, cfg.dropout_rate, **d),
                       _entry(manifest, "arch", dict, optional=True) or {})
         pretrained = _entry(manifest, "pretrained", str, optional=True)
-        survey, d_obs, weights = _obs_for_run(data_path, spec, mesh, out_dir)
-        z = sample_latent(cfg.rng_seed, arch.latent_dim)
         if pretrained:
             params = load_params(pretrained)
             _check_checkpoint_arch(pretrained, params.arch, arch)
-        else:
+        survey, d_obs, weights = _obs_for_run(data_path, spec, mesh, out_dir)
+        z = sample_latent(cfg.rng_seed, arch.latent_dim)
+        if not pretrained:
             params = init_params(cfg.rng_seed, arch)
             pretrain_stage1(params, z, mesh, cfg)
         paths["pretrained"] = os.path.join(out_dir, "pretrained.npz")

@@ -10,7 +10,7 @@ measured values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -79,14 +79,9 @@ class ScenarioSpec:
         return -half, half, self.n_core_z * self.dz
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "name", "n_core_x", "n_core_z", "dx", "dz", "n_pad", "pad_factor",
-            "line_length", "station_spacing", "max_receivers",
-            "background_sigma", "layer_sigma", "target_sigma",
-            "layer_thickness", "noise_rel", "noise_seed")}
-        d["dike"] = None if self.dike is None else [
-            self.dike.x_top, self.dike.depth_top, self.dike.depth_bottom,
-            self.dike.width, self.dike.dip_degrees]
+        """The fields, with the dike as its five numbers and tuples as lists."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["dike"] = None if self.dike is None else list(astuple(self.dike))
         d["cylinders"] = [list(c) for c in self.cylinders]
         return d
 

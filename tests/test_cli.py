@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,30 @@ class TestExitCodes:
             code = main(["replay", "--manifest", str(tmp_path / "m.json")])
         assert code == 3
         assert f"{data}: line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flags", "manifest"])
+    @pytest.mark.parametrize("kind", ["text", "missing"])
+    def test_pretrained_that_is_no_checkpoint_leaves_no_output_directory(self, tmp_path,
+                                                                         capsys, kind, via):
+        """A --pretrained path that is a text file or is not there exits 3,
+        naming it, before the run simulates its data and makes its output
+        directory, whether the run comes from flags or from a manifest."""
+        checkpoint = tmp_path / "notes.txt"
+        if kind == "text":
+            checkpoint.write_text("not a checkpoint\n")
+        out = tmp_path / "o"
+        if via == "flags":
+            code = main(["invert-dip", "--case", "1", "--scale", "desk", "--out", str(out),
+                         "--pretrained", str(checkpoint)])
+        else:
+            spec, _ = build_case1(45.0, scale="desk")
+            save_manifest(tmp_path / "m.json",
+                          dip_manifest(spec, DipConfig(), {}, str(out),
+                                       pretrained=str(checkpoint)))
+            code = main(["replay", "--manifest", str(tmp_path / "m.json")])
+        assert code == 3
+        assert str(checkpoint) in capsys.readouterr().err
         assert not out.exists()
 
     def test_parse_error_names_the_grid_file(self, tmp_path, capsys):
@@ -199,15 +224,20 @@ class TestConfigFile:
         assert gn.beta0 == 1000.0 and isinstance(gn.beta0, float)
 
     def test_readme_sample_loads(self, tmp_path):
-        """The README's sample, inline comments and all, sets every value it shows."""
+        """The README's sample, inline comments and all, sets every value it
+        shows, and names every field of [dip], [tikhonov] and [gn] but
+        ``beta0``, whose default (estimate it) has no INI spelling."""
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
         config = _load_config(cfg)
+        for name, unset in (("dip", set()), ("tikhonov", set()), ("gn", {"beta0"})):
+            assert set(config[name]) == {f.name for f in fields(_SECTIONS[name])} - unset
         dip, reg, gn = (_section(name, {}, config) for name in ("dip", "tikhonov", "gn"))
         assert (dip.tau, dip.epochs_stage1, dip.chi_patience) == (1000.0, 5000, 50)
         assert (reg.p_s, reg.irls_epsilon, reg.use_sensitivity_weights) == (0.0, 0.01, True)
-        assert (gn.cooling_factor, gn.cg_maxiter) == (0.5, 30)
+        assert (gn.cooling_factor, gn.cg_maxiter, gn.beta0) == (0.5, 30, None)
+        assert dip.m_ref == reg.m_ref == DipConfig().m_ref
         assert _scenario({}, config) == build_case1(45.0, scale="desk")[0]
 
     def test_bad_value_is_usage_error(self, tmp_path, capsys):

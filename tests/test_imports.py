@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import dcinv
+import dcinv.net
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "dcinv"}
 
@@ -43,3 +44,26 @@ def test_namespace_is_what_the_readme_and_the_benchmark_use():
     exported = {name for name, value in vars(dcinv).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == {name for name in used if not name.startswith("_")}
+
+
+def test_net_exports_what_is_imported_through_it():
+    """``dcinv.net`` exports exactly the names that the package, its tests and
+    the benchmark import from it, relative imports resolved, submodules aside."""
+    repo = Path(__file__).resolve().parents[1]
+    sources = [(path, ".".join(path.relative_to(repo / "src").parent.parts))
+               for path in sorted((repo / "src").rglob("*.py"))]
+    sources += [(path, "") for folder in ("tests", "perfbench")
+                for path in sorted((repo / folder).glob("*.py"))]
+    imported = set()
+    for path, package in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                name = "." * node.level + (node.module or "")
+                if importlib.util.resolve_name(name, package) == "dcinv.net":
+                    imported |= {alias.name for alias in node.names}
+    imported = {name for name in imported
+                if importlib.util.find_spec(f"dcinv.net.{name}") is None}
+    assert len(imported) > 5
+    exported = {name for name, value in vars(dcinv.net).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == imported

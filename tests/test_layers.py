@@ -87,6 +87,22 @@ class TestActivations:
         assert np.all(out >= 0.0)
         assert np.all(out <= 1.0)
 
+    def test_sigmoid_is_bitwise_the_two_branch_formula(self):
+        """The branch-free form gives ``1 / (1 + exp(-x))`` for x >= 0 and
+        ``exp(x) / (1 + exp(x))`` below, bit for bit, on signed zeros,
+        infinities, NaN, values past exp's overflow and random inputs at
+        scales 1e-3 to 1e3."""
+        rng = np.random.default_rng(16)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0, 5e-324,
+                   -5e-324]
+        scales = np.repeat(10.0 ** np.arange(-3, 4), 1000)
+        x = np.concatenate([special, scales * rng.standard_normal(scales.size)])
+        pos = x >= 0
+        ref = np.empty_like(x)
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ref[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        assert L.sigmoid(x).tobytes() == ref.tobytes()
+
     def test_sigmoid_derivative(self):
         """d sigmoid / dx at 0 is exactly 1/4."""
         y = L.sigmoid(np.array(0.0))

@@ -302,8 +302,8 @@ class TestCheckpoint:
         assert np.array_equal(m0, m1)
 
     def test_files_that_are_not_checkpoints_raise_checkpoint_error(self, tmp_path):
-        """A lone array, a truncated archive, a bad descriptor and missing
-        arrays each raise CheckpointError naming the file."""
+        """A lone array, a truncated archive, a bad descriptor, one lacking any
+        field and missing arrays each raise CheckpointError naming the file."""
         arch = arch_for_mesh(10, 12, 2)
         good = tmp_path / "good.npz"
         save_params(good, init_params(3, arch))
@@ -316,10 +316,16 @@ class TestCheckpoint:
         partial = tmp_path / "partial.npz"
         with np.load(good) as f:
             np.savez(partial, **{k: f[k] for k in f.files[:2]})
-        steep = tmp_path / "steep.npz"
         with np.load(good) as f:
-            np.savez(steep, **{k: f[k] for k in f.files if k != "__arch__"},
-                     __arch__=np.array(json.dumps({**arch.to_dict(), "negative_slope": 2.0})))
-        for path in (lone, cut, bad_arch, partial, steep):
+            arrays = {k: f[k] for k in f.files if k != "__arch__"}
+        descriptors = {"steep": {**arch.to_dict(), "negative_slope": 2.0}}
+        descriptors |= {f"no_{name}": {k: v for k, v in arch.to_dict().items() if k != name}
+                        for name in arch.to_dict()}
+        for name, descriptor in descriptors.items():
+            np.savez(tmp_path / f"{name}.npz", **arrays,
+                     __arch__=np.array(json.dumps(descriptor)))
+        described = [tmp_path / f"{name}.npz" for name in descriptors]
+        for path in (lone, cut, bad_arch, partial, *described):
             with pytest.raises(CheckpointError, match=re.escape(str(path))):
                 load_params(path)
+
