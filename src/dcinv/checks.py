@@ -89,34 +89,29 @@ def check_adjoint(seed: int = 0):
 def check_solve(seed: int = 0):
     """On 24 random meshes of 1-12 columns (every parity of the column count
     and of its odd half), the surface-source solve that :class:`DCSimulation`
-    uses is bitwise equal to the general solve of the same unit sources, and
-    that is within 1e-12 of a dense solve of the same blocks."""
+    uses is within 1e-12 of a dense solve of the same blocks."""
     rng = np.random.default_rng(seed)
-    worst, unequal = 0.0, 0
+    worst = 0.0
     for nx in np.tile(np.arange(1, 13), 2):
         nz = int(rng.integers(1, 7))
         mesh = TensorMesh2D(hx=rng.uniform(0.5, 60.0, nx), hz=rng.uniform(0.5, 60.0, nz),
                             origin_x=0.0)
         diag, z_off, x_off = _FaceGeometry(mesh).blocks(np.exp(rng.uniform(-8, 0, nx * nz)))
         columns = rng.permutation(nx)[:int(rng.integers(1, nx + 1))]
-        e = np.zeros((mesh.n_cells, columns.size))
-        e[columns, np.arange(columns.size)] = 1.0
-        factor = BlockFactor(diag, z_off, x_off)
-        general = factor.solve(e)
-        unequal += not np.array_equal(factor.solve_surface(columns), general)
-        # The dense operator, cells ordered column by column as the blocks are.
+        surface = BlockFactor(diag, z_off, x_off).solve_surface(columns)
+        # The dense operator and sources, cells ordered column by column as the blocks are.
         a = np.zeros((nx, nz, nx, nz))
         ix, iz = np.arange(nx)[:, None], np.arange(nz)[None, :]
         a[ix, iz, ix, iz] = diag
         a[ix, iz[:, :-1], ix, iz[:, 1:]] = a[ix, iz[:, 1:], ix, iz[:, :-1]] = z_off
         a[ix[:-1], iz, ix[1:], iz] = a[ix[1:], iz, ix[:-1], iz] = x_off
-        dense = np.linalg.solve(a.reshape(nx * nz, nx * nz),
-                                e.reshape(nz, nx, -1).transpose(1, 0, 2).reshape(nx * nz, -1))
-        worst = max(worst, rel_err(general, dense.reshape(nx, nz, -1).transpose(1, 0, 2)
-                                   .reshape(e.shape)))
-    return ("forward solve: surface sources bitwise equal to the general solve, "
-            "within 1e-12 of dense (24 meshes)", unequal == 0 and worst <= 1e-12,
-            f"{unequal} unequal, max rel err {worst:.2e}")
+        e = np.zeros((nx, nz, columns.size))
+        e[columns, 0, np.arange(columns.size)] = 1.0
+        dense = np.linalg.solve(a.reshape(nx * nz, nx * nz), e.reshape(nx * nz, -1))
+        worst = max(worst, rel_err(surface, dense.reshape(nx, nz, -1).transpose(1, 0, 2)
+                                   .reshape(surface.shape)))
+    return ("forward solve: surface sources within 1e-12 of dense (24 meshes)",
+            worst <= 1e-12, f"max rel err {worst:.2e}")
 
 
 def check_net_gradient(seed: int = 0):

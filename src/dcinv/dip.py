@@ -125,12 +125,12 @@ def pretrain_stage1(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
     return params
 
 
-def run_stage2(params: NetParams, z: np.ndarray, sim, d_obs: np.ndarray,
-               weights: DataWeights, config: DipConfig,
-               mesh_shape: tuple[int, int]) -> InversionTrace:
-    """Stage-2 loop against any simulator exposing predict/jt_vec/n_data."""
-    n = mesh_shape[0] * mesh_shape[1]
-    m_ref = np.full(n, float(config.m_ref))
+def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
+                  survey: Survey, d_obs: np.ndarray, weights: DataWeights,
+                  config: DipConfig) -> InversionTrace:
+    """Full stage-2 inversion on a mesh + survey pair, from the pretrained ``params``."""
+    sim = DCSimulation(mesh, survey)
+    m_ref = np.full(mesh.n_cells, float(config.m_ref))
     d_obs = np.asarray(d_obs, dtype=float)
     w2 = weights.values ** 2
 
@@ -145,7 +145,7 @@ def run_stage2(params: NetParams, z: np.ndarray, sim, d_obs: np.ndarray,
     hits = 0
     for t in range(1, config.epochs_stage2 + 1):
         b = beta(t, config.tau)
-        m, tr = net_forward(params, z, mesh_shape, mode=mode, rng=rng)
+        m, tr = net_forward(params, z, mesh.shape, mode=mode, rng=rng)
         try:
             d_pred = sim.predict(m)
             jv = sim.jt_vec(m, w2 * (d_pred - d_obs))
@@ -169,17 +169,10 @@ def run_stage2(params: NetParams, z: np.ndarray, sim, d_obs: np.ndarray,
             trace.converged = True
             break
 
-    final_m, _ = net_forward(params, z, mesh_shape, mode="eval")
+    final_m, _ = net_forward(params, z, mesh.shape, mode="eval")
     trace.final_model = final_m
     trace.final_params = params
     if not trace.converged and trace.records:
         trace.converged = trace.records[-1].chi <= config.chi_stop
     return trace
 
-
-def invert_stage2(pretrained: NetParams, z: np.ndarray, mesh: TensorMesh2D,
-                  survey: Survey, d_obs: np.ndarray, weights: DataWeights,
-                  config: DipConfig) -> InversionTrace:
-    """Full stage-2 inversion on a mesh + survey pair."""
-    sim = DCSimulation(mesh, survey)
-    return run_stage2(pretrained, z, sim, d_obs, weights, config, mesh.shape)

@@ -1,11 +1,13 @@
 """Plain-text data files and the row reader of every dcinv text file,
-key-value config files, and JSON manifests."""
+key-value config files, JSON manifests, and the one rule for a JSON object
+that names a configuration."""
 
 from __future__ import annotations
 
 import configparser
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 
@@ -129,6 +131,19 @@ def save_manifest(path, manifest: dict) -> None:
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def from_fields(build, entry: dict, path: str, names=None):
+    """``build(**entry)`` for a JSON object that names every one of ``names``
+    (by default the fields of the dataclass ``build``) and nothing else; a
+    missing or unknown key raises :class:`ValueError` naming its path,
+    ``<path>.<key>``.  Stored runs then replay only as they were written."""
+    names = [f.name for f in fields(build)] if names is None else names
+    if missing := [name for name in names if name not in entry]:
+        raise ValueError("lacks " + ", ".join(f"{path}.{name}" for name in missing))
+    if unknown := [key for key in entry if key not in names]:
+        raise ValueError("unknown key " + ", ".join(f"{path}.{key}" for key in unknown))
+    return build(**entry)
 
 
 def load_manifest(path) -> dict:

@@ -213,7 +213,7 @@ def _tridiagonal_inverses(diag: np.ndarray, off: np.ndarray, columns) -> np.ndar
 class BlockFactor:
     """Block LDL^T factor of the operator at one model: the even cell columns
     condensed onto the odd ones, which are eliminated from both edges of the
-    grid at once; solves every right-hand side.
+    grid at once; solves for unit sources at surface cells.
 
     Ordered column by column (cell ``(ix, iz)`` at ``ix * nz + iz``), the
     5-point operator is block tridiagonal: ``nx`` tridiagonal ``nz x nz``
@@ -230,14 +230,9 @@ class BlockFactor:
     ``nx // 4 + 1`` dense inverse calls, none for a single column.  Kept:
     ``T^-1`` of the even columns, the inverted pivots of the odd ones, row
     ``s`` holding a pair, and the couplings the elimination formed, which
-    every solve reuses (about ``12 nx nz^2`` bytes: 2.63 MB at full scale,
+    the solve reuses (about ``12 nx nz^2`` bytes: 2.63 MB at full scale,
     214 x 32).  The block size is always ``nz``: every shipped mesh is wider
     than it is deep.
-
-    Both solves run one sweep (:meth:`_sweep`) and differ only in how they
-    condense the right-hand side onto the odd columns: :meth:`solve` from
-    any ``b``, :meth:`solve_surface` directly from unit sources at surface
-    cells, without forming them.
     """
 
     def __init__(self, diag: np.ndarray, z_off: np.ndarray, x_off: np.ndarray):
@@ -305,65 +300,39 @@ class BlockFactor:
         k *= -self.x_pad[np.minimum(2 * p + 1, 2 * e)][..., None, :]
         return k
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for one vector (n,) or all columns of (n, k): each odd
-        column's right-hand side less C T^-1 b of both even neighbours, then
-        :meth:`_sweep`."""
-        t_inv, cols, x_pad = self.t_inv, self.columns, self.x_pad
-        nx, nz = x_pad.shape
-        odd = 2 * cols + 1
-        grid = np.asarray(b, dtype=float).reshape(nz, nx, -1).transpose(1, 0, 2)
-        even = grid[::2].copy()
-        y = t_inv @ even  # T^-1 b on every even column
-        x = grid[odd]  # (rows, 2, nz, k) in paired order, swept in place
-        term = np.empty_like(x)
-        for col, c in ((cols, x_pad[odd - 1]), (cols + 1, x_pad[odd])):
-            np.take(y, col, axis=0, out=term, mode="clip")
-            term *= c[..., None]
-            x -= term
-        del y, term
-        return self._sweep(x, even).reshape(np.shape(b))
-
     def solve_surface(self, columns) -> np.ndarray:
         """A^-1 E (n, k), ``E`` a unit source in the surface cell of each of
-        ``k`` distinct cell columns: ``solve(E)``, bitwise, without forming
-        ``E``.  The condensed right-hand side is written directly: a source
-        on an odd column is a 1 in the first row of its slot, a source on
-        even column e is ``-C T_e^-1[:, 0]`` on each odd neighbour."""
+        ``k`` distinct cell columns, without forming ``E``.
+
+        The condensed right-hand side is written directly: a source on an
+        odd column is a 1 in the first row of its slot, a source on even
+        column e is ``-C T_e^-1[:, 0]`` on each odd neighbour.  Both forward
+        sweeps run at once toward the middle odd column, back substitution
+        outward from it; then each even column is ``T^-1 (b - C x)`` over its
+        odd neighbours, in one batched product."""
         nx, nz = self.x_pad.shape
         columns = np.asarray(columns)
         if (columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer)
                 or np.any((columns < 0) | (columns >= nx))
                 or np.unique(columns).size != columns.size):
             raise ValueError(f"source columns must be distinct integers in [0, {nx})")
-        m, k = nx // 2, columns.size
-        x = np.zeros((self.columns.size, nz, k))
-        even = np.zeros((self.t_inv.shape[0], nz, k))
-        src = np.arange(k)
+        p, k, cols, x_pad = self.inv_pivots, self.couplings, self.columns, self.x_pad
+        m, n_src = nx // 2, columns.size
+        x = np.zeros(cols.shape + (nz, n_src))  # (rows, 2, nz, n_src) in paired order
+        flat = x.reshape(-1, nz, n_src)
+        even = np.zeros((self.t_inv.shape[0], nz, n_src))
+        src = np.arange(n_src)
         on_odd = columns % 2 == 1
-        x[self.slots[columns[on_odd] // 2], 0, src[on_odd]] = 1.0
+        flat[self.slots[columns[on_odd] // 2], 0, src[on_odd]] = 1.0
         e, src = columns[~on_odd] // 2, src[~on_odd]
         even[e, 0, src] = 1.0
         # Even column 2e has odd neighbours e (cell column 2e + 1, face 2e)
         # and e - 1 (cell column 2e - 1, face 2e - 1), where they exist.
         for nbr, face in ((e, 2 * e), (e - 1, 2 * e - 1)):
             on = (nbr >= 0) & (nbr < m)
-            x[self.slots[nbr[on]], :, src[on]] = -(self.x_pad[face[on]]
-                                                    * self.t_inv[e[on], :, 0])
-        return self._sweep(x.reshape(self.columns.shape + (nz, k)), even).reshape(-1, k)
+            flat[self.slots[nbr[on]], :, src[on]] = -(x_pad[face[on]] * self.t_inv[e[on], :, 0])
 
-    def _sweep(self, x: np.ndarray, even: np.ndarray) -> np.ndarray:
-        """The solve from a condensed right-hand side ``x`` (rows, 2, nz, k),
-        in the factor's paired order, and the even columns' own right-hand
-        side ``even`` (nx - nx // 2, nz, k); both are overwritten.  Both
-        forward sweeps run at once toward the middle odd column, back
-        substitution outward from it; then each even column is ``T^-1 (b -
-        C x)`` over its odd neighbours, in one batched product.  Returns the
-        potentials as an (nz, nx, k) cell grid."""
-        p, k, cols, x_pad = self.inv_pivots, self.couplings, self.columns, self.x_pad
         t = cols.shape[0] - 1
-        nx, nz = x_pad.shape
-        m = nx // 2
         if m % 2:
             x[t, 1] = 0.0  # the middle column is held once, in the left slot
         for s in range(t + 1):
@@ -381,20 +350,20 @@ class BlockFactor:
             x[t, 0] -= p[t, 0] @ (km.T @ x[t, 1])
         for s in range(t - 1, -1, -1):
             x[s] -= p[s] @ (k[s].transpose(0, 2, 1) @ x[s + 1])
+
         # The odd columns in cell order, gathered to the head of the sweep buffer.
-        flat = x.reshape(-1, nz, x.shape[-1])
         x_odd = flat[:m]
         x_odd[...] = flat[self.slots]
         ne = even.shape[0]
         even[:m] -= x_pad[0:2 * m:2, :, None] * x_odd
         even[1:] -= x_pad[1:2 * ne - 1:2, :, None] * x_odd[:ne - 1]
-        out = np.empty((nz, nx, x.shape[-1]))
+        out = np.empty((nz, nx, n_src))
         cells = out.transpose(1, 0, 2)
         cells[1::2] = x_odd
         np.matmul(self.t_inv, even, out=cells[::2])
         if not np.all(np.isfinite(out)):
             raise SolverFailure("direct solve produced non-finite potentials")
-        return out
+        return out.reshape(-1, n_src)
 
 
 class DCSimulation:

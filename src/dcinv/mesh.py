@@ -21,14 +21,12 @@ class TensorMesh2D:
     """Rectilinear mesh defined by per-axis cell-width lists.
 
     ``origin_x`` is the x coordinate of the left mesh edge (padding
-    included); ``surface_z`` is the depth of the top edge, always 0 for a
-    surface survey.
+    included); the top edge is the surface, at depth 0.
     """
 
     hx: np.ndarray
     hz: np.ndarray
     origin_x: float
-    surface_z: float = 0.0
 
     def __post_init__(self):
         hx = np.asarray(self.hx, dtype=float)
@@ -61,7 +59,7 @@ class TensorMesh2D:
     @property
     def z_edges(self) -> np.ndarray:
         """Depths of horizontal edges, increasing downward from the surface."""
-        return self.surface_z + np.concatenate(([0.0], np.cumsum(self.hz)))
+        return np.concatenate(([0.0], np.cumsum(self.hz)))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..errors import CheckpointError
+from ..fileio import from_fields
 from . import layers
 
 UPSAMPLERS = ("bilinear", "nearest", "transposed")
@@ -86,14 +87,6 @@ class ArchConfig:
         """The fields in declaration order, tuples as lists (the JSON form)."""
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchConfig":
-        """Inverse of :meth:`to_dict`; every field must be present."""
-        missing = [f.name for f in fields(cls) if f.name not in d]
-        if missing:
-            raise ValueError(f"architecture lacks {', '.join(missing)}")
-        return cls(**d)
-
 
 def arch_for_mesh(nz: int, nx: int, n_blocks: int = 3, upsampler: str = "bilinear",
                   dropout_rate: float = 0.0, latent_dim: int = 8,
@@ -114,9 +107,9 @@ def arch_for_mesh(nz: int, nx: int, n_blocks: int = 3, upsampler: str = "bilinea
                       output_scale=output_scale)
 
 
-def sample_latent(rng_seed: int, dim: int = 8, std: float = 10.0) -> np.ndarray:
+def sample_latent(rng_seed: int, dim: int = 8) -> np.ndarray:
     """The fixed network input: Gaussian with mean 0 and standard deviation 10."""
-    z = std * np.random.default_rng(rng_seed).standard_normal(dim)
+    z = 10.0 * np.random.default_rng(rng_seed).standard_normal(dim)
     z.setflags(write=False)
     return z
 
@@ -299,7 +292,7 @@ def load_params(path) -> NetParams:
             raise CheckpointError(f"checkpoint {path} has no __arch__ "
                                   "(architecture) entry")
         try:
-            arch = ArchConfig.from_dict(json.loads(str(f["__arch__"])))
+            arch = from_fields(ArchConfig, json.loads(str(f["__arch__"])), "__arch__")
             arrays = {k: f[k] for k in f.files if k != "__arch__"}
         except (ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
             raise CheckpointError(f"checkpoint {path} is unreadable: {e!r}") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -83,18 +84,14 @@ def _entry(mapping: dict, key: str, kind: type, optional: bool = False,
     return value
 
 
-def _built(key: str, build, fields: dict):
-    """``build(fields)``; entries that do not fit, or hold a value that ``build``
-    rejects, raise a :class:`ManifestError`."""
+def _built(key: str, build, entry: dict, names=None):
+    """``build`` of the manifest entry ``key`` by :func:`fileio.from_fields`:
+    a missing or unknown key, or a value that ``build`` rejects, raises a
+    :class:`ManifestError`."""
     try:
-        return build(fields)
+        return fileio.from_fields(build, entry, key, names)
     except (TypeError, KeyError, ValueError) as e:
         raise ManifestError(f"manifest entry {key!r} does not fit: {e}") from None
-
-
-def _arch(mesh, dropout_rate: float, n_blocks: int = 3, upsampler: str = "bilinear"):
-    """The network of a manifest's ``arch`` entry, which may hold only these two keys."""
-    return arch_for_mesh(mesh.nz, mesh.nx, n_blocks, upsampler, dropout_rate)
 
 
 def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
@@ -135,7 +132,7 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
     if not isinstance(manifest, dict):
         raise ManifestError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     method = _entry(manifest, "method", str)
-    spec = _built("scenario", ScenarioSpec.from_dict, _entry(manifest, "scenario", dict))
+    spec = _built("scenario", ScenarioSpec, _entry(manifest, "scenario", dict))
     out_dir = out_dir or _entry(manifest, "out_dir", str)
     data_path = _entry(manifest, "data", str, optional=True)
     if (version := _entry(manifest, "version", int)) != MANIFEST_VERSION:
@@ -153,9 +150,11 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         fileio.save_data(paths["data"], survey, d_noisy, std)
 
     elif method == "dip":
-        cfg = _built("config", lambda d: DipConfig(**d), _entry(manifest, "config", dict))
-        arch = _built("arch", lambda d: _arch(mesh, cfg.dropout_rate, **d),
-                      _entry(manifest, "arch", dict, optional=True) or {})
+        cfg = _built("config", DipConfig, _entry(manifest, "config", dict))
+        # the entry chooses two things; the mesh and the dropout rate fix the rest
+        arch = _built("arch", partial(arch_for_mesh, mesh.nz, mesh.nx,
+                                      dropout_rate=cfg.dropout_rate),
+                      _entry(manifest, "arch", dict), ("n_blocks", "upsampler"))
         pretrained = _entry(manifest, "pretrained", str, optional=True)
         if pretrained:
             params = load_params(pretrained)
@@ -176,11 +175,10 @@ def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
         save_params(paths["checkpoint"], trace.final_params)
 
     elif method == "conventional":
-        config = _entry(manifest, "config", dict)
-        reg = _built("config.reg", lambda d: RegularizationConfig(**d),
+        config = _built("config", dict, _entry(manifest, "config", dict), ("reg", "gn"))
+        reg = _built("config.reg", RegularizationConfig,
                      _entry(config, "reg", dict, within="manifest config"))
-        gn = _built("config.gn", lambda d: GNConfig(**d),
-                    _entry(config, "gn", dict, within="manifest config"))
+        gn = _built("config.gn", GNConfig, _entry(config, "gn", dict, within="manifest config"))
         survey, d_obs, weights = _obs_for_run(data_path, spec, mesh, out_dir)
         trace = gauss_newton_invert(mesh, survey, d_obs, weights, reg, gn)
         paths["trace"] = os.path.join(out_dir, "trace.txt")

@@ -63,6 +63,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.noise_rel >= 0:  # NaN fails it too
             raise ValueError(f"noise_rel must be >= 0, got {self.noise_rel}")
+        # the JSON form (see to_dict): the dike as its five numbers, lists for tuples
+        if self.dike is not None and not isinstance(self.dike, DikeGeometry):
+            object.__setattr__(self, "dike", DikeGeometry(*self.dike))
+        object.__setattr__(self, "cylinders", tuple(tuple(c) for c in self.cylinders))
 
     def mesh(self) -> TensorMesh2D:
         return build_mesh(self.n_core_x, self.n_core_z, self.dx, self.dz,
@@ -84,14 +88,6 @@ class ScenarioSpec:
         d["dike"] = None if self.dike is None else list(astuple(self.dike))
         d["cylinders"] = [list(c) for c in self.cylinders]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        d = dict(d)
-        dike = d.pop("dike", None)
-        cyl = d.pop("cylinders", [])
-        return cls(dike=None if dike is None else DikeGeometry(*dike),
-                   cylinders=tuple(tuple(c) for c in cyl), **d)
 
 
 def _validate_geometry(spec: ScenarioSpec) -> None:

@@ -145,9 +145,9 @@ def irls_weights(r: np.ndarray, p: float, eps: float) -> np.ndarray:
     return (r * r + eps * eps) ** (p / 2.0 - 1.0)
 
 
-def sensitivity_weights(sim, m: np.ndarray, n_probes: int = 32, rng_seed: int = 0,
-                        floor: float = 1e-4) -> np.ndarray:
-    """Estimated root diagonal of J^T J, normalized to max 1 and floored.
+def sensitivity_weights(sim, m: np.ndarray, n_probes: int = 32,
+                        rng_seed: int = 0) -> np.ndarray:
+    """Estimated root diagonal of J^T J, normalized to max 1 and floored at 1e-4.
 
     Column norms are probed stochastically: for random +-1 data vectors v,
     E[(J^T v)_j^2] = sum_i J_ij^2.  All probes are one product with J.
@@ -161,7 +161,7 @@ def sensitivity_weights(sim, m: np.ndarray, n_probes: int = 32, rng_seed: int = 
     if top == 0:
         raise ValueError("zero sensitivity everywhere; check the model/survey")
     w = w / top
-    return np.maximum(w, floor)
+    return np.maximum(w, 1e-4)
 
 
 L2 = (1.0, 1.0, 1.0)  # IRLS weights of plain least squares, one per term
@@ -196,6 +196,8 @@ def update_irls(m: np.ndarray, terms, irls_epsilon: float) -> tuple:
     for i, t in enumerate(terms):
         if t.p < 2.0:
             r = t.w * t.d(m - t.ref)
+            if not r.size:  # a mesh one cell wide or deep has no faces across it
+                continue
             eps = max(irls_epsilon * float(np.sqrt(np.mean(r * r))), 1e-8)
             weights[i] = irls_weights(r, t.p, eps)
     return tuple(weights)

@@ -1,13 +1,15 @@
-"""Shared finite-difference oracles and small problem factories."""
+"""Shared finite-difference oracles, small problem factories and drawn meshes."""
 
 import sys
 import weakref
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dcinv.checks import central_difference, rel_err  # noqa: F401 (shared with the tests)
+from dcinv.checks import central_difference
 from dcinv.forward import DCSimulation
-from dcinv.mesh import build_mesh
+from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.net import net_forward
 from dcinv.survey import build_dipole_dipole_survey
 
@@ -60,6 +62,19 @@ def operator_entries(mesh, sigma):
             np.concatenate([-t_int, -t_int, t_int, t_int, t_bnd]))
 
 
+@st.composite
+def drawn_meshes(draw):
+    """A mesh of 1-40 x 1-20 cells with drawn widths (padding-sized cells
+    included) and a log-conductivity anywhere in the generator's (-8, 0) range."""
+    nx, nz = draw(st.integers(1, 40)), draw(st.integers(1, 20))
+    widths = st.floats(0.5, 60.0)
+    mesh = TensorMesh2D(hx=draw(arrays(float, nx, elements=widths)),
+                        hz=draw(arrays(float, nz, elements=widths)), origin_x=0.0)
+    m = draw(arrays(float, mesh.n_cells,
+                    elements=st.floats(-8.0, 0.0, exclude_min=True, exclude_max=True)))
+    return mesh, m
+
+
 def dense_operator(mesh, sigma):
     """The finite-volume operator as a dense matrix, duplicate entries summed."""
     rows, cols, values = operator_entries(mesh, sigma)
@@ -70,11 +85,10 @@ def dense_operator(mesh, sigma):
 
 class Traffic:
     """Counts what the optimizers ask of a ``DCSimulation``: calls per method,
-    operator factorizations and solves (general or surface-source), the
-    distinct models predicted or differentiated, the Jacobian builds
-    (distinct arrays handed out), the most earlier builds still alive when a
-    new one is handed out, and the ``np.linalg.inv`` calls made from
-    ``dcinv.forward``."""
+    operator factorizations and solves, the distinct models predicted or
+    differentiated, the Jacobian builds (distinct arrays handed out), the
+    most earlier builds still alive when a new one is handed out, and the
+    ``np.linalg.inv`` calls made from ``dcinv.forward``."""
 
     def __init__(self, monkeypatch):
         from dcinv.forward import BlockFactor
@@ -106,21 +120,18 @@ class Traffic:
 
         for name in ("predict", "j_vec", "jt_vec", "jacobian"):
             monkeypatch.setattr(DCSimulation, name, counted(name, getattr(DCSimulation, name)))
-        init = BlockFactor.__init__
+        init, solve = BlockFactor.__init__, BlockFactor.solve_surface
 
         def counted_init(factor, *args):
             self.calls["factor"] += 1
             init(factor, *args)
 
-        def counted_solve(solve):
-            def wrapper(factor, b):
-                self.calls["solve"] += 1
-                return solve(factor, b)
-            return wrapper
+        def counted_solve(factor, columns):
+            self.calls["solve"] += 1
+            return solve(factor, columns)
 
         monkeypatch.setattr(BlockFactor, "__init__", counted_init)
-        for name in ("solve", "solve_surface"):  # a general or a surface-source solve
-            monkeypatch.setattr(BlockFactor, name, counted_solve(getattr(BlockFactor, name)))
+        monkeypatch.setattr(BlockFactor, "solve_surface", counted_solve)
         inv = np.linalg.inv
 
         def counted_inv(a):

@@ -11,7 +11,7 @@ import numpy as np
 
 from dcinv.ablation import SUITES, run_ablation
 from dcinv.checks import (central_difference, check_adjoint, check_beta,
-                          check_net_gradient, check_surrogate)
+                          check_net_gradient, check_surrogate, rel_err)
 from dcinv.dip import DipConfig, invert_stage2, pretrain_stage1
 from dcinv.fileio import load_manifest
 from dcinv.forward import DCSimulation, chi_factor, phi_d, weights_from_std
@@ -26,7 +26,7 @@ from dcinv.tikhonov import (DifferenceOperators, GNConfig, RegularizationConfig,
                             gauss_newton_invert, phi_m, regularization_terms,
                             update_irls)
 
-from helpers import rel_err, tiny_dc_problem
+from helpers import tiny_dc_problem
 
 
 def report(num, description, ok, detail=""):

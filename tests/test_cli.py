@@ -13,6 +13,8 @@ from dcinv.scenarios import build_case1
 from dcinv.tikhonov import GNConfig, RegularizationConfig
 from dcinv.trace import load_grid, save_grid
 
+_MISSING = object()  # a manifest key deleted, not set
+
 
 class TestSimulate:
     def test_full_scale_row_count(self, tmp_path):
@@ -113,7 +115,8 @@ class TestExitCodes:
         else:
             spec, _ = build_case1(45.0, scale="desk")
             save_manifest(tmp_path / "m.json",
-                          dip_manifest(spec, DipConfig(), {}, str(out),
+                          dip_manifest(spec, DipConfig(),
+                                       {"n_blocks": 3, "upsampler": "bilinear"}, str(out),
                                        pretrained=str(checkpoint)))
             code = main(["replay", "--manifest", str(tmp_path / "m.json")])
         assert code == 3
@@ -152,24 +155,44 @@ class TestExitCodes:
         ("config", "tau", -1.0), ("arch", "upsampler", "bicubic"), ("arch", "n_blocks", "x"),
         ("arch", "bogus", 1), ("arch", "latent_dim", 16), ("config", "m_ref", [1, 2]),
         ("config", "m_ref", None), ("scenario", "noise_rel", float("nan")),
-        ("version", None, 2)])
+        ("version", None, 2)] + [
+        pytest.param(entry, key, _MISSING, id=f"no-{entry}.{key}")
+        for entry, key in (("scenario", "n_core_x"), ("config", "tau"),
+                           ("config.reg", "alpha_s"), ("config.gn", "cg_tol"),
+                           ("config", "reg"), ("arch", "upsampler"))] + [
+        pytest.param(entry, "bogus", 1, id=f"{entry}.bogus")
+        for entry in ("scenario", "config", "config.reg", "config.gn")])
     def test_manifest_value_its_config_rejects_is_io_error(self, tmp_path, capsys,
                                                            entry, key, value):
-        """A replayed manifest entry that its dataclass rejects exits 3 naming
-        the entry and the key, before the run writes anything."""
+        """A replayed manifest entry that lacks a key, holds an unknown one or
+        holds a value that its dataclass rejects exits 3 naming the entry and
+        the key (its full path when the key is missing or unknown), before
+        the run writes anything.  Entries under ``config.`` are a
+        conventional run's, and ``config.reg`` alone is too."""
         spec, _ = build_case1(45.0, scale="desk")
-        manifest = dip_manifest(spec, DipConfig(epochs_stage1=2, epochs_stage2=1),
-                                {"n_blocks": 3, "upsampler": "bilinear"}, str(tmp_path / "o"))
-        if key is None:
-            manifest[entry] = value
+        if entry.startswith("config.") or (entry, key) == ("config", "reg"):
+            manifest = conventional_manifest(spec, RegularizationConfig(), GNConfig(),
+                                             str(tmp_path / "o"))
         else:
-            manifest[entry][key] = value
+            manifest = dip_manifest(spec, DipConfig(epochs_stage1=2, epochs_stage2=1),
+                                    {"n_blocks": 3, "upsampler": "bilinear"},
+                                    str(tmp_path / "o"))
+        *parents, last = entry.split(".") + ([] if key is None else [key])
+        target = manifest
+        for part in parents:
+            target = target[part]
+        if value is _MISSING:
+            del target[last]
+        else:
+            target[last] = value
         save_manifest(tmp_path / "m.json", manifest)
         code = main(["replay", "--manifest", str(tmp_path / "m.json")])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"manifest error: manifest entry {entry!r} does not fit: ")
         assert (key or entry) in err and "Traceback" not in err
+        if value is _MISSING or key == "bogus":
+            assert f"{entry}.{key}" in err
         assert not (tmp_path / "o").exists()
 
     def test_conventional_manifest_reference_must_be_one_number(self, tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dcinv.dip import (DipConfig, beta, chi_factor, invert_stage2,
-                       pretrain_stage1, run_stage2, surrogate_loss)
+from dcinv.dip import (DipConfig, beta, chi_factor, invert_stage2, pretrain_stage1,
+                       surrogate_loss)
 from dcinv.forward import DataWeights, DCSimulation, phi_d, weights_from_std
 from dcinv.mesh import build_mesh
 from dcinv.net import arch_for_mesh, init_params, net_forward, sample_latent

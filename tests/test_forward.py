@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import dcinv
+from dcinv.checks import rel_err
 from dcinv.errors import SolverFailure
 from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, _electrode_cells,
                            _FaceGeometry, _tridiagonal_inverses, phi_d, weights_from_std)
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
 
-from helpers import Traffic, dense_operator, operator_entries, rel_err, tiny_dc_problem
+from helpers import Traffic, dense_operator, drawn_meshes, operator_entries, tiny_dc_problem
 
 
 class TestAssembly:
@@ -53,32 +53,27 @@ class TestAssembly:
             assert np.abs(a - a.T).max() == 0.0
 
 
+def _unit_sources(mesh, columns):
+    """E (n_cells, k): a unit source in the surface cell of each given column."""
+    e = np.zeros((mesh.n_cells, len(columns)))
+    e[columns, np.arange(len(columns))] = 1.0
+    return e
+
+
 class TestSolve:
-    def test_zero_source(self):
-        mesh = build_mesh(4, 3, 1.0, 1.0, 0, 1.0)
-        assert np.all(_FaceGeometry(mesh).factor(np.ones(12)).solve(np.zeros(12)) == 0.0)
-
-    def test_zero_rhs_column(self):
-        """A zero column among non-zero ones solves to exactly zero."""
-        mesh = build_mesh(4, 4, 1.0, 1.0, 0, 1.0)
-        b = np.zeros((16, 2))
-        b[:, 1] = 1.0
-        x = _FaceGeometry(mesh).factor(np.ones(16)).solve(b)
-        assert np.all(x[:, 0] == 0.0)
-        assert np.all(x[:, 1] != 0.0)
-
     def test_single_cell(self):
         mesh = TensorMesh2D(hx=np.array([1.0]), hz=np.array([1.0]), origin_x=0.0)
         a = dense_operator(mesh, np.array([1.0]))
-        phi = _FaceGeometry(mesh).factor(np.array([1.0])).solve(np.array([2.0]))
-        assert np.isclose(phi[0], 2.0 / a[0, 0])
+        phi = _FaceGeometry(mesh).factor(np.array([1.0])).solve_surface([0])
+        assert phi.shape == (1, 1) and np.isclose(phi[0, 0], 1.0 / a[0, 0])
 
     def test_matches_dense_solve(self):
         """Wide, tall (nz > nx), one-column and one-cell meshes, and ragged
         meshes of 1 to 9 columns and 1 to 5 rows (both parities of nx and of
         the odd-column count, so the odd columns meet at one middle column and
-        at a coupled pair), random conductivities and a block of right-hand
-        sides, vs numpy.linalg.solve."""
+        at a coupled pair), random conductivities, a unit source on every
+        surface column in shuffled order and on one alone, vs
+        numpy.linalg.solve."""
         rng = np.random.default_rng(7)
 
         def ragged(nx, nz):
@@ -96,11 +91,11 @@ class TestSolve:
         assert meshes[4].nz > meshes[4].nx and meshes[4].nx % 2
         for mesh in meshes:
             sigma = np.exp(rng.standard_normal(mesh.n_cells))
-            q = rng.standard_normal((mesh.n_cells, 3))
-            ref = np.linalg.solve(dense_operator(mesh, sigma), q)
+            columns = rng.permutation(mesh.nx)
+            ref = np.linalg.solve(dense_operator(mesh, sigma), _unit_sources(mesh, columns))
             factor = _FaceGeometry(mesh).factor(sigma)
-            assert rel_err(factor.solve(q), ref) < 1e-12
-            assert rel_err(factor.solve(q[:, 0]), ref[:, 0]) < 1e-12
+            assert rel_err(factor.solve_surface(columns), ref) < 1e-12
+            assert rel_err(factor.solve_surface(columns[:1]), ref[:, :1]) < 1e-12
 
     @pytest.mark.parametrize("nz", [1, 2, 5, 32])
     def test_tridiagonal_inverses_match_inv(self, nz):
@@ -176,22 +171,9 @@ class TestSolve:
 
 
 @st.composite
-def _meshes(draw):
-    """A mesh of 1-40 x 1-20 cells with drawn widths (padding-sized cells
-    included) and a log-conductivity anywhere in the generator's (-8, 0) range."""
-    nx, nz = draw(st.integers(1, 40)), draw(st.integers(1, 20))
-    widths = st.floats(0.5, 60.0)
-    mesh = TensorMesh2D(hx=draw(arrays(float, nx, elements=widths)),
-                        hz=draw(arrays(float, nz, elements=widths)), origin_x=0.0)
-    m = draw(arrays(float, mesh.n_cells,
-                    elements=st.floats(-8.0, 0.0, exclude_min=True, exclude_max=True)))
-    return mesh, m
-
-
-@st.composite
 def _surface_problems(draw):
     """A drawn mesh, its conductivity, and distinct surface columns in any order."""
-    mesh, m = draw(_meshes())
+    mesh, m = draw(drawn_meshes())
     columns = draw(st.lists(st.integers(0, mesh.nx - 1), min_size=1, max_size=mesh.nx,
                             unique=True))
     return mesh, np.exp(m), np.array(columns)
@@ -201,7 +183,7 @@ def _surface_problems(draw):
 def _sensitivity_problems(draw):
     """A drawn mesh and model, and a dipole-dipole line of 4-7 stations that
     starts and ends inside the mesh's surface (several may share a cell)."""
-    mesh, m = draw(_meshes())
+    mesh, m = draw(drawn_meshes())
     stations = draw(st.integers(4, 7))
     width = mesh.x_edges[-1]
     start = draw(st.floats(0.001, 0.5))
@@ -212,19 +194,14 @@ def _sensitivity_problems(draw):
 
 
 class TestSurfaceSolve:
-    """``solve_surface``, the forward operator's one solve, against the
-    general solve of its unit sources and a dense solve."""
+    """``solve_surface``, the forward operator's one solve, against a dense solve."""
 
     @given(problem=_surface_problems())
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_matches_general_and_dense_solves(self, problem):
+    def test_matches_dense_solve(self, problem):
         mesh, sigma, columns = problem
-        e = np.zeros((mesh.n_cells, columns.size))
-        e[columns, np.arange(columns.size)] = 1.0
-        factor = _FaceGeometry(mesh).factor(sigma)
-        general = factor.solve(e)
-        assert np.array_equal(factor.solve_surface(columns), general)
-        assert rel_err(general, np.linalg.solve(dense_operator(mesh, sigma), e)) < 1e-12
+        ref = np.linalg.solve(dense_operator(mesh, sigma), _unit_sources(mesh, columns))
+        assert rel_err(_FaceGeometry(mesh).factor(sigma).solve_surface(columns), ref) < 1e-12
 
     @pytest.mark.parametrize("columns", [[2, 2], [0, 3, 0], [-1], [5], [0, 5], [1.0],
                                          [[0, 1]]])

@@ -1,4 +1,5 @@
-"""Static audit: the package imports only the standard library, numpy and itself."""
+"""Static audits: the package imports only the standard library, numpy and
+itself, its namespaces export what is used, and every imported name is read."""
 
 import ast
 import importlib.util
@@ -67,3 +68,36 @@ def test_net_exports_what_is_imported_through_it():
     exported = {name for name, value in vars(dcinv.net).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == imported
+
+
+def test_every_imported_name_is_used():
+    """Every name that a module of the package, its tests or the benchmark
+    imports is read in that module (also inside a string annotation).
+    ``__future__`` imports and the re-exports of a package's ``__init__``
+    are exempt."""
+    repo = Path(__file__).resolve().parents[1]
+    sources = [path for folder in ("src", "tests", "perfbench")
+               for path in sorted((repo / folder).rglob("*.py"))
+               if path.name != "__init__.py"]
+    unused = []
+    for path in sources:
+        imported, names, annotations = {}, set(), []
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {(a.asname or a.name): node.lineno for a in node.names}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+                annotations.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                annotations.append(node.returns)
+        names |= {name.id for annotation in annotations for node in ast.walk(annotation)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  for name in ast.walk(ast.parse(node.value, mode="eval"))
+                  if isinstance(name, ast.Name)}
+        unused += [f"{path.relative_to(repo)}:{line}: {name}"
+                   for name, line in imported.items() if name not in names]
+    assert len(sources) > 30
+    assert unused == []

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from dcinv.checks import central_difference, rel_err
 from dcinv.metrics import mean_abs_gradient
 from dcinv.net import layers as L
 
-from helpers import central_difference, rel_err
 
 
 class TestDense:

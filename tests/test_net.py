@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dcinv.checks import rel_err
 from dcinv.errors import CheckpointError
 from dcinv.net import (ArchConfig, arch_for_mesh, init_params, load_params,
                        net_backward, net_forward, param_count, sample_latent,
                        save_params)
 from dcinv.scenarios import build_case1
 
-from helpers import param_fd_grads, rel_err
+from helpers import param_fd_grads
 
 
 def hand_count(arch: ArchConfig) -> int:
@@ -303,7 +304,8 @@ class TestCheckpoint:
 
     def test_files_that_are_not_checkpoints_raise_checkpoint_error(self, tmp_path):
         """A lone array, a truncated archive, a bad descriptor, one lacking any
-        field and missing arrays each raise CheckpointError naming the file."""
+        field or holding an unknown one, and missing arrays each raise
+        CheckpointError naming the file, and the field when there is one."""
         arch = arch_for_mesh(10, 12, 2)
         good = tmp_path / "good.npz"
         save_params(good, init_params(3, arch))
@@ -318,7 +320,8 @@ class TestCheckpoint:
             np.savez(partial, **{k: f[k] for k in f.files[:2]})
         with np.load(good) as f:
             arrays = {k: f[k] for k in f.files if k != "__arch__"}
-        descriptors = {"steep": {**arch.to_dict(), "negative_slope": 2.0}}
+        descriptors = {"steep": {**arch.to_dict(), "negative_slope": 2.0},
+                       "extra": {**arch.to_dict(), "bogus": 1}}
         descriptors |= {f"no_{name}": {k: v for k, v in arch.to_dict().items() if k != name}
                         for name in arch.to_dict()}
         for name, descriptor in descriptors.items():
@@ -328,4 +331,9 @@ class TestCheckpoint:
         for path in (lone, cut, bad_arch, partial, *described):
             with pytest.raises(CheckpointError, match=re.escape(str(path))):
                 load_params(path)
+        for name in arch.to_dict():
+            with pytest.raises(CheckpointError, match=rf"lacks __arch__\.{name}\b"):
+                load_params(tmp_path / f"no_{name}.npz")
+        with pytest.raises(CheckpointError, match=r"unknown key __arch__\.bogus"):
+            load_params(tmp_path / "extra.npz")
 

@@ -139,5 +139,5 @@ class TestAddNoise:
 class TestSpecRoundTrip:
     def test_to_from_dict(self):
         spec, _ = build_case2(two_cylinders=False, scale="desk")
-        back = ScenarioSpec.from_dict(spec.to_dict())
+        back = ScenarioSpec(**spec.to_dict())
         assert back == spec

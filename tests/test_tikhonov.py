@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dcinv
+from dcinv.checks import central_difference, rel_err
 from dcinv.errors import SolverFailure
 from dcinv.forward import DCSimulation, weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh, cell_centers
@@ -10,7 +14,7 @@ from dcinv.tikhonov import (L2, DifferenceOperators, GNConfig, RegularizationCon
                             reg_hessian, regularization_terms, sensitivity_weights,
                             update_irls)
 
-from helpers import Traffic, central_difference, rel_err, tiny_dc_problem
+from helpers import Traffic, drawn_meshes, tiny_dc_problem
 
 
 class LinearSim:
@@ -197,6 +201,19 @@ class TestPhiM:
             assert value >= 0.0
 
 
+@st.composite
+def _regularization_problems(draw):
+    """A drawn mesh and model, alphas in [0, 10], norms in [0, 2], and no
+    sensitivity weights or drawn ones in [1e-4, 1], the floor of
+    ``sensitivity_weights``."""
+    mesh, m = draw(drawn_meshes())
+    alphas = draw(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3))
+    norms = draw(st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3))
+    cfg = RegularizationConfig(*alphas, *norms, m_ref=-4.0)
+    sens = draw(st.none() | arrays(float, mesh.n_cells, elements=st.floats(1e-4, 1.0)))
+    return mesh, m, cfg, sens
+
+
 class TestRegHessian:
     @staticmethod
     def nested(v, cfg, ops, irls, sens):
@@ -226,6 +243,31 @@ class TestRegHessian:
         for _ in range(5):
             v = rng.standard_normal(mesh.n_cells)
             assert rel_err(hessian(v), self.nested(v, cfg, ops, irls, sens)) <= 1e-14
+
+    @given(problem=_regularization_problems())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_dense_hessian_on_drawn_meshes(self, problem):
+        """On four random vectors, the apply at the IRLS weights of the drawn
+        model equals the dense ``sum 2 alpha D^T diag(W w W) D`` within 1e-12,
+        with ``D`` formed one unit vector at a time from the difference
+        operators and ``W`` the sensitivity weights (face means on the
+        smoothness terms) or 1."""
+        mesh, m, cfg, sens = problem
+        ops = DifferenceOperators(mesh)
+        terms = regularization_terms(cfg, ops, np.full(mesh.n_cells, cfg.m_ref), sens)
+        irls = update_irls(m, terms, cfg.irls_epsilon)
+        eye = np.eye(mesh.n_cells)
+        dense = np.zeros_like(eye)
+        sens_at = ((1.0,) * 3 if sens is None
+                   else (sens, ops.mean_x(sens), ops.mean_z(sens)))
+        for alpha, d, w, w_irls in zip((cfg.alpha_s, cfg.alpha_x, cfg.alpha_z),
+                                       (eye, *(np.column_stack([f(e) for e in eye])
+                                               for f in (ops.d_x, ops.d_z))),
+                                       sens_at, irls):
+            dense += 2.0 * alpha * (d.T * (w * w_irls * w)) @ d
+        apply = reg_hessian(terms, irls)
+        v = np.random.default_rng(mesh.n_cells).standard_normal((mesh.n_cells, 4))
+        assert rel_err(np.column_stack([apply(c) for c in v.T]), dense @ v) < 1e-12
 
 
 class TestSensitivityWeights:
