@@ -10,7 +10,6 @@ other error propagates.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -18,7 +17,7 @@ from dataclasses import replace
 from .dip import DipConfig
 from .errors import NumericalFailure, SolverFailure
 from .metrics import mean_abs_gradient, rmse
-from .runs import dip_manifest, run_from_manifest, simulate_manifest
+from .runs import ArchChoice, DipRun, SimulateRun, execute
 from .scenarios import ScenarioSpec
 from .trace import load_grid, load_trace
 
@@ -26,20 +25,19 @@ SUITES = ("upsampler", "blocks", "dropout")
 
 
 def suite_variants(suite: str, cfg: DipConfig):
-    """(label, arch options, config) per run of a suite.
+    """(label, architecture choice, config) per run of a suite.
 
     The block-count suite disables dropout so the block count is the only
     thing changing; the other suites inherit the base dropout setting.
     """
     if suite == "upsampler":
-        return [(f"upsampler-{u}", {"n_blocks": 3, "upsampler": u}, cfg)
+        return [(f"upsampler-{u}", ArchChoice(3, u), cfg)
                 for u in ("bilinear", "nearest", "transposed")]
     if suite == "blocks":
         no_drop = replace(cfg, dropout_rate=0.0)
-        return [(f"blocks-{n}", {"n_blocks": n, "upsampler": "bilinear"}, no_drop)
-                for n in (1, 3, 5)]
+        return [(f"blocks-{n}", ArchChoice(n, "bilinear"), no_drop) for n in (1, 3, 5)]
     if suite == "dropout":
-        return [(f"dropout-{rate:g}", {"n_blocks": 3, "upsampler": "bilinear"},
+        return [(f"dropout-{rate:g}", ArchChoice(3, "bilinear"),
                  replace(cfg, dropout_rate=rate))
                 for rate in (0.0, 0.1)]
     raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -48,36 +46,33 @@ def suite_variants(suite: str, cfg: DipConfig):
 def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
                  workers: int = 1):
     """Execute a sequence of suites on one data realization; returns
-    (manifests, rows): a manifest per distinct run, a row per (suite, label).
+    (runs, rows): each distinct run, and a row per (suite, label).
     A variant that recurs across suites (``blocks-3`` is ``dropout-0``) runs
     once, into the subdirectory of its first label under ``out_dir``;
     ``summary.txt`` holds one table per suite."""
     os.makedirs(out_dir, exist_ok=True)
-    sim_paths = run_from_manifest(simulate_manifest(spec, os.path.join(out_dir, "data")))
-    data_path = sim_paths["data"]
+    sim_paths = execute(SimulateRun(spec, os.path.join(out_dir, "data")))
     truth, nx, nz = load_grid(sim_paths["model_true"])
 
-    runs, plan = {}, []  # runs: manifest by what it runs; plan: (suite, label, run)
+    runs, plan = {}, []  # runs: the run by what it runs; plan: (suite, label, key)
     for suite in suites:
-        for label, arch_opts, run_cfg in suite_variants(suite, cfg):
-            manifest = dip_manifest(spec, run_cfg, arch_opts,
-                                    os.path.join(out_dir, label), data_path)
-            # a manifest determines its run up to where the run writes
-            key = json.dumps({**manifest, "out_dir": None}, sort_keys=True)
-            runs.setdefault(key, manifest)
+        for label, arch, run_cfg in suite_variants(suite, cfg):
+            run = DipRun(spec, run_cfg, arch, sim_paths["data"], None,
+                         os.path.join(out_dir, label))
+            key = replace(run, out_dir="")  # a run is determined up to where it writes
+            runs.setdefault(key, run)
             plan.append((suite, label, key))
-    manifests = list(runs.values())
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_guarded, manifests))
+            outcomes = list(pool.map(_run_guarded, runs.values()))
     else:
-        outcomes = [_run_guarded(m) for m in manifests]
+        outcomes = [_run_guarded(run) for run in runs.values()]
     by_run = dict(zip(runs, outcomes))
 
     rows = []
     for suite, label, key in plan:
-        (ok, err), run_dir = by_run[key], runs[key]["out_dir"]
+        (ok, err), run_dir = by_run[key], runs[key].out_dir
         if not ok:
             rows.append({"suite": suite, "run": label, "status": f"failed: {err}",
                          "chi": float("nan"), "rmse": float("nan"),
@@ -91,12 +86,12 @@ def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
                      "smoothness": mean_abs_gradient(model.reshape(nz, nx))})
 
     _write_summary(os.path.join(out_dir, "summary.txt"), suites, rows)
-    return manifests, rows
+    return list(runs.values()), rows
 
 
-def _run_guarded(manifest: dict):
+def _run_guarded(run: DipRun):
     try:
-        run_from_manifest(manifest)
+        execute(run)
         return True, ""
     except (SolverFailure, NumericalFailure) as e:  # the row records it; the suite goes on
         return False, f"{type(e).__name__}: {e}"

@@ -5,9 +5,10 @@ Subcommands: ``simulate`` (scenario to synthetic data files),
 ``replay``.  Exit codes: 0 success; 1 usage error, such as a flag or config
 value that its dataclass rejects; 2 numerical failure, also of any ``ablate``
 run; 3 I/O error: a grid, data, trace, manifest or INI file that does not
-parse (the message names the line), a manifest entry that is missing or that
-its dataclass rejects, or a ``--pretrained`` file that is not a checkpoint of
-the run's architecture.
+parse (the message names the line), a manifest key that is missing or
+unknown or whose value has the wrong type or is one its dataclass rejects
+(the message names its path), or a ``--pretrained`` file that is not a
+checkpoint of the run's architecture with finite float64 arrays.
 
 A ``--config`` INI file fills [scenario] (case, dip, scale), [dip],
 [tikhonov] and [gn] (DipConfig, RegularizationConfig, GNConfig); flags
@@ -30,8 +31,8 @@ from .errors import (CheckpointError, ManifestError, NumericalFailure, ParseErro
                      SolverFailure)
 from .net.model import UPSAMPLERS
 from .render import render_grid
-from .runs import (conventional_manifest, dip_manifest, replay, run_from_manifest,
-                   simulate_manifest)
+from .runs import (ArchChoice, ConventionalConfig, ConventionalRun, DipRun, SimulateRun,
+                   execute, replay)
 from .scenarios import ScenarioSpec, build_case1, build_case2
 from .tikhonov import GNConfig, RegularizationConfig
 
@@ -166,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", dest="dip.lr", type=float)
     p.add_argument("--dropout", dest="dip.dropout_rate", type=float)
     p.add_argument("--epochs", dest="dip.epochs_stage2", type=int, help="stage-2 epoch budget")
-    p.add_argument("--blocks", dest="arch.n_blocks", type=int, default=3, choices=[1, 2, 3, 4, 5])
-    p.add_argument("--upsampler", dest="arch.upsampler", default="bilinear", choices=UPSAMPLERS)
+    p.add_argument("--blocks", dest="arch.n_blocks", type=int, choices=[1, 2, 3, 4, 5])
+    p.add_argument("--upsampler", dest="arch.upsampler", choices=UPSAMPLERS)
     p.add_argument("--pretrained", default=None,
                    help="stage-1 checkpoint to reuse (skips pretraining)")
 
@@ -215,22 +216,19 @@ def _run(args) -> int:
     flags = {**vars(args), "dip.rng_seed": getattr(args, "spec.noise_seed", None)}
 
     if args.command == "simulate":
-        paths = run_from_manifest(simulate_manifest(_scenario(flags, config), args.out))
+        paths = execute(SimulateRun(_scenario(flags, config), args.out))
         print(f"wrote {paths['data']} and {paths['model_true']}")
 
     elif args.command == "invert-dip":
-        manifest = dip_manifest(_scenario(flags, config), _section("dip", flags, config),
-                                _flags_for(flags, "arch"), args.out, data_path=args.data,
-                                pretrained=args.pretrained)
-        paths = run_from_manifest(manifest)
+        paths = execute(DipRun(_scenario(flags, config), _section("dip", flags, config),
+                               ArchChoice(**_flags_for(flags, "arch")), args.data,
+                               args.pretrained, args.out))
         print(f"wrote {paths['trace']} and {paths['model']}")
 
     elif args.command == "invert-conv":
-        manifest = conventional_manifest(_scenario(flags, config),
-                                         _section("tikhonov", flags, config),
-                                         _section("gn", flags, config), args.out,
-                                         data_path=args.data)
-        paths = run_from_manifest(manifest)
+        reg_gn = ConventionalConfig(_section("tikhonov", flags, config),
+                                    _section("gn", flags, config))
+        paths = execute(ConventionalRun(_scenario(flags, config), reg_gn, args.data, args.out))
         print(f"wrote {paths['trace']} and {paths['model']}")
 
     elif args.command == "ablate":

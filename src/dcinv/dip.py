@@ -31,7 +31,7 @@ from .survey import Survey
 from .trace import EpochRecord, InversionTrace
 
 
-@dataclass
+@dataclass(frozen=True)
 class DipConfig:
     tau: float = 1000.0
     lr: float = 1e-4
@@ -50,23 +50,25 @@ class DipConfig:
     store_models: bool = False
 
     def __post_init__(self):
-        # Each test is written so that NaN fails it.
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not (self.lr > 0 and self.stage1_lr > 0):
-            raise ValueError("learning rates must be positive")
+        # Each test is written so that NaN fails it; every number is finite.
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
+        if not (0 < self.lr < np.inf and 0 < self.stage1_lr < np.inf):
+            raise ValueError("learning rates lr and stage1_lr must be positive and finite")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ValueError("Adam's decay rates adam_beta1 and adam_beta2 must be in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be positive")
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError("adam_eps must be positive and finite")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
             raise ValueError("epochs_stage1 and epochs_stage2 must be >= 0")
-        if not (self.stage1_tol >= 0 and self.chi_stop >= 0):
-            raise ValueError("stage1_tol and chi_stop must be >= 0")
+        if not (0 <= self.stage1_tol < np.inf and 0 <= self.chi_stop < np.inf):
+            raise ValueError("stage1_tol and chi_stop must be >= 0 and finite")
         if self.chi_patience < 1:
             raise ValueError("chi_patience must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if not (isinstance(self.m_ref, (int, float)) and np.isfinite(self.m_ref)):
             raise ValueError(f"m_ref must be a finite number, got {self.m_ref!r}")
 

@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -133,17 +136,72 @@ def save_manifest(path, manifest: dict) -> None:
         f.write("\n")
 
 
-def from_fields(build, entry: dict, path: str, names=None):
-    """``build(**entry)`` for a JSON object that names every one of ``names``
-    (by default the fields of the dataclass ``build``) and nothing else; a
-    missing or unknown key raises :class:`ValueError` naming its path,
-    ``<path>.<key>``.  Stored runs then replay only as they were written."""
-    names = [f.name for f in fields(build)] if names is None else names
+def from_fields(cls, entry, path: str = ""):
+    """The dataclass ``cls`` built from the JSON value ``entry``, an object
+    that names every field and nothing else, each value of its field's type:
+    ``bool`` takes only true or false, ``int`` only an integer (not ``2.0``),
+    ``float`` any finite number, ``str`` only a string, null only a field
+    that allows None; a tuple comes as a list and a nested dataclass as an
+    object, built the same way.  A field's ``metadata["json"]`` is the type
+    of its JSON form when that is not its own (the constructor converts).
+    Anything else, or a value ``cls`` rejects, raises :class:`ValueError`
+    naming its path (``config.gn.cg_maxiter``), so stored runs replay only
+    as they were written."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path} must be an object, got {_describe(entry)}")
+    members = fields(cls)
+    names = [f.name for f in members]
     if missing := [name for name in names if name not in entry]:
-        raise ValueError("lacks " + ", ".join(f"{path}.{name}" for name in missing))
+        raise ValueError("lacks " + ", ".join(_join(path, name) for name in missing))
     if unknown := [key for key in entry if key not in names]:
-        raise ValueError("unknown key " + ", ".join(f"{path}.{key}" for key in unknown))
-    return build(**entry)
+        raise ValueError("unknown key " + ", ".join(_join(path, key) for key in unknown))
+    hints = get_type_hints(cls)
+    values = {f.name: _fit(f.metadata.get("json", hints[f.name]), entry[f.name],
+                           _join(path, f.name)) for f in members}
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _fit(kind, value, path: str):
+    """``value`` as the annotation ``kind`` reads it (see :func:`from_fields`)."""
+    options = get_args(kind)
+    if get_origin(kind) is UnionType:
+        if value is None and type(None) in options:
+            return None
+        (kind,) = [option for option in options if option is not type(None)]
+        return _fit(kind, value, path)
+    if is_dataclass(kind):
+        return from_fields(kind, value, path)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {_describe(value)}")
+        kinds = [options[0]] * len(value) if options[-1] is Ellipsis else options
+        if len(value) != len(kinds):
+            raise ValueError(f"{path} must hold {len(kinds)} values, got {len(value)}")
+        return tuple(_fit(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    if kind is float:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+        raise ValueError(f"{path} must be a finite number, got {_describe(value)}")
+    if type(value) is not kind:
+        raise ValueError(f"{path} must be {_KINDS[kind]}, got {_describe(value)}")
+    return value
+
+
+_KINDS = {bool: "true or false", int: "an integer", str: "a string"}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _describe(value) -> str:
+    """A JSON value for a message: scalars as written, containers by kind."""
+    if isinstance(value, (list, dict)):
+        return "a list" if isinstance(value, list) else "an object"
+    return json.dumps(value)
 
 
 def load_manifest(path) -> dict:

@@ -154,7 +154,7 @@ class _FaceGeometry:
         return dt[0], dt[1], t_bnd  # T_c is proportional to sigma_c
 
 
-def _electrode_cells(mesh: TensorMesh2D, positions: np.ndarray) -> np.ndarray:
+def electrode_cells(mesh: TensorMesh2D, positions: np.ndarray) -> np.ndarray:
     """Flat indices of the surface cells containing the given x positions.
 
     A position exactly on a cell edge belongs to the cell on its right; a
@@ -395,7 +395,7 @@ class DCSimulation:
 
         # One column of G per distinct electrode cell; electrodes sharing a
         # cell share a column.
-        self.cells, col = np.unique(_electrode_cells(mesh, survey.electrodes),
+        self.cells, col = np.unique(electrode_cells(mesh, survey.electrodes),
                                     return_inverse=True)
         self.src_a = col[[a for a, _ in survey.sources]]
         self.src_b = col[[b for _, b in survey.sources]]

@@ -33,8 +33,8 @@ class TensorMesh2D:
         hz = np.asarray(self.hz, dtype=float)
         if hx.ndim != 1 or hz.ndim != 1 or hx.size == 0 or hz.size == 0:
             raise ValueError("hx and hz must be non-empty 1D width lists")
-        if np.any(hx <= 0) or np.any(hz <= 0):
-            raise ValueError("all cell widths must be strictly positive")
+        if not (np.all((0 < hx) & (hx < np.inf)) and np.all((0 < hz) & (hz < np.inf))):
+            raise ValueError("all cell widths must be strictly positive and finite")
         object.__setattr__(self, "hx", hx)
         object.__setattr__(self, "hz", hz)
         hx.setflags(write=False)
@@ -77,13 +77,13 @@ def build_mesh(n_core_x: int, n_core_z: int, dx: float, dz: float,
     on the origin sits over the core.
     """
     if n_core_x < 1 or n_core_z < 1:
-        raise ValueError("core cell counts must be >= 1")
+        raise ValueError("core cell counts n_core_x and n_core_z must be >= 1")
     if n_pad < 0:
-        raise ValueError("padding cell count must be >= 0")
-    if dx <= 0 or dz <= 0:
-        raise ValueError("cell sizes must be positive")
-    if factor < 1.0:
-        raise ValueError("padding expansion factor must be >= 1")
+        raise ValueError("padding cell count n_pad must be >= 0")
+    if not (0 < dx < np.inf and 0 < dz < np.inf):  # NaN fails each test
+        raise ValueError("cell sizes dx and dz must be positive and finite")
+    if not 1.0 <= factor < np.inf:
+        raise ValueError("padding expansion factor must be >= 1 and finite")
 
     pad_x = dx * factor ** np.arange(1, n_pad + 1)
     pad_z = dz * factor ** np.arange(1, n_pad + 1)

@@ -67,6 +67,8 @@ class ArchConfig:
             raise ValueError("dropout rate must be in [0, 1)")
         if not 0.0 <= self.negative_slope <= 1.0:  # the leaky ReLU takes a maximum
             raise ValueError("negative slope must be in [0, 1]")
+        if not np.isfinite(self.output_scale):
+            raise ValueError("output_scale must be finite")
         object.__setattr__(self, "seed_shape", tuple(int(v) for v in self.seed_shape))
         object.__setattr__(self, "channels", tuple(int(v) for v in self.channels))
 
@@ -279,8 +281,10 @@ def save_params(path, params: NetParams) -> None:
 
 
 def load_params(path) -> NetParams:
-    """Read a :func:`save_params` checkpoint; any other file raises
-    :class:`~dcinv.errors.CheckpointError` naming it."""
+    """Read a :func:`save_params` checkpoint.  Any other file, and a
+    checkpoint whose arrays are not the finite float64 arrays of the shapes
+    its ``__arch__`` names, raises :class:`~dcinv.errors.CheckpointError`
+    naming it."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):
@@ -292,12 +296,23 @@ def load_params(path) -> NetParams:
             raise CheckpointError(f"checkpoint {path} has no __arch__ "
                                   "(architecture) entry")
         try:
-            arch = from_fields(ArchConfig, json.loads(str(f["__arch__"])), "__arch__")
+            descriptor = json.loads(str(f["__arch__"]))
             arrays = {k: f[k] for k in f.files if k != "__arch__"}
         except (ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
             raise CheckpointError(f"checkpoint {path} is unreadable: {e!r}") from None
-    expected = {name for name, _, _ in _layer_shapes(arch)}
-    if set(arrays) != expected:
+    try:
+        arch = from_fields(ArchConfig, descriptor, "__arch__")
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint {path}: {e}") from None
+    shapes = {name: shape for name, shape, _ in _layer_shapes(arch)}
+    if set(arrays) != set(shapes):
         raise CheckpointError(f"checkpoint {path}: arrays do not match the stored "
                               "architecture")
+    for name, shape in shapes.items():
+        a = arrays[name]
+        if a.dtype != np.float64 or a.shape != shape:
+            raise CheckpointError(f"checkpoint {path}: {name} is {a.dtype} {a.shape}, "
+                                  f"the architecture needs float64 {shape}")
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"checkpoint {path}: {name} holds a non-finite value")
     return NetParams(arch=arch, arrays=arrays)

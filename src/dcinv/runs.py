@@ -1,16 +1,17 @@
-"""Run drivers: manifests, simulation, and both inversion flavours.
+"""Runs as typed values, their manifests, and their execution.
 
-Every run writes a ``manifest.json`` capturing the scenario, the full
-configuration, and the seeds; :func:`run_from_manifest` re-executes any
-manifest, which is how ``replay`` reproduces outputs bit for bit in
-deterministic mode.
+A run (:class:`SimulateRun`, :class:`DipRun` or :class:`ConventionalRun`)
+holds the scenario, the full configuration and the seeds, and writes itself
+to ``manifest.json``; :func:`load_run` reads one back whole, which is how
+``replay`` re-executes a run bit for bit in deterministic mode.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import asdict
-from functools import partial
+from dataclasses import asdict, dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,34 +28,94 @@ from .trace import save_grid, save_trace
 MANIFEST_VERSION = 1
 
 
-def simulate_manifest(spec: ScenarioSpec, out_dir: str) -> dict:
-    return {"version": MANIFEST_VERSION, "method": "simulate",
-            "scenario": spec.to_dict(), "out_dir": out_dir,
-            "outputs": {"data": "data.txt", "model_true": "model_true.txt"}}
+@dataclass(frozen=True)
+class ArchChoice:
+    """What a DIP run chooses of its architecture; the mesh and dropout fix the rest."""
+
+    n_blocks: int = 3
+    upsampler: str = "bilinear"
+
+    def __post_init__(self):
+        arch_for_mesh(1, 1, self.n_blocks, self.upsampler)  # rejects what a run would
 
 
-def dip_manifest(spec: ScenarioSpec, cfg: DipConfig, arch_opts: dict,
-                 out_dir: str, data_path: str | None = None,
-                 pretrained: str | None = None) -> dict:
-    """``pretrained`` may point at a stage-1 checkpoint to reuse, skipping
-    pretraining (valid for the same reference model; an architecture other
-    than the one the run derives raises :class:`CheckpointMismatch`)."""
-    return {"version": MANIFEST_VERSION, "method": "dip",
-            "scenario": spec.to_dict(), "config": asdict(cfg),
-            "arch": dict(arch_opts), "data": data_path,
-            "pretrained": pretrained, "out_dir": out_dir,
-            "outputs": {"trace": "trace.txt", "model": "model.txt",
-                        "checkpoint": "checkpoint.npz",
-                        "pretrained": "pretrained.npz"}}
+@dataclass(frozen=True)
+class ConventionalConfig:
+    reg: RegularizationConfig
+    gn: GNConfig
 
 
-def conventional_manifest(spec: ScenarioSpec, reg: RegularizationConfig,
-                          gn: GNConfig, out_dir: str,
-                          data_path: str | None = None) -> dict:
-    return {"version": MANIFEST_VERSION, "method": "conventional",
-            "scenario": spec.to_dict(), "config": {"reg": asdict(reg), "gn": asdict(gn)},
-            "data": data_path, "out_dir": out_dir,
-            "outputs": {"trace": "trace.txt", "model": "model.txt"}}
+@dataclass(frozen=True)
+class SimulateRun:
+    """Synthetic data and the true model of a scenario."""
+
+    scenario: ScenarioSpec
+    out_dir: str
+    method: ClassVar[str] = "simulate"
+    outputs: ClassVar[dict] = {"data": "data.txt", "model_true": "model_true.txt"}
+
+
+@dataclass(frozen=True)
+class DipRun:
+    """The reparameterized inversion of a data file, else of the scenario's
+    simulated data.  ``pretrained`` names a stage-1 checkpoint to reuse, of
+    the architecture the run derives (else :class:`CheckpointMismatch`)."""
+
+    scenario: ScenarioSpec
+    config: DipConfig
+    arch: ArchChoice
+    data: str | None
+    pretrained: str | None
+    out_dir: str
+    method: ClassVar[str] = "dip"
+    outputs: ClassVar[dict] = {"trace": "trace.txt", "model": "model.txt",
+                               "checkpoint": "checkpoint.npz",
+                               "pretrained": "pretrained.npz"}
+
+
+@dataclass(frozen=True)
+class ConventionalRun:
+    """The Gauss-Newton inversion of a data file, else of the scenario's simulated data."""
+
+    scenario: ScenarioSpec
+    config: ConventionalConfig
+    data: str | None
+    out_dir: str
+    method: ClassVar[str] = "conventional"
+    outputs: ClassVar[dict] = {"trace": "trace.txt", "model": "model.txt"}
+
+
+Run = SimulateRun | DipRun | ConventionalRun
+_METHODS = {cls.method: cls for cls in (SimulateRun, DipRun, ConventionalRun)}
+
+
+def manifest(run: Run) -> dict:
+    """The JSON form of a run, as ``manifest.json`` holds it."""
+    return {**asdict(run), "scenario": run.scenario.to_dict(), "version": MANIFEST_VERSION,
+            "method": run.method, "outputs": dict(run.outputs)}
+
+
+def load_run(entry, source: str = "manifest") -> Run:
+    """The run that the JSON value ``entry`` holds.  ``method`` picks its
+    class; ``version`` and ``outputs`` must be what :func:`manifest` writes,
+    and every other key is a field (:func:`fileio.from_fields`).  Anything
+    else raises :class:`ManifestError` naming ``source`` and the path."""
+    try:
+        if not isinstance(entry, dict):
+            raise ValueError(f"must be a JSON object, got {type(entry).__name__}")
+        method = entry.get("method")
+        cls = _METHODS.get(method) if isinstance(method, str) else None
+        if cls is None:
+            raise ValueError(f"method must be one of {', '.join(_METHODS)}, "
+                             f"got {json.dumps(method) if 'method' in entry else 'none'}")
+        fixed = {"version": MANIFEST_VERSION, "method": cls.method, "outputs": cls.outputs}
+        for key, value in fixed.items():
+            got = json.dumps(entry[key], sort_keys=True) if key in entry else "none"
+            if got != json.dumps(value, sort_keys=True):  # as JSON: true is not 1, nor 1.0
+                raise ValueError(f"{key} must be {json.dumps(value, sort_keys=True)}, got {got}")
+        return fileio.from_fields(cls, {k: v for k, v in entry.items() if k not in fixed})
+    except ValueError as e:
+        raise ManifestError(f"{source}: {e}") from None
 
 
 def _simulate(spec: ScenarioSpec, mesh):
@@ -64,34 +125,6 @@ def _simulate(spec: ScenarioSpec, mesh):
     d_clean = DCSimulation(mesh, survey).predict(truth)
     d_noisy, std = add_noise(d_clean, spec.noise_rel, spec.noise_seed)
     return survey, truth, d_noisy, std
-
-
-_KINDS = {dict: "a JSON object", str: "a string", int: "an integer"}
-
-
-def _entry(mapping: dict, key: str, kind: type, optional: bool = False,
-           within: str = "manifest"):
-    """``mapping[key]`` if it has type ``kind`` (or is absent or null when
-    ``optional``); otherwise a :class:`ManifestError` naming the key."""
-    value = mapping.get(key)
-    if value is None and optional:
-        return None
-    if key not in mapping:
-        raise ManifestError(f"{within} has no {key!r} entry")
-    if not isinstance(value, kind):
-        raise ManifestError(f"{within} entry {key!r} must be {_KINDS[kind]}, "
-                            f"got {type(value).__name__}")
-    return value
-
-
-def _built(key: str, build, entry: dict, names=None):
-    """``build`` of the manifest entry ``key`` by :func:`fileio.from_fields`:
-    a missing or unknown key, or a value that ``build`` rejects, raises a
-    :class:`ManifestError`."""
-    try:
-        return fileio.from_fields(build, entry, key, names)
-    except (TypeError, KeyError, ValueError) as e:
-        raise ManifestError(f"manifest entry {key!r} does not fit: {e}") from None
 
 
 def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
@@ -122,80 +155,51 @@ def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -
                                  f"architecture (checkpoint != run): {', '.join(diffs)}")
 
 
-def run_from_manifest(manifest: dict, out_dir: str | None = None) -> dict:
-    """Execute a manifest; returns {output name: absolute path}.
-
-    The manifest fully determines the run (scenario, configuration and
-    seeds), so repeated executions produce identical output files.  Every
-    entry is checked before the run writes anything.
-    """
-    if not isinstance(manifest, dict):
-        raise ManifestError(f"manifest must be a JSON object, got {type(manifest).__name__}")
-    method = _entry(manifest, "method", str)
-    spec = _built("scenario", ScenarioSpec, _entry(manifest, "scenario", dict))
-    out_dir = out_dir or _entry(manifest, "out_dir", str)
-    data_path = _entry(manifest, "data", str, optional=True)
-    if (version := _entry(manifest, "version", int)) != MANIFEST_VERSION:
-        raise ManifestError(f"manifest entry 'version' does not fit: this dcinv reads "
-                            f"version {MANIFEST_VERSION}, got {version}")
+def execute(run: Run) -> dict:
+    """Execute a run; returns {output name: path}, ``manifest`` included.
+    The run fully determines its output files; a data file or checkpoint
+    that fails to load leaves no output directory behind."""
+    spec, out_dir = run.scenario, run.out_dir
     mesh = spec.mesh()
-    paths = {}
+    paths = {name: os.path.join(out_dir, file) for name, file in run.outputs.items()}
 
-    if method == "simulate":
+    if isinstance(run, SimulateRun):
         os.makedirs(out_dir, exist_ok=True)
         survey, truth, d_noisy, std = _simulate(spec, mesh)
-        paths["model_true"] = os.path.join(out_dir, "model_true.txt")
-        paths["data"] = os.path.join(out_dir, "data.txt")
         save_grid(paths["model_true"], truth, mesh.nx, mesh.nz)
         fileio.save_data(paths["data"], survey, d_noisy, std)
 
-    elif method == "dip":
-        cfg = _built("config", DipConfig, _entry(manifest, "config", dict))
-        # the entry chooses two things; the mesh and the dropout rate fix the rest
-        arch = _built("arch", partial(arch_for_mesh, mesh.nz, mesh.nx,
-                                      dropout_rate=cfg.dropout_rate),
-                      _entry(manifest, "arch", dict), ("n_blocks", "upsampler"))
-        pretrained = _entry(manifest, "pretrained", str, optional=True)
-        if pretrained:
-            params = load_params(pretrained)
-            _check_checkpoint_arch(pretrained, params.arch, arch)
-        survey, d_obs, weights = _obs_for_run(data_path, spec, mesh, out_dir)
+    elif isinstance(run, DipRun):
+        cfg = run.config
+        arch = arch_for_mesh(mesh.nz, mesh.nx, run.arch.n_blocks, run.arch.upsampler,
+                             dropout_rate=cfg.dropout_rate)
+        if run.pretrained:
+            params = load_params(run.pretrained)
+            _check_checkpoint_arch(run.pretrained, params.arch, arch)
+        survey, d_obs, weights = _obs_for_run(run.data, spec, mesh, out_dir)
         z = sample_latent(cfg.rng_seed, arch.latent_dim)
-        if not pretrained:
+        if not run.pretrained:
             params = init_params(cfg.rng_seed, arch)
             pretrain_stage1(params, z, mesh, cfg)
-        paths["pretrained"] = os.path.join(out_dir, "pretrained.npz")
         save_params(paths["pretrained"], params)
         trace = invert_stage2(params, z, mesh, survey, d_obs, weights, cfg)
-        paths["trace"] = os.path.join(out_dir, "trace.txt")
-        paths["model"] = os.path.join(out_dir, "model.txt")
-        paths["checkpoint"] = os.path.join(out_dir, "checkpoint.npz")
         save_trace(paths["trace"], trace, method="dip")
         save_grid(paths["model"], trace.final_model, mesh.nx, mesh.nz)
         save_params(paths["checkpoint"], trace.final_params)
 
-    elif method == "conventional":
-        config = _built("config", dict, _entry(manifest, "config", dict), ("reg", "gn"))
-        reg = _built("config.reg", RegularizationConfig,
-                     _entry(config, "reg", dict, within="manifest config"))
-        gn = _built("config.gn", GNConfig, _entry(config, "gn", dict, within="manifest config"))
-        survey, d_obs, weights = _obs_for_run(data_path, spec, mesh, out_dir)
-        trace = gauss_newton_invert(mesh, survey, d_obs, weights, reg, gn)
-        paths["trace"] = os.path.join(out_dir, "trace.txt")
-        paths["model"] = os.path.join(out_dir, "model.txt")
+    else:
+        survey, d_obs, weights = _obs_for_run(run.data, spec, mesh, out_dir)
+        trace = gauss_newton_invert(mesh, survey, d_obs, weights, run.config.reg,
+                                    run.config.gn)
         save_trace(paths["trace"], trace, method="conventional")
         save_grid(paths["model"], trace.final_model, mesh.nx, mesh.nz)
 
-    else:
-        raise ManifestError(f"unknown manifest method {method!r}")
-
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    fileio.save_manifest(manifest_path, {**manifest, "out_dir": out_dir})
-    paths["manifest"] = manifest_path
+    paths["manifest"] = os.path.join(out_dir, "manifest.json")
+    fileio.save_manifest(paths["manifest"], manifest(run))
     return paths
 
 
 def replay(manifest_path: str, out_dir: str | None = None) -> dict:
     """Re-execute a stored manifest, into its original directory by default."""
-    manifest = fileio.load_manifest(manifest_path)
-    return run_from_manifest(manifest, out_dir=out_dir)
+    run = load_run(fileio.load_manifest(manifest_path), str(manifest_path))
+    return execute(replace(run, out_dir=out_dir) if out_dir else run)

@@ -10,10 +10,11 @@ measured values.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from .forward import electrode_cells
 from .mesh import TensorMesh2D, build_mesh, cell_centers
 from .survey import Survey, build_dipole_dipole_survey
 
@@ -33,9 +34,9 @@ class DikeGeometry:
     def __post_init__(self):
         if not 0.0 < self.dip_degrees <= 90.0:
             raise ValueError("dip must lie in (0, 90] degrees")
-        if self.depth_bottom <= self.depth_top:
+        if not self.depth_bottom > self.depth_top:  # NaN fails each test
             raise ValueError("dike bottom must be below its top")
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("dike width must be positive")
 
 
@@ -55,18 +56,33 @@ class ScenarioSpec:
     layer_sigma: float = 0.02
     target_sigma: float = 0.1
     layer_thickness: float = 0.0  # 0 disables the near-surface layer
-    dike: DikeGeometry | None = None
+    # stored as its five numbers (see to_dict)
+    dike: DikeGeometry | None = field(
+        default=None, metadata={"json": tuple[float, float, float, float, float] | None})
     cylinders: tuple[tuple[float, float, float], ...] = ()  # (x, depth, radius)
     noise_rel: float = 0.05
     noise_seed: int = 0
 
     def __post_init__(self):
-        if not self.noise_rel >= 0:  # NaN fails it too
-            raise ValueError(f"noise_rel must be >= 0, got {self.noise_rel}")
+        """Rejects what a run of the scenario would reject: each test is
+        written so that NaN fails it."""
+        if not 0 <= self.noise_rel < math.inf:
+            raise ValueError(f"noise_rel must be >= 0 and finite, got {self.noise_rel}")
+        if self.noise_seed < 0:
+            raise ValueError(f"noise_seed must be >= 0, got {self.noise_seed}")
+        for name in ("background_sigma", "layer_sigma", "target_sigma"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # the JSON form (see to_dict): the dike as its five numbers, lists for tuples
         if self.dike is not None and not isinstance(self.dike, DikeGeometry):
             object.__setattr__(self, "dike", DikeGeometry(*self.dike))
         object.__setattr__(self, "cylinders", tuple(tuple(c) for c in self.cylinders))
+        mesh, survey = self.mesh(), self.survey()
+        try:
+            electrode_cells(mesh, survey.electrodes)
+        except ValueError:
+            raise ValueError(f"line_length {self.line_length} reaches past the mesh") from None
+        _validate_geometry(self)
 
     def mesh(self) -> TensorMesh2D:
         return build_mesh(self.n_core_x, self.n_core_z, self.dx, self.dz,
@@ -92,8 +108,8 @@ class ScenarioSpec:
 
 def _validate_geometry(spec: ScenarioSpec) -> None:
     x_min, x_max, depth_max = spec.core_bounds()
-    if spec.layer_thickness > depth_max:
-        raise ValueError("near-surface layer extends below the core mesh")
+    if not 0 <= spec.layer_thickness <= depth_max:
+        raise ValueError("layer_thickness must lie between 0 and the core mesh's depth")
     if spec.dike is not None:
         dk = spec.dike
         theta = math.radians(dk.dip_degrees)
@@ -101,16 +117,16 @@ def _validate_geometry(spec: ScenarioSpec) -> None:
         for x in (dk.x_top, dk.x_top + run):
             if not (x_min + dk.width / 2 <= x <= x_max - dk.width / 2):
                 raise ValueError("dike extends outside the core mesh")
-        if dk.depth_bottom > depth_max:
+        if not dk.depth_bottom <= depth_max:
             raise ValueError("dike extends below the core mesh")
     for cx, cz, r in spec.cylinders:
-        if not (x_min + r <= cx <= x_max - r) or cz - r < 0 or cz + r > depth_max:
-            raise ValueError("cylinder extends outside the core mesh")
+        if not (r > 0 and x_min + r <= cx <= x_max - r and r <= cz <= depth_max - r):
+            raise ValueError(f"cylinders: ({cx}, {cz}, {r}) is not a positive radius "
+                             "inside the core mesh")
 
 
 def paint_model(spec: ScenarioSpec) -> np.ndarray:
     """Log-conductivity on the full mesh, painted by cell-center membership."""
-    _validate_geometry(spec)
     mesh = spec.mesh()
     xc, zc = cell_centers(mesh)
     x = np.broadcast_to(xc[None, :], mesh.shape)

@@ -59,13 +59,13 @@ def build_dipole_dipole_survey(line_length: float, station_spacing: float,
     ``max_receivers`` or the end of the line.  Transmitters with no
     receiver are dropped.
     """
-    if station_spacing <= 0:
-        raise ValueError("station spacing must be positive")
+    if not station_spacing > 0:  # NaN fails each test
+        raise ValueError("station_spacing must be positive")
     if max_receivers < 1:
         raise ValueError("max_receivers must be >= 1")
     n_intervals = line_length / station_spacing
-    if line_length <= 0 or abs(n_intervals - round(n_intervals)) > 1e-9:
-        raise ValueError("line length must be a positive multiple of the station spacing")
+    if not (0 < line_length < np.inf and abs(n_intervals - round(n_intervals)) <= 1e-9):
+        raise ValueError("line_length must be a positive multiple of station_spacing")
     n_stations = int(round(n_intervals)) + 1
 
     electrodes = x0 + station_spacing * np.arange(n_stations)

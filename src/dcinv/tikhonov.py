@@ -32,7 +32,7 @@ from .survey import Survey
 from .trace import EpochRecord, InversionTrace
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizationConfig:
     alpha_s: float = 1.0
     alpha_x: float = 1.0
@@ -45,18 +45,19 @@ class RegularizationConfig:
     use_sensitivity_weights: bool = False
 
     def __post_init__(self):
-        if min(self.alpha_s, self.alpha_x, self.alpha_z) < 0:
-            raise ValueError("alpha weights must be nonnegative")
+        # Each test is written so that NaN fails it; every number is finite.
+        if not all(0 <= alpha < np.inf for alpha in (self.alpha_s, self.alpha_x, self.alpha_z)):
+            raise ValueError("alpha_s, alpha_x and alpha_z must be nonnegative and finite")
         for p in (self.p_s, self.p_x, self.p_z):
             if not 0.0 <= p <= 2.0:
                 raise ValueError("norms must lie in [0, 2]")
-        if self.irls_epsilon <= 0:
-            raise ValueError("irls_epsilon must be positive")
+        if not 0 < self.irls_epsilon < np.inf:
+            raise ValueError("irls_epsilon must be positive and finite")
         if not (isinstance(self.m_ref, (int, float)) and np.isfinite(self.m_ref)):
             raise ValueError(f"m_ref must be a finite number, got {self.m_ref!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GNConfig:
     beta0: float | None = None  # None: estimate from curvature ratio
     beta0_ratio: float = 1.0
@@ -70,19 +71,21 @@ class GNConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # Each test is written so that NaN fails it.
-        if self.beta0 is not None and not self.beta0 > 0:
-            raise ValueError("beta0 must be positive")
-        if not self.beta0_ratio > 0:
-            raise ValueError("beta0_ratio must be positive")
+        # Each test is written so that NaN fails it; every number is finite.
+        if self.beta0 is not None and not 0 < self.beta0 < np.inf:
+            raise ValueError("beta0 must be positive and finite")
+        if not 0 < self.beta0_ratio < np.inf:
+            raise ValueError("beta0_ratio must be positive and finite")
         if not 0.0 < self.cooling_factor < 1.0:
-            raise ValueError("cooling factor must be in (0, 1)")
+            raise ValueError("cooling_factor must be in (0, 1)")
         if min(self.iterations_per_beta, self.max_beta_steps, self.cg_maxiter) < 1:
             raise ValueError("iterations_per_beta, max_beta_steps and cg_maxiter must be >= 1")
-        if not (self.cg_tol >= 0 and self.target_chi >= 0):
-            raise ValueError("cg_tol and target_chi must be >= 0")
+        if not (0 <= self.cg_tol < np.inf and 0 <= self.target_chi < np.inf):
+            raise ValueError("cg_tol and target_chi must be >= 0 and finite")
         if self.line_search_max < 0:
             raise ValueError("line_search_max must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 class DifferenceOperators:

@@ -4,6 +4,7 @@ import pytest
 from dcinv.ablation import run_ablation, suite_variants
 from dcinv.dip import DipConfig
 from dcinv.errors import NumericalFailure
+from dcinv.runs import DipRun
 from dcinv.scenarios import build_case1
 
 
@@ -11,13 +12,13 @@ class TestSuiteVariants:
     def test_blocks_suite_is_1_3_5(self):
         cfg = DipConfig(dropout_rate=0.1)
         variants = suite_variants("blocks", cfg)
-        assert [v[1]["n_blocks"] for v in variants] == [1, 3, 5]
+        assert [v[1].n_blocks for v in variants] == [1, 3, 5]
         # block-count comparison runs without dropout
         assert all(v[2].dropout_rate == 0.0 for v in variants)
 
     def test_upsampler_suite(self):
         variants = suite_variants("upsampler", DipConfig())
-        assert [v[1]["upsampler"] for v in variants] == [
+        assert [v[1].upsampler for v in variants] == [
             "bilinear", "nearest", "transposed"]
 
     def test_dropout_suite(self):
@@ -33,7 +34,7 @@ class TestRunAblation:
     def test_emits_table_and_per_run_outputs(self, tmp_path):
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(epochs_stage1=150, epochs_stage2=3, tau=50.0)
-        manifests, rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
+        _, rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
         assert len(rows) == 2
         assert all(r["status"] == "ok" for r in rows)
         assert all(np.isfinite(r["chi"]) for r in rows)
@@ -47,21 +48,31 @@ class TestRunAblation:
         # all variants invert the same shared data realization
         assert (tmp_path / "data" / "data.txt").exists()
 
+    def test_a_pool_writes_what_one_process_writes(self, tmp_path):
+        spec, _ = build_case1(45.0, scale="desk")
+        cfg = DipConfig(epochs_stage1=5, epochs_stage2=2, tau=50.0, dropout_rate=0.1)
+        for workers in (1, 2):
+            run_ablation(["dropout"], spec, cfg, str(tmp_path / f"w{workers}"), workers=workers)
+        names = ["summary.txt"] + [f"{label}/{name}" for label in ("dropout-0", "dropout-0.1")
+                                   for name in ("model.txt", "trace.txt")]
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
     @staticmethod
     def _first_dip_run_raises(monkeypatch, error):
         import dcinv.ablation as ab
 
         calls = {"n": 0}
-        real = ab.run_from_manifest
+        real = ab.execute
 
-        def flaky(manifest, out_dir=None):
-            if manifest["method"] == "dip":
+        def flaky(run):
+            if isinstance(run, DipRun):
                 calls["n"] += 1
                 if calls["n"] == 1:
                     raise error
-            return real(manifest, out_dir)
+            return real(run)
 
-        monkeypatch.setattr(ab, "run_from_manifest", flaky)
+        monkeypatch.setattr(ab, "execute", flaky)
 
     def test_failure_recorded_suite_continues(self, tmp_path, monkeypatch):
         self._first_dip_run_raises(monkeypatch, NumericalFailure("synthetic failure"))

@@ -19,7 +19,7 @@ from dcinv.mesh import build_mesh
 from dcinv.metrics import mean_abs_gradient, pearson
 from dcinv.net import arch_for_mesh, init_params, net_forward, param_count, sample_latent
 from dcinv.net import layers as L
-from dcinv.runs import dip_manifest, run_from_manifest, replay
+from dcinv.runs import ArchChoice, DipRun, execute, replay
 from dcinv.scenarios import add_noise, build_case1
 from dcinv.survey import build_dipole_dipole_survey
 from dcinv.tikhonov import (DifferenceOperators, GNConfig, RegularizationConfig,
@@ -303,9 +303,8 @@ class TestAcceptance:
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(tau=50.0, epochs_stage1=300, epochs_stage2=10,
                         dropout_rate=0.1, rng_seed=11)
-        manifest = dip_manifest(spec, cfg, {"n_blocks": 3, "upsampler": "bilinear"},
-                                str(tmp_path / "a"))
-        paths = run_from_manifest(manifest)
+        paths = execute(DipRun(spec, cfg, ArchChoice(3, "bilinear"), None, None,
+                               str(tmp_path / "a")))
         replay(paths["manifest"], out_dir=str(tmp_path / "b"))
         same = all(
             (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

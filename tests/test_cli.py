@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 from dcinv.cli import _SECTIONS, _apply_section, _load_config, _scenario, _section, main
 from dcinv.dip import DipConfig
 from dcinv.fileio import load_data, load_manifest, save_manifest
-from dcinv.runs import conventional_manifest, dip_manifest, run_from_manifest
+from dcinv.net import arch_for_mesh, init_params
+from dcinv.runs import (ArchChoice, ConventionalConfig, ConventionalRun, DipRun, execute,
+                        manifest)
 from dcinv.scenarios import build_case1
 from dcinv.tikhonov import GNConfig, RegularizationConfig
 from dcinv.trace import load_grid, save_grid
@@ -90,9 +93,9 @@ class TestExitCodes:
                          "--out", str(out)])
         else:
             spec, _ = build_case1(45.0, scale="desk")
+            reg_gn = ConventionalConfig(RegularizationConfig(), GNConfig())
             save_manifest(tmp_path / "m.json",
-                          conventional_manifest(spec, RegularizationConfig(), GNConfig(),
-                                                str(out), data_path=str(data)))
+                          manifest(ConventionalRun(spec, reg_gn, str(data), str(out))))
             code = main(["replay", "--manifest", str(tmp_path / "m.json")])
         assert code == 3
         assert f"{data}: line 2" in capsys.readouterr().err
@@ -115,9 +118,8 @@ class TestExitCodes:
         else:
             spec, _ = build_case1(45.0, scale="desk")
             save_manifest(tmp_path / "m.json",
-                          dip_manifest(spec, DipConfig(),
-                                       {"n_blocks": 3, "upsampler": "bilinear"}, str(out),
-                                       pretrained=str(checkpoint)))
+                          manifest(DipRun(spec, DipConfig(), ArchChoice(), None,
+                                          str(checkpoint), str(out))))
             code = main(["replay", "--manifest", str(tmp_path / "m.json")])
         assert code == 3
         assert str(checkpoint) in capsys.readouterr().err
@@ -142,7 +144,7 @@ class TestExitCodes:
         manifest.write_text('{"method": "dip"}\n')
         code = main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "no 'scenario' entry" in capsys.readouterr().err
+        assert f"{manifest}: version must be 1, got none" in capsys.readouterr().err
 
     def test_manifest_of_the_wrong_type_is_io_error(self, tmp_path, capsys):
         manifest = tmp_path / "list.json"
@@ -165,46 +167,49 @@ class TestExitCodes:
     def test_manifest_value_its_config_rejects_is_io_error(self, tmp_path, capsys,
                                                            entry, key, value):
         """A replayed manifest entry that lacks a key, holds an unknown one or
-        holds a value that its dataclass rejects exits 3 naming the entry and
+        holds a value that its dataclass rejects exits 3 naming the file and
         the key (its full path when the key is missing or unknown), before
         the run writes anything.  Entries under ``config.`` are a
         conventional run's, and ``config.reg`` alone is too."""
         spec, _ = build_case1(45.0, scale="desk")
         if entry.startswith("config.") or (entry, key) == ("config", "reg"):
-            manifest = conventional_manifest(spec, RegularizationConfig(), GNConfig(),
-                                             str(tmp_path / "o"))
+            run = ConventionalRun(spec, ConventionalConfig(RegularizationConfig(), GNConfig()),
+                                  None, str(tmp_path / "o"))
         else:
-            manifest = dip_manifest(spec, DipConfig(epochs_stage1=2, epochs_stage2=1),
-                                    {"n_blocks": 3, "upsampler": "bilinear"},
-                                    str(tmp_path / "o"))
+            run = DipRun(spec, DipConfig(epochs_stage1=2, epochs_stage2=1), ArchChoice(),
+                         None, None, str(tmp_path / "o"))
+        stored = manifest(run)
         *parents, last = entry.split(".") + ([] if key is None else [key])
-        target = manifest
+        target = stored
         for part in parents:
             target = target[part]
         if value is _MISSING:
             del target[last]
         else:
             target[last] = value
-        save_manifest(tmp_path / "m.json", manifest)
+        save_manifest(tmp_path / "m.json", stored)
         code = main(["replay", "--manifest", str(tmp_path / "m.json")])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith(f"manifest error: manifest entry {entry!r} does not fit: ")
-        assert (key or entry) in err and "Traceback" not in err
+        assert err.startswith(f"manifest error: {tmp_path / 'm.json'}: ")
+        # a type error names the path; a value its dataclass rejects, the entry and the key
+        named = (f"{entry}.{key}", f"{entry}: {key}") if key else (entry,)
+        assert any(path in err for path in named) and "Traceback" not in err
         if value is _MISSING or key == "bogus":
             assert f"{entry}.{key}" in err
         assert not (tmp_path / "o").exists()
 
     def test_conventional_manifest_reference_must_be_one_number(self, tmp_path, capsys):
         spec, _ = build_case1(45.0, scale="desk")
-        manifest = conventional_manifest(spec, RegularizationConfig(), GNConfig(),
-                                         str(tmp_path / "o"))
-        manifest["config"]["reg"]["m_ref"] = [1.0, 2.0]
-        save_manifest(tmp_path / "m.json", manifest)
+        stored = manifest(ConventionalRun(spec, ConventionalConfig(RegularizationConfig(),
+                                                                   GNConfig()),
+                                          None, str(tmp_path / "o")))
+        stored["config"]["reg"]["m_ref"] = [1.0, 2.0]
+        save_manifest(tmp_path / "m.json", stored)
         code = main(["replay", "--manifest", str(tmp_path / "m.json")])
         err = capsys.readouterr().err
         assert code == 3
-        assert "'config.reg' does not fit" in err and "m_ref" in err
+        assert "config.reg.m_ref must be a finite number, got a list" in err
         assert not (tmp_path / "o").exists()
 
 
@@ -280,7 +285,10 @@ class TestConfigFile:
         ("gn", "line_search_max", "-1"), ("gn", "cg_tol", "-0.5"),
         ("scenario", "nosie", "0.5"), ("scenario", "dip", "abc"),
         ("scenario", "scale", "huge"), ("dipp", "tau", "5"), ("dip", "m_ref", "inf"),
-        ("tikhonov", "m_ref", "nan"), ("DEFAULT", "tau", "5")])
+        ("tikhonov", "m_ref", "nan"), ("DEFAULT", "tau", "5"), ("dip", "rng_seed", "-1"),
+        ("gn", "rng_seed", "-1"), ("tikhonov", "alpha_s", "nan"),
+        ("tikhonov", "irls_epsilon", "nan"), ("gn", "cooling_factor", "1"),
+        ("gn", "beta0", "0"), ("dip", "chi_stop", "inf")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, section, key, value):
         """A value its config rejects, a key it lacks, or a section that fills
         no config, exits 1 before the run starts, naming the key or section,
@@ -295,6 +303,16 @@ class TestConfigFile:
         assert err.startswith("invalid arguments: ")
         assert (key if section in _SECTIONS else f"[{section}]") in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--noise", "nan"],
+                                       ["--noise", "inf"]])
+    def test_scenario_value_it_rejects_is_usage_error(self, tmp_path, capsys, flags):
+        """The scenario values a manifest refuses with exit 3 exit 1 as flags."""
+        code = main(["invert-conv", "--scale", "desk", "--out", str(tmp_path / "o"), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("invalid arguments: noise_")
         assert not (tmp_path / "o").exists()
 
     def test_edge_values_stay_valid(self):
@@ -345,12 +363,12 @@ class TestAblate:
         import dcinv.ablation
         from dcinv.errors import NumericalFailure
 
-        def failing(manifest, out_dir=None):
-            if manifest["method"] == "dip":
+        def failing(run):
+            if isinstance(run, DipRun):
                 raise NumericalFailure("synthetic failure")
-            return run_from_manifest(manifest, out_dir)
+            return execute(run)
 
-        monkeypatch.setattr(dcinv.ablation, "run_from_manifest", failing)
+        monkeypatch.setattr(dcinv.ablation, "execute", failing)
         out = tmp_path / "ablate"
         assert main(["ablate", "--suite", "dropout", "--scale", "desk",
                      "--out", str(out)]) == 2
@@ -492,3 +510,20 @@ class TestPretrainedReuse:
         assert code == 3
         err = capsys.readouterr().err
         assert f"checkpoint {checkpoint} is not an .npz archive" in err
+
+    @pytest.mark.parametrize("name, spoil", [("conv1.k", lambda a: a[..., :2]),
+                                             ("fc.w", lambda a: a * np.nan),
+                                             ("out.k", lambda a: a.astype(np.float32))])
+    def test_checkpoint_arrays_that_do_not_fit_exit_3(self, tmp_path, capsys, name, spoil):
+        """A 3x2 kernel ran to exit 0, and a NaN weight exited 1 and left the
+        output directory behind."""
+        params = init_params(0, arch_for_mesh(19, 64))
+        checkpoint = tmp_path / "ck.npz"
+        np.savez(checkpoint, __arch__=np.array(json.dumps(params.arch.to_dict())),
+                 **{**params.arrays, name: spoil(params.arrays[name])})
+        code = main(["invert-dip", "--scale", "desk", "--epochs", "1",
+                     "--pretrained", str(checkpoint), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"checkpoint error: checkpoint {checkpoint}: {name} ")
+        assert not (tmp_path / "o").exists()

@@ -65,6 +65,12 @@ class TestSurrogateLoss:
         with pytest.raises(ValueError):
             surrogate_loss(np.zeros(3), np.zeros(4), 0.5, np.zeros(3))
 
+    @pytest.mark.parametrize("n_ref", [1, 4])
+    def test_reference_of_another_length(self, n_ref):
+        """A one-entry m_ref would broadcast; it is refused all the same."""
+        with pytest.raises(ValueError, match="equal length"):
+            surrogate_loss(np.zeros(3), np.zeros(3), 0.5, np.zeros(n_ref))
+
 
 class TestPretrainStage1:
     def test_reaches_threshold(self):
@@ -205,3 +211,12 @@ class TestInvertStage2:
         trace = invert_stage2(params, z, mesh, survey, d_clean, weights, cfg)
         betas = [r.beta for r in trace.records]
         assert all(a > b for a, b in zip(betas, betas[1:]))
+
+
+@pytest.mark.parametrize("field, value", [("rng_seed", -1), ("tau", np.inf), ("lr", np.nan),
+                                          ("adam_eps", np.inf), ("stage1_tol", np.nan),
+                                          ("chi_stop", np.inf), ("stage1_lr", np.inf)])
+def test_config_rejects_what_a_run_cannot_use(field, value):
+    """Seeds are >= 0 and every number is finite: NaN fails every check."""
+    with pytest.raises(ValueError, match=field):
+        DipConfig(**{field: value})

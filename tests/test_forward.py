@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import dcinv
 from dcinv.checks import rel_err
 from dcinv.errors import SolverFailure
-from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, _electrode_cells,
+from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, electrode_cells,
                            _FaceGeometry, _tridiagonal_inverses, phi_d, weights_from_std)
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
@@ -376,7 +376,7 @@ def dense_products(mesh, survey, m, w, v):
     (exact to rounding): along w for J w, and cell by cell for J^T v, where
     lambda^T dA phi is summed entry by entry.
     """
-    cells = _electrode_cells(mesh, survey.electrodes)
+    cells = electrode_cells(mesh, survey.electrodes)
     a = dense_operator(mesh, np.exp(m))
     q = np.zeros((mesh.n_cells, survey.n_sources))
     p = np.zeros((survey.n_data, mesh.n_cells, survey.n_sources))
@@ -431,7 +431,7 @@ class TestAgainstDenseReference:
         rng = np.random.default_rng(22)
         m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
         sim = self.check(mesh, survey, m, seed=23)
-        cells = _electrode_cells(mesh, survey.electrodes)
+        cells = electrode_cells(mesh, survey.electrodes)
         assert np.unique(cells).size < cells.size
         assert sim.cells.size == np.unique(cells).size
         zero = [s for s, (a, b) in enumerate(survey.sources) if cells[a] == cells[b]]
@@ -553,6 +553,13 @@ class TestWeightsAndMisfit:
         for std in ([0.0], [1.0, -0.1]):
             with pytest.raises(ValueError):
                 weights_from_std(np.array(std))
+
+    @pytest.mark.parametrize("values", [[1.0, 0.0, 2.0], [1.0, -1.0], [1.0, np.nan],
+                                        [[1.0, 2.0]]])
+    def test_data_weights_must_be_finite_positive_and_1d(self, values):
+        """One zero among positive weights is enough to refuse them."""
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            DataWeights(values=np.array(values))
 
     def test_phi_d_zero_at_fit(self):
         w = DataWeights(values=np.ones(3))

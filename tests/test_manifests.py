@@ -1,0 +1,201 @@
+"""Stored runs: a manifest reads back as the run that wrote it, and anything
+else exits 3 naming its path, before the run writes anything."""
+
+import contextlib
+import io
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcinv.cli import main
+from dcinv.dip import DipConfig
+from dcinv.net.model import UPSAMPLERS
+from dcinv.runs import (ArchChoice, ConventionalConfig, ConventionalRun, DipRun, SimulateRun,
+                        load_run, manifest)
+from dcinv.scenarios import build_case1, build_case2
+from dcinv.tikhonov import GNConfig, RegularizationConfig
+
+PRESETS = [build_case1(45.0, scale="desk")[0], build_case1(60.0, scale="full")[0],
+           build_case2(two_cylinders=False, scale="desk")[0],
+           build_case2(two_cylinders=True, scale="full")[0]]
+
+
+def _numbers(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+scenarios = st.builds(replace, st.sampled_from(PRESETS), name=st.text(max_size=8),
+                      n_pad=st.integers(0, 9), noise_rel=_numbers(0.0, 1.0),
+                      noise_seed=st.integers(0, 2 ** 64))
+dip_configs = st.builds(DipConfig, tau=_numbers(1e-3, 1e6), lr=_numbers(1e-9, 1.0),
+                        epochs_stage1=st.integers(0, 10 ** 6),
+                        dropout_rate=_numbers(0.0, 0.99), m_ref=_numbers(-10.0, 10.0),
+                        rng_seed=st.integers(0, 2 ** 32), chi_stop=_numbers(0.0, 10.0),
+                        store_models=st.booleans())
+reg_gn = st.builds(ConventionalConfig,
+                   st.builds(RegularizationConfig, alpha_s=_numbers(0.0, 10.0),
+                             p_s=_numbers(0.0, 2.0), irls_epsilon=_numbers(1e-6, 1.0),
+                             use_sensitivity_weights=st.booleans()),
+                   st.builds(GNConfig, beta0=st.none() | _numbers(1e-6, 1e6),
+                             cooling_factor=_numbers(0.01, 0.99),
+                             cg_maxiter=st.integers(1, 100), rng_seed=st.integers(0, 2 ** 32)))
+paths = st.none() | st.text(min_size=1, max_size=8)
+out_dirs = st.text(min_size=1, max_size=8)
+runs = st.one_of(
+    st.builds(SimulateRun, scenarios, out_dirs),
+    st.builds(DipRun, scenarios, dip_configs,
+              st.builds(ArchChoice, st.integers(1, 5), st.sampled_from(UPSAMPLERS)),
+              paths, paths, out_dirs),
+    st.builds(ConventionalRun, scenarios, reg_gn, paths, out_dirs))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(runs)
+def test_a_manifest_reads_back_as_its_run(run):
+    assert load_run(json.loads(json.dumps(manifest(run), sort_keys=True))) == run
+
+
+def _replay(stored) -> tuple[int, str, list]:
+    """Exit code, stderr and the directory's files after replaying ``stored``
+    (any JSON value) with its out_dir in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(stored, dict) and isinstance(stored.get("out_dir"), str):
+            stored["out_dir"] = str(Path(tmp) / "o")
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(stored))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["replay", "--manifest", str(path)])
+        return code, err.getvalue(), sorted(p.name for p in Path(tmp).iterdir())
+
+
+def _nodes(value, path=""):
+    """(path, value) of every node under the root of a JSON tree, pre-order."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        child_path = (f"{path}[{key}]" if isinstance(value, list)
+                      else f"{path}.{key}" if path else key)
+        yield child_path, child
+        yield from _nodes(child, child_path)
+
+
+def _at(tree, path):
+    """The parent container of ``path`` in ``tree`` and the key of ``path`` in it."""
+    parts = [int(p) if p.isdigit() else p
+             for p in path.replace("[", ".").replace("]", "").split(".")]
+    for part in parts[:-1]:
+        tree = tree[part]
+    return tree, parts[-1]
+
+
+# The fields that also take null, and the JSON kind of their other values.
+NULLABLE = {"data": str, "pretrained": str, "config.gn.beta0": float, "scenario.dike": list}
+# JSON values of another type than each kind's (float takes any finite number)
+WRONG = {bool: [0, 1.5, "true", [True], {"a": 1}], int: [True, 2.5, 2.0, "3", [1], {"a": 1}],
+         float: [True, "1.0", [1.0], {"a": 1}], str: [5, True, ["x"], {"a": 1}],
+         list: [5, "x", {"a": 1}], dict: [5, "x", [1]]}
+
+
+def _wrong_values(path, value):
+    """JSON values that the field at ``path``, now holding ``value``, refuses."""
+    kind = NULLABLE[path] if value is None else type(value)
+    return WRONG[kind] + ([] if path in NULLABLE else [None])
+
+
+@st.composite
+def garbage(draw):
+    """(manifest, path the error must name): a drawn run's manifest with a
+    wrong JSON type, NaN or Infinity at one node, or one key missing or
+    unknown at one level."""
+    stored = manifest(draw(runs))
+    nodes = list(_nodes(stored))
+    levels = [""] + [path for path, value in nodes if isinstance(value, dict)]
+    how = draw(st.sampled_from(["wrong", "non-finite", "missing", "unknown"]))
+    if how in ("wrong", "non-finite"):
+        path, value = draw(st.sampled_from(nodes))
+        bad = draw(st.sampled_from(_wrong_values(path, value) if how == "wrong"
+                                   else [float("nan"), float("inf"), float("-inf")]))
+        parent, key = _at(stored, path)
+        parent[key] = bad
+    else:
+        level = draw(st.sampled_from(levels))
+        parent = _at(stored, f"{level}.x")[0] if level else stored
+        if how == "missing":
+            key = draw(st.sampled_from(sorted(parent)))
+            del parent[key]
+        else:
+            key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in parent))
+            parent[key] = draw(st.integers() | st.text(max_size=4))
+        path = f"{level}.{key}" if level else key
+    # outputs is compared whole, and a method picks the fields
+    return stored, "outputs" if path.startswith("outputs") else path
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(garbage())
+def test_garbage_exits_3_naming_its_path(case):
+    stored, path = case
+    code, err, files = _replay(stored)
+    assert code == 3, err
+    assert err.startswith("manifest error: ") and "Traceback" not in err
+    assert path in err, err
+    assert files == ["m.json"]
+
+
+def _base(method):
+    spec, _ = build_case1(45.0, scale="desk")
+    if method == "simulate":
+        return manifest(SimulateRun(spec, "o"))
+    if method == "dip":
+        return manifest(DipRun(spec, DipConfig(epochs_stage1=2, epochs_stage2=1),
+                               ArchChoice(), None, None, "o"))
+    return manifest(ConventionalRun(spec, ConventionalConfig(RegularizationConfig(),
+                                                             GNConfig(max_beta_steps=1)),
+                                    None, "o"))
+
+
+@pytest.mark.parametrize("method, path, value", [
+    # each a TypeError traceback before
+    ("dip", "scenario.n_core_x", 2.5), ("dip", "scenario.n_core_x", "10"),
+    ("dip", "scenario.dx", "5"), ("simulate", "scenario.noise_seed", 1.5),
+    ("dip", "config.epochs_stage1", 1.5), ("dip", "config.rng_seed", 1.5),
+    ("conventional", "config.gn.cg_maxiter", 2.5),
+    # each accepted before
+    ("conventional", "config.reg.use_sensitivity_weights", "no"),
+    ("conventional", "config.reg.use_sensitivity_weights", "yes"),
+    ("dip", "version", True), ("simulate", "scenario.n_pad", 2.0),
+    ("simulate", "scenario.name", 5), ("simulate", "tua", 5),
+    ("simulate", "outputs.data", "elsewhere.txt"),
+    # each exit 1 from deep in the run before
+    ("simulate", "scenario.n_core_x", 0), ("simulate", "scenario.cylinders", [[1, 2]]),
+    ("simulate", "scenario.dx", float("nan")), ("simulate", "scenario.noise_seed", -1),
+    ("dip", "config.rng_seed", -1), ("simulate", "scenario.line_length", 2000.0)])
+def test_value_a_run_refuses_exits_3_naming_its_path(method, path, value):
+    stored = _base(method)
+    parent, key = _at(stored, path)
+    parent[key] = value
+    code, err, files = _replay(stored)
+    assert code == 3, err
+    assert err.startswith("manifest error: ") and "Traceback" not in err
+    if path.startswith("outputs"):
+        path = "outputs"
+    # a type error names the path; a value a dataclass rejects, its entry and the field
+    entry, _, field = path.rpartition(".")
+    assert path in err or (f"{entry}: " in err and field in err), err
+    assert files == ["m.json"]
+
+
+def test_unknown_key_and_rewritten_outputs_exit_3():
+    """An extra top-level key beside a rewritten outputs entry replayed with
+    exit 0, and both keys were copied into the new manifest."""
+    stored = _base("simulate")
+    stored["tua"] = 5
+    stored["outputs"]["data"] = "elsewhere.txt"
+    code, err, files = _replay(stored)
+    assert code == 3 and "outputs must be" in err and files == ["m.json"]

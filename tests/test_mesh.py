@@ -60,6 +60,10 @@ class TestBuildMesh:
         dict(n_core_x=2, n_core_z=2, dx=1, dz=0, n_pad=0, factor=1.0),
         dict(n_core_x=2, n_core_z=2, dx=1, dz=1, n_pad=-1, factor=1.0),
         dict(n_core_x=2, n_core_z=2, dx=1, dz=1, n_pad=2, factor=0.5),
+        dict(n_core_x=2, n_core_z=2, dx=np.nan, dz=1, n_pad=0, factor=1.0),
+        dict(n_core_x=2, n_core_z=2, dx=1, dz=np.inf, n_pad=0, factor=1.0),
+        dict(n_core_x=2, n_core_z=2, dx=1, dz=1, n_pad=2, factor=np.nan),
+        dict(n_core_x=2, n_core_z=2, dx=1, dz=1, n_pad=0, factor=np.inf),
     ])
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(ValueError):
@@ -68,6 +72,13 @@ class TestBuildMesh:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError):
             TensorMesh2D(hx=np.array([1.0, 0.0]), hz=np.array([1.0]), origin_x=0.0)
+
+
+    @pytest.mark.parametrize("width", [np.inf, np.nan])
+    def test_non_finite_width_rejected(self, width):
+        """Padding that overflows, or a NaN width, is no mesh."""
+        with pytest.raises(ValueError, match="finite"):
+            TensorMesh2D(hx=np.array([1.0, width]), hz=np.array([1.0]), origin_x=0.0)
 
 
 class TestCellCenters:

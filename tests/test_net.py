@@ -337,3 +337,33 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"unknown key __arch__\.bogus"):
             load_params(tmp_path / "extra.npz")
 
+
+    @pytest.mark.parametrize("name, spoil", [
+        ("conv1.k", lambda a: a[..., :2]), ("fc.b", lambda a: np.full(a.shape, "x")),
+        ("fc.w", lambda a: np.where(a == a.flat[5], np.nan, a)),
+        ("fc.w", lambda a: np.zeros((8, 3))), ("out.k", lambda a: a + np.inf),
+        ("fc.w", lambda a: a.astype(np.float32)), ("fc.b", lambda a: a.astype(np.int64))])
+    def test_arrays_that_do_not_fit_the_architecture_raise(self, tmp_path, name, spoil):
+        """An array of another shape or dtype than float64, or with a
+        non-finite value, is a CheckpointError naming the file and the array."""
+        params = init_params(3, arch_for_mesh(10, 12, 2))
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, __arch__=np.array(json.dumps(params.arch.to_dict())),
+                 **{**params.arrays, name: spoil(params.arrays[name])})
+        with pytest.raises(CheckpointError, match=re.escape(f"checkpoint {path}: {name} ")):
+            load_params(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed_shape", [5, 10.5], "__arch__.seed_shape[1] must be an integer, got 10.5"),
+        ("negative_slope", "0.2", '__arch__.negative_slope must be a finite number, got "0.2"'),
+        ("output_scale", None, "__arch__.output_scale must be a finite number, got null"),
+        ("channels", [64, True], "__arch__.channels[1] must be an integer, got true")])
+    def test_descriptor_values_of_the_wrong_type_name_their_path(self, tmp_path, field,
+                                                                  value, message):
+        """A seed shape of 10.5 was truncated to 10; a text slope was a TypeError."""
+        params = init_params(3, arch_for_mesh(10, 12, 2))
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, **params.arrays,
+                 __arch__=np.array(json.dumps({**params.arch.to_dict(), field: value})))
+        with pytest.raises(CheckpointError, match=re.escape(f"checkpoint {path}: {message}")):
+            load_params(path)

@@ -141,3 +141,30 @@ class TestSpecRoundTrip:
         spec, _ = build_case2(two_cylinders=False, scale="desk")
         back = ScenarioSpec(**spec.to_dict())
         assert back == spec
+
+
+_DIKE = dict(x_top=0.0, depth_top=20.0, depth_bottom=120.0, width=25.0, dip_degrees=45.0)
+
+
+@pytest.mark.parametrize("changes", [
+    dict(n_core_x=0), dict(dx=np.nan), dict(dz=np.inf), dict(pad_factor=np.nan),
+    dict(n_pad=-1), dict(line_length=np.nan), dict(line_length=np.inf),
+    dict(line_length=2000.0), dict(station_spacing=np.nan), dict(max_receivers=0),
+    dict(background_sigma=np.nan), dict(target_sigma=-1.0), dict(layer_sigma=np.inf),
+    dict(layer_thickness=np.nan), dict(layer_thickness=-5.0), dict(noise_seed=-1),
+    dict(noise_rel=np.inf), dict(cylinders=((1.0, 2.0),)),
+    dict(cylinders=((0.0, np.nan, 10.0),)), dict(cylinders=((0.0, 60.0, -10.0),)),
+    dict(dike={**_DIKE, "x_top": np.nan})])
+def test_spec_rejects_what_its_run_would(changes):
+    """A spec runs the mesh, survey and geometry checks when it is built, so a
+    stored run fails before it writes anything; NaN fails every check."""
+    if "dike" in changes:
+        changes = {"dike": DikeGeometry(**changes["dike"])}
+    with pytest.raises(ValueError):
+        ScenarioSpec(name="bad", **changes)
+
+
+@pytest.mark.parametrize("field", ["depth_bottom", "width"])
+def test_dike_rejects_nan(field):
+    with pytest.raises(ValueError, match="dike"):
+        DikeGeometry(**{**_DIKE, field: np.nan})

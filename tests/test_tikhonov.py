@@ -491,3 +491,14 @@ class TestTraffic:
         # m0 serves the probes, beta0 and the first iteration; the model that
         # reaches the target needs no J.
         assert traffic.jacobian_builds == trace.n_epochs - 1
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (RegularizationConfig, "alpha_s", np.nan), (RegularizationConfig, "alpha_z", np.inf),
+    (RegularizationConfig, "irls_epsilon", np.nan), (GNConfig, "cooling_factor", 0.0),
+    (GNConfig, "cooling_factor", 1.0), (GNConfig, "beta0", 0.0), (GNConfig, "beta0", np.nan),
+    (GNConfig, "rng_seed", -1), (GNConfig, "target_chi", np.inf)])
+def test_config_rejects_what_a_run_cannot_use(config, field, value):
+    """Each bound holds at its edge, and NaN fails every check."""
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
