@@ -148,6 +148,8 @@ def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
     for t in range(1, config.epochs_stage2 + 1):
         b = beta(t, config.tau)
         m, tr = net_forward(params, z, mesh.shape, mode=mode, rng=rng)
+        if not np.all(np.isfinite(m)):
+            raise NumericalFailure(f"epoch {t}: model is not finite")
         try:
             d_pred = sim.predict(m)
             jv = sim.jt_vec(m, w2 * (d_pred - d_obs))
@@ -172,6 +174,8 @@ def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
             break
 
     final_m, _ = net_forward(params, z, mesh.shape, mode="eval")
+    if not np.all(np.isfinite(final_m)):
+        raise NumericalFailure("final model is not finite")
     trace.final_model = final_m
     trace.final_params = params
     if not trace.converged and trace.records:

@@ -75,22 +75,20 @@ class _FaceGeometry:
         bnd = np.concatenate([g[..., :, 0], g[..., :, -1], g[..., -1, :]], axis=-1)
         return (g[..., :, :-1], g[..., :, 1:]), (g[..., :-1, :], g[..., 1:, :]), bnd
 
-    def _resistances(self, sigma: np.ndarray):
+    def resistances(self, sigma: np.ndarray):
         """Per x face and per z face: ``(length, da/sigma_a, db/sigma_b)``; per
-        Dirichlet face: its conductance."""
+        Dirichlet face: its conductance.  :meth:`blocks` and
+        :meth:`log_derivatives` both take them, so a model needs them once."""
         x, z, sigma_c = self.at_faces(sigma)
         interior = [(length, da / s_a, db / s_b) for (length, da, db), (s_a, s_b)
                     in ((self.x_geometry, x), (self.z_geometry, z))]
         return interior, self.bnd_len * sigma_c / self.bnd_d
 
-    def factor(self, sigma: np.ndarray) -> BlockFactor:
-        """The operator, factored block by cell column."""
-        return BlockFactor(*self.blocks(sigma))
-
-    def blocks(self, sigma: np.ndarray):
-        """The operator by cell column, as :class:`BlockFactor` takes it: its
-        diagonal, in-column and column-to-column couplings."""
-        interior, t_bnd = self._resistances(sigma)
+    def blocks(self, resistances):
+        """The operator by cell column at the face ``resistances``, as
+        :class:`BlockFactor` takes it: its diagonal, in-column and
+        column-to-column couplings."""
+        interior, t_bnd = resistances
         t_x, t_z = (length / (ra + rb) for length, ra, rb in interior)
         # The diagonal sums, per cell, the faces where it is a, then those
         # where it is b, then its Dirichlet faces; another order rounds
@@ -143,10 +141,11 @@ class _FaceGeometry:
         out[..., :, -1] += fb[..., nz:2 * nz]
         out[..., -1, :] += fb[..., 2 * nz:]
 
-    def log_derivatives(self, sigma: np.ndarray):
+    def log_derivatives(self, resistances):
         """dT/dm_a and dT/dm_b per x face and per z face, dT/dm_c per
-        Dirichlet face, for log-conductivity m = log(sigma)."""
-        interior, t_bnd = self._resistances(sigma)
+        Dirichlet face, at the face ``resistances``, for log-conductivity
+        m = log(sigma)."""
+        interior, t_bnd = resistances
         dt = []
         for length, ra, rb in interior:
             common = length / (ra + rb) ** 2
@@ -367,7 +366,7 @@ class BlockFactor:
 
 
 class DCSimulation:
-    """F(m), J v, J^T v and J itself for one mesh + survey, from one solve per model.
+    """F(m), J^T v and J itself for one mesh + survey, from one solve per model.
 
     Every source and receiver sits on one of a few electrode cells, so per
     model the operator is factored once (:class:`BlockFactor`) and solved
@@ -377,15 +376,14 @@ class DCSimulation:
     columns (superposition).  ``A`` is symmetric, so ``G`` also maps sources
     at the receivers (reciprocity): the adjoint fields of ``J^T v`` are
     ``-G R``, so that ``J^T v`` is a quadratic form in the face differences
-    of ``G`` alone, and the receiver readout of ``A^-1 b`` in ``J v`` is
-    ``G^T b``.  ``predict``, ``j_vec``, ``jt_vec`` and ``jacobian`` at the
-    same model make no further solve.
+    of ``G`` alone.  ``predict``, ``jt_vec`` and ``jacobian`` at the same
+    model make no further solve.
 
-    The products suit callers that need one or two per model (the stage-2
+    ``jt_vec`` suits callers that need one product per model (the stage-2
     loop); ``jacobian`` forms the dense ``n_data x n_cells`` matrix, which
     pays off when a model serves many products (Gauss-Newton's inner CG and
-    sensitivity probes).  ``j_vec`` is kept as the independent reference for
-    the adjoint checks.
+    sensitivity probes).  ``J v`` is :func:`dcinv.checks.reference_j_vec`,
+    the adjoint checks' independent reference.
     """
 
     def __init__(self, mesh: TensorMesh2D, survey: Survey):
@@ -416,7 +414,6 @@ class DCSimulation:
         self._model = None
         self._green = None
         self._dt = None  # log_derivatives at the model
-        self._fields = None
         self._jacobian = None
 
     # -- caching helpers -------------------------------------------------
@@ -429,46 +426,19 @@ class DCSimulation:
             raise ValueError("model must be finite")
         if self._model is None or not np.array_equal(m, self._model):
             self._model = None  # stays unset if the factorization fails
-            self._fields = None
             self._jacobian = None
-            sigma = np.exp(m)
-            self._green = self.faces.factor(sigma).solve_surface(self.cells)
-            self._dt = self.faces.log_derivatives(sigma)
+            resistances = self.faces.resistances(np.exp(m))
+            self._green = BlockFactor(*self.faces.blocks(resistances)).solve_surface(self.cells)
+            self._dt = self.faces.log_derivatives(resistances)
             self._model = m.copy()
         return self._green
 
-    def fields(self, m: np.ndarray) -> np.ndarray:
-        """Potentials, one column per source, at the given model."""
-        g = self._system(m)
-        if self._fields is None:
-            self._fields = g[:, self.src_a] - g[:, self.src_b]
-        return self._fields
-
-    def _at_receivers(self, u: np.ndarray) -> np.ndarray:
-        """Per datum, u[M] - u[N] of its source's column; u is (n_elec_cells, n_src)."""
-        return u[self.rx_m, self.rx_src] - u[self.rx_n, self.rx_src]
-
     # -- forward and sensitivities ---------------------------------------
     def predict(self, m: np.ndarray) -> np.ndarray:
+        """F(m): per datum, u[M] - u[N] of its source's potentials u."""
         g = self._system(m)[self.cells]  # only the rows of the electrode cells
-        return self._at_receivers(g[:, self.src_a] - g[:, self.src_b])
-
-    def j_vec(self, m: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """J w: directional derivative of the data with respect to log-conductivity."""
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.mesh.n_cells,):
-            raise ValueError("direction must be a model-space vector")
-        g = self._system(m)
-        phi = self.fields(m)
-        f = self.faces
-        w_x, w_z, w_c = f.at_faces(w)
-        # dA along w: per interior face dT_a w_a + dT_b w_b, per Dirichlet face dT_c w_c.
-        dt_x, dt_z = (dt_a * w_a + dt_b * w_b
-                      for (dt_a, dt_b), (w_a, w_b) in zip(self._dt, (w_x, w_z)))
-        da_phi = f.to_cells(((dt_x, -dt_x), (dt_z, -dt_z), self._dt[2] * w_c),
-                            *f.differences(phi.T))
-        # The receiver readout of A^-1 (-dA phi) is G^T (-dA phi).
-        return self._at_receivers(g.T @ -da_phi.T)
+        u = g[:, self.src_a] - g[:, self.src_b]
+        return u[self.rx_m, self.rx_src] - u[self.rx_n, self.rx_src]
 
     def jt_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J^T v by the adjoint-state method, adjoint fields from G."""

@@ -1,4 +1,4 @@
-"""Model-comparison metrics used by the ablation harness and tests."""
+"""Model-comparison metrics of the ablation harness."""
 
 from __future__ import annotations
 
@@ -9,17 +9,6 @@ def rmse(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.linalg.norm(da) * np.linalg.norm(db)
-    if denom == 0:
-        return float("nan")
-    return float(da @ db / denom)
 
 
 def mean_abs_gradient(grid: np.ndarray) -> float:

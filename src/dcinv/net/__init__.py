@@ -5,4 +5,4 @@ the layer primitives are imported from :mod:`dcinv.net.layers`.
 """
 
 from .model import (ArchConfig, NetParams, arch_for_mesh, init_params, load_params,
-                    net_backward, net_forward, param_count, sample_latent, save_params)
+                    net_backward, net_forward, sample_latent, save_params)

@@ -21,7 +21,6 @@ covering a mesh.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -157,10 +156,6 @@ def init_params(rng_seed: int, arch: ArchConfig) -> NetParams:
     return NetParams(arch=arch, arrays=arrays)
 
 
-def param_count(params: NetParams) -> int:
-    return sum(a.size for a in params.arrays.values())
-
-
 @dataclass
 class _BlockCache:
     up_in: np.ndarray  # the block's coarse input
@@ -284,22 +279,26 @@ def load_params(path) -> NetParams:
     """Read a :func:`save_params` checkpoint.  Any other file, and a
     checkpoint whose arrays are not the finite float64 arrays of the shapes
     its ``__arch__`` names, raises :class:`~dcinv.errors.CheckpointError`
-    naming it."""
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        raise CheckpointError(f"checkpoint {path} is not an .npz archive") from None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise CheckpointError(f"checkpoint {path} is a single array, not an .npz archive")
-    with archive as f:
-        if "__arch__" not in f.files:
-            raise CheckpointError(f"checkpoint {path} has no __arch__ "
-                                  "(architecture) entry")
+    naming it; a file that cannot be opened raises ``OSError``."""
+    # Damaged bytes make numpy and zipfile raise any of a dozen types
+    # (EOFError, OSError, NotImplementedError, RuntimeError, zlib.error, ...),
+    # so every failure to parse the opened file is a CheckpointError.
+    with open(path, "rb") as fid:
         try:
-            descriptor = json.loads(str(f["__arch__"]))
-            arrays = {k: f[k] for k in f.files if k != "__arch__"}
-        except (ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
-            raise CheckpointError(f"checkpoint {path} is unreadable: {e!r}") from None
+            archive = np.load(fid, allow_pickle=False)
+        except Exception:
+            raise CheckpointError(f"checkpoint {path} is not an .npz archive") from None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"checkpoint {path} is a single array, not an .npz archive")
+        with archive as f:
+            if "__arch__" not in f.files:
+                raise CheckpointError(f"checkpoint {path} has no __arch__ "
+                                      "(architecture) entry")
+            try:
+                descriptor = json.loads(str(f["__arch__"]))
+                arrays = {k: f[k] for k in f.files if k != "__arch__"}
+            except Exception as e:
+                raise CheckpointError(f"checkpoint {path} is unreadable: {e!r}") from None
     try:
         arch = from_fields(ArchConfig, descriptor, "__arch__")
     except ValueError as e:

@@ -21,16 +21,6 @@ _MID = np.array([255.0, 255.0, 255.0])
 _HIGH = np.array([128.0, 0.0, 0.0])
 
 
-def ramp_color(t: float) -> tuple[int, int, int]:
-    """Exact ramp arithmetic for one normalized value."""
-    t = min(max(float(t), 0.0), 1.0)
-    if t <= 0.5:
-        rgb = _LOW + (2.0 * t) * (_MID - _LOW)
-    else:
-        rgb = _MID + (2.0 * t - 1.0) * (_HIGH - _MID)
-    return tuple(int(v) for v in np.rint(rgb))
-
-
 def _ramp_image(norm: np.ndarray) -> np.ndarray:
     t = np.clip(norm, 0.0, 1.0)
     low = t <= 0.5
@@ -84,17 +74,3 @@ def render_grid(grid_path, out_path, vmin: float | None = None,
     with open(out_path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())
         f.write(img.tobytes())
-
-
-def read_ppm(path):
-    """Parse a binary P6 pixmap back into an (h, w, 3) uint8 array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    parts = data.split(b"\n", 3)
-    if parts[0] != b"P6":
-        raise ValueError("not a P6 pixmap")
-    w, h = (int(t) for t in parts[1].split())
-    if parts[2] != b"255":
-        raise ValueError("expected 8-bit channels")
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3)
-    return pixels.reshape(h, w, 3)

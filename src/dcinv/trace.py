@@ -34,10 +34,6 @@ class InversionTrace:
     # for runs that do not set one.
     stop_reason: str = ""
 
-    @property
-    def n_epochs(self) -> int:
-        return len(self.records)
-
 
 def save_trace(path, trace: InversionTrace, method: str) -> None:
     """One record per line: ``epoch beta phi_d phi_m chi``.  The header

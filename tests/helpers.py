@@ -1,4 +1,5 @@
-"""Shared finite-difference oracles, small problem factories and drawn meshes."""
+"""Shared finite-difference oracles, small problem factories, drawn meshes,
+and the readers and measures that only tests use."""
 
 import sys
 import weakref
@@ -27,6 +28,37 @@ def param_fd_grads(params, z, shape, g, eps=1e-5, mode="eval", rng_factory=None)
 
     return {key: central_difference(evaluate, arr, eps)
             for key, arr in params.arrays.items()}
+
+
+def param_count(params):
+    """Number of trainable weights of a generator."""
+    return sum(a.size for a in params.arrays.values())
+
+
+def pearson(a, b):
+    """Pearson correlation of two models, NaN when either is constant."""
+    da = np.ravel(a) - np.mean(a)
+    db = np.ravel(b) - np.mean(b)
+    denom = np.linalg.norm(da) * np.linalg.norm(db)
+    return float("nan") if denom == 0 else float(da @ db / denom)
+
+
+def ramp_color(t):
+    """The render ramp at one normalized value, from its three anchors: dark
+    blue (0, 0, 128) at 0, white at 0.5, dark red (128, 0, 0) at 1."""
+    t = min(max(float(t), 0.0), 1.0)
+    low, mid, high = np.array([0.0, 0.0, 128.0]), np.full(3, 255.0), np.array([128.0, 0.0, 0.0])
+    rgb = low + 2.0 * t * (mid - low) if t <= 0.5 else mid + (2.0 * t - 1.0) * (high - mid)
+    return tuple(int(v) for v in np.rint(rgb))
+
+
+def read_ppm(path):
+    """A binary P6 pixmap as an (h, w, 3) uint8 array."""
+    with open(path, "rb") as f:
+        magic, size, depth, pixels = f.read().split(b"\n", 3)
+    assert (magic, depth) == (b"P6", b"255")
+    w, h = (int(t) for t in size.split())
+    return np.frombuffer(pixels, dtype=np.uint8, count=h * w * 3).reshape(h, w, 3)
 
 
 def tiny_dc_problem(n_core_x=12, n_core_z=5, n_pad=2, line=50.0, spacing=10.0):
@@ -85,15 +117,16 @@ def dense_operator(mesh, sigma):
 
 class Traffic:
     """Counts what the optimizers ask of a ``DCSimulation``: calls per method,
-    operator factorizations and solves, the distinct models predicted or
-    differentiated, the Jacobian builds (distinct arrays handed out), the
-    most earlier builds still alive when a new one is handed out, and the
-    ``np.linalg.inv`` calls made from ``dcinv.forward``."""
+    passes over the face resistances, operator factorizations and solves,
+    the distinct models predicted or differentiated, the Jacobian builds
+    (distinct arrays handed out), the most earlier builds still alive when a
+    new one is handed out, and the ``np.linalg.inv`` calls made from
+    ``dcinv.forward``."""
 
     def __init__(self, monkeypatch):
-        from dcinv.forward import BlockFactor
+        from dcinv.forward import BlockFactor, _FaceGeometry
 
-        self.calls = {"predict": 0, "j_vec": 0, "jt_vec": 0, "jacobian": 0,
+        self.calls = {"predict": 0, "jt_vec": 0, "jacobian": 0, "resistances": 0,
                       "factor": 0, "solve": 0}
         self.models = set()           # bytes of every model predicted or differentiated
         self.jacobian_models = set()  # bytes of every model whose J was asked for
@@ -118,8 +151,15 @@ class Traffic:
                 return out
             return wrapper
 
-        for name in ("predict", "j_vec", "jt_vec", "jacobian"):
+        for name in ("predict", "jt_vec", "jacobian"):
             monkeypatch.setattr(DCSimulation, name, counted(name, getattr(DCSimulation, name)))
+        resistances = _FaceGeometry.resistances
+
+        def counted_resistances(faces, sigma):
+            self.calls["resistances"] += 1
+            return resistances(faces, sigma)
+
+        monkeypatch.setattr(_FaceGeometry, "resistances", counted_resistances)
         init, solve = BlockFactor.__init__, BlockFactor.solve_surface
 
         def counted_init(factor, *args):

@@ -16,8 +16,8 @@ from dcinv.dip import DipConfig, invert_stage2, pretrain_stage1
 from dcinv.fileio import load_manifest
 from dcinv.forward import DCSimulation, chi_factor, phi_d, weights_from_std
 from dcinv.mesh import build_mesh
-from dcinv.metrics import mean_abs_gradient, pearson
-from dcinv.net import arch_for_mesh, init_params, net_forward, param_count, sample_latent
+from dcinv.metrics import mean_abs_gradient
+from dcinv.net import arch_for_mesh, init_params, net_forward, sample_latent
 from dcinv.net import layers as L
 from dcinv.runs import ArchChoice, DipRun, execute, replay
 from dcinv.scenarios import add_noise, build_case1
@@ -26,7 +26,7 @@ from dcinv.tikhonov import (DifferenceOperators, GNConfig, RegularizationConfig,
                             gauss_newton_invert, phi_m, regularization_terms,
                             update_irls)
 
-from helpers import tiny_dc_problem
+from helpers import param_count, pearson, tiny_dc_problem
 
 
 def report(num, description, ok, detail=""):

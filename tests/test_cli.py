@@ -390,6 +390,14 @@ class TestInversionCommands:
         assert (nx, nz) == (64, 19)
         assert np.all(model > -8.0) and np.all(model < 0.0)
 
+    def test_a_diverged_run_is_a_numerical_failure(self, tmp_path, capsys):
+        """It exited 1 as a usage error: 'model must be finite'."""
+        with np.errstate(all="ignore"):
+            code = main(["invert-dip", "--scale", "desk", "--lr", "1e150", "--epochs", "20",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: epoch 2: model is not finite\n"
+
     def test_invert_conv_writes_outputs(self, tmp_path):
         out = tmp_path / "conv"
         code = main(["invert-conv", "--case", "1", "--scale", "desk",

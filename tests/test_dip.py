@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import dcinv
 from dcinv.dip import (DipConfig, beta, chi_factor, invert_stage2, pretrain_stage1,
                        surrogate_loss)
+from dcinv.errors import NumericalFailure, SolverFailure
 from dcinv.forward import DataWeights, DCSimulation, phi_d, weights_from_std
 from dcinv.mesh import build_mesh
 from dcinv.net import arch_for_mesh, init_params, net_forward, sample_latent
@@ -125,7 +127,7 @@ class TestInvertStage2:
         cfg = DipConfig(epochs_stage2=0)
         m_before, _ = net_forward(params, z, mesh.shape)
         trace = invert_stage2(params, z, mesh, survey, d_clean, weights, cfg)
-        assert trace.n_epochs == 0
+        assert len(trace.records) == 0
         assert np.array_equal(trace.final_model, m_before)
 
     def test_easy_inversion_converges(self):
@@ -197,9 +199,35 @@ class TestInvertStage2:
         traffic = Traffic(monkeypatch)
         trace = invert_stage2(params, z, mesh, survey, d_clean, weights,
                               DipConfig(epochs_stage2=5))
-        assert trace.n_epochs == 5
-        assert traffic.calls == {"predict": 5, "j_vec": 0, "jt_vec": 5,
-                                 "jacobian": 0, "factor": 5, "solve": 5}
+        assert len(trace.records) == 5
+        assert traffic.calls == {"predict": 5, "jt_vec": 5, "jacobian": 0,
+                                 "resistances": 5, "factor": 5, "solve": 5}
+
+    @pytest.mark.parametrize("epochs, message", [(20, "epoch 2: model is not finite"),
+                                                 (1, "final model is not finite")])
+    def test_a_diverged_model_is_a_numerical_failure(self, epochs, message):
+        """A learning rate that blows the generator up stops the run at the
+        first model that is not finite, naming its epoch.  Before, the forward
+        operator's input check refused it as a bad argument, and a model that
+        the last step spoilt was returned as the result."""
+        mesh, survey, sim, truth, d_clean = self._setup()
+        params = init_params(0, arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2))
+        weights = weights_from_std(0.05 * np.abs(d_clean))
+        with (np.errstate(all="ignore"), pytest.raises(NumericalFailure, match=f"^{message}$")):
+            invert_stage2(params, sample_latent(0, 8), mesh, survey, d_clean, weights,
+                          DipConfig(lr=1e150, epochs_stage2=epochs))
+
+    def test_a_failed_solve_names_its_epoch(self):
+        """A generator whose output underflows the conductivity to zero makes
+        a singular operator; the failure names the epoch it happened in."""
+        spec, truth = dcinv.build_case1(45.0, "desk")
+        mesh, survey = spec.mesh(), spec.survey()
+        d = DCSimulation(mesh, survey).predict(truth)
+        params = init_params(0, arch_for_mesh(mesh.nz, mesh.nx, output_scale=-1600.0))
+        with (np.errstate(all="ignore"),
+              pytest.raises(SolverFailure, match="^epoch 1: singular operator in cell column 0 ")):
+            invert_stage2(params, sample_latent(0, 8), mesh, survey, d,
+                          weights_from_std(0.05 * np.abs(d)), DipConfig(epochs_stage2=3))
 
     def test_epoch_weight_of_data_term_grows(self):
         mesh, survey, sim, truth, d_clean = self._setup()

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from dcinv.errors import ParseError
 from dcinv.fileio import load_config, load_data, save_data
-from dcinv.render import ramp_color, read_ppm, render_grid
+from dcinv.render import render_grid
 from dcinv.survey import build_dipole_dipole_survey
 from dcinv.trace import (EpochRecord, InversionTrace, load_grid, load_trace,
                          save_grid, save_trace)
+
+from helpers import ramp_color, read_ppm
 
 
 class TestDataFile:

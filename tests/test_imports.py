@@ -1,5 +1,6 @@
 """Static audits: the package imports only the standard library, numpy and
-itself, its namespaces export what is used, and every imported name is read."""
+itself, its namespaces export what is used, every imported name is read,
+and every definition in it is used by the program."""
 
 import ast
 import importlib.util
@@ -101,3 +102,43 @@ def test_every_imported_name_is_used():
                    for name, line in imported.items() if name not in names]
     assert len(sources) > 30
     assert unused == []
+
+
+# Called from outside the package's own code: by argparse, and as the console script.
+_CALLED_FROM_OUTSIDE = {"cli.py: _Parser.error",
+                        "cli.py: _Formatter._get_default_metavar_for_optional", "cli.py: main"}
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every function, method and class under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_is_used_by_the_program():
+    """Every function, method and class defined in ``src/`` is referenced
+    from ``src/`` or ``perfbench/``: read as a name or an attribute, or
+    named in a dotted string (the benchmark's hook table).  A definition
+    that only tests call belongs in ``tests/helpers.py``.  Dunders, and
+    what argparse or the console script calls, are exempt."""
+    repo = Path(__file__).resolve().parents[1]
+    root = repo / "src" / "dcinv"
+    referenced = set()
+    for path in [*root.rglob("*.py"), *(repo / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+                referenced |= set(node.value.split("."))
+    unused = [f"{path.relative_to(root)}: {name}" for path in sorted(root.rglob("*.py"))
+              for name, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+              if node.name not in referenced and not node.name.startswith("__")]
+    assert len(referenced) > 100
+    assert [entry for entry in unused if entry not in _CALLED_FROM_OUTSIDE] == []

@@ -1,19 +1,24 @@
+import io
 import json
 import os
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dcinv.checks import rel_err
 from dcinv.errors import CheckpointError
 from dcinv.net import (ArchConfig, arch_for_mesh, init_params, load_params,
-                       net_backward, net_forward, param_count, sample_latent,
-                       save_params)
+                       net_backward, net_forward, sample_latent, save_params)
 from dcinv.scenarios import build_case1
 
-from helpers import param_fd_grads
+from helpers import param_count, param_fd_grads
 
 
 def hand_count(arch: ArchConfig) -> int:
@@ -367,3 +372,86 @@ class TestCheckpoint:
                  __arch__=np.array(json.dumps({**params.arch.to_dict(), field: value})))
         with pytest.raises(CheckpointError, match=re.escape(f"checkpoint {path}: {message}")):
             load_params(path)
+
+
+_TINY = arch_for_mesh(3, 5, n_blocks=1, latent_dim=3, channels=(2,))
+
+
+def _archive(arrays) -> bytes:
+    """The bytes of a checkpoint of the tiny architecture holding ``arrays``."""
+    buf = io.BytesIO()
+    np.savez(buf, __arch__=np.array(json.dumps(_TINY.to_dict())), **arrays)
+    return buf.getvalue()
+
+
+def _load_bytes(data: bytes):
+    """``load_params`` of a file holding ``data``: the params, or the
+    CheckpointError it raised, which must name the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.npz"
+        path.write_bytes(data)
+        try:
+            return load_params(path)
+        except CheckpointError as e:
+            assert f"checkpoint {path}" in str(e)
+            return e
+
+
+class TestDamagedCheckpoints:
+    """Damaged bytes and drawn arrays raise CheckpointError naming the file.
+    Before, one overwritten byte in a zip record could escape as EOFError,
+    NotImplementedError or RuntimeError (a traceback, exit 1), or as an
+    OSError whose message did not name the file."""
+
+    @pytest.mark.parametrize("record, offset, byte", [
+        (b"PK\x03\x04", 29, 0xFF),  # local header: extra-field length -> EOFError
+        (b"PK\x01\x02", 6, 0xFF),   # central directory: needs zip version 25.5
+        (b"PK\x01\x02", 8, 0x01),   # central directory: the member is encrypted
+        (b"PK\x01\x02", 10, 0xFF),  # central directory: unknown compression method
+        (b"PK\x05\x06", 16, 0xFF),  # end record: central directory offset -> EINVAL
+    ])
+    def test_damaged_zip_records(self, record, offset, byte):
+        raw = _archive(init_params(0, _TINY).arrays)
+        at = raw.index(record) + offset
+        assert raw[at] != byte
+        assert isinstance(_load_bytes(raw[:at] + bytes([byte]) + raw[at + 1:]),
+                          CheckpointError)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_or_overwritten(self, data):
+        """A truncated archive is refused; one with a byte overwritten is
+        refused or reads back exactly (zip metadata that nothing checks)."""
+        params = init_params(0, _TINY)
+        raw = _archive(params.arrays)
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        assert isinstance(_load_bytes(raw[:cut]), CheckpointError)
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+        back = _load_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
+        assert isinstance(back, CheckpointError) or (
+            back.arch == _TINY
+            and all(np.array_equal(back.arrays[k], a) for k, a in params.arrays.items()))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_drawn_array_that_does_not_fit(self, data):
+        """Another dtype, another shape, or one non-finite entry in a drawn
+        array is refused, naming the array."""
+        arrays = dict(init_params(0, _TINY).arrays)
+        name = data.draw(st.sampled_from(sorted(arrays)), label="name")
+        a = arrays[name]
+        spoil = data.draw(st.sampled_from(["dtype", "shape", "value"]), label="spoil")
+        if spoil == "dtype":
+            a = a.astype(data.draw(st.sampled_from(
+                [np.float32, np.float16, np.int64, np.complex128, np.bool_, "U3"])))
+        elif spoil == "shape":
+            a = np.resize(a, data.draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                                        max_side=4)
+                                       .filter(lambda s: s != a.shape)))
+        else:
+            a = a.copy()
+            a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+        err = _load_bytes(_archive({**arrays, name: a}))
+        assert isinstance(err, CheckpointError) and f": {name} " in str(err)

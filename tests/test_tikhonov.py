@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dcinv
-from dcinv.checks import central_difference, rel_err
+from dcinv.checks import central_difference, reference_j_vec, rel_err
 from dcinv.errors import SolverFailure
 from dcinv.forward import DCSimulation, weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh, cell_centers
@@ -276,7 +276,7 @@ class TestSensitivityWeights:
         mesh, survey, sim = tiny_dc_problem(n_core_x=6, n_core_z=4, n_pad=1,
                                             line=20.0, spacing=5.0)
         m = np.full(mesh.n_cells, -4.0)
-        cols = np.column_stack([sim.j_vec(m, np.eye(mesh.n_cells)[:, j])
+        cols = np.column_stack([reference_j_vec(sim, m, np.eye(mesh.n_cells)[:, j])
                                 for j in range(mesh.n_cells)])
         true_w = np.sqrt((cols ** 2).sum(axis=0))
         true_w /= true_w.max()
@@ -359,7 +359,7 @@ class TestGaussNewton:
         trace = gauss_newton_invert(mesh, survey, d, weights, reg, gn, m0=truth)
         assert trace.converged
         assert trace.stop_reason == "target_chi"
-        assert trace.n_epochs == 1
+        assert len(trace.records) == 1
         assert np.array_equal(trace.final_model, truth)
 
     def test_stop_reasons_line_search_and_budget(self):
@@ -377,7 +377,7 @@ class TestGaussNewton:
         trace = gauss_newton_invert(mesh, survey, d, weights, reg, gn)
         assert trace.stop_reason == "line_search"
         assert not trace.converged
-        assert trace.n_epochs == 1
+        assert len(trace.records) == 1
         assert np.array_equal(trace.final_model, m0)
 
         gn = GNConfig(beta0=1.0, max_beta_steps=2, iterations_per_beta=1,
@@ -385,7 +385,7 @@ class TestGaussNewton:
         trace = gauss_newton_invert(mesh, survey, d, weights, reg, gn)
         assert trace.stop_reason == "budget"
         assert not trace.converged
-        assert trace.n_epochs == 2
+        assert len(trace.records) == 2
 
     def test_failed_trial_halves_the_step(self):
         """A line-search trial whose solve fails is rejected like one that
@@ -481,16 +481,17 @@ class TestTraffic:
                                    alpha_z=0.5, use_sensitivity_weights=True)
         traffic = Traffic(monkeypatch)
         trace = gauss_newton_invert(mesh, survey, d_obs, weights, reg, GNConfig())
-        assert trace.converged and trace.n_epochs >= 2
-        assert traffic.calls["j_vec"] == traffic.calls["jt_vec"] == 0
-        assert traffic.calls["factor"] == traffic.calls["solve"] == len(traffic.models)
+        assert trace.converged and len(trace.records) >= 2
+        assert traffic.calls["jt_vec"] == 0
+        assert (traffic.calls["resistances"] == traffic.calls["factor"] == traffic.calls["solve"]
+                == len(traffic.models))
         assert traffic.jacobian_builds == len(traffic.jacobian_models)
         # The previous model's J (19 MB at full scale) is gone before the
         # next one is built.
         assert traffic.most_alive == 0
         # m0 serves the probes, beta0 and the first iteration; the model that
         # reaches the target needs no J.
-        assert traffic.jacobian_builds == trace.n_epochs - 1
+        assert traffic.jacobian_builds == len(trace.records) - 1
 
 
 @pytest.mark.parametrize("config, field, value", [
