@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dip import beta, surrogate_loss
-from .forward import BlockFactor, DCSimulation, _FaceGeometry, weights_from_std
+from .forward import DCSimulation, _FaceGeometry, solve_surface, weights_from_std
 from .mesh import TensorMesh2D, build_mesh
 from .net import arch_for_mesh, init_params, net_backward, net_forward, sample_latent
 from .survey import build_dipole_dipole_survey
@@ -77,7 +77,7 @@ def reference_j_vec(sim: DCSimulation, m: np.ndarray, w: np.ndarray) -> np.ndarr
     """
     faces = sim.faces
     resistances = faces.resistances(np.exp(np.asarray(m, dtype=float)))
-    g = BlockFactor(*faces.blocks(resistances)).solve_surface(sim.cells)
+    g = solve_surface(*faces.blocks(resistances), sim.cells)
     (dt_xa, dt_xb), (dt_za, dt_zb), dt_c = faces.log_derivatives(resistances)
     (w_xa, w_xb), (w_za, w_zb), w_c = faces.at_faces(np.asarray(w, dtype=float))
     # dA along w: per interior face dT_a w_a + dT_b w_b, per Dirichlet face dT_c w_c.
@@ -124,7 +124,7 @@ def check_solve(seed: int = 0):
         faces = _FaceGeometry(mesh)
         diag, z_off, x_off = faces.blocks(faces.resistances(np.exp(rng.uniform(-8, 0, nx * nz))))
         columns = rng.permutation(nx)[:int(rng.integers(1, nx + 1))]
-        surface = BlockFactor(diag, z_off, x_off).solve_surface(columns)
+        surface = solve_surface(diag, z_off, x_off, columns)
         # The dense operator and sources, cells ordered column by column as the blocks are.
         a = np.zeros((nx, nz, nx, nz))
         ix, iz = np.arange(nx)[:, None], np.arange(nz)[None, :]

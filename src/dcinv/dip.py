@@ -101,6 +101,8 @@ def surrogate_loss(m: np.ndarray, jv: np.ndarray, beta_val: float,
     return value, grad
 
 
+# A diverging generator overflows; its finite checks report that, not numpy.
+@np.errstate(over="ignore", invalid="ignore")
 def pretrain_stage1(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
                     config: DipConfig) -> NetParams:
     """Fit the generator output to the reference model (mean absolute error).
@@ -127,6 +129,7 @@ def pretrain_stage1(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
     return params
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as pretrain_stage1
 def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
                   survey: Survey, d_obs: np.ndarray, weights: DataWeights,
                   config: DipConfig) -> InversionTrace:

@@ -7,7 +7,7 @@ conductances use distance-weighted harmonic averaging, the surface is
 zero-flux (no current leaves through the air), and the padded lateral and
 bottom boundaries are homogeneous Dirichlet.  The operator is symmetric
 positive definite, which the adjoint-state sensitivity products below
-rely on.  It is solved directly (:class:`BlockFactor`): the even cell
+rely on.  It is solved directly (:func:`solve_surface`): the even cell
 columns are condensed onto the odd ones, which are eliminated from both
 edges of the grid at once.
 
@@ -43,7 +43,7 @@ class DataWeights:
 
 class _FaceGeometry:
     """The faces of one mesh as slices of the ``(nz, nx)`` cell grid, shared
-    by the factor and the sensitivities.
+    by the solve and the sensitivities.
 
     Face values come as three arrays: x faces ``(nz, nx - 1)``, each between
     a cell ``a`` and its right neighbour ``b``; z faces ``(nz - 1, nx)``,
@@ -86,7 +86,7 @@ class _FaceGeometry:
 
     def blocks(self, resistances):
         """The operator by cell column at the face ``resistances``, as
-        :class:`BlockFactor` takes it: its diagonal, in-column and
+        :func:`solve_surface` takes it: its diagonal, in-column and
         column-to-column couplings."""
         interior, t_bnd = resistances
         t_x, t_z = (length / (ra + rb) for length, ra, rb in interior)
@@ -209,10 +209,25 @@ def _tridiagonal_inverses(diag: np.ndarray, off: np.ndarray, columns) -> np.ndar
     return np.matmul(y.transpose(0, 2, 1) / d[:, None, :], y)
 
 
-class BlockFactor:
-    """Block LDL^T factor of the operator at one model: the even cell columns
-    condensed onto the odd ones, which are eliminated from both edges of the
-    grid at once; solves for unit sources at surface cells.
+def _couplings(t_inv, x_pad, p, q):
+    """Block (q, p) of the condensed operator, for neighbouring odd columns p
+    and q (any matching shapes): ``-a T_e^-1 b``, through the even column e
+    between them, with a and b the faces of q and p onto it.  One ``nz x nz``
+    block per pair."""
+    e = np.maximum(p, q)
+    k = np.take(t_inv, e, axis=0)
+    k *= x_pad[np.minimum(2 * q + 1, 2 * e)][..., :, None]
+    k *= -x_pad[np.minimum(2 * p + 1, 2 * e)][..., None, :]
+    return k
+
+
+def solve_surface(diag: np.ndarray, z_off: np.ndarray, x_off: np.ndarray,
+                  columns) -> np.ndarray:
+    """A^-1 E (n, k), ``E`` a unit source in the surface cell of each of ``k``
+    distinct cell ``columns``, for the operator ``diag`` (nx, nz), ``z_off``
+    (nx, nz - 1), coupling cell iz to iz + 1, and ``x_off`` (nx - 1, nz),
+    coupling column ix to ix + 1: one block LDL^T elimination, with nothing
+    kept after the call.
 
     Ordered column by column (cell ``(ix, iz)`` at ``ix * nz + iz``), the
     5-point operator is block tridiagonal: ``nx`` tridiagonal ``nz x nz``
@@ -222,157 +237,119 @@ class BlockFactor:
     reduction).  Eliminating them leaves a block tridiagonal operator on the
     ``nx // 2`` odd columns, with dense diagonal blocks ``D - C T^-1 C -
     C' T'^-1 C'`` and dense couplings ``-C' T'^-1 C''`` through the even
-    column between two odd ones.  The odd columns are eliminated in pairs,
+    column between two odd ones.  ``E`` is never formed: a source on an odd
+    column is a 1 in the first row of its slot, one on even column e is
+    ``-C T_e^-1[:, 0]`` on each odd neighbour.
+
+    The odd columns are eliminated, and the right-hand side swept, in pairs:
     ``s`` from the left edge and ``nx // 2 - 1 - s`` from the right, toward
-    the middle one, which takes the Schur complements of both its
-    neighbours.  Each step inverts both pivots of a pair in one call:
-    ``nx // 4 + 1`` dense inverse calls, none for a single column.  Kept:
-    ``T^-1`` of the even columns, the inverted pivots of the odd ones, row
-    ``s`` holding a pair, and the couplings the elimination formed, which
-    the solve reuses (about ``12 nx nz^2`` bytes: 2.63 MB at full scale,
-    214 x 32).  The block size is always ``nz``: every shipped mesh is wider
-    than it is deep.
+    the middle one, which takes the Schur complements of both neighbours.
+    Each step inverts both pivots of a pair in one call: ``nx // 4 + 1``
+    dense inverse calls, none for a single column.  Back substitution runs
+    outward, reusing the couplings; then each even column is ``T^-1 (b - C
+    x)`` over its odd neighbours, in one batched product.  Working memory is
+    about ``12 nx nz^2`` bytes (2.63 MB at full scale, 214 x 32).  The block
+    size is always ``nz``: every shipped mesh is wider than it is deep.
     """
+    nx, nz = diag.shape
+    columns = np.asarray(columns)
+    if (columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer)
+            or np.any((columns < 0) | (columns >= nx))
+            or np.unique(columns).size != columns.size):
+        raise ValueError(f"source columns must be distinct integers in [0, {nx})")
+    t_inv = _tridiagonal_inverses(diag[::2], z_off[::2], range(0, nx, 2))
+    m, n_src = nx // 2, columns.size  # odd columns; odd column j is cell column 2j + 1
+    rows = np.arange((m + 1) // 2)
+    cols = np.stack([rows, m - 1 - rows], axis=1)  # (rows, 2): left, right
+    odd = 2 * cols + 1
+    # Slot of each odd column in the flattened (rows * 2) pairs; the middle
+    # column of an odd m is held in its row's left slot.
+    slots = np.empty(m, dtype=int)
+    slots[cols[:, 1]] = 2 * rows + 1
+    slots[cols[:, 0]] = 2 * rows
+    # x faces padded with a zero one past the last column, so the last odd
+    # column of an even nx has a (vanishing) right neighbour.
+    x_pad = np.concatenate([x_off, np.zeros((1, nz))])
+    i = np.arange(nz)
+    p = np.zeros((rows.size, 2, nz, nz))  # pivots, inverted as they are eliminated
+    p[..., i, i] = diag[odd]
+    p[..., i[:-1], i[1:]] = z_off[odd]
+    p[..., i[1:], i[:-1]] = z_off[odd]
+    # Condense: each odd column less C T^-1 C of both even neighbours.
+    # "clip" stands the last even column in for the missing right one of an
+    # even nx (its face is the padded zero), and lets take write into the
+    # buffer without a temporary.
+    term = np.empty_like(p)
+    for col, c in ((cols, x_pad[odd - 1]), (cols + 1, x_pad[odd])):
+        np.take(t_inv, col, axis=0, out=term, mode="clip")
+        term *= c[..., :, None]
+        term *= c[..., None, :]
+        p -= term
+    del term
 
-    def __init__(self, diag: np.ndarray, z_off: np.ndarray, x_off: np.ndarray):
-        """``diag`` (nx, nz) operator diagonal; ``z_off`` (nx, nz - 1) in-column
-        coupling of cell iz to iz + 1; ``x_off`` (nx - 1, nz) coupling of
-        column ix to ix + 1."""
-        nx, nz = diag.shape
-        self.t_inv = t_inv = _tridiagonal_inverses(diag[::2], z_off[::2], range(0, nx, 2))
-        m = nx // 2  # odd columns; odd column j is cell column 2j + 1
-        rows = np.arange((m + 1) // 2)
-        cols = np.stack([rows, m - 1 - rows], axis=1)  # (rows, 2): left, right
-        odd = 2 * cols + 1
-        # Slot of each odd column in the flattened (rows * 2) pairs; the
-        # middle column of an odd m is held in its row's left slot.
-        self.slots = np.empty(m, dtype=int)
-        self.slots[cols[:, 1]] = 2 * rows + 1
-        self.slots[cols[:, 0]] = 2 * rows
-        # x faces padded with a zero one past the last column, so the last
-        # odd column of an even nx has a (vanishing) right neighbour.
-        self.x_pad = x_pad = np.concatenate([x_off, np.zeros((1, nz))])
-        i = np.arange(nz)
-        pivots = np.zeros((rows.size, 2, nz, nz))
-        pivots[..., i, i] = diag[odd]
-        pivots[..., i[:-1], i[1:]] = z_off[odd]
-        pivots[..., i[1:], i[:-1]] = z_off[odd]
-        # Condense: each odd column less C T^-1 C of both even neighbours.
-        # "clip" stands the last even column in for the missing right one of
-        # an even nx (its face is the padded zero), and lets take write into
-        # the buffer without a temporary.
-        term = np.empty_like(pivots)
-        for col, c in ((cols, x_pad[odd - 1]), (cols + 1, x_pad[odd])):
-            np.take(t_inv, col, axis=0, out=term, mode="clip")
-            term *= c[..., :, None]
-            term *= c[..., None, :]
-            pivots -= term
-        del term
-        t = rows.size - 1  # the last row: the middle odd column, and its left neighbour for even m
-        if m % 2:
-            pivots[t, 1] = 0.0  # the middle column is held once, in the left slot
-        self.columns = cols
-        self.couplings = k = self._couplings(cols[:-1], cols[1:])  # row s + 1 from row s
-        self.middle_coupling = None
-        for s in range(t + 1):
-            if s:
-                pivots[s] -= k[s - 1] @ pivots[s - 1] @ k[s - 1].transpose(0, 2, 1)
-            if s < t:
-                pivots[s] = _inverted(pivots[s], odd[s])
-        if m % 2:  # one middle column, coupled to both sweeps
-            pivots[t, 0] = _inverted(pivots[t, 0] + pivots[t, 1], odd[t, 0])
-        elif m:  # odd columns t and t + 1 meet through the even column between them
-            self.middle_coupling = km = self._couplings(cols[t, 0], cols[t, 1])
-            pivots[t, 0] = _inverted(pivots[t, 0], odd[t, 0])
-            pivots[t, 1] -= km @ pivots[t, 0] @ km.T
-            pivots[t, 1] = _inverted(pivots[t, 1], odd[t, 1])
-        self.inv_pivots = pivots
+    x = np.zeros(cols.shape + (nz, n_src))  # (rows, 2, nz, n_src) in paired order
+    flat = x.reshape(-1, nz, n_src)
+    even = np.zeros((t_inv.shape[0], nz, n_src))
+    src = np.arange(n_src)
+    on_odd = columns % 2 == 1
+    flat[slots[columns[on_odd] // 2], 0, src[on_odd]] = 1.0
+    e, src = columns[~on_odd] // 2, src[~on_odd]
+    even[e, 0, src] = 1.0
+    # Even column 2e has odd neighbours e (cell column 2e + 1, face 2e) and
+    # e - 1 (cell column 2e - 1, face 2e - 1), where they exist.
+    for nbr, face in ((e, 2 * e), (e - 1, 2 * e - 1)):
+        on = (nbr >= 0) & (nbr < m)
+        flat[slots[nbr[on]], :, src[on]] = -(x_pad[face[on]] * t_inv[e[on], :, 0])
 
-    def _couplings(self, p, q):
-        """Block (q, p) of the condensed operator, for neighbouring odd
-        columns p and q (any matching shapes): ``-a T_e^-1 b``, through the
-        even column e between them, with a and b the faces of q and p onto
-        it.  One ``nz x nz`` block per pair."""
-        e = np.maximum(p, q)
-        k = np.take(self.t_inv, e, axis=0)
-        k *= self.x_pad[np.minimum(2 * q + 1, 2 * e)][..., :, None]
-        k *= -self.x_pad[np.minimum(2 * p + 1, 2 * e)][..., None, :]
-        return k
+    t = rows.size - 1  # the last row: the middle odd column, and its left neighbour for even m
+    if m % 2:
+        p[t, 1] = 0.0  # the middle column is held once, in the left slot
+    k = _couplings(t_inv, x_pad, cols[:-1], cols[1:])  # row s + 1 from row s
+    for s in range(t + 1):
+        if s:
+            p[s] -= k[s - 1] @ p[s - 1] @ k[s - 1].transpose(0, 2, 1)
+            x[s] -= k[s - 1] @ x[s - 1]
+        if s < t:
+            p[s] = _inverted(p[s], odd[s])
+            x[s] = p[s] @ x[s]
+    if m % 2:  # one middle column, coupled to both sweeps
+        p[t, 0] = _inverted(p[t, 0] + p[t, 1], odd[t, 0])
+        x[t, 0] = p[t, 0] @ (x[t, 0] + x[t, 1])
+        x[t, 1] = x[t, 0]
+    elif m:  # odd columns t and t + 1 meet through the even column between them
+        km = _couplings(t_inv, x_pad, cols[t, 0], cols[t, 1])
+        p[t, 0] = _inverted(p[t, 0], odd[t, 0])
+        p[t, 1] -= km @ p[t, 0] @ km.T
+        p[t, 1] = _inverted(p[t, 1], odd[t, 1])
+        x[t, 0] = p[t, 0] @ x[t, 0]
+        x[t, 1] = p[t, 1] @ (x[t, 1] - km @ x[t, 0])
+        x[t, 0] -= p[t, 0] @ (km.T @ x[t, 1])
+    for s in range(t - 1, -1, -1):
+        x[s] -= p[s] @ (k[s].transpose(0, 2, 1) @ x[s + 1])
 
-    def solve_surface(self, columns) -> np.ndarray:
-        """A^-1 E (n, k), ``E`` a unit source in the surface cell of each of
-        ``k`` distinct cell columns, without forming ``E``.
-
-        The condensed right-hand side is written directly: a source on an
-        odd column is a 1 in the first row of its slot, a source on even
-        column e is ``-C T_e^-1[:, 0]`` on each odd neighbour.  Both forward
-        sweeps run at once toward the middle odd column, back substitution
-        outward from it; then each even column is ``T^-1 (b - C x)`` over its
-        odd neighbours, in one batched product."""
-        nx, nz = self.x_pad.shape
-        columns = np.asarray(columns)
-        if (columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer)
-                or np.any((columns < 0) | (columns >= nx))
-                or np.unique(columns).size != columns.size):
-            raise ValueError(f"source columns must be distinct integers in [0, {nx})")
-        p, k, cols, x_pad = self.inv_pivots, self.couplings, self.columns, self.x_pad
-        m, n_src = nx // 2, columns.size
-        x = np.zeros(cols.shape + (nz, n_src))  # (rows, 2, nz, n_src) in paired order
-        flat = x.reshape(-1, nz, n_src)
-        even = np.zeros((self.t_inv.shape[0], nz, n_src))
-        src = np.arange(n_src)
-        on_odd = columns % 2 == 1
-        flat[self.slots[columns[on_odd] // 2], 0, src[on_odd]] = 1.0
-        e, src = columns[~on_odd] // 2, src[~on_odd]
-        even[e, 0, src] = 1.0
-        # Even column 2e has odd neighbours e (cell column 2e + 1, face 2e)
-        # and e - 1 (cell column 2e - 1, face 2e - 1), where they exist.
-        for nbr, face in ((e, 2 * e), (e - 1, 2 * e - 1)):
-            on = (nbr >= 0) & (nbr < m)
-            flat[self.slots[nbr[on]], :, src[on]] = -(x_pad[face[on]] * self.t_inv[e[on], :, 0])
-
-        t = cols.shape[0] - 1
-        if m % 2:
-            x[t, 1] = 0.0  # the middle column is held once, in the left slot
-        for s in range(t + 1):
-            if s:
-                x[s] -= k[s - 1] @ x[s - 1]
-            if s < t:
-                x[s] = p[s] @ x[s]
-        if m % 2:
-            x[t, 0] = p[t, 0] @ (x[t, 0] + x[t, 1])
-            x[t, 1] = x[t, 0]
-        elif m:
-            km = self.middle_coupling
-            x[t, 0] = p[t, 0] @ x[t, 0]
-            x[t, 1] = p[t, 1] @ (x[t, 1] - km @ x[t, 0])
-            x[t, 0] -= p[t, 0] @ (km.T @ x[t, 1])
-        for s in range(t - 1, -1, -1):
-            x[s] -= p[s] @ (k[s].transpose(0, 2, 1) @ x[s + 1])
-
-        # The odd columns in cell order, gathered to the head of the sweep buffer.
-        x_odd = flat[:m]
-        x_odd[...] = flat[self.slots]
-        ne = even.shape[0]
-        even[:m] -= x_pad[0:2 * m:2, :, None] * x_odd
-        even[1:] -= x_pad[1:2 * ne - 1:2, :, None] * x_odd[:ne - 1]
-        out = np.empty((nz, nx, n_src))
-        cells = out.transpose(1, 0, 2)
-        cells[1::2] = x_odd
-        np.matmul(self.t_inv, even, out=cells[::2])
-        if not np.all(np.isfinite(out)):
-            raise SolverFailure("direct solve produced non-finite potentials")
-        return out.reshape(-1, n_src)
+    # The odd columns in cell order, gathered to the head of the sweep buffer.
+    x_odd = flat[:m]
+    x_odd[...] = flat[slots]
+    ne = even.shape[0]
+    even[:m] -= x_pad[0:2 * m:2, :, None] * x_odd
+    even[1:] -= x_pad[1:2 * ne - 1:2, :, None] * x_odd[:ne - 1]
+    out = np.empty((nz, nx, n_src))
+    cells = out.transpose(1, 0, 2)
+    cells[1::2] = x_odd
+    np.matmul(t_inv, even, out=cells[::2])
+    if not np.all(np.isfinite(out)):
+        raise SolverFailure("direct solve produced non-finite potentials")
+    return out.reshape(-1, n_src)
 
 
 class DCSimulation:
     """F(m), J^T v and J itself for one mesh + survey, from one solve per model.
 
     Every source and receiver sits on one of a few electrode cells, so per
-    model the operator is factored once (:class:`BlockFactor`) and solved
-    once for ``G = A^-1 E``, one unit source per distinct electrode cell,
-    by :meth:`BlockFactor.solve_surface`: the sources start on the condensed
-    columns, and ``E`` is never formed.  The fields are differences of its
+    model the operator is solved once, by :func:`solve_surface`, for
+    ``G = A^-1 E``, one unit source per distinct electrode cell: the
+    sources start on the condensed columns, and ``E`` is never formed.
+    Only ``G`` and the face derivatives outlive the solve.  The fields are differences of its
     columns (superposition).  ``A`` is symmetric, so ``G`` also maps sources
     at the receivers (reciprocity): the adjoint fields of ``J^T v`` are
     ``-G R``, so that ``J^T v`` is a quadratic form in the face differences
@@ -425,10 +402,10 @@ class DCSimulation:
         if not np.all(np.isfinite(m)):
             raise ValueError("model must be finite")
         if self._model is None or not np.array_equal(m, self._model):
-            self._model = None  # stays unset if the factorization fails
+            self._model = None  # stays unset if the solve fails
             self._jacobian = None
             resistances = self.faces.resistances(np.exp(m))
-            self._green = BlockFactor(*self.faces.blocks(resistances)).solve_surface(self.cells)
+            self._green = solve_surface(*self.faces.blocks(resistances), self.cells)
             self._dt = self.faces.log_derivatives(resistances)
             self._model = m.copy()
         return self._green

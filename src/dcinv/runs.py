@@ -118,13 +118,18 @@ def load_run(entry, source: str = "manifest") -> Run:
         raise ManifestError(f"{source}: {e}") from None
 
 
-def _simulate(spec: ScenarioSpec, mesh):
-    """Survey, truth model, noisy data and generating stds for a scenario on its mesh."""
+def _simulate(spec: ScenarioSpec, mesh, out_dir: str):
+    """Survey, noisy data and generating stds for a scenario on its mesh.
+    Makes ``out_dir`` once they are in hand and writes the true model and
+    the data into it, as :class:`SimulateRun` names them."""
     survey = spec.survey()
     truth = paint_model(spec)
     d_clean = DCSimulation(mesh, survey).predict(truth)
     d_noisy, std = add_noise(d_clean, spec.noise_rel, spec.noise_seed)
-    return survey, truth, d_noisy, std
+    os.makedirs(out_dir, exist_ok=True)
+    save_grid(os.path.join(out_dir, SimulateRun.outputs["model_true"]), truth, mesh.nx, mesh.nz)
+    fileio.save_data(os.path.join(out_dir, SimulateRun.outputs["data"]), survey, d_noisy, std)
+    return survey, d_noisy, std
 
 
 def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
@@ -136,10 +141,7 @@ def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
         survey, d_obs, std = fileio.load_data(data_path)
         os.makedirs(out_dir, exist_ok=True)
     else:
-        survey, truth, d_obs, std = _simulate(spec, mesh)
-        os.makedirs(out_dir, exist_ok=True)
-        save_grid(os.path.join(out_dir, "model_true.txt"), truth, mesh.nx, mesh.nz)
-        fileio.save_data(os.path.join(out_dir, "data.txt"), survey, d_obs, std)
+        survey, d_obs, std = _simulate(spec, mesh, out_dir)
     weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
     return survey, d_obs, weights
 
@@ -164,10 +166,7 @@ def execute(run: Run) -> dict:
     paths = {name: os.path.join(out_dir, file) for name, file in run.outputs.items()}
 
     if isinstance(run, SimulateRun):
-        os.makedirs(out_dir, exist_ok=True)
-        survey, truth, d_noisy, std = _simulate(spec, mesh)
-        save_grid(paths["model_true"], truth, mesh.nx, mesh.nz)
-        fileio.save_data(paths["data"], survey, d_noisy, std)
+        _simulate(spec, mesh, out_dir)
 
     elif isinstance(run, DipRun):
         cfg = run.config

@@ -18,6 +18,11 @@ from .forward import electrode_cells
 from .mesh import TensorMesh2D, build_mesh, cell_centers
 from .survey import Survey, build_dipole_dipole_survey
 
+# Most stations and most mesh cells a scenario may ask for, far above the
+# full scale's 29 stations and 214 x 32 cells; a larger survey or mesh
+# would fail on allocation, not on a checked value.
+MAX_COUNT = 100_000
+
 
 @dataclass(frozen=True)
 class DikeGeometry:
@@ -77,6 +82,15 @@ class ScenarioSpec:
         if self.dike is not None and not isinstance(self.dike, DikeGeometry):
             object.__setattr__(self, "dike", DikeGeometry(*self.dike))
         object.__setattr__(self, "cylinders", tuple(tuple(c) for c in self.cylinders))
+        # A count that is not positive is left for survey() and mesh() to name.
+        n_stations = self.line_length / self.station_spacing + 1 if self.station_spacing > 0 else 0
+        if n_stations > MAX_COUNT:
+            raise ValueError(f"line_length / station_spacing + 1 must be at most {MAX_COUNT} "
+                             f"stations, got {n_stations:.3g}")
+        n_cells = (self.n_core_x + 2 * self.n_pad) * (self.n_core_z + self.n_pad)
+        if min(self.n_core_x, self.n_core_z, self.n_pad + 1) > 0 and n_cells > MAX_COUNT:
+            raise ValueError(f"(n_core_x + 2 n_pad) x (n_core_z + n_pad) must be at most "
+                             f"{MAX_COUNT} cells, got {n_cells}")
         mesh, survey = self.mesh(), self.survey()
         try:
             electrode_cells(mesh, survey.electrodes)

@@ -117,17 +117,17 @@ def dense_operator(mesh, sigma):
 
 class Traffic:
     """Counts what the optimizers ask of a ``DCSimulation``: calls per method,
-    passes over the face resistances, operator factorizations and solves,
+    passes over the face resistances, operator solves (each one factors),
     the distinct models predicted or differentiated, the Jacobian builds
     (distinct arrays handed out), the most earlier builds still alive when a
     new one is handed out, and the ``np.linalg.inv`` calls made from
     ``dcinv.forward``."""
 
     def __init__(self, monkeypatch):
-        from dcinv.forward import BlockFactor, _FaceGeometry
+        from dcinv import forward
 
         self.calls = {"predict": 0, "jt_vec": 0, "jacobian": 0, "resistances": 0,
-                      "factor": 0, "solve": 0}
+                      "solve": 0}
         self.models = set()           # bytes of every model predicted or differentiated
         self.jacobian_models = set()  # bytes of every model whose J was asked for
         self.jacobian_builds = 0
@@ -153,25 +153,20 @@ class Traffic:
 
         for name in ("predict", "jt_vec", "jacobian"):
             monkeypatch.setattr(DCSimulation, name, counted(name, getattr(DCSimulation, name)))
-        resistances = _FaceGeometry.resistances
+        resistances = forward._FaceGeometry.resistances
 
         def counted_resistances(faces, sigma):
             self.calls["resistances"] += 1
             return resistances(faces, sigma)
 
-        monkeypatch.setattr(_FaceGeometry, "resistances", counted_resistances)
-        init, solve = BlockFactor.__init__, BlockFactor.solve_surface
+        monkeypatch.setattr(forward._FaceGeometry, "resistances", counted_resistances)
+        solve = forward.solve_surface
 
-        def counted_init(factor, *args):
-            self.calls["factor"] += 1
-            init(factor, *args)
-
-        def counted_solve(factor, columns):
+        def counted_solve(*args):
             self.calls["solve"] += 1
-            return solve(factor, columns)
+            return solve(*args)
 
-        monkeypatch.setattr(BlockFactor, "__init__", counted_init)
-        monkeypatch.setattr(BlockFactor, "solve_surface", counted_solve)
+        monkeypatch.setattr(forward, "solve_surface", counted_solve)
         inv = np.linalg.inv
 
         def counted_inv(a):

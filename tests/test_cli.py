@@ -1,11 +1,15 @@
 import json
+import os
 import re
-from dataclasses import fields
+import subprocess
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcinv
 from dcinv.cli import _SECTIONS, _apply_section, _load_config, _scenario, _section, main
 from dcinv.dip import DipConfig
 from dcinv.fileio import load_data, load_manifest, save_manifest
@@ -266,6 +270,9 @@ class TestConfigFile:
         assert (reg.p_s, reg.irls_epsilon, reg.use_sensitivity_weights) == (0.0, 0.01, True)
         assert (gn.cooling_factor, gn.cg_maxiter, gn.beta0) == (0.5, 30, None)
         assert dip.m_ref == reg.m_ref == DipConfig().m_ref
+        # the sample shows the paper-scale defaults, and dropout as the paper sets it
+        assert dip == replace(DipConfig(), dropout_rate=0.1)
+        assert gn == GNConfig()
         assert _scenario({}, config) == build_case1(45.0, scale="desk")[0]
 
     def test_bad_value_is_usage_error(self, tmp_path, capsys):
@@ -390,13 +397,19 @@ class TestInversionCommands:
         assert (nx, nz) == (64, 19)
         assert np.all(model > -8.0) and np.all(model < 0.0)
 
-    def test_a_diverged_run_is_a_numerical_failure(self, tmp_path, capsys):
-        """It exited 1 as a usage error: 'model must be finite'."""
-        with np.errstate(all="ignore"):
-            code = main(["invert-dip", "--scale", "desk", "--lr", "1e150", "--epochs", "20",
-                         "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert capsys.readouterr().err == "numerical failure: epoch 2: model is not finite\n"
+    def test_a_diverged_run_is_a_numerical_failure(self, tmp_path):
+        """It exited 1 as a usage error: 'model must be finite'.  Then, with
+        numpy's warnings as they are by default, it printed an overflow and
+        an invalid-value RuntimeWarning from the generator, each with its
+        source line, before its one line."""
+        env = {**os.environ, "PYTHONPATH": str(Path(dcinv.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", "import sys, dcinv.cli; "
+                              "sys.exit(dcinv.cli.main(sys.argv[1:]))", "invert-dip",
+                              "--scale", "desk", "--lr", "1e150", "--epochs", "20",
+                              "--out", str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr == "numerical failure: epoch 2: model is not finite\n"
 
     def test_invert_conv_writes_outputs(self, tmp_path):
         out = tmp_path / "conv"

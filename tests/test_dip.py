@@ -190,7 +190,7 @@ class TestInvertStage2:
 
     def test_one_matrix_free_product_per_epoch(self, monkeypatch):
         """Each epoch is a new model needing one J^T v, so stage 2 never
-        forms J: one factor, one solve, one predict and one jt_vec per epoch."""
+        forms J: one solve, one predict and one jt_vec per epoch."""
         mesh, survey, sim, truth, d_clean = self._setup()
         arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2)
         params = init_params(0, arch)
@@ -201,7 +201,7 @@ class TestInvertStage2:
                               DipConfig(epochs_stage2=5))
         assert len(trace.records) == 5
         assert traffic.calls == {"predict": 5, "jt_vec": 5, "jacobian": 0,
-                                 "resistances": 5, "factor": 5, "solve": 5}
+                                 "resistances": 5, "solve": 5}
 
     @pytest.mark.parametrize("epochs, message", [(20, "epoch 2: model is not finite"),
                                                  (1, "final model is not finite")])

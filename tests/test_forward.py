@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import dcinv
 from dcinv.checks import reference_j_vec, rel_err
 from dcinv.errors import SolverFailure
-from dcinv.forward import (BlockFactor, DataWeights, DCSimulation, electrode_cells,
-                           _FaceGeometry, _tridiagonal_inverses, phi_d, weights_from_std)
+from dcinv.forward import (DataWeights, DCSimulation, electrode_cells, _FaceGeometry,
+                           _tridiagonal_inverses, phi_d, solve_surface, weights_from_std)
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.survey import Survey, build_dipole_dipole_survey
 
@@ -60,17 +60,18 @@ def _unit_sources(mesh, columns):
     return e
 
 
-def factored(mesh, sigma):
-    """The operator of ``mesh`` at ``sigma``, factored as ``DCSimulation`` factors it."""
+def solved(mesh, sigma, columns):
+    """A^-1 E for the operator of ``mesh`` at ``sigma`` and unit sources on the
+    surface of ``columns``, solved as ``DCSimulation`` solves it."""
     faces = _FaceGeometry(mesh)
-    return BlockFactor(*faces.blocks(faces.resistances(sigma)))
+    return solve_surface(*faces.blocks(faces.resistances(sigma)), columns)
 
 
 class TestSolve:
     def test_single_cell(self):
         mesh = TensorMesh2D(hx=np.array([1.0]), hz=np.array([1.0]), origin_x=0.0)
         a = dense_operator(mesh, np.array([1.0]))
-        phi = factored(mesh, np.array([1.0])).solve_surface([0])
+        phi = solved(mesh, np.array([1.0]), [0])
         assert phi.shape == (1, 1) and np.isclose(phi[0, 0], 1.0 / a[0, 0])
 
     def test_matches_dense_solve(self):
@@ -99,9 +100,8 @@ class TestSolve:
             sigma = np.exp(rng.standard_normal(mesh.n_cells))
             columns = rng.permutation(mesh.nx)
             ref = np.linalg.solve(dense_operator(mesh, sigma), _unit_sources(mesh, columns))
-            factor = factored(mesh, sigma)
-            assert rel_err(factor.solve_surface(columns), ref) < 1e-12
-            assert rel_err(factor.solve_surface(columns[:1]), ref[:, :1]) < 1e-12
+            assert rel_err(solved(mesh, sigma, columns), ref) < 1e-12
+            assert rel_err(solved(mesh, sigma, columns[:1]), ref[:, :1]) < 1e-12
 
     @pytest.mark.parametrize("nz", [1, 2, 5, 32])
     def test_tridiagonal_inverses_match_inv(self, nz):
@@ -139,10 +139,10 @@ class TestSolve:
         z_off[column] = 0.0
         x_off[max(column - 1, 0):column + 1] = 0.0
         with pytest.raises(SolverFailure, match=rf"cell column {column} "):
-            BlockFactor(diag, z_off, x_off)
+            solve_surface(diag, z_off, x_off, [0])
 
     def test_pivots_are_inverted_in_pairs(self, monkeypatch):
-        """Factoring an nx-column grid makes at most nx // 4 + 2 dense inverse
+        """Solving on an nx-column grid makes at most nx // 4 + 2 dense inverse
         calls: the even columns are inverted in one batched sweep, and the
         odd ones are not eliminated one column per call.  One column (a
         single tridiagonal block) makes none."""
@@ -151,7 +151,7 @@ class TestSolve:
         meshes = [build_mesh(nx, 3, 1.0, 1.0, 0, 1.0) for nx in (1, 2, 3, 5, 6)]
         for mesh in meshes + [spec.mesh()]:
             before = traffic.inverses
-            factored(mesh, np.ones(mesh.n_cells))
+            solved(mesh, np.ones(mesh.n_cells), [0])
             assert (mesh.nx > 1) <= traffic.inverses - before <= mesh.nx // 4 + 2
 
     def test_no_scipy(self):
@@ -207,14 +207,13 @@ class TestSurfaceSolve:
     def test_matches_dense_solve(self, problem):
         mesh, sigma, columns = problem
         ref = np.linalg.solve(dense_operator(mesh, sigma), _unit_sources(mesh, columns))
-        assert rel_err(factored(mesh, sigma).solve_surface(columns), ref) < 1e-12
+        assert rel_err(solved(mesh, sigma, columns), ref) < 1e-12
 
     @pytest.mark.parametrize("columns", [[2, 2], [0, 3, 0], [-1], [5], [0, 5], [1.0],
                                          [[0, 1]]])
     def test_columns_must_be_distinct_and_on_the_grid(self, columns):
-        factor = factored(build_mesh(5, 3, 1.0, 1.0, 0, 1.0), np.ones(15))
         with pytest.raises(ValueError, match="distinct"):
-            factor.solve_surface(columns)
+            solved(build_mesh(5, 3, 1.0, 1.0, 0, 1.0), np.ones(15), columns)
 
 
 class TestPredict:
@@ -505,8 +504,8 @@ class TestJacobian:
 
 
 class TestSolveCount:
-    """One pass over the face resistances, one factor and one solve per
-    model, however many products it serves."""
+    """One pass over the face resistances and one solve per model, however
+    many products it serves."""
 
     def test_one_factor_and_one_solve_per_model(self, monkeypatch):
         traffic = Traffic(monkeypatch)
@@ -517,12 +516,12 @@ class TestSolveCount:
         for _ in range(5):
             sim.jt_vec(m, rng.standard_normal(survey.n_data))
             sim.jacobian(m)
-        per_model = ("resistances", "factor", "solve")
-        assert [traffic.calls[name] for name in per_model] == [1, 1, 1]
+        per_model = ("resistances", "solve")
+        assert [traffic.calls[name] for name in per_model] == [1, 1]
         sim.jt_vec(m + 0.1, rng.standard_normal(survey.n_data))
         sim.predict(m + 0.1)
         sim.jacobian(m + 0.1)
-        assert [traffic.calls[name] for name in per_model] == [2, 2, 2]
+        assert [traffic.calls[name] for name in per_model] == [2, 2]
 
 
 def test_full_scale_predict_peak_memory():

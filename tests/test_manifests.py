@@ -175,7 +175,10 @@ def _base(method):
     # each exit 1 from deep in the run before
     ("simulate", "scenario.n_core_x", 0), ("simulate", "scenario.cylinders", [[1, 2]]),
     ("simulate", "scenario.dx", float("nan")), ("simulate", "scenario.noise_seed", -1),
-    ("dip", "config.rng_seed", -1), ("simulate", "scenario.line_length", 2000.0)])
+    ("dip", "config.rng_seed", -1), ("simulate", "scenario.line_length", 2000.0),
+    # each a numpy memory-error traceback (exit 1) before: 2.8 PiB of electrode
+    # positions, 728 TiB of cell widths, sizes numpy refuses at once
+    ("simulate", "scenario.line_length", 1e16), ("simulate", "scenario.n_core_x", 10**14)])
 def test_value_a_run_refuses_exits_3_naming_its_path(method, path, value):
     stored = _base(method)
     parent, key = _at(stored, path)
