@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .dip import DipConfig
-from .errors import NumericalFailure, SolverFailure
+from .errors import NumericalFailure
 from .metrics import mean_abs_gradient, rmse
 from .runs import ArchChoice, DipRun, SimulateRun, execute
 from .scenarios import ScenarioSpec
@@ -45,8 +45,8 @@ def suite_variants(suite: str, cfg: DipConfig):
 
 def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
                  workers: int = 1):
-    """Execute a sequence of suites on one data realization; returns
-    (runs, rows): each distinct run, and a row per (suite, label).
+    """Execute a sequence of suites on one data realization; returns a row
+    per (suite, label).
     A variant that recurs across suites (``blocks-3`` is ``dropout-0``) runs
     once, into the subdirectory of its first label under ``out_dir``;
     ``summary.txt`` holds one table per suite."""
@@ -86,14 +86,14 @@ def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
                      "smoothness": mean_abs_gradient(model.reshape(nz, nx))})
 
     _write_summary(os.path.join(out_dir, "summary.txt"), suites, rows)
-    return list(runs.values()), rows
+    return rows
 
 
 def _run_guarded(run: DipRun):
     try:
         execute(run)
         return True, ""
-    except (SolverFailure, NumericalFailure) as e:  # the row records it; the suite goes on
+    except NumericalFailure as e:  # a SolverFailure too; the row records it, the suite goes on
         return False, f"{type(e).__name__}: {e}"
 
 

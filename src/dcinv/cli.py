@@ -27,8 +27,7 @@ from . import fileio
 from .ablation import SUITES, run_ablation
 from .checks import run_all
 from .dip import DipConfig
-from .errors import (CheckpointError, ManifestError, NumericalFailure, ParseError,
-                     SolverFailure)
+from .errors import CheckpointError, ManifestError, NumericalFailure, ParseError
 from .net.model import UPSAMPLERS
 from .render import render_grid
 from .runs import (ArchChoice, ConventionalConfig, ConventionalRun, DipRun, SimulateRun,
@@ -42,8 +41,7 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 # error type -> (message prefix, exit code); the first match wins: ValueError comes last
-_FAILURES = {SolverFailure: ("numerical failure", EXIT_NUMERICAL),
-             NumericalFailure: ("numerical failure", EXIT_NUMERICAL),
+_FAILURES = {NumericalFailure: ("numerical failure", EXIT_NUMERICAL),
              ParseError: ("parse error", EXIT_IO), CheckpointError: ("checkpoint error", EXIT_IO),
              ManifestError: ("manifest error", EXIT_IO), OSError: ("i/o error", EXIT_IO),
              ValueError: ("invalid arguments", EXIT_USAGE)}
@@ -232,9 +230,8 @@ def _run(args) -> int:
         print(f"wrote {paths['trace']} and {paths['model']}")
 
     elif args.command == "ablate":
-        _, rows = run_ablation([args.suite], _scenario(flags, config),
-                               _section("dip", flags, config), args.out,
-                               workers=args.workers)
+        rows = run_ablation([args.suite], _scenario(flags, config),
+                            _section("dip", flags, config), args.out, workers=args.workers)
         for r in rows:
             print(f"{r['run']:24s} chi={r['chi']:.3f} rmse={r['rmse']:.3f} "
                   f"smoothness={r['smoothness']:.5f} [{r['status']}]")

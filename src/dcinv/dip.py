@@ -18,7 +18,7 @@ needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,13 +104,12 @@ def surrogate_loss(m: np.ndarray, jv: np.ndarray, beta_val: float,
 # A diverging generator overflows; its finite checks report that, not numpy.
 @np.errstate(over="ignore", invalid="ignore")
 def pretrain_stage1(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
-                    config: DipConfig) -> NetParams:
+                    config: DipConfig) -> None:
     """Fit the generator output to the reference model (mean absolute error).
 
     Runs Adam until ``mean |m - m_ref| <= config.stage1_tol`` or the epoch
     cap; dropout stays off so the loss curve is deterministic for a given
-    seed.  Returns the updated params (also updated in place), ready for
-    checkpointing and reuse.
+    seed.  Trains ``params`` in place, ready for checkpointing and reuse.
     """
     n = mesh.n_cells
     m_ref = np.full(n, float(config.m_ref))
@@ -126,22 +125,21 @@ def pretrain_stage1(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
         grads = net_backward(tr, np.sign(diff) / n)
         adam_step(params.arrays, grads, state, config.stage1_lr,
                   config.adam_beta1, config.adam_beta2, config.adam_eps)
-    return params
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as pretrain_stage1
 def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
                   survey: Survey, d_obs: np.ndarray, weights: DataWeights,
                   config: DipConfig) -> InversionTrace:
-    """Full stage-2 inversion on a mesh + survey pair, from the pretrained ``params``."""
+    """Full stage-2 inversion on a mesh + survey pair; trains the pretrained
+    ``params`` in place, whose dropout rate must be ``config.dropout_rate``."""
+    if params.arch.dropout_rate != config.dropout_rate:
+        raise ValueError(f"dropout rate {config.dropout_rate} is not the architecture's")
     sim = DCSimulation(mesh, survey)
     m_ref = np.full(mesh.n_cells, float(config.m_ref))
     d_obs = np.asarray(d_obs, dtype=float)
     w2 = weights.values ** 2
 
-    if config.dropout_rate > 0 and params.arch.dropout_rate != config.dropout_rate:
-        params = NetParams(replace(params.arch, dropout_rate=config.dropout_rate),
-                           params.arrays)
     mode = "train" if config.dropout_rate > 0 else "eval"
     rng = np.random.default_rng(config.rng_seed)
 
@@ -180,7 +178,6 @@ def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
     if not np.all(np.isfinite(final_m)):
         raise NumericalFailure("final model is not finite")
     trace.final_model = final_m
-    trace.final_params = params
     if not trace.converged and trace.records:
         trace.converged = trace.records[-1].chi <= config.chi_stop
     return trace

@@ -1,12 +1,12 @@
 """Exception types shared across the package."""
 
 
-class SolverFailure(RuntimeError):
-    """The forward operator could not be solved: a singular factor or a non-finite solution."""
-
-
 class NumericalFailure(RuntimeError):
-    """An optimization loop produced a non-finite loss or model."""
+    """An optimization loop produced a non-finite loss or model, or a solve failed."""
+
+
+class SolverFailure(NumericalFailure):
+    """The forward operator could not be solved: a singular factor or a non-finite solution."""
 
 
 class ParseError(ValueError):

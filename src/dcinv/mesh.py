@@ -68,13 +68,13 @@ class TensorMesh2D:
 
 
 def build_mesh(n_core_x: int, n_core_z: int, dx: float, dz: float,
-               n_pad: int, factor: float, origin_x: float | None = None) -> TensorMesh2D:
+               n_pad: int, factor: float) -> TensorMesh2D:
     """Core + geometrically expanding padding mesh.
 
     Padding is added on both lateral sides and at the bottom (none at the
-    surface); the k-th padding cell is ``core_width * factor**k``.  By
-    default the core region is centered on x = 0 so a survey line centered
-    on the origin sits over the core.
+    surface); the k-th padding cell is ``core_width * factor**k``.  The core
+    region is centered on x = 0, so a survey line centered on the origin
+    sits over the core.
     """
     if n_core_x < 1 or n_core_z < 1:
         raise ValueError("core cell counts n_core_x and n_core_z must be >= 1")
@@ -89,9 +89,7 @@ def build_mesh(n_core_x: int, n_core_z: int, dx: float, dz: float,
     pad_z = dz * factor ** np.arange(1, n_pad + 1)
     hx = np.concatenate([pad_x[::-1], np.full(n_core_x, float(dx)), pad_x])
     hz = np.concatenate([np.full(n_core_z, float(dz)), pad_z])
-    if origin_x is None:
-        origin_x = -0.5 * n_core_x * dx - pad_x.sum()
-    return TensorMesh2D(hx=hx, hz=hz, origin_x=float(origin_x))
+    return TensorMesh2D(hx=hx, hz=hz, origin_x=float(-0.5 * n_core_x * dx - pad_x.sum()))
 
 
 def cell_centers(mesh: TensorMesh2D) -> tuple[np.ndarray, np.ndarray]:

@@ -91,7 +91,6 @@ class ArchConfig:
 
 def arch_for_mesh(nz: int, nx: int, n_blocks: int = 3, upsampler: str = "bilinear",
                   dropout_rate: float = 0.0, latent_dim: int = 8,
-                  output_scale: float = -8.0,
                   channels: tuple[int, ...] | None = None) -> ArchConfig:
     """Smallest seed shape whose generated image covers an (nz, nx) mesh."""
     if channels is None:
@@ -104,8 +103,7 @@ def arch_for_mesh(nz: int, nx: int, n_blocks: int = 3, upsampler: str = "bilinea
     scale = 2 ** n_blocks
     seed = (-(-nz // scale) + 2, -(-nx // scale) + 2)
     return ArchConfig(latent_dim=latent_dim, seed_shape=seed, channels=tuple(channels),
-                      upsampler=upsampler, dropout_rate=dropout_rate,
-                      output_scale=output_scale)
+                      upsampler=upsampler, dropout_rate=dropout_rate)
 
 
 def sample_latent(rng_seed: int, dim: int = 8) -> np.ndarray:

@@ -184,7 +184,7 @@ def execute(run: Run) -> dict:
         trace = invert_stage2(params, z, mesh, survey, d_obs, weights, cfg)
         save_trace(paths["trace"], trace, method="dip")
         save_grid(paths["model"], trace.final_model, mesh.nx, mesh.nz)
-        save_params(paths["checkpoint"], trace.final_params)
+        save_params(paths["checkpoint"], params)  # trained in place
 
     else:
         survey, d_obs, weights = _obs_for_run(run.data, spec, mesh, out_dir)

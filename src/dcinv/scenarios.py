@@ -18,9 +18,9 @@ from .forward import electrode_cells
 from .mesh import TensorMesh2D, build_mesh, cell_centers
 from .survey import Survey, build_dipole_dipole_survey
 
-# Most stations and most mesh cells a scenario may ask for, far above the
-# full scale's 29 stations and 214 x 32 cells; a larger survey or mesh
-# would fail on allocation, not on a checked value.
+# Most stations, data and mesh cells a scenario may ask for, far above the
+# full scale's 29 stations, 348 data and 214 x 32 cells; a larger survey or
+# mesh would fail on allocation, not on a checked value.
 MAX_COUNT = 100_000
 
 
@@ -87,6 +87,11 @@ class ScenarioSpec:
         if n_stations > MAX_COUNT:
             raise ValueError(f"line_length / station_spacing + 1 must be at most {MAX_COUNT} "
                              f"stations, got {n_stations:.3g}")
+        k, r = n_stations - 3, self.max_receivers  # transmitter i: k - i receivers, at most r
+        n_data = 0 if k <= 0 else k * (k + 1) / 2 if r >= k else r * (r + 1) / 2 + r * (k - r)
+        if n_data > MAX_COUNT:
+            raise ValueError(f"line_length, station_spacing and max_receivers must make at most "
+                             f"{MAX_COUNT} data, got {n_data:.0f}")
         n_cells = (self.n_core_x + 2 * self.n_pad) * (self.n_core_z + self.n_pad)
         if min(self.n_core_x, self.n_core_z, self.n_pad + 1) > 0 and n_cells > MAX_COUNT:
             raise ValueError(f"(n_core_x + 2 n_pad) x (n_core_z + n_pad) must be at most "

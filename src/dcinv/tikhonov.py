@@ -372,11 +372,10 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
 
 def gauss_newton_invert(mesh: TensorMesh2D, survey: Survey, d_obs: np.ndarray,
                         weights: DataWeights, reg: RegularizationConfig,
-                        gn: GNConfig, m0: np.ndarray | None = None) -> InversionTrace:
-    """Gauss-Newton inversion on a mesh + survey pair; m0 defaults to m_ref."""
+                        gn: GNConfig) -> InversionTrace:
+    """Gauss-Newton inversion on a mesh + survey pair, from the reference model."""
     sim = DCSimulation(mesh, survey)
-    m_ref = np.full(mesh.n_cells, float(reg.m_ref))
-    m0 = m_ref.copy() if m0 is None else np.asarray(m0, dtype=float)
+    m0 = np.full(mesh.n_cells, float(reg.m_ref))
     sens = None
     if reg.use_sensitivity_weights:
         sens = sensitivity_weights(sim, m0, rng_seed=gn.rng_seed)

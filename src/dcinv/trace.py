@@ -25,9 +25,11 @@ class EpochRecord:
 
 @dataclass
 class InversionTrace:
+    """A record per epoch or Gauss-Newton iteration, the final model and why the
+    run stopped; a DIP run's trained generator is the params it trained in place."""
+
     records: list[EpochRecord] = field(default_factory=list)
     final_model: np.ndarray | None = None
-    final_params: object = None  # NetParams for the reparameterized flavour
     converged: bool = False
     models: list[np.ndarray] | None = None  # per-epoch models when requested
     # Why Gauss-Newton ended: "target_chi", "line_search" or "budget"; empty

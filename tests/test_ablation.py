@@ -3,7 +3,7 @@ import pytest
 
 from dcinv.ablation import run_ablation, suite_variants
 from dcinv.dip import DipConfig
-from dcinv.errors import NumericalFailure
+from dcinv.errors import NumericalFailure, SolverFailure
 from dcinv.runs import DipRun
 from dcinv.scenarios import build_case1
 
@@ -34,7 +34,7 @@ class TestRunAblation:
     def test_emits_table_and_per_run_outputs(self, tmp_path):
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(epochs_stage1=150, epochs_stage2=3, tau=50.0)
-        _, rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
+        rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
         assert len(rows) == 2
         assert all(r["status"] == "ok" for r in rows)
         assert all(np.isfinite(r["chi"]) for r in rows)
@@ -78,10 +78,18 @@ class TestRunAblation:
         self._first_dip_run_raises(monkeypatch, NumericalFailure("synthetic failure"))
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(epochs_stage1=100, epochs_stage2=2, tau=50.0)
-        _, rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
+        rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
         assert rows[0]["status"] == "failed: NumericalFailure: synthetic failure"
         assert rows[1]["status"] == "ok"
         assert np.isnan(rows[0]["chi"])
+
+    def test_a_failed_solve_is_recorded_under_its_own_name(self, tmp_path, monkeypatch):
+        """A SolverFailure is a NumericalFailure, and its row still names it."""
+        self._first_dip_run_raises(monkeypatch, SolverFailure("singular operator"))
+        spec, _ = build_case1(45.0, scale="desk")
+        cfg = DipConfig(epochs_stage1=100, epochs_stage2=2, tau=50.0)
+        rows = run_ablation(["dropout"], spec, cfg, str(tmp_path))
+        assert [r["status"] for r in rows] == ["failed: SolverFailure: singular operator", "ok"]
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         """Only numerical failures become rows; anything else is a bug to surface."""

@@ -231,7 +231,7 @@ class TestAcceptance:
         weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
 
         # reparameterized flavour, cooling rate scaled to the desk problem
-        arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=3)
+        arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=3, dropout_rate=0.1)
         params = init_params(0, arch)
         z = sample_latent(0, 8)
         cfg = DipConfig(tau=300.0, lr=1e-4, epochs_stage1=5000, epochs_stage2=1500,
@@ -281,7 +281,7 @@ class TestAcceptance:
         spec, _ = build_case1(45.0, scale="desk")
         cfg = DipConfig(tau=300.0, lr=1e-4, epochs_stage1=1500, epochs_stage2=150,
                         dropout_rate=0.1, rng_seed=0)
-        _, rows = run_ablation(SUITES, spec, cfg, str(tmp_path))
+        rows = run_ablation(SUITES, spec, cfg, str(tmp_path))
         table = (tmp_path / "summary.txt").read_text()
         runs = [p for p in tmp_path.glob("*/manifest.json")
                 if load_manifest(p)["method"] == "dip"]

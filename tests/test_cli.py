@@ -411,6 +411,19 @@ class TestInversionCommands:
         assert run.returncode == 2
         assert run.stderr == "numerical failure: epoch 2: model is not finite\n"
 
+    def test_a_failed_solve_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        """A SolverFailure is a NumericalFailure: exit 2, under the same prefix."""
+        import dcinv.cli
+        from dcinv.errors import SolverFailure
+
+        def failing(run):
+            raise SolverFailure("epoch 1: singular operator in cell column 0")
+
+        monkeypatch.setattr(dcinv.cli, "execute", failing)
+        assert main(["invert-dip", "--scale", "desk", "--out", str(tmp_path / "o")]) == 2
+        assert (capsys.readouterr().err
+                == "numerical failure: epoch 1: singular operator in cell column 0\n")
+
     def test_invert_conv_writes_outputs(self, tmp_path):
         out = tmp_path / "conv"
         code = main(["invert-conv", "--case", "1", "--scale", "desk",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,16 @@ class TestPretrainStage1:
             assert np.array_equal(a.arrays[key], b.arrays[key])
 
 
+    def test_a_diverged_loss_is_a_numerical_failure(self):
+        """A learning rate that blows the generator up stops stage 1 at the
+        first loss that is not finite."""
+        mesh = build_mesh(12, 6, 5.0, 5.0, 1, 1.5)
+        params = init_params(0, arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2))
+        with pytest.raises(NumericalFailure, match="^stage-1 loss is not finite$"):
+            pretrain_stage1(params, sample_latent(0, 8), mesh,
+                            DipConfig(stage1_lr=1e150, epochs_stage1=50))
+
+
 class TestInvertStage2:
     def _setup(self, noise_seed=0):
         mesh, survey, sim = tiny_dc_problem(n_core_x=16, n_core_z=6, n_pad=2,
@@ -217,17 +229,40 @@ class TestInvertStage2:
             invert_stage2(params, sample_latent(0, 8), mesh, survey, d_clean, weights,
                           DipConfig(lr=1e150, epochs_stage2=epochs))
 
+    def test_an_overflowing_misfit_is_a_numerical_failure(self):
+        """Observed data of 1e200 overflow the misfit of a finite model and
+        its finite prediction: the run stops at the epoch it happened in."""
+        mesh, survey, sim, truth, d_clean = self._setup()
+        params = init_params(0, arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2))
+        with pytest.raises(NumericalFailure, match="^epoch 1: loss is not finite$"):
+            invert_stage2(params, sample_latent(0, 8), mesh, survey, np.full_like(d_clean, 1e200),
+                          weights_from_std(0.05 * np.abs(d_clean)), DipConfig(epochs_stage2=3))
+
     def test_a_failed_solve_names_its_epoch(self):
         """A generator whose output underflows the conductivity to zero makes
         a singular operator; the failure names the epoch it happened in."""
         spec, truth = dcinv.build_case1(45.0, "desk")
         mesh, survey = spec.mesh(), spec.survey()
         d = DCSimulation(mesh, survey).predict(truth)
-        params = init_params(0, arch_for_mesh(mesh.nz, mesh.nx, output_scale=-1600.0))
+        arch = replace(arch_for_mesh(mesh.nz, mesh.nx), output_scale=-1600.0)
+        params = init_params(0, arch)
         with (np.errstate(all="ignore"),
               pytest.raises(SolverFailure, match="^epoch 1: singular operator in cell column 0 ")):
             invert_stage2(params, sample_latent(0, 8), mesh, survey, d,
                           weights_from_std(0.05 * np.abs(d)), DipConfig(epochs_stage2=3))
+
+    @pytest.mark.parametrize("arch_rate, config_rate", [(0.0, 0.1), (0.2, 0.0), (0.1, 0.2)])
+    def test_a_dropout_rate_that_is_not_the_architectures_is_refused(self, arch_rate,
+                                                                     config_rate):
+        """Stage 2 trains the generator it is given: a config whose dropout
+        rate is not the architecture's is refused, not patched over."""
+        mesh, survey, sim, truth, d_clean = self._setup()
+        params = init_params(0, arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2,
+                                              dropout_rate=arch_rate))
+        with pytest.raises(ValueError, match="dropout rate"):
+            invert_stage2(params, sample_latent(0, 8), mesh, survey, d_clean,
+                          weights_from_std(0.05 * np.abs(d_clean)),
+                          DipConfig(epochs_stage2=1, dropout_rate=config_rate))
 
     def test_epoch_weight_of_data_term_grows(self):
         mesh, survey, sim, truth, d_clean = self._setup()

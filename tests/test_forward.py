@@ -74,6 +74,13 @@ class TestSolve:
         phi = solved(mesh, np.array([1.0]), [0])
         assert phi.shape == (1, 1) and np.isclose(phi[0, 0], 1.0 / a[0, 0])
 
+    def test_an_overflowing_inverse_is_a_solver_failure(self):
+        """A pivot of 1e-320 is not zero, so the factor takes it, but its
+        inverse overflows: the potentials are not finite, and the solve says so."""
+        with (np.errstate(over="ignore"),
+              pytest.raises(SolverFailure, match="^direct solve produced non-finite potentials$")):
+            solve_surface(np.array([[1e-320]]), np.zeros((1, 0)), np.zeros((0, 1)), [0])
+
     def test_matches_dense_solve(self):
         """Wide, tall (nz > nx), one-column and one-cell meshes, and ragged
         meshes of 1 to 9 columns and 1 to 5 rows (both parities of nx and of

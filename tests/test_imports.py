@@ -142,3 +142,55 @@ def test_every_definition_is_used_by_the_program():
               if node.name not in referenced and not node.name.startswith("__")]
     assert len(referenced) > 100
     assert [entry for entry in unused if entry not in _CALLED_FROM_OUTSIDE] == []
+
+
+# Parameters with a default that only callers outside the program set.
+_SET_FROM_OUTSIDE = {
+    "cli.py: main(argv)",  # the console script calls main(); tests pass their argv
+    # The estimator's accuracy and depth-decay tests use 300 and 64 probes;
+    # the program uses 32.
+    "tikhonov.py: sensitivity_weights(n_probes)",
+}
+
+_ALL = float("inf")  # a call with *args or **kwargs may set any parameter
+
+
+def test_every_parameter_is_set_by_the_program():
+    """Every parameter with a default, of every function and method defined
+    in ``src/``, is passed by position or keyword at some call in ``src/`` or
+    ``perfbench/`` to a function of its name (a class's name for
+    ``__init__``).  A default that no call overrides is a constant, and a
+    parameter that only tests set belongs in the tests."""
+    repo = Path(__file__).resolve().parents[1]
+    root = repo / "src" / "dcinv"
+    calls = {}  # callee name -> [(positional argument count, keyword names)]
+    for path in [*root.rglob("*.py"), *(repo / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(name, []).append(
+                    (_ALL if starred else len(node.args), _ALL if None in keywords else keywords))
+    unset, n_defaults = [], 0
+    for path in sorted(root.rglob("*.py")):
+        for qualname, node in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name != "__init__":
+                continue
+            callee = qualname.split(".")[-2] if node.name == "__init__" else node.name
+            positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            defaulted = [(i, name) for i, name in enumerate(positional)
+                         if i >= len(positional) - len(node.args.defaults)]
+            defaulted += [(_ALL, a.arg) for a, default in
+                          zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
+            n_defaults += len(defaulted)
+            unset += [f"{path.relative_to(root)}: {qualname}({name})" for i, name in defaulted
+                      if not any(n_pos > i or keywords is _ALL or name in keywords
+                                 for n_pos, keywords in calls.get(callee, []))]
+    assert n_defaults > 20
+    assert [entry for entry in unset if entry not in _SET_FROM_OUTSIDE] == []
+    assert _SET_FROM_OUTSIDE <= set(unset)  # an exemption that a call now sets goes

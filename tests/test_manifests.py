@@ -194,6 +194,18 @@ def test_value_a_run_refuses_exits_3_naming_its_path(method, path, value):
     assert files == ["m.json"]
 
 
+def test_a_survey_too_large_to_build_exits_3():
+    """A scenario of 1,000 stations with no receiver cap (497,503 data) is
+    refused as it is read, before the run builds its survey."""
+    stored = _base("simulate")
+    stored["scenario"].update(n_core_x=1000, line_length=4995.0, station_spacing=5.0,
+                              max_receivers=10**9)
+    code, err, files = _replay(stored)
+    assert code == 3 and "Traceback" not in err
+    assert err.startswith("manifest error: ") and "scenario: " in err and "got 497503\n" in err
+    assert files == ["m.json"]
+
+
 def test_unknown_key_and_rewritten_outputs_exit_3():
     """An extra top-level key beside a rewritten outputs entry replayed with
     exit 0, and both keys were copied into the new manifest."""

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from dcinv.scenarios import (DikeGeometry, ScenarioSpec, add_noise, build_case1,
+from dcinv.scenarios import (MAX_COUNT, DikeGeometry, ScenarioSpec, add_noise, build_case1,
                              build_case2, paint_model)
 
 
@@ -162,6 +164,31 @@ def test_spec_rejects_what_its_run_would(changes):
         changes = {"dike": DikeGeometry(**changes["dike"])}
     with pytest.raises(ValueError):
         ScenarioSpec(name="bad", **changes)
+
+
+def test_a_survey_of_half_a_million_data_is_refused_before_it_is_built():
+    """1,000 stations with no receiver cap ask for 497,503 data on 32,448
+    cells; the spec counts them in closed form and refuses them at once."""
+    with pytest.raises(ValueError, match=r"max_receivers must make at most 100000 data, "
+                                         r"got 497503$"):
+        ScenarioSpec(name="wide", n_core_x=1000, line_length=4995.0, station_spacing=5.0,
+                     max_receivers=10**9)
+
+
+@pytest.mark.parametrize("n_stations, max_receivers, n_data", [
+    (449, 10**9, 99_681), (450, 10**9, 100_128), (1003, 105, 99_540), (1003, 106, 100_435)])
+def test_data_count_is_exact_on_each_side_of_the_bound(n_stations, max_receivers, n_data):
+    """Both branches of the count (a cap above and below the receiver slots),
+    each just under and just over the bound: a spec is refused exactly when
+    its survey would hold more than MAX_COUNT data."""
+    make = partial(ScenarioSpec, name="edge", n_core_x=n_stations + 1,
+                   line_length=5.0 * (n_stations - 1), station_spacing=5.0,
+                   max_receivers=max_receivers)
+    if n_data <= MAX_COUNT:
+        assert make().survey().n_data == n_data
+    else:
+        with pytest.raises(ValueError, match=f"got {n_data}$"):
+            make()
 
 
 @pytest.mark.parametrize("field", ["depth_bottom", "width"])

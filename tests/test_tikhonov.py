@@ -10,9 +10,9 @@ from dcinv.errors import SolverFailure
 from dcinv.forward import DCSimulation, weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh, cell_centers
 from dcinv.tikhonov import (L2, DifferenceOperators, GNConfig, RegularizationConfig,
-                            estimate_beta0, gauss_newton, gauss_newton_invert, irls_weights,
-                            phi_m, reg_hessian, regularization_terms, sensitivity_weights,
-                            update_irls)
+                            _cg_matfree, estimate_beta0, gauss_newton, gauss_newton_invert,
+                            irls_weights, phi_m, reg_hessian, regularization_terms,
+                            sensitivity_weights, update_irls)
 
 from helpers import Traffic, drawn_meshes, tiny_dc_problem
 
@@ -374,7 +374,7 @@ class TestGaussNewton:
         weights = weights_from_std(0.05 * np.abs(d))
         reg = RegularizationConfig(m_ref=float(np.log(0.01)))
         gn = GNConfig(target_chi=1.0, max_beta_steps=3)
-        trace = gauss_newton_invert(mesh, survey, d, weights, reg, gn, m0=truth)
+        trace = gauss_newton_invert(mesh, survey, d, weights, reg, gn)
         assert trace.converged
         assert trace.stop_reason == "target_chi"
         assert len(trace.records) == 1
@@ -433,6 +433,26 @@ class TestGaussNewton:
         assert np.array_equal(trace.final_model, second_trial)
         assert trace.stop_reason == "budget"
 
+    def test_an_uphill_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        """When CG returns a direction that does not descend, Gauss-Newton
+        steps along the negative gradient instead, and the line search takes
+        the step."""
+        monkeypatch.setattr(dcinv.tikhonov, "_cg_matfree",
+                            lambda apply_h, rhs, tol, maxiter: -rhs)  # rhs is -grad
+        rng = np.random.default_rng(3)
+        mesh = build_mesh(4, 3, 1.0, 1.0, 0, 1.0)
+        n = mesh.n_cells
+        g = rng.standard_normal((8, n))
+        d = g @ rng.standard_normal(n)
+        weights = weights_from_std(np.full(8, 0.1))
+        gn = GNConfig(beta0=2.0, iterations_per_beta=1, max_beta_steps=1, target_chi=1e-12)
+        trace = gauss_newton(LinearSim(g), d, weights, RegularizationConfig(m_ref=0.0), gn,
+                             np.zeros(n), DifferenceOperators(mesh))
+        assert trace.stop_reason == "budget"
+        # from m0 = m_ref = 0 the gradient is the data term's alone
+        step = trace.final_model / (g.T @ (weights.values ** 2 * d))
+        assert step[0] > 0 and np.allclose(step, step[0], rtol=1e-12)
+
     def test_objective_never_increases_within_beta(self):
         """Accepted steps do not increase phi_d + beta*phi_m at fixed beta
         and fixed IRLS weights (line-search contract)."""
@@ -482,6 +502,19 @@ class TestGaussNewton:
         trace = gauss_newton_invert(mesh, survey, d_noisy, weights, reg, gn)
         assert trace.records[-1].chi < trace.records[0].chi
         assert trace.records[-1].chi <= 1.5
+
+
+def test_cg_that_loses_curvature_returns_its_current_iterate():
+    """On an operator with no positive curvature (v -> -v) CG stops at its
+    first product and returns its start, zero, rather than stepping uphill."""
+    products = []
+
+    def negative(v):
+        products.append(v.copy())
+        return -v
+
+    x = _cg_matfree(negative, np.array([1.0, -2.0, 3.0]), 1e-8, 10)
+    assert np.array_equal(x, np.zeros(3)) and len(products) == 1
 
 
 class TestTraffic:
