@@ -26,15 +26,10 @@ def save_data(path, survey: Survey, values: np.ndarray, std: np.ndarray) -> None
     std = np.asarray(std, dtype=float)
     if values.size != survey.n_data or std.size != survey.n_data:
         raise ValueError("values/std length must match the survey datum count")
-    e = survey.electrodes
     with open(path, "w") as f:
         f.write(f"{DATA_HEADER} n_data={survey.n_data}\n")
-        k = 0
-        for (a, b), rx in zip(survey.sources, survey.receivers):
-            for m, n in rx:
-                f.write(f"{e[a]:.10g} {e[b]:.10g} {e[m]:.10g} {e[n]:.10g} "
-                        f"{float(values[k])!r} {float(std[k])!r}\n")
-                k += 1
+        for (a, b, m, n), value, s in zip(survey.electrodes[survey.abmn], values, std):
+            f.write(f"{a:.10g} {b:.10g} {m:.10g} {n:.10g} {float(value)!r} {float(s)!r}\n")
 
 
 def read_rows(path, width: int | None = None):

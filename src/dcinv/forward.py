@@ -350,7 +350,9 @@ class DCSimulation:
     ``G = A^-1 E``, one unit source per distinct electrode cell: the
     sources start on the condensed columns, and ``E`` is never formed.
     Only ``G`` and the face derivatives outlive the solve.  The fields are differences of its
-    columns (superposition).  ``A`` is symmetric, so ``G`` also maps sources
+    columns (superposition): each ``abmn`` row of the survey, read through
+    the cell columns, names its datum's source columns A, B and receiver
+    columns M, N.  ``A`` is symmetric, so ``G`` also maps sources
     at the receivers (reciprocity): the adjoint fields of ``J^T v`` are
     ``-G R``, so that ``J^T v`` is a quadratic form in the face differences
     of ``G`` alone.  ``predict``, ``jt_vec`` and ``jacobian`` at the same
@@ -365,28 +367,24 @@ class DCSimulation:
 
     def __init__(self, mesh: TensorMesh2D, survey: Survey):
         self.mesh = mesh
-        self.survey = survey
         self.faces = _FaceGeometry(mesh)
 
         # One column of G per distinct electrode cell; electrodes sharing a
         # cell share a column.
         self.cells, col = np.unique(electrode_cells(mesh, survey.electrodes),
                                     return_inverse=True)
-        self.src_a = col[[a for a, _ in survey.sources]]
-        self.src_b = col[[b for _, b in survey.sources]]
-        # S: the fields are G S, one column per source (+1 at A, -1 at B).
-        self.sources = np.zeros((self.cells.size, survey.n_sources))
-        np.add.at(self.sources, (self.src_a, np.arange(survey.n_sources)), 1.0)
-        np.add.at(self.sources, (self.src_b, np.arange(survey.n_sources)), -1.0)
-        # Per datum: its source and the columns of its M and N electrodes.
-        n_rx = [len(rx) for rx in survey.receivers]
-        self.rx_src = np.repeat(np.arange(survey.n_sources), n_rx)
-        self.rx_m = col[[m for rx in survey.receivers for m, _ in rx]]
-        self.rx_n = col[[n for rx in survey.receivers for _, n in rx]]
-        # The data of source s are rows src_rows[s]:src_rows[s + 1].
-        self.src_rows = np.concatenate([[0], np.cumsum(n_rx)])
+        # Per datum: the columns of its A, B, M and N electrodes.  The data
+        # of source s are rows src_rows[s]:src_rows[s + 1].
+        a, b, self.rx_m, self.rx_n = col[survey.abmn.T]
+        self.src_rows = survey.source_rows()
         self.n_data = survey.n_data
-        self.n_sources = survey.n_sources
+        self.n_sources = self.src_rows.size - 1
+        self.src_a, self.src_b = a[self.src_rows[:-1]], b[self.src_rows[:-1]]
+        self.rx_src = np.repeat(np.arange(self.n_sources), np.diff(self.src_rows))
+        # S: the fields are G S, one column per source (+1 at A, -1 at B).
+        self.sources = np.zeros((self.cells.size, self.n_sources))
+        np.add.at(self.sources, (self.src_a, np.arange(self.n_sources)), 1.0)
+        np.add.at(self.sources, (self.src_b, np.arange(self.n_sources)), -1.0)
 
         self._model = None
         self._green = None

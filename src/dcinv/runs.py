@@ -44,6 +44,11 @@ class ConventionalConfig:
     reg: RegularizationConfig
     gn: GNConfig
 
+    def __post_init__(self):  # with beta0 given, all alphas at 0 is plain least squares
+        if self.gn.beta0 is None and not (self.reg.alpha_s or self.reg.alpha_x or self.reg.alpha_z):
+            raise ValueError("alpha_s, alpha_x and alpha_z are all 0, so beta0 cannot be "
+                             "estimated; give beta0 or a positive alpha")
+
 
 @dataclass(frozen=True)
 class SimulateRun:

@@ -3,50 +3,59 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Survey:
-    """Electrode positions plus source/receiver dipole index pairs.
-
-    ``sources[s]`` is the (A, B) electrode index pair of transmitter s and
-    ``receivers[s]`` its (M, N) pairs; data are ordered source-major, in
-    receiver order within each source.
+    """Electrode positions plus one (A, B, M, N) electrode-index row per
+    datum, both read-only.  A transmitter is a run of consecutive rows with
+    the same (A, B); :meth:`source_rows` gives where each run starts.
     """
 
     electrodes: np.ndarray
-    sources: tuple[tuple[int, int], ...]
-    receivers: tuple[tuple[tuple[int, int], ...], ...]
+    abmn: np.ndarray
 
     def __post_init__(self):
-        electrodes = np.asarray(self.electrodes, dtype=float)
+        electrodes = np.array(self.electrodes, dtype=float)  # copies: the caller's stay writable
+        abmn = np.array(self.abmn)
+        if abmn.dtype.kind not in "iu" or abmn.ndim != 2 or abmn.shape[1] != 4 or not len(abmn):
+            raise ValueError("abmn must be an (n_data, 4) integer array with n_data >= 1")
+        abmn = abmn.astype(np.intp, copy=False)
         object.__setattr__(self, "electrodes", electrodes)
+        object.__setattr__(self, "abmn", abmn)
         electrodes.setflags(write=False)
-        if len(self.sources) != len(self.receivers):
-            raise ValueError("sources and receivers lists must align")
-        n = electrodes.size
-        for (a, b), rx in zip(self.sources, self.receivers):
-            if a == b:
-                raise ValueError("source electrodes A and B must differ")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError("source electrode index out of range")
-            for m, nn in rx:
-                if m == nn:
-                    raise ValueError("receiver electrodes M and N must differ")
-                if not (0 <= m < n and 0 <= nn < n):
-                    raise ValueError("receiver electrode index out of range")
+        abmn.setflags(write=False)
+        same = abmn[:, ::2] == abmn[:, 1::2]  # A == B, M == N
+        if np.count_nonzero(same):
+            raise ValueError("source electrodes A and B must differ" if same[:, 0].any()
+                             else "receiver electrodes M and N must differ")
+        outside = abmn.view(np.uintp) >= electrodes.size  # a negative index reads huge
+        if np.count_nonzero(outside):
+            raise ValueError(f"{'source' if outside[:, :2].any() else 'receiver'} "
+                             "electrode index out of range")
 
     @property
     def n_data(self) -> int:
-        return sum(len(rx) for rx in self.receivers)
+        return len(self.abmn)
 
-    @property
-    def n_sources(self) -> int:
-        return len(self.sources)
+    def source_rows(self) -> np.ndarray:
+        """The row where each transmitter starts, then ``n_data``: the data of
+        transmitter s are rows ``source_rows()[s]:source_rows()[s + 1]``."""
+        ab = self.abmn[:, :2]
+        start = np.ones(len(ab) + 1, dtype=bool)
+        (ab[1:] != ab[:-1]).any(axis=1, out=start[1:-1])
+        return start.nonzero()[0]
 
 
+# (A, B, M, N) of receiver k of transmitter i: i + _BASE + k * _STEP.
+_BASE = np.array([0, 1, 2, 3])
+_STEP = np.array([0, 0, 1, 1])
+
+
+@lru_cache(maxsize=1)
 def build_dipole_dipole_survey(line_length: float, station_spacing: float,
                                max_receivers: int, x0: float = 0.0) -> Survey:
     """Standard dipole-dipole array along a straight line.
@@ -57,7 +66,9 @@ def build_dipole_dipole_survey(line_length: float, station_spacing: float,
     dipoles are the adjacent-station pairs strictly beyond it, (i+2, i+3)
     onward, sharing no electrode with the transmitter, up to
     ``max_receivers`` or the end of the line.  Transmitters with no
-    receiver are dropped.
+    receiver are dropped.  The rows come transmitter by transmitter,
+    nearest receiver first.  Equal arguments share one immutable Survey: a
+    scenario builds its survey when it is checked and again for its run.
     """
     if not station_spacing > 0:  # NaN fails each test
         raise ValueError("station_spacing must be positive")
@@ -67,44 +78,29 @@ def build_dipole_dipole_survey(line_length: float, station_spacing: float,
     if not (0 < line_length < np.inf and abs(n_intervals - round(n_intervals)) <= 1e-9):
         raise ValueError("line_length must be a positive multiple of station_spacing")
     n_stations = int(round(n_intervals)) + 1
-
-    electrodes = x0 + station_spacing * np.arange(n_stations)
-    n_dipoles = n_stations - 1
-    sources = []
-    receivers = []
-    for i in range(n_dipoles):
-        rx = [(j, j + 1) for j in range(i + 2, min(n_dipoles, i + 2 + max_receivers))]
-        if rx:
-            sources.append((i, i + 1))
-            receivers.append(tuple(rx))
-    if not sources:
+    n_tx = n_stations - 3  # transmitters (i, i+1) with a receiver (i+2, i+3) on the line
+    if n_tx < 1:
         raise ValueError("line too short for any dipole-dipole datum (need >= 4 stations)")
-    return Survey(electrodes=electrodes, sources=tuple(sources), receivers=tuple(receivers))
+
+    # Each transmitter's first receiver slots, less those past the line's end:
+    # transmitter i keeps min(max_receivers, n_tx - i), so the grid holds
+    # under twice the data.
+    stations = np.arange(n_stations)
+    slots = stations[:min(max_receivers, n_tx), None] * _STEP + _BASE
+    grid = stations[:n_tx, None, None] + slots
+    return Survey(electrodes=x0 + station_spacing * stations,
+                  abmn=grid[grid[:, :, 3] < n_stations])
 
 
 def survey_from_rows(rows: np.ndarray) -> Survey:
     """Rebuild a Survey from (n_data, 4) electrode-position rows.
 
-    Consecutive rows with the same (Ax, Bx) are grouped into one source;
-    electrode indices are assigned from the sorted unique positions.
+    Electrode indices number the sorted distinct positions; the rows keep
+    their order, so each run of consecutive rows with the same (Ax, Bx) is
+    one transmitter.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError("expected rows of Ax Bx Mx Nx")
     positions = np.unique(rows)
-    index = {pos: i for i, pos in enumerate(positions)}
-
-    sources = []
-    receivers = []
-    current_ab = None
-    for ax, bx, mx, nx in rows:
-        ab = (index[ax], index[bx])
-        if ab != current_ab:
-            sources.append(ab)
-            receivers.append([])
-            current_ab = ab
-        receivers[-1].append((index[mx], index[nx]))
-    return Survey(electrodes=positions,
-                  sources=tuple(sources),
-                  receivers=tuple(tuple(r) for r in receivers))
-
+    return Survey(electrodes=positions, abmn=np.searchsorted(positions, rows))

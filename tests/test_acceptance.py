@@ -187,20 +187,15 @@ class TestAcceptance:
         e = survey.electrodes
         worst = 0.0
         checked = 0
-        k = 0
-        for (a, b), rx in zip(survey.sources, survey.receivers):
-            for m_, n_ in rx:
-                xa, xb, xm, xn = e[a], e[b], e[m_], e[n_]
+        for k, (xa, xb, xm, xn) in enumerate(e[survey.abmn]):
+            def pot(xx):
+                return -(rho / np.pi) * (np.log(abs(xx - xa))
+                                         - np.log(abs(xx - xb)))
 
-                def pot(xx):
-                    return -(rho / np.pi) * (np.log(abs(xx - xa))
-                                             - np.log(abs(xx - xb)))
-
-                ana = pot(xm) - pot(xn)
-                if abs(xm - xb) <= pad_extent / 5:
-                    worst = max(worst, abs(d[k] - ana) / abs(ana))
-                    checked += 1
-                k += 1
+            ana = pot(xm) - pot(xn)
+            if abs(xm - xb) <= pad_extent / 5:
+                worst = max(worst, abs(d[k] - ana) / abs(ana))
+                checked += 1
         report(6, "half-space data within 3% of the analytic 2D solution",
                checked >= 10 and worst <= 0.03,
                f"{checked} data checked, worst {worst:.4f}")

@@ -332,6 +332,57 @@ class TestConfigFile:
         assert (dip.epochs_stage1, dip.epochs_stage2, dip.adam_beta1) == (0, 0, 0.0)
 
 
+_NO_ALPHA = "alpha_s, alpha_x and alpha_z are all 0, so beta0 cannot be estimated"
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("argv, cfg, patch, code, message", [
+        (["invert-dip", "--scale", "desk", "--dropout", "1.5", "--out", "{tmp}/o"], "", {},
+         1, "dropout rate must be in [0, 1)"),
+        (["invert-conv", "--scale", "desk", "--ps", "3", "--out", "{tmp}/o"], "", {},
+         1, "norms must lie in [0, 2]"),
+        (["invert-conv", "--scale", "desk", "--config", "{tmp}/run.cfg", "--out", "{tmp}/o"],
+         "[gn]\nbeta0_ratio = 0\n", {}, 1, "beta0_ratio must be positive and finite"),
+        (["simulate", "--config", "{tmp}/run.cfg", "--out", "{tmp}/o"], "[scenario]\ncase = 3\n",
+         {}, 1, "scenario case must be one of"),
+        (["render", "--grid", "{tmp}/g.txt", "--out", "{tmp}/g.ppm", "--upscale", "0"], "", {},
+         1, "upscale must be >= 1"),
+        (["invert-conv", "--scale", "desk", "--alpha-s", "0", "--alpha-x", "0", "--alpha-z", "0",
+          "--out", "{tmp}/o"], "", {}, 1, _NO_ALPHA),
+        (["replay", "--manifest", "{tmp}/m.json"], "",
+         {("config", "reg", "alpha_s"): 0.0, ("config", "reg", "alpha_x"): 0.0,
+          ("config", "reg", "alpha_z"): 0.0}, 3, _NO_ALPHA),
+        (["replay", "--manifest", "{tmp}/m.json"], "",
+         {("scenario", "dike"): [0.0, 15.0, 80.0, 20.0, 90.0]}, 3,
+         "dike extends below the core mesh"),
+    ], ids=["dropout", "norm", "beta0_ratio", "case", "upscale", "alphas", "alphas-manifest",
+            "dike-manifest"])
+    def test_a_value_its_check_refuses_exits_and_writes_nothing(self, tmp_path, capsys, argv,
+                                                                cfg, patch, code, message):
+        """Checks that the other tests never reach, each through the input
+        that reaches it: a flag, an INI key, a grid command or a manifest."""
+        (tmp_path / "run.cfg").write_text(cfg)
+        save_grid(tmp_path / "g.txt", np.array([0.0, 0.5, 1.0, 0.25]), nx=2, nz=2)
+        stored = manifest(ConventionalRun(build_case1(45.0, scale="desk")[0],
+                                          ConventionalConfig(RegularizationConfig(), GNConfig()),
+                                          None, str(tmp_path / "o")))
+        for (*parents, key), value in patch.items():
+            target = stored
+            for part in parents:
+                target = target[part]
+            target[key] = value
+        save_manifest(tmp_path / "m.json", stored)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_all_alphas_at_0_with_beta0_given_is_least_squares(self):
+        reg = RegularizationConfig(alpha_s=0.0, alpha_x=0.0, alpha_z=0.0)
+        assert ConventionalConfig(reg, GNConfig(beta0=1.0)).reg == reg
+
+
 class TestCheck:
     def test_self_tests_pass(self, capsys):
         assert main(["check"]) == 0

@@ -246,10 +246,8 @@ class TestPredict:
         mesh, survey, _ = tiny_dc_problem()
         rng = np.random.default_rng(6)
         m = -4.0 + 0.5 * rng.standard_normal(mesh.n_cells)
-        s1 = Survey(electrodes=survey.electrodes, sources=((0, 1),),
-                    receivers=(((3, 4),),))
-        s2 = Survey(electrodes=survey.electrodes, sources=((3, 4),),
-                    receivers=(((0, 1),),))
+        s1 = Survey(electrodes=survey.electrodes, abmn=[[0, 1, 3, 4]])
+        s2 = Survey(electrodes=survey.electrodes, abmn=[[3, 4, 0, 1]])
         da = DCSimulation(mesh, s1).predict(m)[0]
         db = DCSimulation(mesh, s2).predict(m)[0]
         assert abs(da - db) / abs(da) < 1e-9
@@ -285,20 +283,15 @@ class TestPredict:
         d = DCSimulation(mesh, survey).predict(np.full(mesh.n_cells, np.log(sigma0)))
         rho = 1.0 / sigma0
         e = survey.electrodes
-        k = 0
         checked = 0
-        for (a, b), rx in zip(survey.sources, survey.receivers):
-            for m_, n_ in rx:
-                xa, xb, xm, xn = e[a], e[b], e[m_], e[n_]
+        for k, (xa, xb, xm, xn) in enumerate(e[survey.abmn]):
+            def pot(x):
+                return -(rho / np.pi) * (np.log(abs(x - xa)) - np.log(abs(x - xb)))
 
-                def pot(x):
-                    return -(rho / np.pi) * (np.log(abs(x - xa)) - np.log(abs(x - xb)))
-
-                ana = pot(xm) - pot(xn)
-                if abs(xm - xb) <= pad_extent / 5:
-                    assert abs(d[k] - ana) / abs(ana) < 0.03
-                    checked += 1
-                k += 1
+            ana = pot(xm) - pot(xn)
+            if abs(xm - xb) <= pad_extent / 5:
+                assert abs(d[k] - ana) / abs(ana) < 0.03
+                checked += 1
         assert checked >= 5
 
 
@@ -390,16 +383,14 @@ def dense_products(mesh, survey, m, w, v):
     """
     cells = electrode_cells(mesh, survey.electrodes)
     a = dense_operator(mesh, np.exp(m))
-    q = np.zeros((mesh.n_cells, survey.n_sources))
-    p = np.zeros((survey.n_data, mesh.n_cells, survey.n_sources))
-    k = 0
-    for s, ((ia, ib), rx) in enumerate(zip(survey.sources, survey.receivers)):
-        q[cells[ia], s] += 1.0
-        q[cells[ib], s] -= 1.0
-        for im, in_ in rx:
-            p[k, cells[im], s] += 1.0
-            p[k, cells[in_], s] -= 1.0
-            k += 1
+    # One source per datum, so the reference needs no grouping of the rows.
+    q = np.zeros((mesh.n_cells, survey.n_data))
+    p = np.zeros((survey.n_data, mesh.n_cells, survey.n_data))
+    for k, (ia, ib, im, in_) in enumerate(survey.abmn):
+        q[cells[ia], k] += 1.0
+        q[cells[ib], k] -= 1.0
+        p[k, cells[im], k] += 1.0
+        p[k, cells[in_], k] -= 1.0
     h = 1e-30
 
     phi = np.linalg.solve(a, q)
@@ -445,9 +436,8 @@ class TestAgainstDenseReference:
         cells = electrode_cells(mesh, survey.electrodes)
         assert np.unique(cells).size < cells.size
         assert sim.cells.size == np.unique(cells).size
-        zero = [s for s, (a, b) in enumerate(survey.sources) if cells[a] == cells[b]]
-        rows = np.isin(sim.rx_src, zero)
-        assert zero and rows.any() and np.all(sim.predict(m)[rows] == 0.0)
+        rows = cells[survey.abmn[:, 0]] == cells[survey.abmn[:, 1]]
+        assert rows.any() and np.all(sim.predict(m)[rows] == 0.0)
 
 
 class TestJacobian:
