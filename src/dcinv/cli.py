@@ -18,10 +18,8 @@ override it.  Another section, or a key its section lacks, is a usage error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import get_args, get_type_hints
+from dataclasses import dataclass, replace
 
 from . import fileio
 from .ablation import SUITES, run_ablation
@@ -45,7 +43,6 @@ _FAILURES = {NumericalFailure: ("numerical failure", EXIT_NUMERICAL),
              ParseError: ("parse error", EXIT_IO), CheckpointError: ("checkpoint error", EXIT_IO),
              ManifestError: ("manifest error", EXIT_IO), OSError: ("i/o error", EXIT_IO),
              ValueError: ("invalid arguments", EXIT_USAGE)}
-_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 CASES = ("1", "2", "2.2")
 SCALES = ("full", "desk")
 
@@ -63,30 +60,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _field_kind(annotation) -> type:
-    """bool, int or float when the annotation names one (``float | None`` too), else str."""
-    options = get_args(annotation) or (annotation,)
-    return next((kind for kind in (bool, int, float) if kind in options), str)
-
-
-def _apply_section(cfg, section: dict[str, str]):
-    """Override dataclass fields from a config-file section, coerced to each
-    field's declared type."""
-    updates = {}
-    hints = get_type_hints(type(cfg))
-    names = {f.name for f in fields(cfg)}
-    for key, raw in section.items():
-        if key not in names:
-            raise ValueError(f"unknown config key {key!r} for {type(cfg).__name__}")
-        kind = _field_kind(hints[key])
-        try:  # booleans are configparser's words: 1/yes/true/on, 0/no/false/off
-            updates[key] = _BOOLEANS[raw.strip().lower()] if kind is bool else kind(raw)
-        except (KeyError, ValueError):
-            raise ValueError(f"config key {key!r} for {type(cfg).__name__} must be "
-                             f"{kind.__name__}, got {raw!r}") from None
-    return replace(cfg, **updates)
 
 
 @dataclass(frozen=True)
@@ -131,7 +104,7 @@ def _load_config(path) -> dict[str, dict[str, str]]:
 
 def _section(name: str, flags: dict, config: dict):
     """Section ``name``'s dataclass: defaults, then the config file, then the flags."""
-    cfg = _apply_section(_SECTIONS[name](), config.get(name, {}))
+    cfg = fileio.from_fields(_SECTIONS[name], config.get(name, {}), name, ini=True)
     return replace(cfg, **_flags_for(flags, name))
 
 

@@ -47,7 +47,6 @@ class DipConfig:
     stage1_tol: float = 0.05  # stop when mean |m - m_ref| drops below this
     chi_stop: float = 1.0
     chi_patience: int = 50
-    store_models: bool = False
 
     def __post_init__(self):
         # Each test is written so that NaN fails it; every number is finite.
@@ -144,7 +143,7 @@ def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
     rng = np.random.default_rng(config.rng_seed)
 
     state = init_adam(params.arrays)
-    trace = InversionTrace(models=[] if config.store_models else None)
+    trace = InversionTrace()
     hits = 0
     for t in range(1, config.epochs_stage2 + 1):
         b = beta(t, config.tau)
@@ -167,8 +166,6 @@ def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
                   config.adam_beta1, config.adam_beta2, config.adam_eps)
         trace.records.append(EpochRecord(epoch=t, beta=b, phi_d=pd, phi_m=pm,
                                          chi=chi, loss=loss))
-        if trace.models is not None:
-            trace.models.append(m)
         hits = hits + 1 if chi <= config.chi_stop else 0
         if hits >= config.chi_patience:
             trace.converged = True

@@ -5,6 +5,7 @@ that names a configuration."""
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import re
@@ -131,42 +132,43 @@ def save_manifest(path, manifest: dict) -> None:
         f.write("\n")
 
 
-def from_fields(cls, entry, path: str = ""):
-    """The dataclass ``cls`` built from the JSON value ``entry``, an object
-    that names every field and nothing else, each value of its field's type:
+def from_fields(cls, entry, path: str = "", ini: bool = False):
+    """The dataclass ``cls`` built from the JSON value ``entry``: an object
+    naming every field and nothing else, each value of its field's type.
     ``bool`` takes only true or false, ``int`` only an integer (not ``2.0``),
     ``float`` any finite number, ``str`` only a string, null only a field
     that allows None; a tuple comes as a list and a nested dataclass as an
-    object, built the same way.  A field's ``metadata["json"]`` is the type
-    of its JSON form when that is not its own (the constructor converts).
+    object.  ``metadata["json"]`` is a field's JSON type when not its own.
+    With ``ini``, ``entry`` is an INI section: an absent field takes its
+    default and a string reads as its field's kind (configparser's boolean
+    words ``1/yes/true/on`` and ``0/no/false/off``, ``int``, ``float``).
     Anything else, or a value ``cls`` rejects, raises :class:`ValueError`
-    naming its path (``config.gn.cg_maxiter``), so stored runs replay only
-    as they were written."""
+    naming its path (``config.gn.cg_maxiter``)."""
     if not isinstance(entry, dict):
         raise ValueError(f"{path} must be an object, got {_describe(entry)}")
     members = fields(cls)
     names = [f.name for f in members]
-    if missing := [name for name in names if name not in entry]:
+    if missing := [name for name in names if name not in entry and not ini]:
         raise ValueError("lacks " + ", ".join(_join(path, name) for name in missing))
     if unknown := [key for key in entry if key not in names]:
         raise ValueError("unknown key " + ", ".join(_join(path, key) for key in unknown))
     hints = get_type_hints(cls)
     values = {f.name: _fit(f.metadata.get("json", hints[f.name]), entry[f.name],
-                           _join(path, f.name)) for f in members}
+                           _join(path, f.name), ini) for f in members if f.name in entry}
     try:
         return cls(**values)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _fit(kind, value, path: str):
+def _fit(kind, value, path: str, ini: bool = False):
     """``value`` as the annotation ``kind`` reads it (see :func:`from_fields`)."""
     options = get_args(kind)
     if get_origin(kind) is UnionType:
         if value is None and type(None) in options:
             return None
         (kind,) = [option for option in options if option is not type(None)]
-        return _fit(kind, value, path)
+        return _fit(kind, value, path, ini)
     if is_dataclass(kind):
         return from_fields(kind, value, path)
     if get_origin(kind) is tuple:
@@ -176,16 +178,19 @@ def _fit(kind, value, path: str):
         if len(value) != len(kinds):
             raise ValueError(f"{path} must hold {len(kinds)} values, got {len(value)}")
         return tuple(_fit(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    if ini and type(value) is str:
+        with contextlib.suppress(KeyError, ValueError):  # else refused below, as written
+            value = _BOOLEANS[value.lower()] if kind is bool else kind(value)
     if kind is float:
         if type(value) in (int, float) and math.isfinite(value):
             return float(value)
-        raise ValueError(f"{path} must be a finite number, got {_describe(value)}")
-    if type(value) is not kind:
-        raise ValueError(f"{path} must be {_KINDS[kind]}, got {_describe(value)}")
-    return value
+    elif type(value) is kind:
+        return value
+    raise ValueError(f"{path} must be {_KINDS[kind]}, got {_describe(value)}")
 
 
-_KINDS = {bool: "true or false", int: "an integer", str: "a string"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _join(path: str, key: str) -> str:

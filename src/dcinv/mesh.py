@@ -12,6 +12,7 @@ Coordinate conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +68,7 @@ class TensorMesh2D:
         return (self.nz, self.nx)
 
 
+@lru_cache(maxsize=1)
 def build_mesh(n_core_x: int, n_core_z: int, dx: float, dz: float,
                n_pad: int, factor: float) -> TensorMesh2D:
     """Core + geometrically expanding padding mesh.
@@ -74,7 +76,7 @@ def build_mesh(n_core_x: int, n_core_z: int, dx: float, dz: float,
     Padding is added on both lateral sides and at the bottom (none at the
     surface); the k-th padding cell is ``core_width * factor**k``.  The core
     region is centered on x = 0, so a survey line centered on the origin
-    sits over the core.
+    sits over the core.  Equal arguments share one immutable mesh.
     """
     if n_core_x < 1 or n_core_z < 1:
         raise ValueError("core cell counts n_core_x and n_core_z must be >= 1")

@@ -16,11 +16,5 @@ def mean_abs_gradient(grid: np.ndarray) -> float:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError("expected a 2D grid")
-    diffs = []
-    if grid.shape[0] > 1:
-        diffs.append(np.abs(np.diff(grid, axis=0)).ravel())
-    if grid.shape[1] > 1:
-        diffs.append(np.abs(np.diff(grid, axis=1)).ravel())
-    if not diffs:
-        return 0.0
-    return float(np.concatenate(diffs).mean())
+    diffs = np.concatenate([np.abs(np.diff(grid, axis=axis)).ravel() for axis in (0, 1)])
+    return float(diffs.mean()) if diffs.size else 0.0

@@ -8,6 +8,7 @@ to ``manifest.json``; :func:`load_run` reads one back whole, which is how
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import asdict, dataclass, replace
@@ -25,7 +26,13 @@ from .scenarios import ScenarioSpec, add_noise, paint_model
 from .tikhonov import GNConfig, RegularizationConfig, gauss_newton_invert
 from .trace import save_grid, save_trace
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
+
+# Version 1 to 2, per method and path: each field version 1 has and version 2 dropped,
+# with the value it must hold, and each it lacks, with the value that reproduces it.
+FROM_V1 = {"simulate": {"dropped": {}, "added": {}},
+           "dip": {"dropped": {"config.store_models": False}, "added": {}},
+           "conventional": {"dropped": {}, "added": {}}}
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,9 @@ def manifest(run: Run) -> dict:
 
 def load_run(entry, source: str = "manifest") -> Run:
     """The run that the JSON value ``entry`` holds.  ``method`` picks its
-    class; ``version`` and ``outputs`` must be what :func:`manifest` writes,
-    and every other key is a field (:func:`fileio.from_fields`).  Anything
-    else raises :class:`ManifestError` naming ``source`` and the path."""
+    class, ``version`` is 1 or 2, ``outputs`` what :func:`manifest` writes,
+    and every other key is a field (:func:`fileio.from_fields`), as
+    :data:`FROM_V1` maps version 1.  Else :class:`ManifestError` names the path."""
     try:
         if not isinstance(entry, dict):
             raise ValueError(f"must be a JSON object, got {type(entry).__name__}")
@@ -113,14 +120,37 @@ def load_run(entry, source: str = "manifest") -> Run:
         if cls is None:
             raise ValueError(f"method must be one of {', '.join(_METHODS)}, "
                              f"got {json.dumps(method) if 'method' in entry else 'none'}")
-        fixed = {"version": MANIFEST_VERSION, "method": cls.method, "outputs": cls.outputs}
-        for key, value in fixed.items():
+        fixed = {"version": (1, MANIFEST_VERSION), "method": (cls.method,),
+                 "outputs": (cls.outputs,)}
+        for key, allowed in fixed.items():
+            want = [json.dumps(value, sort_keys=True) for value in allowed]
             got = json.dumps(entry[key], sort_keys=True) if key in entry else "none"
-            if got != json.dumps(value, sort_keys=True):  # as JSON: true is not 1, nor 1.0
-                raise ValueError(f"{key} must be {json.dumps(value, sort_keys=True)}, got {got}")
-        return fileio.from_fields(cls, {k: v for k, v in entry.items() if k not in fixed})
+            if got not in want:  # as JSON: true is not 1, nor 1.0
+                raise ValueError(f"{key} must be {' or '.join(want)}, got {got}")
+        values = {k: v for k, v in entry.items() if k not in fixed}
+        if entry["version"] == 1:
+            values = _from_v1(values, FROM_V1[cls.method])
+        return fileio.from_fields(cls, values)
     except ValueError as e:
         raise ManifestError(f"{source}: {e}") from None
+
+
+def _from_v1(values: dict, table: dict) -> dict:
+    """Version-1 ``values`` as version 2 holds them, by ``table`` (:data:`FROM_V1`)."""
+    values = copy.deepcopy(values)
+    for path, value in [*table["dropped"].items(), *table["added"].items()]:
+        *parents, key = path.split(".")
+        parent = values
+        for part in parents:
+            parent = parent.get(part) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):  # else from_fields names the entry
+            got = json.dumps(parent.pop(key)) if key in parent else "none"
+            want = "none" if path in table["added"] else json.dumps(value)
+            if got != want:
+                raise ValueError(f"{path} must be {want} in version 1, got {got}")
+            if path in table["added"]:
+                parent[key] = value
+    return values
 
 
 def _simulate(spec: ScenarioSpec, mesh, out_dir: str):

@@ -31,7 +31,6 @@ class InversionTrace:
     records: list[EpochRecord] = field(default_factory=list)
     final_model: np.ndarray | None = None
     converged: bool = False
-    models: list[np.ndarray] | None = None  # per-epoch models when requested
     # Why Gauss-Newton ended: "target_chi", "line_search" or "budget"; empty
     # for runs that do not set one.
     stop_reason: str = ""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dcinv
-from dcinv.cli import _SECTIONS, _apply_section, _load_config, _scenario, _section, main
+from dcinv.cli import _SECTIONS, _load_config, _scenario, _section, main
 from dcinv.dip import DipConfig
 from dcinv.fileio import load_data, load_manifest, save_manifest
 from dcinv.net import arch_for_mesh, init_params
@@ -148,7 +148,7 @@ class TestExitCodes:
         manifest.write_text('{"method": "dip"}\n')
         code = main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert f"{manifest}: version must be 1, got none" in capsys.readouterr().err
+        assert f"{manifest}: version must be 1 or 2, got none" in capsys.readouterr().err
 
     def test_manifest_of_the_wrong_type_is_io_error(self, tmp_path, capsys):
         manifest = tmp_path / "list.json"
@@ -161,7 +161,7 @@ class TestExitCodes:
         ("config", "tau", -1.0), ("arch", "upsampler", "bicubic"), ("arch", "n_blocks", "x"),
         ("arch", "bogus", 1), ("arch", "latent_dim", 16), ("config", "m_ref", [1, 2]),
         ("config", "m_ref", None), ("scenario", "noise_rel", float("nan")),
-        ("version", None, 2)] + [
+        ("version", None, 3)] + [
         pytest.param(entry, key, _MISSING, id=f"no-{entry}.{key}")
         for entry, key in (("scenario", "n_core_x"), ("config", "tau"),
                            ("config.reg", "alpha_s"), ("config.gn", "cg_tol"),
@@ -238,7 +238,7 @@ class TestConfigFile:
                                              ("on", True), ("0", False), ("no", False),
                                              ("False", False), ("OFF", False)])
     def test_booleans_are_configparser_words(self, word, value):
-        reg = _apply_section(RegularizationConfig(), {"use_sensitivity_weights": word})
+        reg = _section("tikhonov", {}, {"tikhonov": {"use_sensitivity_weights": word}})
         assert reg.use_sensitivity_weights is value
 
     def test_misspelt_boolean_is_usage_error(self, tmp_path, capsys):
@@ -247,12 +247,12 @@ class TestConfigFile:
         code = main(["invert-conv", "--scale", "desk", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "'use_sensitivity_weights' for RegularizationConfig must be bool, got 'ture'" \
+        assert 'tikhonov.use_sensitivity_weights must be true or false, got "ture"' \
             in capsys.readouterr().err
 
     def test_optional_float_is_coerced_from_field_type(self):
         """[gn] beta0 defaults to None; a config value still becomes a float."""
-        gn = _apply_section(GNConfig(), {"beta0": "1000"})
+        gn = _section("gn", {}, {"gn": {"beta0": "1000"}})
         assert gn.beta0 == 1000.0 and isinstance(gn.beta0, float)
 
     def test_readme_sample_loads(self, tmp_path):
@@ -324,11 +324,11 @@ class TestConfigFile:
 
     def test_edge_values_stay_valid(self):
         """The boundary values the tests, the README and the benchmark use."""
-        gn = _apply_section(GNConfig(), {"cg_tol": "0", "line_search_max": "0",
-                                         "target_chi": "0"})
+        gn = _section("gn", {}, {"gn": {"cg_tol": "0", "line_search_max": "0",
+                                        "target_chi": "0"}})
         assert (gn.cg_tol, gn.line_search_max, gn.target_chi) == (0.0, 0, 0.0)
-        dip = _apply_section(DipConfig(), {"epochs_stage1": "0", "epochs_stage2": "0",
-                                           "adam_beta1": "0", "stage1_tol": "0"})
+        dip = _section("dip", {}, {"dip": {"epochs_stage1": "0", "epochs_stage2": "0",
+                                           "adam_beta1": "0", "stage1_tol": "0"}})
         assert (dip.epochs_stage1, dip.epochs_stage2, dip.adam_beta1) == (0, 0, 0.0)
 
 
@@ -347,6 +347,8 @@ class TestInputChecks:
          {}, 1, "scenario case must be one of"),
         (["render", "--grid", "{tmp}/g.txt", "--out", "{tmp}/g.ppm", "--upscale", "0"], "", {},
          1, "upscale must be >= 1"),
+        (["render", "--grid", "{tmp}/g.txt", "--out", "{tmp}/g.ppm", "--pad-x", "1"], "", {},
+         1, "padding counts exceed the grid"),
         (["invert-conv", "--scale", "desk", "--alpha-s", "0", "--alpha-x", "0", "--alpha-z", "0",
           "--out", "{tmp}/o"], "", {}, 1, _NO_ALPHA),
         (["replay", "--manifest", "{tmp}/m.json"], "",
@@ -355,8 +357,8 @@ class TestInputChecks:
         (["replay", "--manifest", "{tmp}/m.json"], "",
          {("scenario", "dike"): [0.0, 15.0, 80.0, 20.0, 90.0]}, 3,
          "dike extends below the core mesh"),
-    ], ids=["dropout", "norm", "beta0_ratio", "case", "upscale", "alphas", "alphas-manifest",
-            "dike-manifest"])
+    ], ids=["dropout", "norm", "beta0_ratio", "case", "upscale", "pad-x", "alphas",
+            "alphas-manifest", "dike-manifest"])
     def test_a_value_its_check_refuses_exits_and_writes_nothing(self, tmp_path, capsys, argv,
                                                                 cfg, patch, code, message):
         """Checks that the other tests never reach, each through the input
@@ -612,3 +614,19 @@ class TestPretrainedReuse:
         assert code == 3
         assert err.startswith(f"checkpoint error: checkpoint {checkpoint}: {name} ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("latent_dim", 0, "__arch__: latent_dim must be >= 1"),
+        ("seed_shape", [0, 34], "__arch__: seed_shape must be two positive integers"),
+        ("seed_shape", [5], "__arch__.seed_shape must hold 2 values, got 1")])
+    def test_checkpoint_architecture_it_refuses_exits_3(self, tmp_path, capsys, field, value,
+                                                         message):
+        params = init_params(0, arch_for_mesh(19, 64))
+        checkpoint = tmp_path / "ck.npz"
+        np.savez(checkpoint, **params.arrays,
+                 __arch__=np.array(json.dumps({**params.arch.to_dict(), field: value})))
+        code = main(["invert-dip", "--scale", "desk", "--epochs", "1",
+                     "--pretrained", str(checkpoint), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"checkpoint error: checkpoint {checkpoint}: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [checkpoint]

@@ -122,6 +122,19 @@ class TestPretrainStage1:
                             DipConfig(stage1_lr=1e150, epochs_stage1=50))
 
 
+def _generated_models(monkeypatch) -> list:
+    """Copies of every model ``dcinv.dip`` takes from the generator, in order."""
+    models, forward = [], dcinv.dip.net_forward
+
+    def recorded(*args, **kwargs):
+        m, tr = forward(*args, **kwargs)
+        models.append(m.copy())
+        return m, tr
+
+    monkeypatch.setattr(dcinv.dip, "net_forward", recorded)
+    return models
+
+
 class TestInvertStage2:
     def _setup(self, noise_seed=0):
         mesh, survey, sim = tiny_dc_problem(n_core_x=16, n_core_z=6, n_pad=2,
@@ -157,31 +170,34 @@ class TestInvertStage2:
         assert min(r.chi for r in trace.records) <= 1.0
         assert trace.converged
 
-    def test_trace_misfit_matches_stored_models(self):
-        """Recorded phi_d always equals phi_d recomputed from the stored
-        per-epoch model (no stale caching)."""
+    def test_trace_misfit_matches_stored_models(self, monkeypatch):
+        """Recorded phi_d always equals phi_d recomputed from the model the
+        generator gave that epoch (no stale caching)."""
         mesh, survey, sim, truth, d_clean = self._setup()
         arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2, dropout_rate=0.2)
         params = init_params(0, arch)
         z = sample_latent(0, 8)
         weights = weights_from_std(0.05 * np.abs(d_clean) + 1e-9)
-        cfg = DipConfig(epochs_stage2=8, dropout_rate=0.2, store_models=True,
-                        rng_seed=3)
+        cfg = DipConfig(epochs_stage2=8, dropout_rate=0.2, rng_seed=3)
+        models = _generated_models(monkeypatch)
         trace = invert_stage2(params, z, mesh, survey, d_clean, weights, cfg)
+        assert len(models) == len(trace.records) + 1  # each epoch's, then the final one
         check = DCSimulation(mesh, survey)
-        for rec, m in zip(trace.records, trace.models):
+        for rec, m in zip(trace.records, models):
             assert np.isclose(rec.phi_d, phi_d(check.predict(m), d_clean, weights),
                               rtol=1e-10)
 
-    def test_models_stay_in_range(self):
+    def test_models_stay_in_range(self, monkeypatch):
         mesh, survey, sim, truth, d_clean = self._setup()
         arch = arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2)
         params = init_params(1, arch)
         z = sample_latent(1, 8)
         weights = weights_from_std(0.05 * np.abs(d_clean))
-        cfg = DipConfig(epochs_stage2=10, store_models=True)
+        cfg = DipConfig(epochs_stage2=10)
+        models = _generated_models(monkeypatch)
         trace = invert_stage2(params, z, mesh, survey, d_clean, weights, cfg)
-        for m in trace.models + [trace.final_model]:
+        assert len(models) == 11 and np.array_equal(models[-1], trace.final_model)
+        for m in models:
             assert np.all(m > -8.0)
             assert np.all(m < 0.0)
 

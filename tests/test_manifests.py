@@ -2,12 +2,14 @@
 else exits 3 naming its path, before the run writes anything."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +17,19 @@ from hypothesis import strategies as st
 from dcinv.cli import main
 from dcinv.dip import DipConfig
 from dcinv.net.model import UPSAMPLERS
-from dcinv.runs import (ArchChoice, ConventionalConfig, ConventionalRun, DipRun, SimulateRun,
-                        load_run, manifest)
+from dcinv.runs import (FROM_V1, ArchChoice, ConventionalConfig, ConventionalRun, DipRun,
+                        SimulateRun, load_run, manifest, replay)
 from dcinv.scenarios import build_case1, build_case2
 from dcinv.tikhonov import GNConfig, RegularizationConfig
+from dcinv.trace import load_grid, load_trace
+
+# Version-1 manifests of three README commands (tests/corpus/v1/README.md),
+# with the SHA-256 of each output that is the same at 1 and 2 BLAS threads.
+CORPUS = Path(__file__).parent / "corpus" / "v1"
+# The desk DIP run's model, trace and checkpoints are stored whole: between 1
+# and 2 BLAS threads they moved by up to 1.7e-15 (model), 3.5e-14 (trace chi)
+# and 6.4e-15 (checkpoint arrays) relative to each array's largest magnitude.
+CORPUS_RTOL = 1e-12
 
 PRESETS = [build_case1(45.0, scale="desk")[0], build_case1(60.0, scale="full")[0],
            build_case2(two_cylinders=False, scale="desk")[0],
@@ -35,8 +46,7 @@ scenarios = st.builds(replace, st.sampled_from(PRESETS), name=st.text(max_size=8
 dip_configs = st.builds(DipConfig, tau=_numbers(1e-3, 1e6), lr=_numbers(1e-9, 1.0),
                         epochs_stage1=st.integers(0, 10 ** 6),
                         dropout_rate=_numbers(0.0, 0.99), m_ref=_numbers(-10.0, 10.0),
-                        rng_seed=st.integers(0, 2 ** 32), chi_stop=_numbers(0.0, 10.0),
-                        store_models=st.booleans())
+                        rng_seed=st.integers(0, 2 ** 32), chi_stop=_numbers(0.0, 10.0))
 reg_gn = st.builds(ConventionalConfig,
                    st.builds(RegularizationConfig, alpha_s=_numbers(0.0, 10.0),
                              p_s=_numbers(0.0, 2.0), irls_epsilon=_numbers(1e-6, 1.0),
@@ -57,7 +67,10 @@ runs = st.one_of(
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(runs)
 def test_a_manifest_reads_back_as_its_run(run):
-    assert load_run(json.loads(json.dumps(manifest(run), sort_keys=True))) == run
+    stored = json.loads(json.dumps(manifest(run), sort_keys=True))
+    assert stored["version"] == 2
+    assert load_run(stored) == run
+    assert load_run(_as_v1(stored)) == run
 
 
 def _replay(stored) -> tuple[int, str, list]:
@@ -94,6 +107,19 @@ def _at(tree, path):
     return tree, parts[-1]
 
 
+def _as_v1(stored: dict) -> dict:
+    """A version-2 manifest as version 1 wrote it: :data:`FROM_V1` backwards."""
+    table = FROM_V1[stored["method"]]
+    for path, value in table["dropped"].items():
+        parent, key = _at(stored, path)
+        parent[key] = value
+    for path in table["added"]:
+        parent, key = _at(stored, path)
+        del parent[key]
+    stored["version"] = 1
+    return stored
+
+
 # The fields that also take null, and the JSON kind of their other values.
 NULLABLE = {"data": str, "pretrained": str, "config.gn.beta0": float, "scenario.dike": list}
 # JSON values of another type than each kind's (float takes any finite number)
@@ -110,10 +136,12 @@ def _wrong_values(path, value):
 
 @st.composite
 def garbage(draw):
-    """(manifest, path the error must name): a drawn run's manifest with a
-    wrong JSON type, NaN or Infinity at one node, or one key missing or
-    unknown at one level."""
+    """(manifest, path the error must name): a drawn run's manifest, of
+    version 2 or 1, with a wrong JSON type, NaN or Infinity at one node, or
+    one key missing or unknown at one level."""
     stored = manifest(draw(runs))
+    if draw(st.booleans()):
+        stored = _as_v1(stored)
     nodes = list(_nodes(stored))
     levels = [""] + [path for path, value in nodes if isinstance(value, dict)]
     how = draw(st.sampled_from(["wrong", "non-finite", "missing", "unknown"]))
@@ -174,6 +202,7 @@ def _base(method):
     ("simulate", "outputs.data", "elsewhere.txt"),
     # each exit 1 from deep in the run before
     ("simulate", "scenario.n_core_x", 0), ("simulate", "scenario.cylinders", [[1, 2]]),
+    ("dip", "arch.n_blocks", 6),
     ("simulate", "scenario.dx", float("nan")), ("simulate", "scenario.noise_seed", -1),
     ("dip", "config.rng_seed", -1), ("simulate", "scenario.line_length", 2000.0),
     # each a numpy memory-error traceback (exit 1) before: 2.8 PiB of electrode
@@ -214,3 +243,92 @@ def test_unknown_key_and_rewritten_outputs_exit_3():
     stored["outputs"]["data"] = "elsewhere.txt"
     code, err, files = _replay(stored)
     assert code == 3 and "outputs must be" in err and files == ["m.json"]
+
+
+@pytest.mark.parametrize("version", [0, 3, 1.0, "2", True, None])
+def test_a_version_other_than_1_or_2_exits_3(version):
+    stored = _base("simulate")
+    stored["version"] = version
+    code, err, files = _replay(stored)
+    assert code == 3
+    assert f"version must be 1 or 2, got {json.dumps(version)}" in err
+    assert files == ["m.json"]
+
+
+def _corpus(name: str) -> dict:
+    return json.loads((CORPUS / name / "manifest.json").read_text())
+
+
+def test_a_version_1_run_that_kept_its_models_exits_3():
+    stored = _corpus("dip")
+    stored["config"]["store_models"] = True
+    code, err, files = _replay(stored)
+    assert code == 3
+    assert "config.store_models must be false in version 1, got true" in err
+    assert files == ["m.json"]
+
+
+def test_a_field_version_1_lacks_takes_its_table_value(monkeypatch):
+    monkeypatch.setitem(FROM_V1, "dip", {**FROM_V1["dip"], "added": {"config.tau": 5.0}})
+    stored = _corpus("dip")
+    with pytest.raises(ValueError, match=r"config\.tau must be none in version 1, got 300\.0"):
+        load_run(stored)
+    del stored["config"]["tau"]
+    assert load_run(stored).config.tau == 5.0
+
+
+def _paths(stored: dict) -> set:
+    """The path of every object key in a manifest."""
+    return {path for path, _ in _nodes(stored) if "[" not in path}
+
+
+@pytest.mark.parametrize("name", ["simulate", "dip", "conventional"])
+def test_the_migration_table_names_each_field_version_1_changed(name):
+    """A field that a run gains or loses after version 1 needs an entry in
+    FROM_V1, or a stored run would replay with another default."""
+    stored = _corpus(name)
+    table = FROM_V1[stored["method"]]
+    old, new = _paths(stored), _paths(_base(stored["method"]))
+    assert sorted(old - new - set(table["dropped"])) == []
+    assert sorted(new - old - set(table["added"])) == []
+    assert set(table["dropped"]) <= old - new and set(table["added"]) <= new - old
+
+
+@pytest.mark.parametrize("name", ["simulate", "dip", "conventional"])
+def test_the_version_1_corpus_replays(name, tmp_path):
+    """Hashed outputs come back byte for byte, stored ones within
+    CORPUS_RTOL, and the manifest as version 2 writes the same run."""
+    stored = CORPUS / name
+    replay(stored / "manifest.json", out_dir=str(tmp_path))
+    for file, digest in json.loads((stored / "sha256.json").read_text()).items():
+        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
+    for path in stored.glob("*.npz"):
+        with np.load(path) as want, np.load(tmp_path / path.name) as got:
+            assert sorted(got.files) == sorted(want.files)
+            for key in want.files:
+                _assert_close(got[key], want[key], f"{path.name} {key}")
+    if (stored / "model.txt").exists():
+        (got, *got_shape), (want, *want_shape) = (load_grid(d / "model.txt")
+                                                  for d in (tmp_path, stored))
+        assert got_shape == want_shape
+        _assert_close(got, want, "model.txt")
+    if (stored / "trace.txt").exists():
+        got, want = (load_trace(d / "trace.txt") for d in (tmp_path, stored))
+        assert (got.converged, got.stop_reason) == (want.converged, want.stop_reason)
+        for field in ("epoch", "beta", "phi_d", "phi_m", "chi"):
+            _assert_close(*(np.array([getattr(r, field) for r in t.records])
+                            for t in (got, want)), f"trace.txt {field}")
+    want = _corpus(name)
+    for path in FROM_V1[want["method"]]["dropped"]:
+        parent, key = _at(want, path)
+        del parent[key]
+    want.update(version=2, out_dir=str(tmp_path))
+    assert json.loads((tmp_path / "manifest.json").read_text()) == want
+
+
+def _assert_close(got, want, what: str):
+    if want.dtype.kind != "f":
+        assert np.array_equal(got, want), what
+        return
+    assert got.shape == want.shape, what
+    assert np.abs(got - want).max(initial=0.0) <= CORPUS_RTOL * np.abs(want).max(), what

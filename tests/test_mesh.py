@@ -54,6 +54,12 @@ class TestBuildMesh:
         assert np.array_equal(a.hz, b.hz)
         assert a.origin_x == b.origin_x
 
+    def test_equal_arguments_share_one_read_only_mesh(self):
+        """A scenario builds its mesh three times per run; it is made once."""
+        a = build_mesh(31, 9, 3.7, 2.1, 5, 1.3)
+        assert build_mesh(31, 9, 3.7, 2.1, 5, 1.3) is a
+        assert not (a.hx.flags.writeable or a.hz.flags.writeable)
+
     @pytest.mark.parametrize("kwargs", [
         dict(n_core_x=0, n_core_z=2, dx=1, dz=1, n_pad=0, factor=1.0),
         dict(n_core_x=2, n_core_z=2, dx=-1, dz=1, n_pad=0, factor=1.0),
