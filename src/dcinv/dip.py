@@ -73,11 +73,8 @@ class DipConfig:
 
 
 def beta(t: float, tau: float) -> float:
-    """Trade-off weight exp(-t / tau); 1 at t = 0, e^-1 at t = tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if t < 0:
-        raise ValueError("epoch index must be >= 0")
+    """Trade-off weight exp(-t / tau); 1 at t = 0, e^-1 at t = tau (> 0, as
+    :class:`DipConfig` holds it)."""
     return float(np.exp(-t / tau))
 
 

@@ -2,11 +2,13 @@
 
 
 class NumericalFailure(RuntimeError):
-    """An optimization loop produced a non-finite loss or model, or a solve failed."""
+    """An optimization loop produced a non-finite loss or model, a solve failed,
+    or a sensitivity or curvature that a run divides by vanished."""
 
 
 class SolverFailure(NumericalFailure):
-    """The forward operator could not be solved: a singular factor or a non-finite solution."""
+    """The forward operator could not be solved: a model that is not finite, a
+    singular factor or a non-finite solution."""
 
 
 class ParseError(ValueError):

@@ -393,12 +393,11 @@ class DCSimulation:
 
     # -- caching helpers -------------------------------------------------
     def _system(self, m: np.ndarray) -> np.ndarray:
-        """G = A^-1 E at m: potentials of a unit source at each electrode cell."""
+        """G = A^-1 E at m: potentials of a unit source at each electrode cell.
+        A model that is not finite cannot be solved: :class:`SolverFailure`."""
         m = np.asarray(m, dtype=float)
-        if m.shape != (self.mesh.n_cells,):
-            raise ValueError(f"model must have {self.mesh.n_cells} entries")
         if not np.all(np.isfinite(m)):
-            raise ValueError("model must be finite")
+            raise SolverFailure("model is not finite")
         if self._model is None or not np.array_equal(m, self._model):
             self._model = None  # stays unset if the solve fails
             self._jacobian = None

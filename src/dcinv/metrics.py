@@ -14,7 +14,5 @@ def rmse(a: np.ndarray, b: np.ndarray) -> float:
 def mean_abs_gradient(grid: np.ndarray) -> float:
     """Mean |difference| over all adjacent cell pairs, both axes pooled."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2:
-        raise ValueError("expected a 2D grid")
     diffs = np.concatenate([np.abs(np.diff(grid, axis=axis)).ravel() for axis in (0, 1)])
     return float(diffs.mean()) if diffs.size else 0.0

@@ -25,8 +25,6 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def dense_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray):
     """Gradients (gw, gb, gx) of <g, dense(x)>. """
-    if g.shape != (w.shape[1],):
-        raise ValueError("gradient shape mismatch")
     return np.outer(x, g), g.copy(), w @ g
 
 
@@ -132,8 +130,8 @@ def transposed_conv2(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``y[..., a::2, q::2]``.
     """
     n, c, h, w = x.shape
-    if k.ndim != 4 or k.shape[0] != c or k.shape[2:] != (2, 2):
-        raise ValueError(f"kernel shape {k.shape} incompatible with input {x.shape}")
+    if k.shape[2:] != (2, 2):  # else a larger kernel would run on its first 2x2 taps
+        raise ValueError(f"kernel shape {k.shape} is not (c_in, c_out, 2, 2)")
     if b.shape != (k.shape[1],):
         raise ValueError("bias shape mismatch")
     co = k.shape[1]
@@ -147,8 +145,6 @@ def transposed_conv2(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
 def transposed_conv2_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
     n, c, h, w = x.shape
     co = k.shape[1]
-    if g.shape != (n, co, 2 * h, 2 * w):
-        raise ValueError("gradient shape mismatch")
     x2 = x.reshape(n, c, h * w)
     gk = np.empty_like(k)
     gx = np.zeros((n, c, h * w))
@@ -171,9 +167,7 @@ def conv2d_valid(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     few-channel input), they are stacked and the conv is one matmul.
     """
     n, c, h, w = x.shape
-    co, ci, kh, kw = k.shape
-    if ci != c:
-        raise ValueError(f"kernel expects {ci} channels, input has {c}")
+    co, _, kh, kw = k.shape
     if h < kh or w < kw:
         raise ValueError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
     if b.shape != (co,):
@@ -241,9 +235,7 @@ def upsample_conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray, kind: str) -> n
     input is upsampled first and convolved by :func:`conv2d_valid`.
     """
     n, c, h, w = x.shape
-    co, ci, kh, kw = k.shape
-    if ci != c:
-        raise ValueError(f"kernel expects {ci} channels, input has {c}")
+    co, _, kh, kw = k.shape
     if b.shape != (co,):
         raise ValueError("bias shape mismatch")
     if kh * kw * c <= co:

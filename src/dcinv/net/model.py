@@ -196,9 +196,7 @@ def net_forward(params: NetParams, z: np.ndarray, mesh_shape: tuple[int, int],
     pre = arch.pre_crop_shape
     if pre[0] < nz or pre[1] < nx:
         raise ValueError(f"network output {pre} smaller than mesh shape {(nz, nx)}")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (arch.latent_dim,):
-        raise ValueError(f"latent vector must have length {arch.latent_dim}")
+    z = np.asarray(z, dtype=float)  # dense_forward checks its length
 
     trace = ForwardTrace(arch=arch, mesh_shape=(nz, nx), z=z,
                          fc_pre=layers.dense_forward(z, a["fc.w"], a["fc.b"]),
@@ -233,8 +231,6 @@ def net_backward(trace: ForwardTrace, g: np.ndarray) -> dict[str, np.ndarray]:
     a = trace.params_arrays
     nz, nx = trace.mesh_shape
     g = np.asarray(g, dtype=float)
-    if g.shape != (nz * nx,):
-        raise ValueError(f"model gradient must have length {nz * nx}")
     grads: dict[str, np.ndarray] = {}
 
     gc = arch.output_scale * g.reshape(1, 1, nz, nx)

@@ -173,6 +173,7 @@ def paint_model(spec: ScenarioSpec) -> np.ndarray:
 
 
 _DESK = dict(n_core_x=50, n_core_z=12, line_length=200.0)
+_IS_DESK = {"full": False, "desk": True}  # an unknown scale is a KeyError
 
 
 def build_case1(dip_degrees: float = 45.0, scale: str = "full"):
@@ -181,20 +182,18 @@ def build_case1(dip_degrees: float = 45.0, scale: str = "full"):
     Background 0.01 S/m, layer 0.02 S/m, dike 0.1 S/m.  Returns
     (ScenarioSpec, log-conductivity model).
     """
-    if scale == "full":
-        spec = ScenarioSpec(
-            name=f"case1-dip{dip_degrees:g}",
-            layer_thickness=20.0,
-            dike=DikeGeometry(x_top=0.0, depth_top=20.0, depth_bottom=120.0,
-                              width=25.0, dip_degrees=dip_degrees))
-    elif scale == "desk":
+    if _IS_DESK[scale]:
         spec = ScenarioSpec(
             name=f"case1-desk-dip{dip_degrees:g}", **_DESK,
             layer_thickness=15.0,
             dike=DikeGeometry(x_top=0.0, depth_top=15.0, depth_bottom=50.0,
                               width=20.0, dip_degrees=dip_degrees))
     else:
-        raise ValueError(f"unknown scale {scale!r}")
+        spec = ScenarioSpec(
+            name=f"case1-dip{dip_degrees:g}",
+            layer_thickness=20.0,
+            dike=DikeGeometry(x_top=0.0, depth_top=20.0, depth_bottom=120.0,
+                              width=25.0, dip_degrees=dip_degrees))
     return spec, paint_model(spec)
 
 
@@ -204,17 +203,7 @@ def build_case2(two_cylinders: bool = False, scale: str = "full"):
     Variant A (default): a cylinder next to a dipping dike.  Variant B
     (``two_cylinders``): two disjoint cylinders.
     """
-    if scale == "full":
-        if two_cylinders:
-            spec = ScenarioSpec(name="case2.2",
-                                cylinders=((-60.0, 60.0, 25.0), (60.0, 60.0, 25.0)))
-        else:
-            spec = ScenarioSpec(
-                name="case2.1",
-                cylinders=((-75.0, 60.0, 25.0),),
-                dike=DikeGeometry(x_top=50.0, depth_top=20.0, depth_bottom=120.0,
-                                  width=25.0, dip_degrees=45.0))
-    elif scale == "desk":
+    if _IS_DESK[scale]:
         if two_cylinders:
             spec = ScenarioSpec(name="case2.2-desk", **_DESK,
                                 cylinders=((-45.0, 28.0, 12.0), (45.0, 28.0, 12.0)))
@@ -224,8 +213,15 @@ def build_case2(two_cylinders: bool = False, scale: str = "full"):
                 cylinders=((-45.0, 30.0, 12.0),),
                 dike=DikeGeometry(x_top=25.0, depth_top=10.0, depth_bottom=50.0,
                                   width=15.0, dip_degrees=45.0))
+    elif two_cylinders:
+        spec = ScenarioSpec(name="case2.2",
+                            cylinders=((-60.0, 60.0, 25.0), (60.0, 60.0, 25.0)))
     else:
-        raise ValueError(f"unknown scale {scale!r}")
+        spec = ScenarioSpec(
+            name="case2.1",
+            cylinders=((-75.0, 60.0, 25.0),),
+            dike=DikeGeometry(x_top=50.0, depth_top=20.0, depth_bottom=120.0,
+                              width=25.0, dip_degrees=45.0))
     return spec, paint_model(spec)
 
 

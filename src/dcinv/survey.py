@@ -97,10 +97,8 @@ def survey_from_rows(rows: np.ndarray) -> Survey:
 
     Electrode indices number the sorted distinct positions; the rows keep
     their order, so each run of consecutive rows with the same (Ax, Bx) is
-    one transmitter.
+    one transmitter.  ``Survey`` refuses rows that are not four wide.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ValueError("expected rows of Ax Bx Mx Nx")
     positions = np.unique(rows)
     return Survey(electrodes=positions, abmn=np.searchsorted(positions, rows))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import NumericalFailure, SolverFailure
 from .forward import DataWeights, DCSimulation, chi_factor, phi_d
 from .mesh import TensorMesh2D, cell_centers
 from .survey import Survey
@@ -139,11 +139,9 @@ class DifferenceOperators:
 
 
 def irls_weights(r: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """Diagonal weights (r^2 + eps^2)^(p/2 - 1) so weighted L2 mimics the p-norm."""
-    if not 0.0 <= p <= 2.0:
-        raise ValueError("p must lie in [0, 2]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Diagonal weights (r^2 + eps^2)^(p/2 - 1) so weighted L2 mimics the p-norm;
+    ``p`` in [0, 2] and ``eps > 0``, as :class:`RegularizationConfig` and
+    :func:`update_irls` give them."""
     r = np.asarray(r, dtype=float)
     return (r * r + eps * eps) ** (p / 2.0 - 1.0)
 
@@ -162,7 +160,7 @@ def sensitivity_weights(sim, m: np.ndarray, n_probes: int = 32,
     w = np.sqrt((jt * jt).sum(axis=0) / n_probes)
     top = w.max()
     if top == 0:
-        raise ValueError("zero sensitivity everywhere; check the model/survey")
+        raise NumericalFailure("zero sensitivity everywhere; check the model/survey")
     w = w / top
     return np.maximum(w, 1e-4)
 
@@ -274,7 +272,7 @@ def estimate_beta0(sim, m: np.ndarray, terms, weights: DataWeights,
     num = float(jx @ (weights.values ** 2 * jx))
     den = float(x @ reg_hessian(terms)(x))
     if den <= 0:
-        raise ValueError("regularization curvature vanished; check alphas")
+        raise NumericalFailure("regularization curvature vanished; check alphas")
     return ratio * num / den
 
 

@@ -223,6 +223,7 @@ class TestConfigFile:
         ("[dip]\ntau = 5\ntau = 6\n", 3),          # a duplicate key
         ("[dip]\ntau = 5%\n", 2),                  # a stray interpolation sign
         ("[dip]\nlr = 0.1\n[gn]\ntau\n", 4),       # a line with no value
+        ("[dip]\ntau = 5\n[dip]\nlr = 0.1\n", 3),  # a duplicate section
     ])
     def test_unparsable_file_is_io_error_naming_the_line(self, tmp_path, capsys, text, line):
         cfg = tmp_path / "run.cfg"
@@ -618,7 +619,8 @@ class TestPretrainedReuse:
     @pytest.mark.parametrize("field, value, message", [
         ("latent_dim", 0, "__arch__: latent_dim must be >= 1"),
         ("seed_shape", [0, 34], "__arch__: seed_shape must be two positive integers"),
-        ("seed_shape", [5], "__arch__.seed_shape must hold 2 values, got 1")])
+        ("seed_shape", [5], "__arch__.seed_shape must hold 2 values, got 1"),
+        ("channels", 64, "__arch__.channels must be a list, got 64")])
     def test_checkpoint_architecture_it_refuses_exits_3(self, tmp_path, capsys, field, value,
                                                          message):
         params = init_params(0, arch_for_mesh(19, 64))

@@ -26,12 +26,6 @@ class TestBetaSchedule:
         vals = [beta(t, 1000.0) for t in range(0, 10_000, 7)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_invalid_tau(self):
-        with pytest.raises(ValueError):
-            beta(1, 0.0)
-        with pytest.raises(ValueError):
-            beta(1, -5.0)
-
 
 class TestChiFactor:
     def test_perfect_fit(self):

@@ -272,6 +272,18 @@ class TestPredict:
             with np.errstate(divide="ignore"), pytest.raises(SolverFailure):
                 sim.predict(m)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_model_that_is_not_finite_is_a_solver_failure(self, value):
+        """It was a ValueError, which the CLI reports as invalid arguments and
+        Gauss-Newton's line search does not catch.  It is refused before
+        ``exp``, so numpy warns of nothing, and no product uses it."""
+        mesh, survey, sim = tiny_dc_problem()
+        m = np.full(mesh.n_cells, -4.0)
+        m[3] = value
+        for product in (sim.predict, sim.jacobian, lambda m: sim.jt_vec(m, np.ones(sim.n_data))):
+            with pytest.raises(SolverFailure, match="^model is not finite$"):
+                product(m)
+
     def test_half_space_matches_analytic(self):
         """Uniform half-space vs the 2D line-source solution, within 3%
         for offsets up to a fifth of the padding extent."""
@@ -305,6 +317,13 @@ class TestSensitivityProducts:
         mesh, survey, sim = tiny_dc_problem()
         m = np.full(mesh.n_cells, -4.0)
         assert np.all(sim.jt_vec(m, np.zeros(survey.n_data)) == 0.0)
+
+    def test_jtvec_refuses_a_vector_of_another_length(self):
+        """A one-entry vector would broadcast over every datum without a word."""
+        mesh, survey, sim = tiny_dc_problem()
+        for size in (1, survey.n_data + 1):
+            with pytest.raises(ValueError, match="v must be a data-space vector"):
+                sim.jt_vec(np.full(mesh.n_cells, -4.0), np.ones(size))
 
     def test_adjoint_identity_random(self):
         """<Jw, v> = <w, J^T v> over random meshes, models, and vectors."""

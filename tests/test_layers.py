@@ -297,6 +297,11 @@ class TestTransposedConv:
         y = L.transposed_conv2(x, k, np.zeros(5))
         assert y.shape == (1, 5, 8, 12)
 
+    def test_a_kernel_that_is_not_2x2_is_refused(self):
+        """A 3x3 kernel would run on its first 2x2 taps without a word."""
+        with pytest.raises(ValueError, match=r"kernel shape \(3, 5, 3, 3\)"):
+            L.transposed_conv2(np.zeros((1, 3, 4, 6)), np.zeros((3, 5, 3, 3)), np.zeros(5))
+
     def test_gradients_vs_fd(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, 2, 3, 4))
@@ -393,6 +398,12 @@ class TestConv2dValid:
         with pytest.raises(ValueError):
             L.conv2d_valid(np.ones((1, 1, 2, 5)), np.ones((1, 1, 3, 3)), np.zeros(1))
 
+    def test_a_gradient_that_would_broadcast_is_refused(self):
+        """A (1, co, 1, 1) gradient would fill every output pixel of the stack."""
+        with pytest.raises(ValueError, match="gradient shape mismatch"):
+            L.conv2d_valid_backward(np.ones((1, 2, 5, 5)), np.ones((3, 2, 3, 3)),
+                                    np.ones((1, 3, 1, 1)))
+
     def test_gradients_vs_fd(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 2, 6, 7))
@@ -467,11 +478,20 @@ class TestUpsampleConv2d:
     def test_shape_errors(self, kind):
         with pytest.raises(ValueError, match="smaller than kernel"):
             L.upsample_conv2d(np.ones((1, 2, 1, 4)), np.ones((1, 2, 3, 3)), np.zeros(1), kind)
-        with pytest.raises(ValueError, match="expects 3 channels"):
-            L.upsample_conv2d(np.ones((1, 2, 3, 4)), np.ones((1, 3, 3, 3)), np.zeros(1), kind)
         with pytest.raises(ValueError, match="gradient shape"):
             L.upsample_conv2d_backward(np.ones((1, 2, 3, 4)), np.ones((1, 2, 3, 3)),
                                        np.ones((1, 1, 3, 4)), kind)
+
+
+@pytest.mark.parametrize("layer, x, k", [
+    (L.transposed_conv2, np.ones((1, 2, 3, 3)), np.ones((2, 3, 2, 2))),
+    (L.conv2d_valid, np.ones((1, 2, 5, 5)), np.ones((3, 2, 3, 3))),
+    (lambda x, k, b: L.upsample_conv2d(x, k, b, "bilinear"), np.ones((1, 2, 3, 3)),
+     np.ones((3, 2, 3, 3)))], ids=["transposed", "conv", "upsample_conv"])
+def test_a_bias_of_one_entry_is_refused(layer, x, k):
+    """A one-entry bias would broadcast over every output channel."""
+    with pytest.raises(ValueError, match="bias shape mismatch"):
+        layer(x, k, np.zeros(1))
 
 
 class TestDropout:
@@ -516,6 +536,11 @@ class TestDropout:
             L.dropout(np.ones((1, 1, 1, 1)), 1.0, "train", np.random.default_rng(0))
         with pytest.raises(ValueError):
             L.dropout(np.ones((1, 1, 1, 1)), -0.1, "eval", None)
+
+    def test_unknown_mode(self):
+        """Any mode but "eval" would otherwise drop units."""
+        with pytest.raises(ValueError, match="unknown mode 'Eval'"):
+            L.dropout(np.ones((1, 1, 1, 1)), 0.5, "Eval", np.random.default_rng(0))
 
 
 class TestCrop:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from dcinv.cli import main
 from dcinv.dip import DipConfig
-from dcinv.net.model import UPSAMPLERS
+from dcinv.fileio import from_fields
+from dcinv.net.model import UPSAMPLERS, ArchConfig
 from dcinv.runs import (FROM_V1, ArchChoice, ConventionalConfig, ConventionalRun, DipRun,
                         SimulateRun, load_run, manifest, replay)
 from dcinv.scenarios import build_case1, build_case2
@@ -203,6 +204,8 @@ def _base(method):
     # each exit 1 from deep in the run before
     ("simulate", "scenario.n_core_x", 0), ("simulate", "scenario.cylinders", [[1, 2]]),
     ("dip", "arch.n_blocks", 6),
+    # a tuple field that is not a list, never reached before
+    ("simulate", "scenario.cylinders", "none"), ("simulate", "scenario.dike", 45.0),
     ("simulate", "scenario.dx", float("nan")), ("simulate", "scenario.noise_seed", -1),
     ("dip", "config.rng_seed", -1), ("simulate", "scenario.line_length", 2000.0),
     # each a numpy memory-error traceback (exit 1) before: 2.8 PiB of electrode
@@ -253,6 +256,36 @@ def test_a_version_other_than_1_or_2_exits_3(version):
     assert code == 3
     assert f"version must be 1 or 2, got {json.dumps(version)}" in err
     assert files == ["m.json"]
+
+
+_MISSING = object()  # a manifest key deleted, not set
+
+
+@pytest.mark.parametrize("method", ["invert", None, 5, _MISSING])
+def test_a_method_other_than_the_three_exits_3(method):
+    stored = _base("simulate")
+    if method is _MISSING:
+        del stored["method"]
+    else:
+        stored["method"] = method
+    code, err, files = _replay(stored)
+    got = "none" if method is _MISSING else json.dumps(method)
+    assert code == 3
+    assert err.endswith(f": method must be one of simulate, dip, conventional, got {got}\n")
+    assert files == ["m.json"]
+
+
+@pytest.mark.parametrize("cls, field", [(DipConfig, "m_ref"), (RegularizationConfig, "m_ref"),
+                                        (ArchConfig, "output_scale")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_value_the_walker_refuses_is_refused_through_the_api_too(cls, field, value):
+    """A manifest, an INI file or a checkpoint cannot carry a non-finite
+    number to these fields, so only a config built in Python reaches their
+    dataclass's own check."""
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got"):
+        from_fields(cls, {field: value}, ini=True)
+    with pytest.raises(ValueError, match=f"^{field} must be (a )?finite"):
+        cls(**{field: value})
 
 
 def _corpus(name: str) -> dict:

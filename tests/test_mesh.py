@@ -80,6 +80,13 @@ class TestBuildMesh:
             TensorMesh2D(hx=np.array([1.0, 0.0]), hz=np.array([1.0]), origin_x=0.0)
 
 
+    @pytest.mark.parametrize("hx, hz", [([], [1.0]), ([1.0], []), ([[1.0, 2.0]], [1.0])])
+    def test_widths_must_be_non_empty_lists(self, hx, hz):
+        """Every check of the widths passes an empty list, and a 2D one
+        would give a mesh of the wrong cell count."""
+        with pytest.raises(ValueError, match="non-empty 1D width lists"):
+            TensorMesh2D(hx=np.array(hx), hz=np.array(hz), origin_x=0.0)
+
     @pytest.mark.parametrize("width", [np.inf, np.nan])
     def test_non_finite_width_rejected(self, width):
         """Padding that overflows, or a NaN width, is no mesh."""

@@ -68,6 +68,12 @@ class TestArchitecture:
     def test_pre_crop_shape(self):
         assert arch_for_mesh(32, 214, 3).pre_crop_shape == (32, 216)
 
+    def test_a_channel_plan_of_another_block_count_is_refused(self):
+        """The seed is sized for n_blocks upsamplings; another plan length
+        would build a generator of another output size."""
+        with pytest.raises(ValueError, match="channel plan length must equal n_blocks"):
+            arch_for_mesh(3, 5, n_blocks=2, channels=(2,))
+
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             ArchConfig(channels=())

@@ -63,6 +63,12 @@ class TestCase1:
         assert mesh.nx == 64 and mesh.nz == 19
         assert spec.survey().n_data == 21
 
+    @pytest.mark.parametrize("build", [build_case1, build_case2])
+    def test_an_unknown_scale_is_a_key_error(self, build):
+        """The CLI offers only full and desk; another scale fails on lookup."""
+        with pytest.raises(KeyError, match="huge"):
+            build(scale="huge")
+
     def test_invalid_dip(self):
         with pytest.raises(ValueError):
             build_case1(0.0)

@@ -130,7 +130,7 @@ class TestSurveyFromRows:
         assert survey.source_rows().tolist() == [0, 2, 3, 4, 5]
 
     def test_rows_must_have_four_columns(self):
-        with pytest.raises(ValueError, match="Ax Bx Mx Nx"):
+        with pytest.raises(ValueError, match=r"abmn must be an \(n_data, 4\) integer array"):
             survey_from_rows(np.zeros((2, 3)))
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import dcinv
 from dcinv.checks import central_difference, reference_j_vec, rel_err
-from dcinv.errors import SolverFailure
+from dcinv.errors import NumericalFailure, SolverFailure
 from dcinv.forward import DCSimulation, weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh, cell_centers
 from dcinv.tikhonov import (L2, DifferenceOperators, GNConfig, RegularizationConfig,
@@ -148,12 +148,6 @@ class TestIrlsWeights:
     def test_p1_large_residual(self):
         w = irls_weights(np.array([10.0]), 1.0, 1e-2)
         assert np.isclose(w[0], 1.0 / 10.0, rtol=1e-4)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            irls_weights(np.ones(2), 2.5, 1e-2)
-        with pytest.raises(ValueError):
-            irls_weights(np.ones(2), 1.0, 0.0)
 
 
 class TestPhiM:
@@ -323,6 +317,12 @@ class TestSensitivityWeights:
         assert peak <= 1  # sensitivity concentrates at/near the surface
         assert np.all(np.diff(profile[peak:]) < 0.0)
 
+    def test_zero_sensitivity_everywhere_is_a_numerical_failure(self):
+        """It was a ValueError, which the CLI reports as invalid arguments."""
+        sim = LinearSim(np.zeros((3, 12)))
+        with pytest.raises(NumericalFailure, match="zero sensitivity everywhere"):
+            sensitivity_weights(sim, np.zeros(12))
+
 
 class TestGaussNewton:
     def test_beta0_is_the_curvature_ratio(self):
@@ -342,6 +342,17 @@ class TestGaussNewton:
         want = 0.7 * float(wjx @ wjx) / float(x @ reg_hessian(terms)(x))
         got = estimate_beta0(sim, m, terms, weights, rng_seed=5, ratio=0.7)
         assert rel_err(got, want) < 1e-10
+
+    def test_vanished_regularization_curvature_is_a_numerical_failure(self):
+        """All alphas at 0 and no beta0: ConventionalConfig refuses it for a
+        run, and Gauss-Newton called directly fails numerically (it raised
+        ValueError, which the CLI reports as invalid arguments)."""
+        mesh = build_mesh(4, 3, 1.0, 1.0, 0, 1.0)
+        sim = LinearSim(np.random.default_rng(2).standard_normal((5, mesh.n_cells)))
+        reg = RegularizationConfig(alpha_s=0.0, alpha_x=0.0, alpha_z=0.0)
+        with pytest.raises(NumericalFailure, match="regularization curvature vanished"):
+            gauss_newton(sim, np.ones(5), weights_from_std(np.ones(5)), reg, GNConfig(),
+                         np.zeros(mesh.n_cells), DifferenceOperators(mesh))
 
     def test_linear_problem_matches_dense_solution(self):
         """p=2 everywhere on F(m)=Gm: one exact Newton step lands on the
@@ -432,6 +443,23 @@ class TestGaussNewton:
         assert np.array_equal(second_trial, 0.5 * first_trial)  # m0 = 0
         assert np.array_equal(trace.final_model, second_trial)
         assert trace.stop_reason == "budget"
+
+    def test_a_trial_model_that_is_not_finite_is_rejected(self, monkeypatch):
+        """A step that is not finite fails its solve, so the line search
+        rejects each trial and the run stops on it.  The solve raised
+        ValueError, which ended the run as a usage error."""
+        monkeypatch.setattr(dcinv.tikhonov, "_cg_matfree",
+                            lambda apply_h, rhs, tol, maxiter: np.full(rhs.shape, np.nan))
+        mesh, survey, sim = tiny_dc_problem(n_core_x=10, n_core_z=5, n_pad=1,
+                                            line=40.0, spacing=10.0)
+        d = sim.predict(np.full(mesh.n_cells, np.log(0.02)))
+        m0 = np.full(mesh.n_cells, np.log(0.01))
+        trace = gauss_newton(sim, d, weights_from_std(0.05 * np.abs(d)),
+                             RegularizationConfig(m_ref=float(m0[0])),
+                             GNConfig(beta0=1.0, line_search_max=3), m0,
+                             DifferenceOperators(mesh))
+        assert trace.stop_reason == "line_search"
+        assert np.array_equal(trace.final_model, m0)
 
     def test_an_uphill_direction_falls_back_to_steepest_descent(self, monkeypatch):
         """When CG returns a direction that does not descend, Gauss-Newton
