@@ -2,17 +2,13 @@
 
 Subcommands: ``simulate`` (scenario to synthetic data files),
 ``invert-dip``, ``invert-conv``, ``ablate``, ``render``, ``check``, and
-``replay``.  Exit codes: 0 success; 1 usage error, such as a flag or config
-value that its dataclass rejects; 2 numerical failure, also of any ``ablate``
-run; 3 I/O error: a grid, data, trace, manifest or INI file that does not
-parse (the message names the line), a manifest key that is missing or
-unknown or whose value has the wrong type or is one its dataclass rejects
-(the message names its path), or a ``--pretrained`` file that is not a
-checkpoint of the run's architecture with finite float64 arrays.
+``replay``.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
+3 I/O error; the README's table of failures gives the message prefix and
+an example of each.
 
 A ``--config`` INI file fills [scenario] (case, dip, scale), [dip],
 [tikhonov] and [gn] (DipConfig, RegularizationConfig, GNConfig); flags
-override it.  Another section, or a key its section lacks, is a usage error.
+override it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ManifestError, ParseError
 from .survey import Survey, survey_from_rows
 
 DATA_HEADER = "# dcinv data v1"
@@ -92,8 +92,7 @@ def load_config(path) -> dict[str, dict[str, str]]:
     ``[DEFAULT]`` is returned as a section of its own, whose keys configparser
     also copies into every other section."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    with open(path) as f:
-        text = f.read()
+    text = _read_text(path)
     try:
         parser.read_string(text, source=str(path))
         sections = {section: dict(parser[section]) for section in parser.sections()}
@@ -204,9 +203,24 @@ def _describe(value) -> str:
     return json.dumps(value)
 
 
-def load_manifest(path) -> dict:
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed JSON: {e.msg}", e.lineno, path) from None
+def load_manifest(path):
+    """The JSON value of a manifest file; one nested deeper than Python's
+    recursion limit raises :class:`ManifestError` naming the file."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"malformed JSON: {e.msg}", e.lineno, path) from None
+    except RecursionError:
+        raise ManifestError(f"{path}: JSON nested too deeply to read") from None
+
+
+def _read_text(path) -> str:
+    """A whole file as text, its line ends read as ``open`` reads them; bytes
+    that are not UTF-8 raise :class:`ParseError` naming their line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as e:
+        raise ParseError("bytes that are not UTF-8", raw.count(b"\n", 0, e.start) + 1,
+                         path) from None

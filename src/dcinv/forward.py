@@ -153,15 +153,21 @@ class _FaceGeometry:
         return dt[0], dt[1], t_bnd  # T_c is proportional to sigma_c
 
 
-def electrode_cells(mesh: TensorMesh2D, positions: np.ndarray) -> np.ndarray:
-    """Flat indices of the surface cells containing the given x positions.
+def surface_columns(mesh: TensorMesh2D, positions) -> np.ndarray:
+    """The column of the surface cell containing each x position, -1 or
+    ``mesh.nx`` for one outside the mesh.
 
     A position exactly on a cell edge belongs to the cell on its right; a
     tiny nudge absorbs float noise in the edge coordinates.
     """
     edges = mesh.x_edges
     nudge = 1e-9 * mesh.hx.min()
-    idx = np.searchsorted(edges, np.asarray(positions, dtype=float) + nudge) - 1
+    return np.searchsorted(edges, np.asarray(positions, dtype=float) + nudge) - 1
+
+
+def electrode_cells(mesh: TensorMesh2D, positions: np.ndarray) -> np.ndarray:
+    """Flat indices of the surface cells containing the given x positions."""
+    idx = surface_columns(mesh, positions)
     if np.any(idx < 0) or np.any(idx >= mesh.nx):
         raise ValueError("electrode position outside the mesh")
     return idx  # surface row iz = 0, so flat index == ix

@@ -19,6 +19,7 @@ from .trace import load_grid
 _LOW = np.array([0.0, 0.0, 128.0])
 _MID = np.array([255.0, 255.0, 255.0])
 _HIGH = np.array([128.0, 0.0, 0.0])
+_MAX_PIXELS = 2 ** 26  # 192 MiB of RGB
 
 
 def _ramp_image(norm: np.ndarray) -> np.ndarray:
@@ -44,6 +45,9 @@ def render_grid(grid_path, out_path, vmin: float | None = None,
     values, nx, nz = load_grid(grid_path)
     if upscale < 1:
         raise ValueError("upscale must be >= 1")
+    if nx * nz * upscale ** 2 > _MAX_PIXELS:  # refused before the image is allocated
+        raise ValueError(f"--upscale {upscale} makes a {nx * upscale} x {nz * upscale} image, "
+                         f"over the bound of {_MAX_PIXELS} pixels")
     grid = values.reshape(nz, nx)
     lo = float(grid.min()) if vmin is None else float(vmin)
     hi = float(grid.max()) if vmax is None else float(vmax)

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import fileio
 from .dip import DipConfig, invert_stage2, pretrain_stage1
-from .errors import CheckpointMismatch, ManifestError
-from .forward import DCSimulation, weights_from_std
+from .errors import CheckpointMismatch, ManifestError, ParseError
+from .forward import DCSimulation, surface_columns, weights_from_std
 from .net import (ArchConfig, arch_for_mesh, init_params, load_params, sample_latent,
                   save_params)
 from .scenarios import ScenarioSpec, add_noise, paint_model
@@ -170,15 +170,27 @@ def _simulate(spec: ScenarioSpec, mesh, out_dir: str):
 def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
     """Observed data for an inversion run, from file if given, else simulated,
     and its data weights: the stds floored at 1e-4 median |d_obs|.  Makes
-    ``out_dir`` once the data are in hand, so a data file that fails to parse
-    leaves nothing behind."""
+    ``out_dir`` once the data are in hand and checked, so a data file that
+    fails to parse, or has a row with an electrode outside the mesh or a std
+    that the floor leaves at 0, leaves nothing behind (:class:`ParseError`
+    naming the first such row's line)."""
     if data_path:
         survey, d_obs, std = fileio.load_data(data_path)
-        os.makedirs(out_dir, exist_ok=True)
     else:
         survey, d_obs, std = _simulate(spec, mesh, out_dir)
-    weights = weights_from_std(std, floor=1e-4 * float(np.median(np.abs(d_obs))))
-    return survey, d_obs, weights
+    floor = 1e-4 * float(np.median(np.abs(d_obs)))
+    if data_path:
+        columns = surface_columns(mesh, survey.electrodes)[survey.abmn]
+        outside = ((columns < 0) | (columns >= mesh.nx)).any(axis=1)
+        unweighted = np.maximum(std, floor) <= 0
+        if (bad := outside | unweighted).any():
+            row = int(bad.argmax())
+            lo, hi = mesh.x_edges[[0, -1]]
+            message = (f"an electrode outside the mesh, x in ({lo:g}, {hi:g}]" if outside[row]
+                       else "std is 0, and so is the floor (1e-4 of the median |value|)")
+            raise ParseError(message, fileio.read_rows(data_path)[1][row][0], data_path)
+        os.makedirs(out_dir, exist_ok=True)
+    return survey, d_obs, weights_from_std(std, floor=floor)
 
 
 def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -> None:
@@ -195,7 +207,8 @@ def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -
 def execute(run: Run) -> dict:
     """Execute a run; returns {output name: path}, ``manifest`` included.
     The run fully determines its output files; a data file or checkpoint
-    that fails to load leaves no output directory behind."""
+    that fails to load, or a data file the run cannot use, leaves no output
+    directory behind."""
     spec, out_dir = run.scenario, run.out_dir
     mesh = spec.mesh()
     paths = {name: os.path.join(out_dir, file) for name, file in run.outputs.items()}

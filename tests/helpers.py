@@ -1,18 +1,110 @@
 """Shared finite-difference oracles, small problem factories, drawn meshes,
-and the readers and measures that only tests use."""
+the readers and measures that only tests use, and the one harness of the
+failure contract."""
 
+import contextlib
+import functools
+import io
+import json
 import sys
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dcinv.checks import central_difference
+from dcinv.cli import main
+from dcinv.dip import DipConfig
 from dcinv.forward import DCSimulation
 from dcinv.mesh import TensorMesh2D, build_mesh
 from dcinv.net import net_forward
+from dcinv.runs import (ArchChoice, ConventionalConfig, ConventionalRun, DipRun, SimulateRun,
+                        manifest)
+from dcinv.scenarios import build_case1
 from dcinv.survey import build_dipole_dipole_survey
+from dcinv.tikhonov import GNConfig, RegularizationConfig
+from dcinv.trace import save_grid
+
+REPLAY = ["replay", "--manifest", "{tmp}/m.json"]
+# a 2 x 2 model grid for the render command
+GRID = {"g.txt": lambda path: save_grid(path, np.array([0.0, 0.5, 1.0, 0.25]), nx=2, nz=2)}
+
+
+@functools.cache
+def readme_failures() -> tuple:
+    """(failure, exit code, message prefix, example) per row of the README's
+    table of failures."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| Failure | Exit code | Message prefix | Example |\n|---|---|---|---|\n")[1]
+    rows = []
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        failure, code, prefix, example = (cell.strip().strip("`")
+                                          for cell in line.strip("|").split(" | "))
+        rows.append((failure, int(code), prefix, example))
+    return tuple(rows)
+
+
+def refused(argv, code: int, message: str, files=None) -> str:
+    """Run ``dcinv argv`` in a fresh directory holding ``files`` and check the
+    failure contract: exit ``code``; stderr under a README prefix of that
+    code, holding ``message``; no traceback; and the directory tree as it
+    was, byte for byte.  ``{tmp}`` in ``argv``, ``message`` and text files
+    stands for the directory.  ``files`` maps a name to its text, bytes, a
+    JSON value, or a function that writes the path.  Returns stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def fill(text):
+            return text.replace("{tmp}", tmp)
+
+        for name, content in (files or {}).items():
+            path = Path(tmp, name)
+            if callable(content):
+                content(path)
+            elif isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(fill(content if isinstance(content, str) else json.dumps(content)))
+        before = _tree(tmp)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            got = main([fill(arg) for arg in argv])
+        err = err.getvalue()
+        prefixes = tuple(prefix for _, c, prefix, _ in readme_failures() if c == code)
+        assert got == code and err.startswith(prefixes), err
+        assert fill(message) in err and "Traceback" not in err, err
+        assert _tree(tmp) == before
+    return err
+
+
+def _tree(root) -> dict:
+    """Every path under ``root``, with the bytes of each file."""
+    return {str(p): p.read_bytes() if p.is_file() else None for p in Path(root).rglob("*")}
+
+
+def stored_run(method: str) -> dict:
+    """The manifest of a small desk-scale case-1 run of ``method`` into ``{tmp}/o``."""
+    spec, out = build_case1(45.0, scale="desk")[0], "{tmp}/o"
+    if method == "simulate":
+        return manifest(SimulateRun(spec, out))
+    if method == "dip":
+        return manifest(DipRun(spec, DipConfig(epochs_stage1=2, epochs_stage2=1),
+                               ArchChoice(), None, None, out))
+    return manifest(ConventionalRun(spec, ConventionalConfig(RegularizationConfig(),
+                                                             GNConfig(max_beta_steps=1)),
+                                    None, out))
+
+
+def at(tree, path: str):
+    """The parent container of ``path`` (``config.reg.m_ref``, ``cylinders[0]``)
+    in a JSON tree, and the key of ``path`` in it."""
+    parts = [int(p) if p.isdigit() else p
+             for p in path.replace("[", ".").replace("]", "").split(".")]
+    for part in parts[:-1]:
+        tree = tree[part]
+    return tree, parts[-1]
 
 
 def param_fd_grads(params, z, shape, g, eps=1e-5, mode="eval", rng_factory=None):

@@ -1,11 +1,8 @@
 """Stored runs: a manifest reads back as the run that wrote it, and anything
 else exits 3 naming its path, before the run writes anything."""
 
-import contextlib
 import hashlib
-import io
 import json
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcinv.cli import main
 from dcinv.dip import DipConfig
 from dcinv.fileio import from_fields
 from dcinv.net.model import UPSAMPLERS, ArchConfig
@@ -23,6 +19,7 @@ from dcinv.runs import (FROM_V1, ArchChoice, ConventionalConfig, ConventionalRun
 from dcinv.scenarios import build_case1, build_case2
 from dcinv.tikhonov import GNConfig, RegularizationConfig
 from dcinv.trace import load_grid, load_trace
+from helpers import REPLAY, at, refused, stored_run
 
 # Version-1 manifests of three README commands (tests/corpus/v1/README.md),
 # with the SHA-256 of each output that is the same at 1 and 2 BLAS threads.
@@ -74,20 +71,6 @@ def test_a_manifest_reads_back_as_its_run(run):
     assert load_run(_as_v1(stored)) == run
 
 
-def _replay(stored) -> tuple[int, str, list]:
-    """Exit code, stderr and the directory's files after replaying ``stored``
-    (any JSON value) with its out_dir in a fresh directory."""
-    with tempfile.TemporaryDirectory() as tmp:
-        if isinstance(stored, dict) and isinstance(stored.get("out_dir"), str):
-            stored["out_dir"] = str(Path(tmp) / "o")
-        path = Path(tmp) / "m.json"
-        path.write_text(json.dumps(stored))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["replay", "--manifest", str(path)])
-        return code, err.getvalue(), sorted(p.name for p in Path(tmp).iterdir())
-
-
 def _nodes(value, path=""):
     """(path, value) of every node under the root of a JSON tree, pre-order."""
     children = (value.items() if isinstance(value, dict)
@@ -99,23 +82,14 @@ def _nodes(value, path=""):
         yield from _nodes(child, child_path)
 
 
-def _at(tree, path):
-    """The parent container of ``path`` in ``tree`` and the key of ``path`` in it."""
-    parts = [int(p) if p.isdigit() else p
-             for p in path.replace("[", ".").replace("]", "").split(".")]
-    for part in parts[:-1]:
-        tree = tree[part]
-    return tree, parts[-1]
-
-
 def _as_v1(stored: dict) -> dict:
     """A version-2 manifest as version 1 wrote it: :data:`FROM_V1` backwards."""
     table = FROM_V1[stored["method"]]
     for path, value in table["dropped"].items():
-        parent, key = _at(stored, path)
+        parent, key = at(stored, path)
         parent[key] = value
     for path in table["added"]:
-        parent, key = _at(stored, path)
+        parent, key = at(stored, path)
         del parent[key]
     stored["version"] = 1
     return stored
@@ -150,11 +124,11 @@ def garbage(draw):
         path, value = draw(st.sampled_from(nodes))
         bad = draw(st.sampled_from(_wrong_values(path, value) if how == "wrong"
                                    else [float("nan"), float("inf"), float("-inf")]))
-        parent, key = _at(stored, path)
+        parent, key = at(stored, path)
         parent[key] = bad
     else:
         level = draw(st.sampled_from(levels))
-        parent = _at(stored, f"{level}.x")[0] if level else stored
+        parent = at(stored, f"{level}.x")[0] if level else stored
         if how == "missing":
             key = draw(st.sampled_from(sorted(parent)))
             del parent[key]
@@ -170,23 +144,10 @@ def garbage(draw):
 @given(garbage())
 def test_garbage_exits_3_naming_its_path(case):
     stored, path = case
-    code, err, files = _replay(stored)
-    assert code == 3, err
-    assert err.startswith("manifest error: ") and "Traceback" not in err
+    if isinstance(stored.get("out_dir"), str):
+        stored["out_dir"] = "{tmp}/o"
+    err = refused(REPLAY, 3, "manifest error: {tmp}/m.json: ", {"m.json": stored})
     assert path in err, err
-    assert files == ["m.json"]
-
-
-def _base(method):
-    spec, _ = build_case1(45.0, scale="desk")
-    if method == "simulate":
-        return manifest(SimulateRun(spec, "o"))
-    if method == "dip":
-        return manifest(DipRun(spec, DipConfig(epochs_stage1=2, epochs_stage2=1),
-                               ArchChoice(), None, None, "o"))
-    return manifest(ConventionalRun(spec, ConventionalConfig(RegularizationConfig(),
-                                                             GNConfig(max_beta_steps=1)),
-                                    None, "o"))
 
 
 @pytest.mark.parametrize("method, path, value", [
@@ -212,50 +173,41 @@ def _base(method):
     # positions, 728 TiB of cell widths, sizes numpy refuses at once
     ("simulate", "scenario.line_length", 1e16), ("simulate", "scenario.n_core_x", 10**14)])
 def test_value_a_run_refuses_exits_3_naming_its_path(method, path, value):
-    stored = _base(method)
-    parent, key = _at(stored, path)
+    stored = stored_run(method)
+    parent, key = at(stored, path)
     parent[key] = value
-    code, err, files = _replay(stored)
-    assert code == 3, err
-    assert err.startswith("manifest error: ") and "Traceback" not in err
+    err = refused(REPLAY, 3, "manifest error: {tmp}/m.json: ", {"m.json": stored})
     if path.startswith("outputs"):
         path = "outputs"
     # a type error names the path; a value a dataclass rejects, its entry and the field
     entry, _, field = path.rpartition(".")
     assert path in err or (f"{entry}: " in err and field in err), err
-    assert files == ["m.json"]
 
 
 def test_a_survey_too_large_to_build_exits_3():
     """A scenario of 1,000 stations with no receiver cap (497,503 data) is
     refused as it is read, before the run builds its survey."""
-    stored = _base("simulate")
+    stored = stored_run("simulate")
     stored["scenario"].update(n_core_x=1000, line_length=4995.0, station_spacing=5.0,
                               max_receivers=10**9)
-    code, err, files = _replay(stored)
-    assert code == 3 and "Traceback" not in err
-    assert err.startswith("manifest error: ") and "scenario: " in err and "got 497503\n" in err
-    assert files == ["m.json"]
+    err = refused(REPLAY, 3, "manifest error: {tmp}/m.json: scenario: ", {"m.json": stored})
+    assert "got 497503\n" in err
 
 
 def test_unknown_key_and_rewritten_outputs_exit_3():
     """An extra top-level key beside a rewritten outputs entry replayed with
     exit 0, and both keys were copied into the new manifest."""
-    stored = _base("simulate")
+    stored = stored_run("simulate")
     stored["tua"] = 5
     stored["outputs"]["data"] = "elsewhere.txt"
-    code, err, files = _replay(stored)
-    assert code == 3 and "outputs must be" in err and files == ["m.json"]
+    refused(REPLAY, 3, "outputs must be", {"m.json": stored})
 
 
 @pytest.mark.parametrize("version", [0, 3, 1.0, "2", True, None])
 def test_a_version_other_than_1_or_2_exits_3(version):
-    stored = _base("simulate")
+    stored = stored_run("simulate")
     stored["version"] = version
-    code, err, files = _replay(stored)
-    assert code == 3
-    assert f"version must be 1 or 2, got {json.dumps(version)}" in err
-    assert files == ["m.json"]
+    refused(REPLAY, 3, f"version must be 1 or 2, got {json.dumps(version)}", {"m.json": stored})
 
 
 _MISSING = object()  # a manifest key deleted, not set
@@ -263,16 +215,14 @@ _MISSING = object()  # a manifest key deleted, not set
 
 @pytest.mark.parametrize("method", ["invert", None, 5, _MISSING])
 def test_a_method_other_than_the_three_exits_3(method):
-    stored = _base("simulate")
+    stored = stored_run("simulate")
     if method is _MISSING:
         del stored["method"]
     else:
         stored["method"] = method
-    code, err, files = _replay(stored)
     got = "none" if method is _MISSING else json.dumps(method)
-    assert code == 3
-    assert err.endswith(f": method must be one of simulate, dip, conventional, got {got}\n")
-    assert files == ["m.json"]
+    refused(REPLAY, 3, f": method must be one of simulate, dip, conventional, got {got}\n",
+            {"m.json": stored})
 
 
 @pytest.mark.parametrize("cls, field", [(DipConfig, "m_ref"), (RegularizationConfig, "m_ref"),
@@ -294,11 +244,9 @@ def _corpus(name: str) -> dict:
 
 def test_a_version_1_run_that_kept_its_models_exits_3():
     stored = _corpus("dip")
-    stored["config"]["store_models"] = True
-    code, err, files = _replay(stored)
-    assert code == 3
-    assert "config.store_models must be false in version 1, got true" in err
-    assert files == ["m.json"]
+    stored.update(out_dir="{tmp}/o", config={**stored["config"], "store_models": True})
+    refused(REPLAY, 3, "config.store_models must be false in version 1, got true",
+            {"m.json": stored})
 
 
 def test_a_field_version_1_lacks_takes_its_table_value(monkeypatch):
@@ -321,7 +269,7 @@ def test_the_migration_table_names_each_field_version_1_changed(name):
     FROM_V1, or a stored run would replay with another default."""
     stored = _corpus(name)
     table = FROM_V1[stored["method"]]
-    old, new = _paths(stored), _paths(_base(stored["method"]))
+    old, new = _paths(stored), _paths(stored_run(stored["method"]))
     assert sorted(old - new - set(table["dropped"])) == []
     assert sorted(new - old - set(table["added"])) == []
     assert set(table["dropped"]) <= old - new and set(table["added"]) <= new - old
@@ -353,7 +301,7 @@ def test_the_version_1_corpus_replays(name, tmp_path):
                             for t in (got, want)), f"trace.txt {field}")
     want = _corpus(name)
     for path in FROM_V1[want["method"]]["dropped"]:
-        parent, key = _at(want, path)
+        parent, key = at(want, path)
         del parent[key]
     want.update(version=2, out_dir=str(tmp_path))
     assert json.loads((tmp_path / "manifest.json").read_text()) == want
