@@ -77,6 +77,10 @@ class TestExitCodes:
     def test_bad_case_is_usage_error(self):
         refused(["simulate", "--case", "9", "--out", "{tmp}/o"], 1, "usage: dcinv simulate")
 
+    def test_unparsable_data_file_is_io_error(self):
+        refused([*_CONV, "--data", "{tmp}/data.txt"], 3, "{tmp}/data.txt: line 2",
+                {"data.txt": "# dcinv data v1 n_data=1\n-25 0 25 50 abc 0.1\n"})
+
     def test_parse_error_names_the_data_file(self):
         refused([*_CONV, "--data", "{tmp}/bad_data.txt"], 3,
                 "parse error: {tmp}/bad_data.txt: line 2: non-numeric value\n",
@@ -124,7 +128,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry, key, value", [
         ("config", "tau", -1.0), ("arch", "upsampler", "bicubic"), ("arch", "n_blocks", "x"),
         ("arch", "bogus", 1), ("arch", "latent_dim", 16), ("config", "m_ref", [1, 2]),
-        ("config", "m_ref", None), ("scenario", "noise_rel", float("nan"))] + [
+        ("config", "m_ref", None), ("scenario", "noise_rel", float("nan")),
+        ("version", None, 3)] + [
         pytest.param(entry, key, _MISSING, id=f"no-{entry}.{key}")
         for entry, key in (("scenario", "n_core_x"), ("config", "tau"),
                            ("config.reg", "alpha_s"), ("config.gn", "cg_tol"),
@@ -138,12 +143,12 @@ class TestExitCodes:
         the run writes anything.  Entries under ``config.`` are a
         conventional run's, and ``config.reg`` alone is too."""
         conventional = entry.startswith("config.") or (entry, key) == ("config", "reg")
-        stored = _with(stored_run("conventional" if conventional else "dip"),
-                       f"{entry}.{key}", value)
+        path = entry if key is None else f"{entry}.{key}"
+        stored = _with(stored_run("conventional" if conventional else "dip"), path, value)
         err = refused(REPLAY, 3, "manifest error: {tmp}/m.json: ", {"m.json": stored})
         # a type error names the path; a value its dataclass rejects, the entry and the key
-        assert f"{entry}.{key}" in err or (f"{entry}: {key}" in err and value is not _MISSING
-                                           and key != "bogus")
+        assert path in err or (f"{entry}: {key}" in err and value is not _MISSING
+                               and key != "bogus")
 
     def test_conventional_manifest_reference_must_be_one_number(self):
         refused(REPLAY, 3, "config.reg.m_ref must be a finite number, got a list",
@@ -457,6 +462,11 @@ class TestPretrainedReuse:
                       {"first.npz": lambda path: save_params(
                           path, init_params(0, arch_for_mesh(19, 64, n_blocks=1)))})
         assert "seed_shape" in err
+
+    def test_text_file_as_checkpoint_is_io_error(self):
+        refused([*_DIP, "--case", "1", "--pretrained", "{tmp}/notes.txt"], 3,
+                "checkpoint {tmp}/notes.txt is not an .npz archive",
+                {"notes.txt": "not a checkpoint\n"})
 
     def test_npz_without_architecture_is_io_error(self):
         refused([*_DIP, "--case", "1", "--pretrained", "{tmp}/noarch.npz"], 3,
