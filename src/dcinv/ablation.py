@@ -49,7 +49,10 @@ def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
     per (suite, label).
     A variant that recurs across suites (``blocks-3`` is ``dropout-0``) runs
     once, into the subdirectory of its first label under ``out_dir``;
-    ``summary.txt`` holds one table per suite."""
+    ``summary.txt`` holds one table per suite.  The runs go to a pool of
+    ``min(workers, number of runs)`` processes when that is above 1."""
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
     sim_paths = execute(SimulateRun(spec, os.path.join(out_dir, "data")))
     truth, nx, nz = load_grid(sim_paths["model_true"])
@@ -63,6 +66,7 @@ def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
             runs.setdefault(key, run)
             plan.append((suite, label, key))
 
+    workers = min(workers, len(runs))  # a fork pool starts all its processes at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_guarded, runs.values()))

@@ -50,8 +50,7 @@ def central_difference(f, x: np.ndarray, eps: float, kinks=None) -> np.ndarray:
 
 def _leaky_inputs(trace) -> np.ndarray:
     """Every leaky-ReLU input of a generator pass, flattened."""
-    return np.concatenate([trace.fc_pre.ravel()]
-                          + [blk.conv_pre.ravel() for blk in trace.blocks])
+    return np.concatenate([x.ravel() for x in trace.kinks])
 
 
 def rel_err(a, b) -> float:

@@ -40,28 +40,27 @@ def read_rows(path, width: int | None = None):
     is one (line number, floats) row of ``width`` values when given.  A key
     with no value, a wrong value count, a non-numeric token or a non-finite
     value raises :class:`ParseError` naming the line; so do bytes that are
-    not UTF-8, which become U+FFFD."""
+    not UTF-8 (see :func:`_read_text`), wherever they stand."""
     header, rows = {}, []
-    with open(path, encoding="utf-8", errors="replace") as f:
-        for ln, line in enumerate(f, start=1):
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0].startswith("#"):
-                for key, _, value in (t.partition("=") for t in tok if "=" in t):
-                    if not value:
-                        raise ParseError(f"'{key}=' has no value", ln, path)
-                    header[key] = (ln, value)
-                continue
-            if width is not None and len(tok) != width:
-                raise ParseError(f"expected {width} values, got {len(tok)}", ln, path)
-            try:
-                row = [float(t) for t in tok]
-            except ValueError:
-                raise ParseError("non-numeric value", ln, path) from None
-            if not np.isfinite(row).all():
-                raise ParseError("non-finite value", ln, path)
-            rows.append((ln, row))
+    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        tok = line.split()
+        if not tok:
+            continue
+        if tok[0].startswith("#"):
+            for key, _, value in (t.partition("=") for t in tok if "=" in t):
+                if not value:
+                    raise ParseError(f"'{key}=' has no value", ln, path)
+                header[key] = (ln, value)
+            continue
+        if width is not None and len(tok) != width:
+            raise ParseError(f"expected {width} values, got {len(tok)}", ln, path)
+        try:
+            row = [float(t) for t in tok]
+        except ValueError:
+            raise ParseError("non-numeric value", ln, path) from None
+        if not np.isfinite(row).all():
+            raise ParseError("non-finite value", ln, path)
+        rows.append((ln, row))
     return header, rows
 
 

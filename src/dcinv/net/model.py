@@ -12,6 +12,11 @@ With ``bilinear`` or ``nearest`` each upsample+conv is one fused operator
 image; the ``transposed`` upsampler's learned kernel does not commute with
 the conv, so that variant upsamples and then convolves.
 
+The layer sequence is written once, in :func:`net_forward`: each layer puts
+a step on a tape (:class:`ForwardTrace`), its backward bound to what it
+reads, and :func:`net_backward` replays the tape last first (reverse mode;
+Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
+
 Each upsample+conv block shrinks nothing but the valid-conv margin, so the
 spatial size after n blocks plus the output conv is ``2**n * (seed - 2)``
 per axis; :func:`arch_for_mesh` inverts that to pick the smallest seed
@@ -21,6 +26,7 @@ covering a mesh.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -155,36 +161,54 @@ def init_params(rng_seed: int, arch: ArchConfig) -> NetParams:
 
 
 @dataclass
-class _BlockCache:
-    up_in: np.ndarray  # the block's coarse input
-    conv_pre: np.ndarray
-    conv_in: np.ndarray | None = None  # the transposed upsampler's output
-
-
-@dataclass
 class ForwardTrace:
-    """Everything the backward pass needs from one forward evaluation.
+    """The tape of one :func:`net_forward` call.
 
-    ``params_arrays`` holds references to the parameter arrays as of the
-    forward call (the optimizer replaces arrays rather than mutating them,
-    so these stay valid even after an update).
+    ``steps`` holds one ``(names, backward)`` pair per layer, in forward
+    order: the parameters the layer trains (none for the pointwise layers,
+    the reshape, dropout, crop and output scaling), and a closure taking the
+    gradient of the layer's output to theirs and then to its input's.  A
+    closure holds what its backward reads: the parameter arrays of the
+    forward call (the optimizer replaces arrays, never mutates them), the
+    pre-activations, a block's coarse input (never an interpolated image)
+    and the transposed upsampler's output.  ``kinks`` lists the leaky-ReLU
+    inputs, shallowest first; ``dropout_mask`` is the train-mode dropout
+    mask, else None.
     """
 
-    arch: ArchConfig
-    mesh_shape: tuple[int, int]
-    z: np.ndarray
-    fc_pre: np.ndarray
-    params_arrays: dict[str, np.ndarray]
-    blocks: list[_BlockCache] = field(default_factory=list)
+    steps: list[tuple[tuple[str, ...], Callable]] = field(default_factory=list)
+    kinks: list[np.ndarray] = field(default_factory=list)
     dropout_mask: np.ndarray | None = None
-    out_conv_in: np.ndarray | None = None
-    sig_out: np.ndarray | None = None
-    col_off: int = 0
+
+
+def _leaky_relu(trace: ForwardTrace, x: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky ReLU of ``x``, with ``x`` kept as a kink and its backward taped."""
+    trace.kinks.append(x)
+    trace.steps.append(((), lambda g: layers.leaky_relu_backward(x, g, slope)))
+    return layers.leaky_relu(x, slope)
+
+
+def _block(trace: ForwardTrace, arch: ArchConfig, a: dict, i: int, x: np.ndarray) -> np.ndarray:
+    """Hidden block ``i`` (upsample, conv, leaky ReLU) of its coarse input ``x``, taped."""
+    k, b = a[f"conv{i}.k"], a[f"conv{i}.b"]
+    conv = (f"conv{i}.k", f"conv{i}.b")
+    if arch.upsampler == "transposed":
+        uk = a[f"up{i}.k"]
+        u = layers.transposed_conv2(x, uk, a[f"up{i}.b"])
+        trace.steps += [((f"up{i}.k", f"up{i}.b"),
+                         lambda g: layers.transposed_conv2_backward(x, uk, g)),
+                        (conv, lambda g: layers.conv2d_valid_backward(u, k, g))]
+        pre = layers.conv2d_valid(u, k, b)
+    else:
+        pre = layers.upsample_conv2d(x, k, b, arch.upsampler)
+        trace.steps.append(
+            (conv, lambda g: layers.upsample_conv2d_backward(x, k, g, arch.upsampler)))
+    return _leaky_relu(trace, pre, arch.negative_slope)
 
 
 def net_forward(params: NetParams, z: np.ndarray, mesh_shape: tuple[int, int],
                 mode: str = "eval", rng: np.random.Generator | None = None):
-    """Evaluate the generator; returns (model vector, trace for backward).
+    """Evaluate the generator; returns (model vector, its tape for :func:`net_backward`).
 
     ``mesh_shape`` is (nz, nx); the generated image is cropped to it
     (rows top-aligned, columns centered) and flattened row-major,
@@ -198,68 +222,40 @@ def net_forward(params: NetParams, z: np.ndarray, mesh_shape: tuple[int, int],
         raise ValueError(f"network output {pre} smaller than mesh shape {(nz, nx)}")
     z = np.asarray(z, dtype=float)  # dense_forward checks its length
 
-    trace = ForwardTrace(arch=arch, mesh_shape=(nz, nx), z=z,
-                         fc_pre=layers.dense_forward(z, a["fc.w"], a["fc.b"]),
-                         params_arrays=dict(a))
-    act = layers.leaky_relu(trace.fc_pre, arch.negative_slope)
+    trace = ForwardTrace()
+    w = a["fc.w"]
+    fc = layers.dense_forward(z, w, a["fc.b"])
+    trace.steps.append((("fc.w", "fc.b"), lambda g: layers.dense_backward(z, w, g)))
+    act = _leaky_relu(trace, fc, arch.negative_slope)
+    trace.steps.append(((), lambda g: g.reshape(-1)))
     t = act.reshape(1, 1, *arch.seed_shape)
-
     for i in range(1, arch.n_blocks + 1):
-        k, bias = a[f"conv{i}.k"], a[f"conv{i}.b"]
-        if arch.upsampler == "transposed":
-            u = layers.transposed_conv2(t, a[f"up{i}.k"], a[f"up{i}.b"])
-            blk = _BlockCache(up_in=t, conv_pre=layers.conv2d_valid(u, k, bias), conv_in=u)
-        else:
-            blk = _BlockCache(up_in=t, conv_pre=layers.upsample_conv2d(t, k, bias,
-                                                                       arch.upsampler))
-        trace.blocks.append(blk)
-        t = layers.leaky_relu(blk.conv_pre, arch.negative_slope)
+        t = _block(trace, arch, a, i, t)
 
-    t, trace.dropout_mask = layers.dropout(t, arch.dropout_rate, mode, rng)
-    trace.out_conv_in = t
-    o = layers.conv2d_valid(t, a["out.k"], a["out.b"])
-    s = layers.sigmoid(o)
-    trace.sig_out = s
-    cropped, trace.col_off = layers.crop2d(s, (nz, nx))
-    m = (arch.output_scale * cropped).reshape(-1)
-    return m, trace
+    h, mask = layers.dropout(t, arch.dropout_rate, mode, rng)
+    k = a["out.k"]
+    s = layers.sigmoid(layers.conv2d_valid(h, k, a["out.b"]))
+    cropped, col_off = layers.crop2d(s, (nz, nx))
+    trace.dropout_mask = mask
+    trace.steps += [((), lambda g: layers.dropout_backward(g, mask, arch.dropout_rate)),
+                    (("out.k", "out.b"), lambda g: layers.conv2d_valid_backward(h, k, g)),
+                    ((), lambda g: layers.sigmoid_backward(s, g)),
+                    ((), lambda g: layers.crop2d_backward(g, s.shape, col_off)),
+                    ((), lambda g: arch.output_scale * g.reshape(1, 1, nz, nx))]
+    return (arch.output_scale * cropped).reshape(-1), trace
 
 
 def net_backward(trace: ForwardTrace, g: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of <g, net_forward(params)> with respect to every parameter."""
-    arch = trace.arch
-    a = trace.params_arrays
-    nz, nx = trace.mesh_shape
+    """Gradients of <g, net_forward(params)> with respect to every parameter:
+    the tape's steps run last first, each taking the gradient of its layer's
+    output to those of the layer's parameters and input."""
     g = np.asarray(g, dtype=float)
     grads: dict[str, np.ndarray] = {}
-
-    gc = arch.output_scale * g.reshape(1, 1, nz, nx)
-    gs = layers.crop2d_backward(gc, trace.sig_out.shape, trace.col_off)
-    go = layers.sigmoid_backward(trace.sig_out, gs)
-    gk, gb, gt = layers.conv2d_valid_backward(trace.out_conv_in, a["out.k"], go)
-    grads["out.k"] = gk
-    grads["out.b"] = gb
-    gt = layers.dropout_backward(gt, trace.dropout_mask, arch.dropout_rate)
-
-    for i in range(arch.n_blocks, 0, -1):
-        blk = trace.blocks[i - 1]
-        glr = layers.leaky_relu_backward(blk.conv_pre, gt, arch.negative_slope)
-        k = a[f"conv{i}.k"]
-        if arch.upsampler == "transposed":
-            gk, gb, gu = layers.conv2d_valid_backward(blk.conv_in, k, glr)
-            guk, gub, gt = layers.transposed_conv2_backward(blk.up_in, a[f"up{i}.k"], gu)
-            grads[f"up{i}.k"] = guk
-            grads[f"up{i}.b"] = gub
-        else:
-            gk, gb, gt = layers.upsample_conv2d_backward(blk.up_in, k, glr, arch.upsampler)
-        grads[f"conv{i}.k"] = gk
-        grads[f"conv{i}.b"] = gb
-
-    gact = gt.reshape(-1)
-    gfc = layers.leaky_relu_backward(trace.fc_pre, gact, arch.negative_slope)
-    gw, gb, _ = layers.dense_backward(trace.z, a["fc.w"], gfc)
-    grads["fc.w"] = gw
-    grads["fc.b"] = gb
+    for names, backward in reversed(trace.steps):
+        g = backward(g)
+        if names:
+            *trained, g = g
+            grads.update(zip(names, trained))
     return grads
 
 

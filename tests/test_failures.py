@@ -20,9 +20,16 @@ TABLE = {
                            "--upscale", str(10 ** 15)], GRID, 1,
                           "invalid arguments: --upscale 1000000000000000 makes a "
                           "2000000000000000 x 2000000000000000 image"),
+    "ablate-workers-below-1": (["ablate", "--suite", "blocks", "--scale", "desk", "--workers",
+                                "-3", "--out", "{tmp}/o"], {}, 1,
+                               "invalid arguments: --workers must be at least 1, got -3\n"),
     "config-not-utf-8": (["invert-dip", "--scale", "desk", "--config", "{tmp}/run.cfg",
                           "--out", "{tmp}/o"], {"run.cfg": b"[dip]\ntau = 5\xff"}, 3,
                          "parse error: {tmp}/run.cfg: line 2: bytes that are not UTF-8\n"),
+    "grid-not-utf-8-in-its-header": (["render", "--grid", "{tmp}/g.txt", "--out", "{tmp}/g.ppm"],
+                                     {"g.txt": b"# dcinv grid v1 \xff\n2 1\n0.5 0.25\n"}, 3,
+                                     "parse error: {tmp}/g.txt: line 1: bytes that are not "
+                                     "UTF-8\n"),
     "manifest-not-utf-8": (REPLAY, {"m.json": b'{\n"version": 2\xff}'}, 3,
                            "parse error: {tmp}/m.json: line 2: bytes that are not UTF-8\n"),
     "manifest-too-deep": (REPLAY, {"m.json": "[" * 100000}, 3,

@@ -205,13 +205,17 @@ class TestBackward:
             assert rel_err(grads[key], fd[key]) < 1e-6, key
 
     def test_trace_keeps_coarse_block_inputs_only(self):
-        """An interpolating block stores its coarse input, not the upsampled
-        image; the transposed upsampler's output is a learned map and stays."""
-        for upsampler, stored in (("bilinear", None), ("transposed", (1, 1, 12, 58))):
+        """An interpolating block's step holds its coarse input, not the
+        upsampled image; the transposed upsampler's output is a learned map
+        and stays."""
+        for upsampler, keeps_upsampled in (("bilinear", False), ("transposed", True)):
             arch = arch_for_mesh(32, 214, upsampler=upsampler)
             _, tr = net_forward(init_params(0, arch), sample_latent(0, 8), (32, 214))
-            assert tr.blocks[0].up_in.shape == (1, 1, 6, 29)
-            assert getattr(tr.blocks[0].conv_in, "shape", None) == stored
+            held = [cell.cell_contents.shape for _, backward in tr.steps
+                    for cell in backward.__closure__ or ()
+                    if isinstance(cell.cell_contents, np.ndarray)]
+            assert (1, 1, 6, 29) in held
+            assert ((1, 1, 12, 58) in held) == keeps_upsampled
 
     def test_dropout_uses_cached_mask(self):
         """Gradient through train-mode dropout matches FD with the same draws,
