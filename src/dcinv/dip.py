@@ -165,14 +165,12 @@ def invert_stage2(params: NetParams, z: np.ndarray, mesh: TensorMesh2D,
                                          chi=chi, loss=loss))
         hits = hits + 1 if chi <= config.chi_stop else 0
         if hits >= config.chi_patience:
-            trace.converged = True
             break
 
     final_m, _ = net_forward(params, z, mesh.shape, mode="eval")
     if not np.all(np.isfinite(final_m)):
         raise NumericalFailure("final model is not finite")
     trace.final_model = final_m
-    if not trace.converged and trace.records:
-        trace.converged = trace.records[-1].chi <= config.chi_stop
+    trace.converged = bool(trace.records) and trace.records[-1].chi <= config.chi_stop
     return trace
 

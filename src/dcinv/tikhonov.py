@@ -273,9 +273,14 @@ def estimate_beta0(sim, m: np.ndarray, terms, weights: DataWeights,
     den = float(x @ reg_hessian(terms)(x))
     if den <= 0:
         raise NumericalFailure("regularization curvature vanished; check alphas")
-    return ratio * num / den
+    beta0 = ratio * num / den
+    if not 0 < beta0 < np.inf:  # e.g. a curvature that overflowed to inf
+        raise NumericalFailure(f"estimated beta0 is {beta0}; check alphas")
+    return beta0
 
 
+# An overflow (say beta0 = 1e308) shows in the stop reason, not as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
                  reg: RegularizationConfig, gn: GNConfig,
                  m0: np.ndarray, ops: DifferenceOperators,
@@ -283,16 +288,18 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
     """Inexact Gauss-Newton with beta cooling against any simulator.
 
     The simulator provides ``predict(m)``, ``jacobian(m)`` (the dense
-    ``n_data x n_cells`` J) and ``n_data``.  Per outer beta step:
-    ``iterations_per_beta`` Gauss-Newton iterations, each solving
+    ``n_data x n_cells`` J) and ``n_data``.  One loop runs at most
+    ``max_beta_steps * iterations_per_beta`` iterations, each solving
     (J^T W^2 J + beta hess phi_m) dm = -grad by CG on J, formed once per
-    iteration, followed by a backtracking (Armijo) line search on the
+    iteration, then a backtracking (Armijo) line search on the
     frozen-weight objective; a trial whose forward solve fails is rejected
-    like one that fails the Armijo test.  IRLS weights are refreshed between
-    beta steps when any norm is below 2.  Stops at the target chi-factor, on a line
-    search that finds no decrease, or when the step budget is spent;
-    ``stop_reason`` says which (``target_chi``, ``line_search`` or
-    ``budget``).
+    like one that fails the Armijo test.  Every ``iterations_per_beta``
+    iterations beta cools and the IRLS weights are refreshed.
+    ``stop_reason`` is set where the loop stops: ``target_chi`` at a model
+    that reaches the target chi, ``line_search`` when no trial decreases
+    the objective, and ``budget`` when the last iteration's model misses
+    the target (``target_chi`` when it reaches it).  The run converged on
+    ``target_chi``.
     """
     d_obs = np.asarray(d_obs, dtype=float)
     m = np.array(m0, dtype=float, copy=True)
@@ -306,65 +313,59 @@ def gauss_newton(sim, d_obs: np.ndarray, weights: DataWeights,
         sim, m, terms, weights, rng_seed=gn.rng_seed, ratio=gn.beta0_ratio)
 
     trace = InversionTrace()
-    it = 0
-    for _ in range(gn.max_beta_steps):
-        for _ in range(gn.iterations_per_beta):
-            d_pred = sim.predict(m)
-            pd = phi_d(d_pred, d_obs, weights)
-            chi = chi_factor(d_pred, d_obs, weights)
-            pm, g_reg = phi_m(m, terms, irls)
-            it += 1
-            trace.records.append(EpochRecord(epoch=it, beta=beta_val, phi_d=pd,
-                                             phi_m=pm, chi=chi,
-                                             loss=pd + beta_val * pm))
-            if chi <= gn.target_chi:
-                trace.converged = True
-                trace.stop_reason = "target_chi"
-                trace.final_model = m
-                return trace
+    for it in range(1, gn.max_beta_steps * gn.iterations_per_beta + 1):
+        d_pred = sim.predict(m)
+        pd = phi_d(d_pred, d_obs, weights)
+        chi = chi_factor(d_pred, d_obs, weights)
+        pm, g_reg = phi_m(m, terms, irls)
+        trace.records.append(EpochRecord(epoch=it, beta=beta_val, phi_d=pd,
+                                         phi_m=pm, chi=chi, loss=pd + beta_val * pm))
+        if chi <= gn.target_chi:
+            stop_reason = "target_chi"
+            break
 
-            jac = sim.jacobian(m)
-            grad = jac.T @ (w2 * (d_pred - d_obs)) + beta_val * g_reg
-            hess_reg = reg_hessian(terms, irls)
+        jac = sim.jacobian(m)
+        grad = jac.T @ (w2 * (d_pred - d_obs)) + beta_val * g_reg
+        hess_reg = reg_hessian(terms, irls)
 
-            def apply_h(v):
-                out = jac.T @ (w2 * (jac @ v))
-                return out + beta_val * hess_reg(v)
+        def apply_h(v):
+            out = jac.T @ (w2 * (jac @ v))
+            return out + beta_val * hess_reg(v)
 
-            dm = _cg_matfree(apply_h, -grad, gn.cg_tol, gn.cg_maxiter)
-            del jac  # so that at most one J (19 MB at full scale) is ever alive
+        dm = _cg_matfree(apply_h, -grad, gn.cg_tol, gn.cg_maxiter)
+        del jac  # so that at most one J (19 MB at full scale) is ever alive
+        gd = float(grad @ dm)
+        if gd >= 0:
+            dm = -grad  # CG returned a non-descent direction; fall back
             gd = float(grad @ dm)
-            if gd >= 0:
-                dm = -grad  # CG returned a non-descent direction; fall back
-                gd = float(grad @ dm)
 
-            obj0 = pd + beta_val * pm
-            alpha = 1.0
-            accepted = False
-            for _ in range(gn.line_search_max):
-                m_try = m + alpha * dm
-                try:
-                    pd_try = phi_d(sim.predict(m_try), d_obs, weights)
-                except SolverFailure:  # e.g. a conductivity underflowed
-                    pd_try = np.inf
-                pm_try, _ = phi_m(m_try, terms, irls)
-                if pd_try + beta_val * pm_try <= obj0 + 1e-4 * alpha * gd:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                trace.converged = False
-                trace.stop_reason = "line_search"
-                trace.final_model = m
-                return trace
-            m = m_try
+        obj0 = pd + beta_val * pm
+        alpha = 1.0
+        for _ in range(gn.line_search_max):
+            m_try = m + alpha * dm
+            try:
+                pd_try = phi_d(sim.predict(m_try), d_obs, weights)
+            except SolverFailure:  # e.g. a conductivity underflowed
+                pd_try = np.inf
+            pm_try, _ = phi_m(m_try, terms, irls)
+            if pd_try + beta_val * pm_try <= obj0 + 1e-4 * alpha * gd:
+                break
+            alpha *= 0.5
+        else:
+            stop_reason = "line_search"
+            break
+        m = m_try
 
-        beta_val *= gn.cooling_factor
-        irls = update_irls(m, terms, reg.irls_epsilon)  # stays L2 where p = 2
+        if it % gn.iterations_per_beta == 0:
+            beta_val *= gn.cooling_factor
+            irls = update_irls(m, terms, reg.irls_epsilon)  # stays L2 where p = 2
+    else:
+        reached = chi_factor(sim.predict(m), d_obs, weights) <= gn.target_chi
+        stop_reason = "target_chi" if reached else "budget"
 
-    trace.converged = chi_factor(sim.predict(m), d_obs, weights) <= gn.target_chi
-    trace.stop_reason = "target_chi" if trace.converged else "budget"
     trace.final_model = m
+    trace.stop_reason = stop_reason
+    trace.converged = stop_reason == "target_chi"
     return trace
 
 

@@ -380,6 +380,26 @@ class TestInversionCommands:
         assert (out / "trace.txt").exists()
         assert (out / "model.txt").exists()
 
+    @pytest.mark.parametrize("section, key, code, err, header_end", [
+        ("gn", "beta0", 0, "", "converged=0 stop=line_search"),
+        ("tikhonov", "alpha_s", 2, "numerical failure: estimated beta0 is 0.0; check alphas\n",
+         None),
+        ("gn", "cg_tol", 0, "", "converged=1 stop=target_chi")], ids=["beta0", "alpha_s", "cg_tol"])
+    def test_an_overflow_in_gauss_newton_prints_no_numpy_warning(
+            self, tmp_path, capsys, section, key, code, err, header_end):
+        """Each value of 1e308 overflowed in Gauss-Newton, printed numpy
+        RuntimeWarnings and exited 0; alpha_s did so with beta0 estimated as
+        0 and the start model.  Now a step that overflows fails its line
+        search, and an estimated beta0 that is 0 is a numerical failure."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = 1e308\n")
+        out = tmp_path / "o"
+        assert main(["invert-conv", "--scale", "desk", "--config", str(cfg),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        if header_end:
+            assert (out / "trace.txt").read_text().splitlines()[0].endswith(header_end)
+
     def test_invert_from_data_file(self, tmp_path):
         sim_out = tmp_path / "sim"
         main(["simulate", "--case", "1", "--scale", "desk", "--out", str(sim_out)])

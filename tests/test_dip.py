@@ -149,6 +149,22 @@ class TestInvertStage2:
         assert len(trace.records) == 0
         assert np.array_equal(trace.final_model, m_before)
 
+    @pytest.mark.parametrize("epochs, chi_stop, patience, n_records, converged", [
+        (6, 1e300, 2, 2, True), (3, 1e300, 50, 3, True), (3, 0.0, 50, 3, False),
+        (0, 1e300, 50, 0, False)], ids=["patience", "budget-under-chi-stop",
+                                        "budget-over-chi-stop", "no-epochs"])
+    def test_converged_is_the_last_chi_against_chi_stop(self, epochs, chi_stop, patience,
+                                                        n_records, converged):
+        """Reaching the patience and spending the budget with a last chi at
+        or under chi_stop both converge; a run with no records does not."""
+        mesh, survey, sim, truth, d_clean = self._setup()
+        params = init_params(0, arch_for_mesh(mesh.nz, mesh.nx, n_blocks=2))
+        cfg = DipConfig(epochs_stage2=epochs, chi_stop=chi_stop, chi_patience=patience)
+        trace = invert_stage2(params, sample_latent(0, 8), mesh, survey, d_clean,
+                              weights_from_std(0.05 * np.abs(d_clean)), cfg)
+        assert len(trace.records) == n_records
+        assert trace.converged == converged
+
     def test_easy_inversion_converges(self):
         """Zero-noise data from the reference half-space: chi falls to ~0
         because the start model already fits after stage 1."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import dcinv
 from dcinv.checks import central_difference, reference_j_vec, rel_err
 from dcinv.errors import NumericalFailure, SolverFailure
-from dcinv.forward import DCSimulation, weights_from_std
+from dcinv.forward import DCSimulation, chi_factor, weights_from_std
 from dcinv.mesh import TensorMesh2D, build_mesh, cell_centers
 from dcinv.tikhonov import (L2, DifferenceOperators, GNConfig, RegularizationConfig,
                             _cg_matfree, estimate_beta0, gauss_newton, gauss_newton_invert,
@@ -415,6 +417,29 @@ class TestGaussNewton:
         assert trace.stop_reason == "budget"
         assert not trace.converged
         assert len(trace.records) == 2
+
+    def test_a_spent_budget_whose_last_model_reaches_the_target_converged(self):
+        """The model the last step accepts reaches the target: the budget is
+        spent, yet the run stops on target_chi, with one record per budgeted
+        iteration and none for that model."""
+        rng = np.random.default_rng(3)
+        mesh = build_mesh(4, 3, 1.0, 1.0, 0, 1.0)
+        n = mesh.n_cells
+        g = rng.standard_normal((8, n))
+        d = g @ rng.standard_normal(n)
+        weights = weights_from_std(np.full(8, 0.1))
+        reg, ops = RegularizationConfig(m_ref=0.0), DifferenceOperators(mesh)
+        gn = GNConfig(beta0=2.0, iterations_per_beta=1, max_beta_steps=2,
+                      cg_tol=1e-12, cg_maxiter=500, target_chi=1e-12)
+        spent = gauss_newton(LinearSim(g), d, weights, reg, gn, np.zeros(n), ops)
+        last = chi_factor(g @ spent.final_model, d, weights)
+        assert spent.stop_reason == "budget" and last < spent.records[-1].chi
+
+        trace = gauss_newton(LinearSim(g), d, weights, reg, replace(gn, target_chi=last),
+                             np.zeros(n), ops)
+        assert trace.stop_reason == "target_chi" and trace.converged
+        assert [r.epoch for r in trace.records] == [1, 2]
+        assert np.array_equal(trace.final_model, spent.final_model)
 
     def test_failed_trial_halves_the_step(self):
         """A line-search trial whose solve fails is rejected like one that
