@@ -23,11 +23,8 @@ class ParseError(ValueError):
 
 class CheckpointError(ValueError):
     """A file given as a network checkpoint is not one: not an ``.npz`` archive,
-    no readable architecture descriptor, or arrays that do not fit it."""
-
-
-class CheckpointMismatch(CheckpointError):
-    """A checkpoint's architecture differs from the one a run derives for its mesh."""
+    no readable architecture descriptor, arrays that do not fit it, or an
+    architecture other than the one a run derives for its mesh."""
 
 
 class ManifestError(ValueError):

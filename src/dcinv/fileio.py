@@ -8,7 +8,6 @@ import configparser
 import contextlib
 import json
 import math
-import re
 from dataclasses import fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -85,19 +84,15 @@ def load_data(path):
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
-    """Flat key-value config with one section per module; a file that does
-    not parse raises :class:`ParseError` naming the offending line.  A ``;``
-    after whitespace starts a comment, also after a value.  A non-empty
-    ``[DEFAULT]`` is returned as a section of its own, whose keys configparser
-    also copies into every other section."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    text = _read_text(path)
+    """Flat key-value config with one section per module, its values as
+    written; a file that does not parse raises :class:`ParseError` naming
+    the offending line.  A ``;`` after whitespace starts a comment, also
+    after a value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None,
+                                       default_section="")
     try:
-        parser.read_string(text, source=str(path))
-        sections = {section: dict(parser[section]) for section in parser.sections()}
-        if parser.defaults():
-            sections[configparser.DEFAULTSECT] = dict(parser.defaults())
-        return sections
+        parser.read_string(_read_text(path), source=str(path))
+        return {section: dict(parser[section]) for section in parser.sections()}
     except configparser.DuplicateOptionError as e:
         raise ParseError(f"duplicate key {e.option!r} in [{e.section}]", e.lineno, path) from None
     except configparser.DuplicateSectionError as e:
@@ -106,22 +101,6 @@ def load_config(path) -> dict[str, dict[str, str]]:
         raise ParseError("a key above the first [section]", e.lineno, path) from None
     except configparser.ParsingError as e:
         raise ParseError("expected 'key = value'", e.errors[0][0], path) from None
-    except configparser.InterpolationError as e:
-        # Values are interpolated when read out, after parsing dropped the line numbers.
-        raise ParseError(e.message.splitlines()[0],
-                         _key_line(text, e.section, e.option), path) from None
-
-
-def _key_line(text: str, section: str, key: str) -> int:
-    """Line number of ``key`` in ``[section]``, else in ``[DEFAULT]``, else 1."""
-    current, found = None, {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line.startswith("["):
-            current = line[1:line.find("]")]
-        elif re.split("[=:]", line, maxsplit=1)[0].strip().lower() == key:
-            found.setdefault(current, ln)
-    return found.get(section) or found.get(configparser.DEFAULTSECT) or 1
 
 
 def save_manifest(path, manifest: dict) -> None:
@@ -214,10 +193,11 @@ def load_manifest(path):
 
 
 def _read_text(path) -> str:
-    """A whole file as text, its line ends read as ``open`` reads them; bytes
-    that are not UTF-8 raise :class:`ParseError` naming their line."""
+    """A whole file as text, one leading UTF-8 byte-order mark dropped and its
+    line ends read as ``open`` reads them; bytes that are not UTF-8 raise
+    :class:`ParseError` naming their line."""
     with open(path, "rb") as f:
-        raw = f.read()
+        raw = f.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as e:

@@ -172,13 +172,11 @@ class ForwardTrace:
     forward call (the optimizer replaces arrays, never mutates them), the
     pre-activations, a block's coarse input (never an interpolated image)
     and the transposed upsampler's output.  ``kinks`` lists the leaky-ReLU
-    inputs, shallowest first; ``dropout_mask`` is the train-mode dropout
-    mask, else None.
+    inputs, shallowest first.
     """
 
     steps: list[tuple[tuple[str, ...], Callable]] = field(default_factory=list)
     kinks: list[np.ndarray] = field(default_factory=list)
-    dropout_mask: np.ndarray | None = None
 
 
 def _leaky_relu(trace: ForwardTrace, x: np.ndarray, slope: float) -> np.ndarray:
@@ -236,7 +234,6 @@ def net_forward(params: NetParams, z: np.ndarray, mesh_shape: tuple[int, int],
     k = a["out.k"]
     s = layers.sigmoid(layers.conv2d_valid(h, k, a["out.b"]))
     cropped, col_off = layers.crop2d(s, (nz, nx))
-    trace.dropout_mask = mask
     trace.steps += [((), lambda g: layers.dropout_backward(g, mask, arch.dropout_rate)),
                     (("out.k", "out.b"), lambda g: layers.conv2d_valid_backward(h, k, g)),
                     ((), lambda g: layers.sigmoid_backward(s, g)),

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .dip import DipConfig, invert_stage2, pretrain_stage1
-from .errors import CheckpointMismatch, ManifestError, ParseError
+from .errors import CheckpointError, ManifestError, ParseError
 from .forward import DCSimulation, surface_columns, weights_from_std
 from .net import (ArchConfig, arch_for_mesh, init_params, load_params, sample_latent,
                   save_params)
@@ -71,7 +71,7 @@ class SimulateRun:
 class DipRun:
     """The reparameterized inversion of a data file, else of the scenario's
     simulated data.  ``pretrained`` names a stage-1 checkpoint to reuse, of
-    the architecture the run derives (else :class:`CheckpointMismatch`)."""
+    the architecture the run derives (else :class:`CheckpointError`)."""
 
     scenario: ScenarioSpec
     config: DipConfig
@@ -200,8 +200,8 @@ def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -
     diffs = [f"{key} {value} != {want[key]}"
              for key, value in stored.to_dict().items() if value != want[key]]
     if diffs:
-        raise CheckpointMismatch(f"checkpoint {path} does not match the run's "
-                                 f"architecture (checkpoint != run): {', '.join(diffs)}")
+        raise CheckpointError(f"checkpoint {path} does not match the run's "
+                              f"architecture (checkpoint != run): {', '.join(diffs)}")
 
 
 def execute(run: Run) -> dict:

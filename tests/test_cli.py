@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import re
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcinv
 from dcinv.cli import _SECTIONS, _load_config, _scenario, _section, main
 from dcinv.dip import DipConfig
+from dcinv.errors import ParseError
 from dcinv.fileio import load_data, load_manifest
 from dcinv.net import arch_for_mesh, init_params, save_params
 from dcinv.runs import ConventionalConfig, DipRun, execute
@@ -155,11 +159,33 @@ class TestExitCodes:
                 {"m.json": _with(stored_run("conventional"), "config.reg.m_ref", [1.0, 2.0])})
 
 
+# INI text for the config-file property: sections of "key = value" lines, and
+# a stray line anywhere among them; each word is drawn as often as junk text is
+def _word(words):
+    return st.one_of(*map(st.just, words), st.text(st.characters(codec="utf-8"), max_size=6))
+
+
+def _ini(sections, stray, at):
+    lines = sum(sections, [])
+    return "\n".join(lines[:at] + stray + lines[at:])
+
+
+_VALUES = ["0", "5e-324", "1e308", "nan", "inf", "-1", "%", "%(x)s", "2.2", "desk",
+           *configparser.ConfigParser.BOOLEAN_STATES]
+_LINE = st.builds("{} = {}".format,
+                  _word(sorted({f.name for cls in _SECTIONS.values() for f in fields(cls)})),
+                  _word(_VALUES))
+_SECTION = st.builds(lambda name, lines: [f"[{name}]", *lines],
+                     _word([*_SECTIONS, "DEFAULT"]), st.lists(_LINE, max_size=4))
+_INI = st.builds(_ini, st.lists(_SECTION, max_size=3, unique_by=lambda lines: lines[0]),
+                 st.lists(_word(["", "; note", "  indented", "[", "tau", "= 1", "tau = 5"]),
+                          max_size=1), st.integers(0, 15))
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("text, line", [
         ("tau = 5\n[dip]\n", 1),                  # a key above the first section
         ("[dip]\ntau = 5\ntau = 6\n", 3),          # a duplicate key
-        ("[dip]\ntau = 5%\n", 2),                  # a stray interpolation sign
         ("[dip]\nlr = 0.1\n[gn]\ntau\n", 4),       # a line with no value
         ("[dip]\ntau = 5\n[dip]\nlr = 0.1\n", 3),  # a duplicate section
     ])
@@ -186,12 +212,15 @@ class TestConfigFile:
 
     def test_readme_sample_loads(self, tmp_path):
         """The README's sample, inline comments and all, sets every value it
-        shows, and names every field of [dip], [tikhonov] and [gn] but
-        ``beta0``, whose default (estimate it) has no INI spelling."""
+        shows, also after a UTF-8 byte-order mark, and names every field of
+        [dip], [tikhonov] and [gn] but ``beta0``, whose default (estimate it)
+        has no INI spelling."""
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
         config = _load_config(cfg)
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert _load_config(cfg) == config
         for name, unset in (("dip", set()), ("tikhonov", set()), ("gn", {"beta0"})):
             assert set(config[name]) == {f.name for f in fields(_SECTIONS[name])} - unset
         dip, reg, gn = (_section(name, {}, config) for name in ("dip", "tikhonov", "gn"))
@@ -203,6 +232,28 @@ class TestConfigFile:
         assert dip == replace(DipConfig(), dropout_rate=0.1)
         assert gn == GNConfig()
         assert _scenario({}, config) == build_case1(45.0, scale="desk")[0]
+
+    @given(text=_INI)
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    def test_any_text_reads_as_a_config_or_one_typed_refusal(self, tmp_path_factory, text):
+        """Drawn INI text gives every section's config, a ParseError naming a
+        line of the file, or a ValueError naming the section or key it
+        refuses; no other exception, and no warning."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_bytes(text.encode())
+        try:
+            config = _load_config(path)
+        except ParseError as e:
+            assert 1 <= e.line_no <= 1 + text.count("\n") + text.count("\r"), e  # \r ends one too
+            return
+        except ValueError as e:
+            assert str(e).startswith("unknown config section ["), e
+            return
+        for name in _SECTIONS:
+            try:
+                _section(name, {}, config)
+            except ValueError as e:
+                assert str(e).startswith((f"{name}.", f"{name}:", f"unknown key {name}.")), e
 
     def test_bad_value_is_usage_error(self):
         refused([*_CONV, "--case", "1", "--config", "{tmp}/run.cfg"], 1, "beta0",
@@ -220,7 +271,8 @@ class TestConfigFile:
         ("tikhonov", "m_ref", "nan"), ("DEFAULT", "tau", "5"), ("dip", "rng_seed", "-1"),
         ("gn", "rng_seed", "-1"), ("tikhonov", "alpha_s", "nan"),
         ("tikhonov", "irls_epsilon", "nan"), ("gn", "cooling_factor", "1"),
-        ("gn", "beta0", "0"), ("dip", "chi_stop", "inf")])
+        ("gn", "beta0", "0"), ("dip", "chi_stop", "inf"), ("dip", "tau", "5%"),
+        ("dip", "tau", "%(lr)s")])
     def test_out_of_range_value_is_usage_error(self, section, key, value):
         """A value its config rejects, a key it lacks, or a section that fills
         no config, exits 1 before the run starts, naming the key or section."""

@@ -26,6 +26,14 @@ TABLE = {
     "config-not-utf-8": (["invert-dip", "--scale", "desk", "--config", "{tmp}/run.cfg",
                           "--out", "{tmp}/o"], {"run.cfg": b"[dip]\ntau = 5\xff"}, 3,
                          "parse error: {tmp}/run.cfg: line 2: bytes that are not UTF-8\n"),
+    "config-not-utf-8-after-a-byte-order-mark": (
+        ["invert-dip", "--scale", "desk", "--config", "{tmp}/run.cfg", "--out", "{tmp}/o"],
+        {"run.cfg": b"\xef\xbb\xbf[dip]\ntau = 5\xff\n"}, 3,
+        "parse error: {tmp}/run.cfg: line 2: bytes that are not UTF-8\n"),
+    "config-empty-default-section": (["invert-dip", "--scale", "desk", "--config",
+                                      "{tmp}/run.cfg", "--out", "{tmp}/o"],
+                                     {"run.cfg": "[DEFAULT]\n"}, 1,
+                                     "invalid arguments: unknown config section [DEFAULT]"),
     "grid-not-utf-8-in-its-header": (["render", "--grid", "{tmp}/g.txt", "--out", "{tmp}/g.ppm"],
                                      {"g.txt": b"# dcinv grid v1 \xff\n2 1\n0.5 0.25\n"}, 3,
                                      "parse error: {tmp}/g.txt: line 1: bytes that are not "

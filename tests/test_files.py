@@ -15,7 +15,8 @@ from helpers import ramp_color, read_ppm
 
 class TestDataFile:
     def test_round_trip_byte_identical(self, tmp_path):
-        """Write -> read -> write reproduces the file byte for byte."""
+        """Write -> read -> write reproduces the file byte for byte, also from a
+        copy that starts with a UTF-8 byte-order mark."""
         survey = build_dipole_dipole_survey(150.0, 25.0, 4, x0=-75.0)
         rng = np.random.default_rng(0)
         values = rng.standard_normal(survey.n_data) * 7.3
@@ -28,6 +29,9 @@ class TestDataFile:
         assert np.array_equal(back_values, values)
         assert np.array_equal(back_std, std)
         save_data(p2, back_survey, back_values, back_std)
+        assert p1.read_bytes() == p2.read_bytes()
+        p2.write_bytes(b"\xef\xbb\xbf" + p1.read_bytes())
+        save_data(p2, *load_data(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header(self, tmp_path):

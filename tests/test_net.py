@@ -233,8 +233,9 @@ class TestBackward:
                             rng_factory=lambda: np.random.default_rng(99))
         for key in grads:
             assert rel_err(grads[key], fd[key]) < 1e-6, key
-        # a fully masked channel's conv bias gets zero gradient
-        mask = tr.dropout_mask
+        # a fully masked channel's conv bias gets zero gradient; the mask is the
+        # first draw from rng, shaped as the last leaky ReLU (dropout's input)
+        mask = np.random.default_rng(99).random(tr.kinks[-1].shape) >= arch.dropout_rate
         dead = ~mask.any(axis=(0, 2, 3))
         assert np.all(grads["conv1.b"][dead] == 0.0)
 
