@@ -73,9 +73,12 @@ class ScenarioConfig:
             raise ValueError(f"scenario scale must be one of {SCALES}, got {self.scale!r}")
 
     def spec(self) -> ScenarioSpec:
-        if self.case == "1":
+        if self.case != "1":
+            return build_case2(two_cylinders=self.case == "2.2", scale=self.scale)[0]
+        try:
             return build_case1(self.dip, scale=self.scale)[0]
-        return build_case2(two_cylinders=self.case == "2.2", scale=self.scale)[0]
+        except ValueError as e:  # the dip is the one value case 1 takes from the section
+            raise ValueError(f"scenario.dip: {e}") from None
 
 
 # config-file section -> its dataclass; a flag with dest "<section>.<field>" overrides both

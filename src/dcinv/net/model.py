@@ -12,10 +12,10 @@ With ``bilinear`` or ``nearest`` each upsample+conv is one fused operator
 image; the ``transposed`` upsampler's learned kernel does not commute with
 the conv, so that variant upsamples and then convolves.
 
-The layer sequence is written once, in :func:`net_forward`: each layer puts
-a step on a tape (:class:`ForwardTrace`), its backward bound to what it
-reads, and :func:`net_backward` replays the tape last first (reverse mode;
-Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
+The layers are declared once, in ``_plan``.  :func:`net_forward` puts each
+step on a tape (:class:`ForwardTrace`) under its layer's label, its backward
+bound to what it reads, and :func:`net_backward` replays the tape last first
+(reverse mode; Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
 
 Each upsample+conv block shrinks nothing but the valid-conv margin, so the
 spatial size after n blocks plus the output conv is ``2**n * (seed - 2)``
@@ -26,6 +26,7 @@ covering a mesh.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -78,16 +79,12 @@ class ArchConfig:
         object.__setattr__(self, "channels", tuple(int(v) for v in self.channels))
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.channels)
-
-    @property
     def hidden_width(self) -> int:
         return self.seed_shape[0] * self.seed_shape[1]
 
     @property
     def pre_crop_shape(self) -> tuple[int, int]:
-        n = self.n_blocks
+        n = len(self.channels)
         return (2 ** n * (self.seed_shape[0] - 2), 2 ** n * (self.seed_shape[1] - 2))
 
     def to_dict(self) -> dict:
@@ -130,33 +127,35 @@ class NetParams:
         return NetParams(self.arch, {k: v.copy() for k, v in self.arrays.items()})
 
 
-def _layer_shapes(arch: ArchConfig) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, fan_in) for every parameter array, in forward order."""
-    out = [("fc.w", (arch.latent_dim, arch.hidden_width), arch.latent_dim),
-           ("fc.b", (arch.hidden_width,), 0)]
-    c_in = 1
+_Layer = namedtuple("_Layer", "label params")
+
+
+def _plan(arch: ArchConfig) -> list[_Layer]:
+    """Each layer in forward order: its label (``fc``, ``block1`` ..., ``out``)
+    and its parameters' name -> (shape, fan_in), a bias's fan_in 0."""
+    h, c_in = arch.hidden_width, 1
+    plan = [_Layer("fc", {"fc.w": ((arch.latent_dim, h), arch.latent_dim), "fc.b": ((h,), 0)})]
     for i, c_out in enumerate(arch.channels, start=1):
-        if arch.upsampler == "transposed":
-            out.append((f"up{i}.k", (c_in, c_in, 2, 2), c_in * 4))
-            out.append((f"up{i}.b", (c_in,), 0))
-        out.append((f"conv{i}.k", (c_out, c_in, 3, 3), c_in * 9))
-        out.append((f"conv{i}.b", (c_out,), 0))
+        up = ({f"up{i}.k": ((c_in, c_in, 2, 2), c_in * 4), f"up{i}.b": ((c_in,), 0)}
+              if arch.upsampler == "transposed" else {})
+        plan.append(_Layer(f"block{i}", {**up, f"conv{i}.k": ((c_out, c_in, 3, 3), c_in * 9),
+                                         f"conv{i}.b": ((c_out,), 0)}))
         c_in = c_out
-    out.append(("out.k", (1, c_in, 3, 3), c_in * 9))
-    out.append(("out.b", (1,), 0))
-    return out
+    plan.append(_Layer("out", {"out.k": ((1, c_in, 3, 3), c_in * 9), "out.b": ((1,), 0)}))
+    return plan
 
 
 def init_params(rng_seed: int, arch: ArchConfig) -> NetParams:
     """Uniform +-sqrt(1/fan_in) weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(rng_seed)
     arrays = {}
-    for name, shape, fan_in in _layer_shapes(arch):
-        if fan_in == 0:
-            arrays[name] = np.zeros(shape)
-        else:
-            bound = np.sqrt(1.0 / fan_in)
-            arrays[name] = rng.uniform(-bound, bound, size=shape)
+    for layer in _plan(arch):
+        for name, (shape, fan_in) in layer.params.items():
+            if fan_in == 0:
+                arrays[name] = np.zeros(shape)
+            else:
+                bound = np.sqrt(1.0 / fan_in)
+                arrays[name] = rng.uniform(-bound, bound, size=shape)
     return NetParams(arch=arch, arrays=arrays)
 
 
@@ -164,44 +163,43 @@ def init_params(rng_seed: int, arch: ArchConfig) -> NetParams:
 class ForwardTrace:
     """The tape of one :func:`net_forward` call.
 
-    ``steps`` holds one ``(names, backward)`` pair per layer, in forward
-    order: the parameters the layer trains (none for the pointwise layers,
-    the reshape, dropout, crop and output scaling), and a closure taking the
-    gradient of the layer's output to theirs and then to its input's.  A
-    closure holds what its backward reads: the parameter arrays of the
-    forward call (the optimizer replaces arrays, never mutates them), the
-    pre-activations, a block's coarse input (never an interpolated image)
-    and the transposed upsampler's output.  ``kinks`` lists the leaky-ReLU
-    inputs, shallowest first.
+    ``steps`` holds one ``(label, names, backward)`` per step, in forward
+    order: its layer's label, the parameters it trains (none for the
+    pointwise steps, the reshape, dropout, crop and output scaling), and a
+    closure taking the gradient of its output to theirs and then to its
+    input's, holding what that reads: the forward call's parameter arrays
+    (never mutated; the optimizer replaces them), the pre-activations, a
+    block's coarse input (never an interpolated image) and the transposed
+    upsampler's output.  ``kinks`` lists the leaky-ReLU inputs in order.
     """
 
-    steps: list[tuple[tuple[str, ...], Callable]] = field(default_factory=list)
+    steps: list[tuple[str, tuple[str, ...], Callable]] = field(default_factory=list)
     kinks: list[np.ndarray] = field(default_factory=list)
 
 
-def _leaky_relu(trace: ForwardTrace, x: np.ndarray, slope: float) -> np.ndarray:
+def _leaky_relu(trace: ForwardTrace, label: str, x: np.ndarray, slope: float) -> np.ndarray:
     """The leaky ReLU of ``x``, with ``x`` kept as a kink and its backward taped."""
     trace.kinks.append(x)
-    trace.steps.append(((), lambda g: layers.leaky_relu_backward(x, g, slope)))
+    trace.steps.append((label, (), lambda g: layers.leaky_relu_backward(x, g, slope)))
     return layers.leaky_relu(x, slope)
 
 
-def _block(trace: ForwardTrace, arch: ArchConfig, a: dict, i: int, x: np.ndarray) -> np.ndarray:
-    """Hidden block ``i`` (upsample, conv, leaky ReLU) of its coarse input ``x``, taped."""
-    k, b = a[f"conv{i}.k"], a[f"conv{i}.b"]
-    conv = (f"conv{i}.k", f"conv{i}.b")
+def _block(trace: ForwardTrace, arch: ArchConfig, a: dict, block: _Layer,
+           x: np.ndarray) -> np.ndarray:
+    """Hidden ``block`` (upsample, conv, leaky ReLU) of its coarse input ``x``, taped."""
+    up, conv = tuple(block.params)[:-2], tuple(block.params)[-2:]  # the upsampler's first
+    k, b = (a[name] for name in conv)
     if arch.upsampler == "transposed":
-        uk = a[f"up{i}.k"]
-        u = layers.transposed_conv2(x, uk, a[f"up{i}.b"])
-        trace.steps += [((f"up{i}.k", f"up{i}.b"),
-                         lambda g: layers.transposed_conv2_backward(x, uk, g)),
-                        (conv, lambda g: layers.conv2d_valid_backward(u, k, g))]
+        uk, ub = (a[name] for name in up)
+        u = layers.transposed_conv2(x, uk, ub)
+        trace.steps += [(block.label, up, lambda g: layers.transposed_conv2_backward(x, uk, g)),
+                        (block.label, conv, lambda g: layers.conv2d_valid_backward(u, k, g))]
         pre = layers.conv2d_valid(u, k, b)
     else:
         pre = layers.upsample_conv2d(x, k, b, arch.upsampler)
-        trace.steps.append(
-            (conv, lambda g: layers.upsample_conv2d_backward(x, k, g, arch.upsampler)))
-    return _leaky_relu(trace, pre, arch.negative_slope)
+        trace.steps.append((block.label, conv,
+                            lambda g: layers.upsample_conv2d_backward(x, k, g, arch.upsampler)))
+    return _leaky_relu(trace, block.label, pre, arch.negative_slope)
 
 
 def net_forward(params: NetParams, z: np.ndarray, mesh_shape: tuple[int, int],
@@ -221,24 +219,26 @@ def net_forward(params: NetParams, z: np.ndarray, mesh_shape: tuple[int, int],
     z = np.asarray(z, dtype=float)  # dense_forward checks its length
 
     trace = ForwardTrace()
-    w = a["fc.w"]
-    fc = layers.dense_forward(z, w, a["fc.b"])
-    trace.steps.append((("fc.w", "fc.b"), lambda g: layers.dense_backward(z, w, g)))
-    act = _leaky_relu(trace, fc, arch.negative_slope)
-    trace.steps.append(((), lambda g: g.reshape(-1)))
+    fc, *blocks, out = _plan(arch)
+    w, b = (a[name] for name in fc.params)
+    y = layers.dense_forward(z, w, b)
+    trace.steps.append((fc.label, tuple(fc.params), lambda g: layers.dense_backward(z, w, g)))
+    act = _leaky_relu(trace, fc.label, y, arch.negative_slope)
+    trace.steps.append((fc.label, (), lambda g: g.reshape(-1)))
     t = act.reshape(1, 1, *arch.seed_shape)
-    for i in range(1, arch.n_blocks + 1):
-        t = _block(trace, arch, a, i, t)
+    for block in blocks:
+        t = _block(trace, arch, a, block, t)
 
     h, mask = layers.dropout(t, arch.dropout_rate, mode, rng)
-    k = a["out.k"]
-    s = layers.sigmoid(layers.conv2d_valid(h, k, a["out.b"]))
+    k, b = (a[name] for name in out.params)
+    s = layers.sigmoid(layers.conv2d_valid(h, k, b))
     cropped, col_off = layers.crop2d(s, (nz, nx))
-    trace.steps += [((), lambda g: layers.dropout_backward(g, mask, arch.dropout_rate)),
-                    (("out.k", "out.b"), lambda g: layers.conv2d_valid_backward(h, k, g)),
-                    ((), lambda g: layers.sigmoid_backward(s, g)),
-                    ((), lambda g: layers.crop2d_backward(g, s.shape, col_off)),
-                    ((), lambda g: arch.output_scale * g.reshape(1, 1, nz, nx))]
+    trace.steps += [(out.label, (), lambda g: layers.dropout_backward(g, mask, arch.dropout_rate)),
+                    (out.label, tuple(out.params),
+                     lambda g: layers.conv2d_valid_backward(h, k, g)),
+                    (out.label, (), lambda g: layers.sigmoid_backward(s, g)),
+                    (out.label, (), lambda g: layers.crop2d_backward(g, s.shape, col_off)),
+                    (out.label, (), lambda g: arch.output_scale * g.reshape(1, 1, nz, nx))]
     return (arch.output_scale * cropped).reshape(-1), trace
 
 
@@ -248,7 +248,7 @@ def net_backward(trace: ForwardTrace, g: np.ndarray) -> dict[str, np.ndarray]:
     output to those of the layer's parameters and input."""
     g = np.asarray(g, dtype=float)
     grads: dict[str, np.ndarray] = {}
-    for names, backward in reversed(trace.steps):
+    for _, names, backward in reversed(trace.steps):
         g = backward(g)
         if names:
             *trained, g = g
@@ -290,7 +290,7 @@ def load_params(path) -> NetParams:
         arch = from_fields(ArchConfig, descriptor, "__arch__")
     except ValueError as e:
         raise CheckpointError(f"checkpoint {path}: {e}") from None
-    shapes = {name: shape for name, shape, _ in _layer_shapes(arch)}
+    shapes = {name: shape for layer in _plan(arch) for name, (shape, _) in layer.params.items()}
     if set(arrays) != set(shapes):
         raise CheckpointError(f"checkpoint {path}: arrays do not match the stored "
                               "architecture")

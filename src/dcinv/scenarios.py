@@ -131,11 +131,11 @@ def _validate_geometry(spec: ScenarioSpec) -> None:
         raise ValueError("layer_thickness must lie between 0 and the core mesh's depth")
     if spec.dike is not None:
         dk = spec.dike
-        theta = math.radians(dk.dip_degrees)
-        run = (dk.depth_bottom - dk.depth_top) / math.tan(theta)
+        theta = math.radians(dk.dip_degrees)  # 0 for a dip that underflows: an endless run
+        run = (dk.depth_bottom - dk.depth_top) / math.tan(theta) if theta > 0 else math.inf
         for x in (dk.x_top, dk.x_top + run):
             if not (x_min + dk.width / 2 <= x <= x_max - dk.width / 2):
-                raise ValueError("dike extends outside the core mesh")
+                raise ValueError(f"dike at dip {dk.dip_degrees!r} extends outside the core mesh")
         if not dk.depth_bottom <= depth_max:
             raise ValueError("dike extends below the core mesh")
     for cx, cz, r in spec.cylinders:

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcinv
-from dcinv.cli import _SECTIONS, _load_config, _scenario, _section, main
+from dcinv.cli import CASES, SCALES, _SECTIONS, _load_config, _scenario, _section, main
 from dcinv.dip import DipConfig
 from dcinv.errors import ParseError
 from dcinv.fileio import load_data, load_manifest
 from dcinv.net import arch_for_mesh, init_params, save_params
 from dcinv.runs import ConventionalConfig, DipRun, execute
-from dcinv.scenarios import build_case1
+from dcinv.scenarios import ScenarioSpec, build_case1
 from dcinv.tikhonov import GNConfig, RegularizationConfig
 from dcinv.trace import load_grid
 from helpers import GRID, REPLAY, at, refused, stored_run
@@ -180,6 +180,11 @@ _SECTION = st.builds(lambda name, lines: [f"[{name}]", *lines],
 _INI = st.builds(_ini, st.lists(_SECTION, max_size=3, unique_by=lambda lines: lines[0]),
                  st.lists(_word(["", "; note", "  indented", "[", "tau", "= 1", "tau = 5"]),
                           max_size=1), st.integers(0, 15))
+# a [scenario] section as the INI reader gives it: accepted values, edges and junk
+_SCENARIO = st.fixed_dictionaries({}, optional={
+    "case": _word([*CASES, "3"]), "scale": _word([*SCALES, "huge"]),
+    "dip": st.one_of(_word(["0", "5e-324", "90", "1e308", "nan", "2.2", "-45", "90.5"]),
+                     st.floats(0, 90).map(repr))})
 
 
 class TestConfigFile:
@@ -255,6 +260,16 @@ class TestConfigFile:
             except ValueError as e:
                 assert str(e).startswith((f"{name}.", f"{name}:", f"unknown key {name}.")), e
 
+    @given(section=_SCENARIO)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_any_scenario_section_builds_a_scenario_or_one_refusal(self, section):
+        """Drawn [scenario] values give a scenario or a ValueError naming the
+        section; a dip of 5e-324 once ended in a ZeroDivisionError."""
+        try:
+            assert isinstance(_scenario({}, {"scenario": section}), ScenarioSpec)
+        except ValueError as e:
+            assert "scenario" in str(e), e
+
     def test_bad_value_is_usage_error(self):
         refused([*_CONV, "--case", "1", "--config", "{tmp}/run.cfg"], 1, "beta0",
                 {"run.cfg": "[gn]\nbeta0 = abc\n"})
@@ -326,6 +341,26 @@ class TestInputChecks:
         for path, value in patch.items():
             _with(stored, path, value)
         refused(argv, code, message, {"run.cfg": cfg, "m.json": stored, **GRID})
+
+    @pytest.mark.parametrize("via", ["flag", "ini", "manifest"])
+    @pytest.mark.parametrize("dip, message", [
+        ("5e-324", "dike at dip 5e-324 extends outside the core mesh"),
+        ("2.2", "dike at dip 2.2 extends outside the core mesh"),
+        ("0", "dip must lie in (0, 90] degrees")])
+    def test_a_dip_the_dike_refuses_names_scenario_and_dip(self, via, dip, message):
+        """A dip that the config reads but the dike refuses exits 1 as a flag
+        or INI key and 3 in a replayed manifest, in one line naming the
+        section and the dip.  5e-324 degrees is 0 radians, whose tangent
+        the dike's run once divided by."""
+        if via == "manifest":
+            stored = _with(stored_run("simulate"), "scenario.dike[4]", float(dip))
+            refused(REPLAY, 3, f"manifest error: {{tmp}}/m.json: scenario: {message}",
+                    {"m.json": stored})
+        else:
+            argv = ["simulate", "--scale", "desk", "--out", "{tmp}/o",
+                    *(["--dip", dip] if via == "flag" else ["--config", "{tmp}/run.cfg"])]
+            refused(argv, 1, f"invalid arguments: scenario.dip: {message}",
+                    {"run.cfg": f"[scenario]\ndip = {dip}\n"})
 
     def test_all_alphas_at_0_with_beta0_given_is_least_squares(self):
         reg = RegularizationConfig(alpha_s=0.0, alpha_x=0.0, alpha_z=0.0)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from dcinv.checks import rel_err
 from dcinv.errors import CheckpointError
 from dcinv.net import (ArchConfig, arch_for_mesh, init_params, load_params,
                        net_backward, net_forward, sample_latent, save_params)
+from dcinv.net.model import _plan
 from dcinv.scenarios import build_case1
 
 from helpers import param_count, param_fd_grads
@@ -211,7 +213,7 @@ class TestBackward:
         for upsampler, keeps_upsampled in (("bilinear", False), ("transposed", True)):
             arch = arch_for_mesh(32, 214, upsampler=upsampler)
             _, tr = net_forward(init_params(0, arch), sample_latent(0, 8), (32, 214))
-            held = [cell.cell_contents.shape for _, backward in tr.steps
+            held = [cell.cell_contents.shape for _, _, backward in tr.steps
                     for cell in backward.__closure__ or ()
                     if isinstance(cell.cell_contents, np.ndarray)]
             assert (1, 1, 6, 29) in held
@@ -219,25 +221,46 @@ class TestBackward:
 
     def test_dropout_uses_cached_mask(self):
         """Gradient through train-mode dropout matches FD with the same draws,
-        and masked activations contribute nothing."""
+        and masked activations contribute nothing: at rate 0.9 the seed-115
+        draw masks all of one channel of the 1 x 2 x 6 x 8 dropout input and
+        keeps 6 entries of the other."""
         arch = arch_for_mesh(3, 5, n_blocks=1, latent_dim=3, channels=(2,),
-                             dropout_rate=0.3)
+                             dropout_rate=0.9)
         params = init_params(5, arch)
         z = sample_latent(6, 3)
         rng = np.random.default_rng(7)
         g = rng.standard_normal(15)
         _, tr = net_forward(params, z, (3, 5), mode="train",
-                            rng=np.random.default_rng(99))
+                            rng=np.random.default_rng(115))
         grads = net_backward(tr, g)
         fd = param_fd_grads(params, z, (3, 5), g, mode="train",
-                            rng_factory=lambda: np.random.default_rng(99))
+                            rng_factory=lambda: np.random.default_rng(115))
         for key in grads:
             assert rel_err(grads[key], fd[key]) < 1e-6, key
         # a fully masked channel's conv bias gets zero gradient; the mask is the
         # first draw from rng, shaped as the last leaky ReLU (dropout's input)
-        mask = np.random.default_rng(99).random(tr.kinks[-1].shape) >= arch.dropout_rate
+        mask = np.random.default_rng(115).random(tr.kinks[-1].shape) >= arch.dropout_rate
         dead = ~mask.any(axis=(0, 2, 3))
+        assert dead.any() and not dead.all()
         assert np.all(grads["conv1.b"][dead] == 0.0)
+
+    @pytest.mark.parametrize("n_blocks", [1, 3, 5])
+    @pytest.mark.parametrize("upsampler", ["bilinear", "nearest", "transposed"])
+    def test_tape_steps_carry_their_layers_labels(self, n_blocks, upsampler):
+        """The tape's labels run fc, block1 ... blockN, out in order; each
+        trained step's names belong to its label's plan entry; and each array
+        init_params makes is named in exactly one entry."""
+        arch = arch_for_mesh(12, 20, n_blocks=n_blocks, upsampler=upsampler,
+                             dropout_rate=0.1)
+        params = init_params(0, arch)
+        plan = {layer.label: layer.params for layer in _plan(arch)}
+        _, tr = net_forward(params, sample_latent(0, 8), (12, 20), mode="train",
+                            rng=np.random.default_rng(0))
+        runs = [label for label, _ in itertools.groupby(label for label, _, _ in tr.steps)]
+        assert runs == ["fc", *(f"block{i}" for i in range(1, n_blocks + 1)), "out"] == list(plan)
+        for label, names, _ in tr.steps:
+            assert set(names) <= set(plan[label]), (label, names)
+        assert sorted(name for names in plan.values() for name in names) == sorted(params.arrays)
 
 
 def full_scale_pass():
