@@ -53,7 +53,6 @@ def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
     ``min(workers, number of runs)`` processes when that is above 1."""
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
-    os.makedirs(out_dir, exist_ok=True)
     sim_paths = execute(SimulateRun(spec, os.path.join(out_dir, "data")))
     truth, nx, nz = load_grid(sim_paths["model_true"])
 

@@ -56,7 +56,8 @@ def render_grid(grid_path, out_path, vmin: float | None = None,
     if (vmin, vmax) != (None, None) and not lo < hi:
         raise ValueError(f"colour limits must have vmin < vmax, got vmin={lo}, vmax={hi}")
     if hi > lo:
-        norm = (grid - lo) / (hi - lo)
+        with np.errstate(over="ignore"):  # a range narrower than the grid: clipped to its ends
+            norm = (grid - lo) / (hi - lo)
     else:
         norm = np.full(grid.shape, 0.5)
     img = _ramp_image(norm)

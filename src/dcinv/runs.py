@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .dip import DipConfig, invert_stage2, pretrain_stage1
-from .errors import CheckpointError, ManifestError, ParseError
+from .errors import CheckpointError, ManifestError, NumericalFailure, ParseError
 from .forward import DCSimulation, surface_columns, weights_from_std
 from .net import (ArchConfig, arch_for_mesh, init_params, load_params, sample_latent,
                   save_params)
@@ -153,33 +153,27 @@ def _from_v1(values: dict, table: dict) -> dict:
     return values
 
 
-def _simulate(spec: ScenarioSpec, mesh, out_dir: str):
-    """Survey, noisy data and generating stds for a scenario on its mesh.
-    Makes ``out_dir`` once they are in hand and writes the true model and
-    the data into it, as :class:`SimulateRun` names them."""
-    survey = spec.survey()
-    truth = paint_model(spec)
-    d_clean = DCSimulation(mesh, survey).predict(truth)
-    d_noisy, std = add_noise(d_clean, spec.noise_rel, spec.noise_seed)
-    os.makedirs(out_dir, exist_ok=True)
-    save_grid(os.path.join(out_dir, SimulateRun.outputs["model_true"]), truth, mesh.nx, mesh.nz)
-    fileio.save_data(os.path.join(out_dir, SimulateRun.outputs["data"]), survey, d_noisy, std)
-    return survey, d_noisy, std
-
-
-def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
-    """Observed data for an inversion run, from file if given, else simulated,
-    and its data weights: the stds floored at 1e-4 median |d_obs|.  Makes
-    ``out_dir`` once the data are in hand and checked, so a data file that
-    fails to parse, or has a row with an electrode outside the mesh or a std
-    that the floor leaves at 0, leaves nothing behind (:class:`ParseError`
-    naming the first such row's line)."""
-    if data_path:
-        survey, d_obs, std = fileio.load_data(data_path)
+def _run_data(run: Run, mesh):
+    """A run's survey, data, stds, data weights (the stds floored at 1e-4
+    median |d|) and, when it simulates its data, true model (else None), from
+    its data file if it names one; writes nothing.  A file row with an
+    electrode outside the mesh or a std that the floor leaves at 0 is a
+    :class:`ParseError` naming its line; simulated data that are not finite
+    are a :class:`NumericalFailure`."""
+    spec, path = run.scenario, getattr(run, "data", None)
+    if path:
+        survey, d_obs, std = fileio.load_data(path)
+        truth = None
     else:
-        survey, d_obs, std = _simulate(spec, mesh, out_dir)
+        survey, truth = spec.survey(), paint_model(spec)
+        d_clean = DCSimulation(mesh, survey).predict(truth)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            d_obs, std = add_noise(d_clean, spec.noise_rel, spec.noise_seed)
+        if not (np.isfinite(d_obs).all() and np.isfinite(std).all()):
+            raise NumericalFailure(f"noise_rel {spec.noise_rel:g} makes simulated data "
+                                   "that are not finite")
     floor = 1e-4 * float(np.median(np.abs(d_obs)))
-    if data_path:
+    if path:
         columns = surface_columns(mesh, survey.electrodes)[survey.abmn]
         outside = ((columns < 0) | (columns >= mesh.nx)).any(axis=1)
         unweighted = np.maximum(std, floor) <= 0
@@ -188,9 +182,8 @@ def _obs_for_run(data_path: str | None, spec: ScenarioSpec, mesh, out_dir: str):
             lo, hi = mesh.x_edges[[0, -1]]
             message = (f"an electrode outside the mesh, x in ({lo:g}, {hi:g}]" if outside[row]
                        else "std is 0, and so is the floor (1e-4 of the median |value|)")
-            raise ParseError(message, fileio.read_rows(data_path)[1][row][0], data_path)
-        os.makedirs(out_dir, exist_ok=True)
-    return survey, d_obs, weights_from_std(std, floor=floor)
+            raise ParseError(message, fileio.read_rows(path)[1][row][0], path)
+    return survey, d_obs, std, weights_from_std(std, floor=floor), truth
 
 
 def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -> None:
@@ -206,39 +199,39 @@ def _check_checkpoint_arch(path: str, stored: ArchConfig, derived: ArchConfig) -
 
 def execute(run: Run) -> dict:
     """Execute a run; returns {output name: path}, ``manifest`` included.
-    The run fully determines its output files; a data file or checkpoint
-    that fails to load, or a data file the run cannot use, leaves no output
-    directory behind."""
-    spec, out_dir = run.scenario, run.out_dir
-    mesh = spec.mesh()
+    The run fully determines its output files.  It settles its checkpoint
+    and its data (:func:`_run_data`) before it makes its directory, so a
+    checkpoint or data file that fails to load or that the run cannot use,
+    and simulated data that are not finite, leave nothing behind.  Simulated
+    data and their true model are written as :class:`SimulateRun` names them."""
+    out_dir, mesh = run.out_dir, run.scenario.mesh()
     paths = {name: os.path.join(out_dir, file) for name, file in run.outputs.items()}
-
-    if isinstance(run, SimulateRun):
-        _simulate(spec, mesh, out_dir)
-
-    elif isinstance(run, DipRun):
+    if isinstance(run, DipRun):
         cfg = run.config
         arch = arch_for_mesh(mesh.nz, mesh.nx, run.arch.n_blocks, run.arch.upsampler,
                              dropout_rate=cfg.dropout_rate)
         if run.pretrained:
             params = load_params(run.pretrained)
             _check_checkpoint_arch(run.pretrained, params.arch, arch)
-        survey, d_obs, weights = _obs_for_run(run.data, spec, mesh, out_dir)
+    survey, d_obs, std, weights, truth = _run_data(run, mesh)
+
+    os.makedirs(out_dir, exist_ok=True)
+    if truth is not None:
+        save_grid(os.path.join(out_dir, SimulateRun.outputs["model_true"]), truth,
+                  mesh.nx, mesh.nz)
+        fileio.save_data(os.path.join(out_dir, SimulateRun.outputs["data"]), survey, d_obs, std)
+    if isinstance(run, DipRun):
         z = sample_latent(cfg.rng_seed, arch.latent_dim)
         if not run.pretrained:
             params = init_params(cfg.rng_seed, arch)
             pretrain_stage1(params, z, mesh, cfg)
         save_params(paths["pretrained"], params)
         trace = invert_stage2(params, z, mesh, survey, d_obs, weights, cfg)
-        save_trace(paths["trace"], trace, method="dip")
-        save_grid(paths["model"], trace.final_model, mesh.nx, mesh.nz)
         save_params(paths["checkpoint"], params)  # trained in place
-
-    else:
-        survey, d_obs, weights = _obs_for_run(run.data, spec, mesh, out_dir)
-        trace = gauss_newton_invert(mesh, survey, d_obs, weights, run.config.reg,
-                                    run.config.gn)
-        save_trace(paths["trace"], trace, method="conventional")
+    elif isinstance(run, ConventionalRun):
+        trace = gauss_newton_invert(mesh, survey, d_obs, weights, run.config.reg, run.config.gn)
+    if not isinstance(run, SimulateRun):
+        save_trace(paths["trace"], trace, method=run.method)
         save_grid(paths["model"], trace.final_model, mesh.nx, mesh.nz)
 
     paths["manifest"] = os.path.join(out_dir, "manifest.json")

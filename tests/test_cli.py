@@ -21,8 +21,8 @@ from dcinv.net import arch_for_mesh, init_params, save_params
 from dcinv.runs import ConventionalConfig, DipRun, execute
 from dcinv.scenarios import ScenarioSpec, build_case1
 from dcinv.tikhonov import GNConfig, RegularizationConfig
-from dcinv.trace import load_grid
-from helpers import GRID, REPLAY, at, refused, stored_run
+from dcinv.trace import load_grid, save_grid
+from helpers import GRID, REPLAY, at, ramp_color, read_ppm, refused, stored_run
 
 _MISSING = object()  # a manifest key deleted, not set
 
@@ -537,6 +537,18 @@ class TestRenderCommand:
                      "--pad-z", "7"])
         assert code == 0
         assert img.read_bytes().startswith(b"P6\n128 38\n255\n")
+
+    def test_a_range_narrower_than_the_grid_draws_without_a_warning(self, tmp_path, capsys):
+        """Normalizing by vmax - vmin = 5e-324 overflows for every cell above
+        vmin; those cells take the ramp's top end, and no numpy warning leaks
+        (the suite turns one into an error)."""
+        save_grid(tmp_path / "g.txt", np.array([0.0, 0.5, 1.0, 0.25]), nx=2, nz=2)
+        assert main(["render", "--grid", str(tmp_path / "g.txt"), "--out",
+                     str(tmp_path / "g.ppm"), "--vmin", "0", "--vmax", "5e-324"]) == 0
+        assert capsys.readouterr().err == ""
+        image = read_ppm(tmp_path / "g.ppm")
+        assert [tuple(int(v) for v in px) for px in image.reshape(-1, 3)] == [
+            ramp_color(0.0), ramp_color(1.0), ramp_color(1.0), ramp_color(1.0)]
 
     @pytest.mark.parametrize("limits", [["--vmin", "nan"], ["--vmax", "inf"],
                                         ["--vmin", "5", "--vmax", "1"], ["--vmin", "2"]])

@@ -1,8 +1,9 @@
-"""The failure contract: an input a run cannot use exits 1 or 3 with one line
-under the README's prefix for it, no traceback, and nothing written.  Every
-such case in the suite runs through :func:`helpers.refused`; these rows are
-the ones no other test file holds, one at least per row of the README's
-table of failures, which is checked against ``cli._FAILURES`` here."""
+"""The failure contract: an input a run cannot use exits 1 or 3, and
+simulated data that are not finite exit 2, with one line under the README's
+prefix for it, no traceback, and nothing written.  Every such case in the
+suite runs through :func:`helpers.refused`; these rows are the ones no other
+test file holds, one at least per exit-1 or exit-3 row of the README's table
+of failures, which is checked against ``cli._FAILURES`` here."""
 
 import numpy as np
 import pytest
@@ -69,6 +70,26 @@ TABLE = {
 @pytest.mark.parametrize("argv, files, code, message", TABLE.values(), ids=list(TABLE))
 def test_failure(argv, files, code, message):
     refused(argv, code, message, files)
+
+
+_OVERFLOW = ["--scale", "desk", "--noise", "1e308", "--out", "{tmp}/o"]
+_SIMULATE = stored_run("simulate")
+# id -> (argv, files): a noise level whose simulated data overflow, refused before any write
+NOT_FINITE = {
+    "simulate": (["simulate", *_OVERFLOW], {}),
+    "invert-dip": (["invert-dip", *_OVERFLOW], {}),
+    "invert-conv": (["invert-conv", *_OVERFLOW], {}),
+    "ablate": (["ablate", "--suite", "dropout", *_OVERFLOW], {}),
+    "replay": (REPLAY, {"m.json": {**_SIMULATE,
+                                   "scenario": {**_SIMULATE["scenario"], "noise_rel": 1e308}}}),
+}
+
+
+@pytest.mark.parametrize("argv, files", NOT_FINITE.values(), ids=list(NOT_FINITE))
+def test_simulated_data_that_are_not_finite(argv, files):
+    err = refused(argv, 2, "numerical failure: noise_rel 1e+308 makes simulated data that are "
+                  "not finite\n", files)
+    assert "RuntimeWarning" not in err
 
 
 def test_the_readme_table_of_failures_is_the_contract():
