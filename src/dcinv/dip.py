@@ -24,6 +24,7 @@ import numpy as np
 
 from .adam import adam_step, init_adam
 from .errors import NumericalFailure, SolverFailure
+from .fileio import check_ranges, ranged
 from .forward import DataWeights, DCSimulation, chi_factor, phi_d
 from .mesh import TensorMesh2D
 from .net import NetParams, net_backward, net_forward
@@ -33,43 +34,22 @@ from .trace import EpochRecord, InversionTrace
 
 @dataclass(frozen=True)
 class DipConfig:
-    tau: float = 1000.0
-    lr: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    epochs_stage1: int = 5000
-    epochs_stage2: int = 2000
-    dropout_rate: float = 0.0
-    m_ref: float = float(np.log(0.01))  # uniform half-space log-conductivity
-    rng_seed: int = 0
-    stage1_lr: float = 1e-3
-    stage1_tol: float = 0.05  # stop when mean |m - m_ref| drops below this
-    chi_stop: float = 1.0
-    chi_patience: int = 50
+    tau: float = ranged(1000.0, "(0, inf)")
+    lr: float = ranged(1e-4, "(0, inf)")
+    adam_beta1: float = ranged(0.9, "[0, 1)")
+    adam_beta2: float = ranged(0.999, "[0, 1)")
+    adam_eps: float = ranged(1e-8, "(0, inf)")
+    epochs_stage1: int = ranged(5000, "[0, inf)")
+    epochs_stage2: int = ranged(2000, "[0, inf)")
+    dropout_rate: float = ranged(0.0, "[0, 1)")
+    m_ref: float = ranged(float(np.log(0.01)), "(-inf, inf)")  # uniform half-space log-conductivity
+    rng_seed: int = ranged(0, "[0, inf)")
+    stage1_lr: float = ranged(1e-3, "(0, inf)")
+    stage1_tol: float = ranged(0.05, "[0, inf)")  # stop when mean |m - m_ref| drops below this
+    chi_stop: float = ranged(1.0, "[0, inf)")
+    chi_patience: int = ranged(50, "[1, inf)")
 
-    def __post_init__(self):
-        # Each test is written so that NaN fails it; every number is finite.
-        if not 0 < self.tau < np.inf:
-            raise ValueError("tau must be positive and finite")
-        if not (0 < self.lr < np.inf and 0 < self.stage1_lr < np.inf):
-            raise ValueError("learning rates lr and stage1_lr must be positive and finite")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError("Adam's decay rates adam_beta1 and adam_beta2 must be in [0, 1)")
-        if not 0 < self.adam_eps < np.inf:
-            raise ValueError("adam_eps must be positive and finite")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
-            raise ValueError("epochs_stage1 and epochs_stage2 must be >= 0")
-        if not (0 <= self.stage1_tol < np.inf and 0 <= self.chi_stop < np.inf):
-            raise ValueError("stage1_tol and chi_stop must be >= 0 and finite")
-        if self.chi_patience < 1:
-            raise ValueError("chi_patience must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
-        if not (isinstance(self.m_ref, (int, float)) and np.isfinite(self.m_ref)):
-            raise ValueError(f"m_ref must be a finite number, got {self.m_ref!r}")
+    __post_init__ = check_ranges
 
 
 def beta(t: float, tau: float) -> float:

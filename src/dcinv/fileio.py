@@ -1,6 +1,6 @@
 """Plain-text data files and the row reader of every dcinv text file,
-key-value config files, JSON manifests, and the one rule for a JSON object
-that names a configuration."""
+key-value config files, JSON manifests, the one rule for a JSON object
+that names a configuration, and the one check of a field's declared range."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ import configparser
 import contextlib
 import json
 import math
-from dataclasses import fields, is_dataclass
+import operator
+from collections import namedtuple
+from dataclasses import field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -107,6 +109,35 @@ def save_manifest(path, manifest: dict) -> None:
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+# A declared range: its text as a message writes it, its ends, the comparison at
+# each end (``<`` open, ``<=`` closed), and whether None passes.
+_Range = namedtuple("_Range", "text low high above below none")
+_ENDS = {"(": operator.lt, ")": operator.lt, "[": operator.le, "]": operator.le}
+
+
+def ranged(default, interval: str):
+    """A dataclass field of ``default`` (``dataclasses.MISSING``: none) whose
+    value must lie in ``interval``, written as a message writes it:
+    ``"(0, inf)"``, ``"[0, 1)"``.  None passes where it is the default.
+    :func:`check_ranges` enforces it."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    bounds = _Range(interval, low, high, _ENDS[interval[0]], _ENDS[interval[-1]], default is None)
+    return field(default=default, metadata={"range": bounds})
+
+
+def check_ranges(obj) -> None:
+    """Refuses the first field of the dataclass ``obj`` outside its declared
+    range (see :func:`ranged`) with :class:`ValueError`, for example ``tau
+    must be in (0, inf), got -1.0``.  NaN is outside every range."""
+    for f in fields(obj):
+        if (bounds := f.metadata.get("range")) is None:
+            continue
+        value = getattr(obj, f.name)
+        if not (value is None and bounds.none
+                or bounds.above(bounds.low, value) and bounds.below(value, bounds.high)):
+            raise ValueError(f"{f.name} must be in {bounds.text}, got {value}")
 
 
 def from_fields(cls, entry, path: str = "", ini: bool = False):

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..errors import CheckpointError
-from ..fileio import from_fields
+from ..fileio import check_ranges, from_fields, ranged
 from . import layers
 
 UPSAMPLERS = ("bilinear", "nearest", "transposed")
@@ -52,29 +52,22 @@ DEFAULT_CHANNELS = {
 class ArchConfig:
     """Architecture descriptor; all shape logic derives from these fields."""
 
-    latent_dim: int = 8
+    latent_dim: int = ranged(8, "[1, inf)")
     seed_shape: tuple[int, int] = (6, 29)
     channels: tuple[int, ...] = (64, 32, 8)
     upsampler: str = "bilinear"
-    negative_slope: float = 0.2
-    output_scale: float = -8.0
-    dropout_rate: float = 0.0  # applied after the last hidden block, train mode only
+    negative_slope: float = ranged(0.2, "[0, 1]")  # the leaky ReLU takes a maximum
+    output_scale: float = ranged(-8.0, "(-inf, inf)")
+    dropout_rate: float = ranged(0.0, "[0, 1)")  # after the last hidden block, train mode only
 
     def __post_init__(self):
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        check_ranges(self)
         if len(self.seed_shape) != 2 or min(self.seed_shape) < 1:
             raise ValueError("seed_shape must be two positive integers")
         if not 1 <= len(self.channels) <= 5 or any(c < 1 for c in self.channels):
             raise ValueError("need 1..5 hidden blocks with positive channel counts")
         if self.upsampler not in UPSAMPLERS:
             raise ValueError(f"upsampler must be one of {UPSAMPLERS}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        if not 0.0 <= self.negative_slope <= 1.0:  # the leaky ReLU takes a maximum
-            raise ValueError("negative slope must be in [0, 1]")
-        if not np.isfinite(self.output_scale):
-            raise ValueError("output_scale must be finite")
         object.__setattr__(self, "seed_shape", tuple(int(v) for v in self.seed_shape))
         object.__setattr__(self, "channels", tuple(int(v) for v in self.channels))
 

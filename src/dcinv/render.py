@@ -56,8 +56,9 @@ def render_grid(grid_path, out_path, vmin: float | None = None,
     if (vmin, vmax) != (None, None) and not lo < hi:
         raise ValueError(f"colour limits must have vmin < vmax, got vmin={lo}, vmax={hi}")
     if hi > lo:
+        half = 0.5 if np.isinf(hi - lo) else 1.0  # a span past the float range, halved
         with np.errstate(over="ignore"):  # a range narrower than the grid: clipped to its ends
-            norm = (grid - lo) / (hi - lo)
+            norm = (half * grid - half * lo) / (half * hi - half * lo)
     else:
         norm = np.full(grid.shape, 0.5)
     img = _ramp_image(norm)

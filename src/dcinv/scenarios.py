@@ -10,10 +10,11 @@ measured values.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 
 import numpy as np
 
+from .fileio import check_ranges, ranged
 from .forward import electrode_cells
 from .mesh import TensorMesh2D, build_mesh, cell_centers
 from .survey import Survey, build_dipole_dipole_survey
@@ -33,16 +34,13 @@ class DikeGeometry:
     x_top: float
     depth_top: float
     depth_bottom: float
-    width: float
-    dip_degrees: float
+    width: float = ranged(MISSING, "(0, inf]")  # too wide for any mesh: the scenario's to refuse
+    dip_degrees: float = ranged(MISSING, "(0, 90]")
 
     def __post_init__(self):
-        if not 0.0 < self.dip_degrees <= 90.0:
-            raise ValueError("dip must lie in (0, 90] degrees")
-        if not self.depth_bottom > self.depth_top:  # NaN fails each test
+        check_ranges(self)
+        if not self.depth_bottom > self.depth_top:  # NaN fails it too
             raise ValueError("dike bottom must be below its top")
-        if not self.width > 0:
-            raise ValueError("dike width must be positive")
 
 
 @dataclass(frozen=True)
@@ -57,27 +55,20 @@ class ScenarioSpec:
     line_length: float = 700.0
     station_spacing: float = 25.0
     max_receivers: int = 24
-    background_sigma: float = 0.01
-    layer_sigma: float = 0.02
-    target_sigma: float = 0.1
+    background_sigma: float = ranged(0.01, "(0, inf)")
+    layer_sigma: float = ranged(0.02, "(0, inf)")
+    target_sigma: float = ranged(0.1, "(0, inf)")
     layer_thickness: float = 0.0  # 0 disables the near-surface layer
     # stored as its five numbers (see to_dict)
     dike: DikeGeometry | None = field(
         default=None, metadata={"json": tuple[float, float, float, float, float] | None})
     cylinders: tuple[tuple[float, float, float], ...] = ()  # (x, depth, radius)
-    noise_rel: float = 0.05
-    noise_seed: int = 0
+    noise_rel: float = ranged(0.05, "[0, inf)")
+    noise_seed: int = ranged(0, "[0, inf)")
 
     def __post_init__(self):
-        """Rejects what a run of the scenario would reject: each test is
-        written so that NaN fails it."""
-        if not 0 <= self.noise_rel < math.inf:
-            raise ValueError(f"noise_rel must be >= 0 and finite, got {self.noise_rel}")
-        if self.noise_seed < 0:
-            raise ValueError(f"noise_seed must be >= 0, got {self.noise_seed}")
-        for name in ("background_sigma", "layer_sigma", "target_sigma"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        """Rejects what a run of the scenario would reject."""
+        check_ranges(self)
         # the JSON form (see to_dict): the dike as its five numbers, lists for tuples
         if self.dike is not None and not isinstance(self.dike, DikeGeometry):
             object.__setattr__(self, "dike", DikeGeometry(*self.dike))

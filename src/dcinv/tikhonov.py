@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, SolverFailure
+from .fileio import check_ranges, ranged
 from .forward import DataWeights, DCSimulation, chi_factor, phi_d
 from .mesh import TensorMesh2D, cell_centers
 from .survey import Survey
@@ -34,58 +35,33 @@ from .trace import EpochRecord, InversionTrace
 
 @dataclass(frozen=True)
 class RegularizationConfig:
-    alpha_s: float = 1.0
-    alpha_x: float = 1.0
-    alpha_z: float = 1.0
-    p_s: float = 2.0
-    p_x: float = 2.0
-    p_z: float = 2.0
-    m_ref: float = float(np.log(0.01))
-    irls_epsilon: float = 1e-2  # fraction of the running residual scale
+    alpha_s: float = ranged(1.0, "[0, inf)")
+    alpha_x: float = ranged(1.0, "[0, inf)")
+    alpha_z: float = ranged(1.0, "[0, inf)")
+    p_s: float = ranged(2.0, "[0, 2]")
+    p_x: float = ranged(2.0, "[0, 2]")
+    p_z: float = ranged(2.0, "[0, 2]")
+    m_ref: float = ranged(float(np.log(0.01)), "(-inf, inf)")
+    irls_epsilon: float = ranged(1e-2, "(0, inf)")  # fraction of the running residual scale
     use_sensitivity_weights: bool = False
 
-    def __post_init__(self):
-        # Each test is written so that NaN fails it; every number is finite.
-        if not all(0 <= alpha < np.inf for alpha in (self.alpha_s, self.alpha_x, self.alpha_z)):
-            raise ValueError("alpha_s, alpha_x and alpha_z must be nonnegative and finite")
-        for p in (self.p_s, self.p_x, self.p_z):
-            if not 0.0 <= p <= 2.0:
-                raise ValueError("norms must lie in [0, 2]")
-        if not 0 < self.irls_epsilon < np.inf:
-            raise ValueError("irls_epsilon must be positive and finite")
-        if not (isinstance(self.m_ref, (int, float)) and np.isfinite(self.m_ref)):
-            raise ValueError(f"m_ref must be a finite number, got {self.m_ref!r}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class GNConfig:
-    beta0: float | None = None  # None: estimate from curvature ratio
-    beta0_ratio: float = 1.0
-    cooling_factor: float = 0.5
-    iterations_per_beta: int = 2
-    max_beta_steps: int = 15
-    cg_tol: float = 1e-2
-    cg_maxiter: int = 30
-    target_chi: float = 1.0
-    line_search_max: int = 20
-    rng_seed: int = 0
+    beta0: float | None = ranged(None, "(0, inf)")  # None: estimate from curvature ratio
+    beta0_ratio: float = ranged(1.0, "(0, inf)")
+    cooling_factor: float = ranged(0.5, "(0, 1)")
+    iterations_per_beta: int = ranged(2, "[1, inf)")
+    max_beta_steps: int = ranged(15, "[1, inf)")
+    cg_tol: float = ranged(1e-2, "[0, inf)")
+    cg_maxiter: int = ranged(30, "[1, inf)")
+    target_chi: float = ranged(1.0, "[0, inf)")
+    line_search_max: int = ranged(20, "[0, inf)")
+    rng_seed: int = ranged(0, "[0, inf)")
 
-    def __post_init__(self):
-        # Each test is written so that NaN fails it; every number is finite.
-        if self.beta0 is not None and not 0 < self.beta0 < np.inf:
-            raise ValueError("beta0 must be positive and finite")
-        if not 0 < self.beta0_ratio < np.inf:
-            raise ValueError("beta0_ratio must be positive and finite")
-        if not 0.0 < self.cooling_factor < 1.0:
-            raise ValueError("cooling_factor must be in (0, 1)")
-        if min(self.iterations_per_beta, self.max_beta_steps, self.cg_maxiter) < 1:
-            raise ValueError("iterations_per_beta, max_beta_steps and cg_maxiter must be >= 1")
-        if not (0 <= self.cg_tol < np.inf and 0 <= self.target_chi < np.inf):
-            raise ValueError("cg_tol and target_chi must be >= 0 and finite")
-        if self.line_search_max < 0:
-            raise ValueError("line_search_max must be >= 0")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+    __post_init__ = check_ranges
 
 
 class DifferenceOperators:

@@ -49,13 +49,14 @@ def readme_failures() -> tuple:
     return tuple(rows)
 
 
-def refused(argv, code: int, message: str, files=None) -> str:
+def refused(argv, code: int, message: str | tuple[str, ...], files=None) -> str:
     """Run ``dcinv argv`` in a fresh directory holding ``files`` and check the
     failure contract: exit ``code``; stderr under a README prefix of that
-    code, holding ``message``; no traceback; and the directory tree as it
-    was, byte for byte.  ``{tmp}`` in ``argv``, ``message`` and text files
-    stands for the directory.  ``files`` maps a name to its text, bytes, a
-    JSON value, or a function that writes the path.  Returns stderr."""
+    code, holding ``message`` (or each of a tuple of them); no traceback;
+    and the directory tree as it was, byte for byte.  ``{tmp}`` in ``argv``,
+    ``message`` and text files stands for the directory.  ``files`` maps a
+    name to its text, bytes, a JSON value, or a function that writes the
+    path.  Returns stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         def fill(text):
             return text.replace("{tmp}", tmp)
@@ -74,7 +75,8 @@ def refused(argv, code: int, message: str, files=None) -> str:
         err = err.getvalue()
         prefixes = tuple(prefix for _, c, prefix, _ in readme_failures() if c == code)
         assert got == code and err.startswith(prefixes), err
-        assert fill(message) in err and "Traceback" not in err, err
+        messages = (message,) if isinstance(message, str) else message
+        assert all(fill(m) in err for m in messages) and "Traceback" not in err, err
         assert _tree(tmp) == before
     return err
 

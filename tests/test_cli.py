@@ -316,10 +316,10 @@ _NO_ALPHA = "alpha_s, alpha_x and alpha_z are all 0, so beta0 cannot be estimate
 
 class TestInputChecks:
     @pytest.mark.parametrize("argv, cfg, patch, code, message", [
-        ([*_DIP, "--dropout", "1.5"], "", {}, 1, "dropout rate must be in [0, 1)"),
-        ([*_CONV, "--ps", "3"], "", {}, 1, "norms must lie in [0, 2]"),
+        ([*_DIP, "--dropout", "1.5"], "", {}, 1, "dropout_rate must be in [0, 1), got 1.5"),
+        ([*_CONV, "--ps", "3"], "", {}, 1, "p_s must be in [0, 2], got 3.0"),
         ([*_CONV, "--config", "{tmp}/run.cfg"], "[gn]\nbeta0_ratio = 0\n", {}, 1,
-         "beta0_ratio must be positive and finite"),
+         "beta0_ratio must be in (0, inf), got 0.0"),
         (["simulate", "--config", "{tmp}/run.cfg", "--out", "{tmp}/o"], "[scenario]\ncase = 3\n",
          {}, 1, "scenario case must be one of"),
         (["render", "--grid", "{tmp}/g.txt", "--out", "{tmp}/g.ppm", "--upscale", "0"], "", {},
@@ -346,7 +346,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("dip, message", [
         ("5e-324", "dike at dip 5e-324 extends outside the core mesh"),
         ("2.2", "dike at dip 2.2 extends outside the core mesh"),
-        ("0", "dip must lie in (0, 90] degrees")])
+        pytest.param("0", "dip_degrees must be in (0, 90], got 0.0",
+                     id="0-dip must lie in (0, 90] degrees")])
     def test_a_dip_the_dike_refuses_names_scenario_and_dip(self, via, dip, message):
         """A dip that the config reads but the dike refuses exits 1 as a flag
         or INI key and 3 in a replayed manifest, in one line naming the
@@ -550,6 +551,17 @@ class TestRenderCommand:
         assert [tuple(int(v) for v in px) for px in image.reshape(-1, 3)] == [
             ramp_color(0.0), ramp_color(1.0), ramp_color(1.0), ramp_color(1.0)]
 
+    def test_a_grid_wider_than_the_float_range_draws_its_ramp(self, tmp_path, capsys):
+        """max - min = 2e308 overflows to inf: it drew NaN pixels after two
+        numpy warnings (the suite turns one into an error)."""
+        save_grid(tmp_path / "g.txt", np.array([1e308, -1e308, 0.0]), nx=3, nz=1)
+        assert main(["render", "--grid", str(tmp_path / "g.txt"), "--out",
+                     str(tmp_path / "g.ppm")]) == 0
+        assert capsys.readouterr().err == ""
+        image = read_ppm(tmp_path / "g.ppm")
+        assert [tuple(int(v) for v in px) for px in image.reshape(-1, 3)] == [
+            ramp_color(1.0), ramp_color(0.0), ramp_color(0.5)]
+
     @pytest.mark.parametrize("limits", [["--vmin", "nan"], ["--vmax", "inf"],
                                         ["--vmin", "5", "--vmax", "1"], ["--vmin", "2"]])
     def test_limits_it_cannot_honour_are_usage_errors(self, limits):
@@ -606,7 +618,8 @@ class TestPretrainedReuse:
                     **{**params.arrays, name: spoil(params.arrays[name])})})
 
     @pytest.mark.parametrize("field, value, message", [
-        ("latent_dim", 0, "__arch__: latent_dim must be >= 1"),
+        pytest.param("latent_dim", 0, "__arch__: latent_dim must be in [1, inf), got 0",
+                     id="latent_dim-0-__arch__: latent_dim must be >= 1"),
         ("seed_shape", [0, 34], "__arch__: seed_shape must be two positive integers"),
         ("seed_shape", [5], "__arch__.seed_shape must hold 2 values, got 1"),
         ("channels", 64, "__arch__.channels must be a list, got 64")])

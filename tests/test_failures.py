@@ -13,10 +13,18 @@ from helpers import GRID, REPLAY, readme_failures, refused, stored_run
 
 _DATA = "{tmp}/d.txt"
 
-# id -> (argv, files, exit code, message): each message starts with its README prefix.
+# id -> (argv, files, exit code, message): each message, or the first of a tuple of them,
+# starts with its README prefix.  A usage error prints the usage, then the parser's reason.
 # --upscale 10**15 is refused before numpy is asked for an image (10.7 PiB without the check).
 TABLE = {
-    "usage-flag-left-out": (["render"], {}, 1, "usage: dcinv render"),
+    "usage-flag-left-out": (["render"], {}, 1, (
+        "usage: dcinv render",
+        "\ndcinv render: error: the following arguments are required: --grid, --out\n")),
+    "usage-invalid-choice": (["invert-dip", "--scale", "huge"], {}, 1, (
+        "usage: dcinv invert-dip",
+        "\ndcinv invert-dip: error: argument --scale: invalid choice: 'huge' (choose from ")),
+    "usage-unknown-flag": (["invert-dip", "--tua", "3"], {}, 1, (
+        "usage: dcinv", "\ndcinv: error: unrecognized arguments: --tua 3\n")),
     "upscale-too-large": (["render", "--grid", "{tmp}/g.txt", "--out", "{tmp}/g.ppm",
                            "--upscale", str(10 ** 15)], GRID, 1,
                           "invalid arguments: --upscale 1000000000000000 makes a "
@@ -101,9 +109,11 @@ def test_the_readme_table_of_failures_is_the_contract():
     assert outcomes == {*_FAILURES.values(), ("usage: dcinv", EXIT_USAGE)}
     assert len(outcomes) == len(readme)
     assert all(example.startswith(prefix) for _, _, prefix, example in readme)
+    firsts = [(code, message if isinstance(message, str) else message[0])
+              for _, _, code, message in TABLE.values()]
     rows = {(code, prefix) for _, code, prefix, _ in readme
-            for _, _, c, message in TABLE.values() if c == code and message.startswith(prefix)}
+            for c, message in firsts if c == code and message.startswith(prefix)}
     assert rows == {(code, prefix) for _, code, prefix, _ in readme
                     if code in (EXIT_USAGE, EXIT_IO)}
-    for _, _, code, message in TABLE.values():
+    for code, message in firsts:
         assert sum(c == code and message.startswith(p) for _, c, p, _ in readme) == 1, message

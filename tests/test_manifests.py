@@ -3,8 +3,10 @@ else exits 3 naming its path, before the run writes anything."""
 
 import hashlib
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from dcinv.fileio import from_fields
 from dcinv.net.model import UPSAMPLERS, ArchConfig
 from dcinv.runs import (FROM_V1, ArchChoice, ConventionalConfig, ConventionalRun, DipRun,
                         SimulateRun, load_run, manifest, replay)
-from dcinv.scenarios import build_case1, build_case2
+from dcinv.scenarios import DikeGeometry, ScenarioSpec, build_case1, build_case2
 from dcinv.tikhonov import GNConfig, RegularizationConfig
 from dcinv.trace import load_grid, load_trace
 from helpers import REPLAY, at, refused, stored_run
@@ -234,8 +236,85 @@ def test_a_value_the_walker_refuses_is_refused_through_the_api_too(cls, field, v
     dataclass's own check."""
     with pytest.raises(ValueError, match=f"^{field} must be a finite number, got"):
         from_fields(cls, {field: value}, ini=True)
-    with pytest.raises(ValueError, match=f"^{field} must be (a )?finite"):
+    with pytest.raises(ValueError, match=fr"^{field} must be in \(-inf, inf\), got"):
         cls(**{field: value})
+
+
+# Each declared range as a message writes it; a range widened in the code shows here.
+RANGES = {
+    DipConfig: {"tau": "(0, inf)", "lr": "(0, inf)", "adam_beta1": "[0, 1)",
+                "adam_beta2": "[0, 1)", "adam_eps": "(0, inf)", "epochs_stage1": "[0, inf)",
+                "epochs_stage2": "[0, inf)", "dropout_rate": "[0, 1)", "m_ref": "(-inf, inf)",
+                "rng_seed": "[0, inf)", "stage1_lr": "(0, inf)", "stage1_tol": "[0, inf)",
+                "chi_stop": "[0, inf)", "chi_patience": "[1, inf)"},
+    RegularizationConfig: {"alpha_s": "[0, inf)", "alpha_x": "[0, inf)", "alpha_z": "[0, inf)",
+                           "p_s": "[0, 2]", "p_x": "[0, 2]", "p_z": "[0, 2]",
+                           "m_ref": "(-inf, inf)", "irls_epsilon": "(0, inf)"},
+    GNConfig: {"beta0": "(0, inf)", "beta0_ratio": "(0, inf)", "cooling_factor": "(0, 1)",
+               "iterations_per_beta": "[1, inf)", "max_beta_steps": "[1, inf)",
+               "cg_tol": "[0, inf)", "cg_maxiter": "[1, inf)", "target_chi": "[0, inf)",
+               "line_search_max": "[0, inf)", "rng_seed": "[0, inf)"},
+    ArchConfig: {"latent_dim": "[1, inf)", "negative_slope": "[0, 1]",
+                 "output_scale": "(-inf, inf)", "dropout_rate": "[0, 1)"},
+    ScenarioSpec: {"background_sigma": "(0, inf)", "layer_sigma": "(0, inf)",
+                   "target_sigma": "(0, inf)", "noise_rel": "[0, inf)", "noise_seed": "[0, inf)"},
+    DikeGeometry: {"width": "(0, inf]", "dip_degrees": "(0, 90]"},
+}
+# the fields a class has no default for
+_REQUIRED = {ScenarioSpec: {"name": "probe"},
+             DikeGeometry: {"x_top": 0.0, "depth_top": 20.0, "depth_bottom": 120.0,
+                            "width": 25.0, "dip_degrees": 45.0}}
+
+
+def test_the_declared_ranges_are_the_table():
+    declared = {(cls, f.name, f.metadata["range"].text)
+                for cls in RANGES for f in fields(cls) if "range" in f.metadata}
+    assert declared == {(cls, name, interval) for cls, table in RANGES.items()
+                        for name, interval in table.items()}
+
+
+def _accepts(make, value) -> bool:
+    try:
+        make(value)
+    except (TypeError, ValueError):  # None, compared with a number, is a TypeError
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls, name, interval",
+                         [(cls, name, interval) for cls, table in RANGES.items()
+                          for name, interval in table.items()],
+                         ids=[f"{cls.__name__}.{name}" for cls, table in RANGES.items()
+                              for name in table])
+def test_a_value_is_accepted_or_refused_as_its_range_says(cls, name, interval):
+    """Each finite end of the range and its neighbours (the next integers for
+    an integer field, else the next floats, NaN and the infinities), given to
+    the class as a Python and a numpy number and read by ``from_fields``,
+    which also takes only finite numbers; None passes only as a default."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    ends = [end for end in (low, high) if math.isfinite(end)]
+    if get_type_hints(cls)[name] is int:
+        probes, scalar = [int(end) + step for end in ends for step in (-1, 0, 1)], np.int64
+    else:
+        probes = [float(np.nextafter(end, to)) for end in ends for to in (-math.inf, end, math.inf)]
+        probes, scalar = probes + [math.nan, math.inf, -math.inf], np.float64
+
+    def inside(value):
+        return ((low < value or interval[0] == "[" and value == low)
+                and (value < high or interval[-1] == "]" and value == high))
+
+    def build(value):
+        return cls(**{**_REQUIRED.get(cls, {}), name: value})
+
+    def read(value):
+        return from_fields(cls, {**_REQUIRED.get(cls, {}), name: value}, ini=True)
+
+    got = {value: (_accepts(build, value), _accepts(build, scalar(value)), _accepts(read, value))
+           for value in probes}
+    assert got == {value: (inside(value), inside(value), inside(value) and math.isfinite(value))
+                   for value in probes}
+    optional = cls.__dataclass_fields__[name].default is None
+    assert (_accepts(build, None), _accepts(read, None)) == (optional, optional)
 
 
 def _corpus(name: str) -> dict:

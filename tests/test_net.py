@@ -84,7 +84,7 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             ArchConfig(dropout_rate=1.0)
         for slope in (-0.1, 1.5, float("nan")):  # the leaky ReLU is a maximum on [0, 1]
-            with pytest.raises(ValueError, match="negative slope"):
+            with pytest.raises(ValueError, match="negative_slope must be in"):
                 ArchConfig(negative_slope=slope)
         assert ArchConfig(negative_slope=0.0).negative_slope == 0.0
         assert ArchConfig(negative_slope=1.0).negative_slope == 1.0
