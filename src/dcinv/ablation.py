@@ -11,7 +11,6 @@ other error propagates.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .dip import DipConfig
@@ -43,61 +42,43 @@ def suite_variants(suite: str, cfg: DipConfig):
     raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
 
 
-def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str,
-                 workers: int = 1):
+def run_ablation(suites, spec: ScenarioSpec, cfg: DipConfig, out_dir: str):
     """Execute a sequence of suites on one data realization; returns a row
     per (suite, label).
     A variant that recurs across suites (``blocks-3`` is ``dropout-0``) runs
-    once, into the subdirectory of its first label under ``out_dir``;
-    ``summary.txt`` holds one table per suite.  The runs go to a pool of
-    ``min(workers, number of runs)`` processes when that is above 1."""
-    if workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {workers}")
+    once, into the subdirectory of its first label under ``out_dir``; the
+    variants run one after another in this process.  ``summary.txt`` holds
+    one table per suite."""
     sim_paths = execute(SimulateRun(spec, os.path.join(out_dir, "data")))
     truth, nx, nz = load_grid(sim_paths["model_true"])
 
-    runs, plan = {}, []  # runs: the run by what it runs; plan: (suite, label, key)
+    outcomes, rows = {}, []  # outcomes: a run's status and measures, by what it runs
     for suite in suites:
         for label, arch, run_cfg in suite_variants(suite, cfg):
             run = DipRun(spec, run_cfg, arch, sim_paths["data"], None,
                          os.path.join(out_dir, label))
             key = replace(run, out_dir="")  # a run is determined up to where it writes
-            runs.setdefault(key, run)
-            plan.append((suite, label, key))
-
-    workers = min(workers, len(runs))  # a fork pool starts all its processes at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_guarded, runs.values()))
-    else:
-        outcomes = [_run_guarded(run) for run in runs.values()]
-    by_run = dict(zip(runs, outcomes))
-
-    rows = []
-    for suite, label, key in plan:
-        (ok, err), run_dir = by_run[key], runs[key].out_dir
-        if not ok:
-            rows.append({"suite": suite, "run": label, "status": f"failed: {err}",
-                         "chi": float("nan"), "rmse": float("nan"),
-                         "smoothness": float("nan")})
-            continue
-        model, _, _ = load_grid(os.path.join(run_dir, "model.txt"))
-        trace = load_trace(os.path.join(run_dir, "trace.txt"))
-        rows.append({"suite": suite, "run": label, "status": "ok",
-                     "chi": trace.records[-1].chi if trace.records else float("nan"),
-                     "rmse": rmse(model, truth),
-                     "smoothness": mean_abs_gradient(model.reshape(nz, nx))})
+            if key not in outcomes:
+                outcomes[key] = _outcome(run, truth, nx, nz)
+            rows.append({"suite": suite, "run": label, **outcomes[key]})
 
     _write_summary(os.path.join(out_dir, "summary.txt"), suites, rows)
     return rows
 
 
-def _run_guarded(run: DipRun):
+def _outcome(run: DipRun, truth, nx: int, nz: int) -> dict:
+    """Execute ``run``; its status, chi, model error and smoothness.  A
+    numerical failure (a SolverFailure too) is its status; any other error
+    propagates."""
     try:
         execute(run)
-        return True, ""
-    except NumericalFailure as e:  # a SolverFailure too; the row records it, the suite goes on
-        return False, f"{type(e).__name__}: {e}"
+    except NumericalFailure as e:
+        return {"status": f"failed: {type(e).__name__}: {e}",
+                "chi": float("nan"), "rmse": float("nan"), "smoothness": float("nan")}
+    model, _, _ = load_grid(os.path.join(run.out_dir, "model.txt"))
+    trace = load_trace(os.path.join(run.out_dir, "trace.txt"))
+    return {"status": "ok", "chi": trace.records[-1].chi if trace.records else float("nan"),
+            "rmse": rmse(model, truth), "smoothness": mean_abs_gradient(model.reshape(nz, nx))}
 
 
 def _write_summary(path, suites, rows) -> None:

@@ -14,6 +14,7 @@ override it.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -52,6 +53,9 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(formatter_class=_Formatter, **kwargs)
+        # sets argparse's private negative-number pattern, widened to take an exponent,
+        # so `--vmin -4.5e0` is a value, not a flag (Python 3.11's reads only `-4.5`)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -102,9 +106,13 @@ def _load_config(path) -> dict[str, dict[str, str]]:
 
 
 def _section(name: str, flags: dict, config: dict):
-    """Section ``name``'s dataclass: defaults, then the config file, then the flags."""
-    cfg = fileio.from_fields(_SECTIONS[name], config.get(name, {}), name, ini=True)
-    return replace(cfg, **_flags_for(flags, name))
+    """Section ``name``'s dataclass: defaults, then the config file, then the
+    flags, each flag refused as its config key would be.  The file's section
+    is checked alone first, so a key that a flag overrides is checked too."""
+    section = config.get(name, {})
+    fileio.from_fields(_SECTIONS[name], section, name, ini=True)
+    return fileio.from_fields(_SECTIONS[name], {**section, **_flags_for(flags, name)}, name,
+                              ini=True)
 
 
 def _scenario(flags: dict, config: dict) -> ScenarioSpec:
@@ -158,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--out", default="runs/ablation")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--epochs", dest="dip.epochs_stage2", type=int)
 
     p = sub.add_parser("render", help="render a model grid file to a PPM image")
@@ -203,7 +210,7 @@ def _run(args) -> int:
 
     elif args.command == "ablate":
         rows = run_ablation([args.suite], _scenario(flags, config),
-                            _section("dip", flags, config), args.out, workers=args.workers)
+                            _section("dip", flags, config), args.out)
         for r in rows:
             print(f"{r['run']:24s} chi={r['chi']:.3f} rmse={r['rmse']:.3f} "
                   f"smoothness={r['smoothness']:.5f} [{r['status']}]")

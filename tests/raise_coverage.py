@@ -10,10 +10,8 @@ in this process under a line tracer (``sys.settrace`` and
 prints each statement none of whose lines ran.  It exits 1 if there is
 any, with pytest's exit code if the suite itself fails, else 0.
 
-The children of a process pool (``ablate --workers 2``) are not traced: a
-``raise`` reached only there counts as never run.  Tracing makes the suite
-about 1.5 times slower.  Pytest does not collect this file (its name is not
-``test_*.py``).
+Tracing makes the suite about 1.5 times slower.  Pytest does not collect
+this file (its name is not ``test_*.py``).
 """
 
 from __future__ import annotations

@@ -48,44 +48,6 @@ class TestRunAblation:
         # all variants invert the same shared data realization
         assert (tmp_path / "data" / "data.txt").exists()
 
-    def test_a_pool_writes_what_one_process_writes(self, tmp_path):
-        spec, _ = build_case1(45.0, scale="desk")
-        cfg = DipConfig(epochs_stage1=5, epochs_stage2=2, tau=50.0, dropout_rate=0.1)
-        for workers in (1, 2):
-            run_ablation(["dropout"], spec, cfg, str(tmp_path / f"w{workers}"), workers=workers)
-        names = ["summary.txt"] + [f"{label}/{name}" for label in ("dropout-0", "dropout-0.1")
-                                   for name in ("model.txt", "trace.txt")]
-        for name in names:
-            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
-
-    def test_the_pool_starts_no_more_processes_than_runs(self, tmp_path, monkeypatch):
-        """A fork pool starts all its processes at the first submit, so a
-        large ``workers`` starts one per run at most.  The fake pool records
-        the count it is given and maps in this process, starting none."""
-        import dcinv.ablation as ab
-
-        counts = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                counts.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(ab, "ProcessPoolExecutor", RecordingPool)
-        spec, _ = build_case1(45.0, scale="desk")
-        cfg = DipConfig(epochs_stage1=5, epochs_stage2=2, tau=50.0)
-        rows = run_ablation(["dropout"], spec, cfg, str(tmp_path), workers=10 ** 6)
-        assert counts == [2]
-        assert [r["status"] for r in rows] == ["ok", "ok"]
-
     @staticmethod
     def _first_dip_run_raises(monkeypatch, error):
         import dcinv.ablation as ab

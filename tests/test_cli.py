@@ -346,8 +346,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("dip, message", [
         ("5e-324", "dike at dip 5e-324 extends outside the core mesh"),
         ("2.2", "dike at dip 2.2 extends outside the core mesh"),
-        pytest.param("0", "dip_degrees must be in (0, 90], got 0.0",
-                     id="0-dip must lie in (0, 90] degrees")])
+        ("0", "dip_degrees must be in (0, 90], got 0.0")], ids=["5e-324", "2.2", "0"])
     def test_a_dip_the_dike_refuses_names_scenario_and_dip(self, via, dip, message):
         """A dip that the config reads but the dike refuses exits 1 as a flag
         or INI key and 3 in a replayed manifest, in one line naming the
@@ -562,6 +561,15 @@ class TestRenderCommand:
         assert [tuple(int(v) for v in px) for px in image.reshape(-1, 3)] == [
             ramp_color(1.0), ramp_color(0.0), ramp_color(0.5)]
 
+    def test_a_negative_limit_in_exponent_notation_is_a_number(self, tmp_path):
+        """argparse took `-4.5e0` for a flag and exited 1 (`expected one argument`)."""
+        save_grid(tmp_path / "g.txt", np.array([-4.0, -3.5, -5.0, -3.0]), nx=2, nz=2)
+        for name, limits in (("a", ["-4.5", "-3"]), ("b", ["-4.5e0", "-3e0"])):
+            assert main(["render", "--grid", str(tmp_path / "g.txt"), "--out",
+                         str(tmp_path / f"{name}.ppm"), "--vmin", limits[0],
+                         "--vmax", limits[1]]) == 0
+        assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
     @pytest.mark.parametrize("limits", [["--vmin", "nan"], ["--vmax", "inf"],
                                         ["--vmin", "5", "--vmax", "1"], ["--vmin", "2"]])
     def test_limits_it_cannot_honour_are_usage_errors(self, limits):
@@ -618,11 +626,11 @@ class TestPretrainedReuse:
                     **{**params.arrays, name: spoil(params.arrays[name])})})
 
     @pytest.mark.parametrize("field, value, message", [
-        pytest.param("latent_dim", 0, "__arch__: latent_dim must be in [1, inf), got 0",
-                     id="latent_dim-0-__arch__: latent_dim must be >= 1"),
+        ("latent_dim", 0, "__arch__: latent_dim must be in [1, inf), got 0"),
         ("seed_shape", [0, 34], "__arch__: seed_shape must be two positive integers"),
         ("seed_shape", [5], "__arch__.seed_shape must hold 2 values, got 1"),
-        ("channels", 64, "__arch__.channels must be a list, got 64")])
+        ("channels", 64, "__arch__.channels must be a list, got 64")],
+        ids=["latent_dim-0", "seed_shape-0-34", "seed_shape-5", "channels-64"])
     def test_checkpoint_architecture_it_refuses_exits_3(self, field, value, message):
         params = init_params(0, arch_for_mesh(19, 64))
         refused([*_DIP, "--epochs", "1", "--pretrained", "{tmp}/ck.npz"], 3,

@@ -29,9 +29,10 @@ TABLE = {
                            "--upscale", str(10 ** 15)], GRID, 1,
                           "invalid arguments: --upscale 1000000000000000 makes a "
                           "2000000000000000 x 2000000000000000 image"),
-    "ablate-workers-below-1": (["ablate", "--suite", "blocks", "--scale", "desk", "--workers",
-                                "-3", "--out", "{tmp}/o"], {}, 1,
-                               "invalid arguments: --workers must be at least 1, got -3\n"),
+    "flag-refused-as-its-config-key": (["invert-dip", "--scale", "desk", "--tau", "-1",
+                                        "--out", "{tmp}/o"], {}, 1,
+                                       "invalid arguments: dip: tau must be in (0, inf), "
+                                       "got -1.0\n"),
     "config-not-utf-8": (["invert-dip", "--scale", "desk", "--config", "{tmp}/run.cfg",
                           "--out", "{tmp}/o"], {"run.cfg": b"[dip]\ntau = 5\xff"}, 3,
                          "parse error: {tmp}/run.cfg: line 2: bytes that are not UTF-8\n"),

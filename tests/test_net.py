@@ -112,6 +112,15 @@ class TestInitialization:
         assert np.abs(params.arrays["fc.w"]).max() <= np.sqrt(1 / 8)
         assert np.abs(params.arrays["conv2.k"]).max() <= np.sqrt(1 / (64 * 9))
 
+    def test_copy_is_equal_and_independent(self):
+        params = init_params(0, arch_for_mesh(8, 12, 2))
+        copied = params.copy()
+        assert copied.arch == params.arch and copied.arrays.keys() == params.arrays.keys()
+        for key, array in params.arrays.items():
+            assert np.array_equal(copied.arrays[key], array)
+            copied.arrays[key] += 1.0
+            assert not np.array_equal(copied.arrays[key], array)
+
     def test_latent_vector(self):
         z = sample_latent(0, 8)
         assert z.shape == (8,)

@@ -570,6 +570,14 @@ def test_cg_that_loses_curvature_returns_its_current_iterate():
     assert np.array_equal(x, np.zeros(3)) and len(products) == 1
 
 
+def test_cg_on_a_zero_right_hand_side_returns_zeros_without_a_product():
+    def unused(v):
+        raise AssertionError("the operator was applied")
+
+    x = _cg_matfree(unused, np.zeros(3), 1e-8, 10)
+    assert np.array_equal(x, np.zeros(3))
+
+
 class TestTraffic:
     def test_gauss_newton_forms_j_once_per_model(self, monkeypatch):
         """A desk sparse-norm run with sensitivity weights solves once per
