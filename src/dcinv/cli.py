@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import fileio
 from .ablation import SUITES, run_ablation
@@ -53,9 +53,10 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(formatter_class=_Formatter, **kwargs)
-        # sets argparse's private negative-number pattern, widened to take an exponent,
-        # so `--vmin -4.5e0` is a value, not a flag (Python 3.11's reads only `-4.5`)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # sets argparse's private negative-number pattern, widened to what float() reads,
+        # so `--vmin -4.5e0` and `--dip -inf` are values, not flags (Python 3.11's reads `-4.5`)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -116,7 +117,8 @@ def _section(name: str, flags: dict, config: dict):
 
 
 def _scenario(flags: dict, config: dict) -> ScenarioSpec:
-    return replace(_section("scenario", flags, config).spec(), **_flags_for(flags, "spec"))
+    spec = _section("scenario", flags, config).spec().to_dict()
+    return fileio.from_fields(ScenarioSpec, {**spec, **_flags_for(flags, "spec")}, "scenario")
 
 
 def _add_scenario_args(p):
@@ -223,6 +225,8 @@ def _run(args) -> int:
         print(f"wrote {args.out}")
 
     elif args.command == "check":
+        if args.seed < 0:  # else numpy's refusal names neither the flag nor the value
+            raise ValueError(f"--seed must be in [0, inf), got {args.seed}")
         failures = 0
         for name, ok, detail in run_all(args.seed):
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -2,13 +2,17 @@
 
 Run from anywhere, with extra pytest arguments if wanted::
 
-    python tests/raise_coverage.py [pytest args]
+    python tests/raise_coverage.py [--lines] [pytest args]
 
 It finds the ``raise`` statements with :mod:`ast`, runs the Tier-1 suite
 in this process under a line tracer (``sys.settrace`` and
 ``threading.settrace``) that watches only the files under ``src/``, and
 prints each statement none of whose lines ran.  It exits 1 if there is
 any, with pytest's exit code if the suite itself fails, else 0.
+
+``--lines`` also prints every executable line of ``src/`` that never ran:
+each line that some compiled code object of the file starts an
+instruction on.  It does not change the exit code.
 
 Tracing makes the suite about 1.5 times slower.  Pytest does not collect
 this file (its name is not ``test_*.py``).
@@ -20,6 +24,7 @@ import ast
 import os
 import sys
 import threading
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +41,16 @@ def raise_statements() -> dict[str, list[tuple[int, int]]]:
         if spans:
             found[os.path.realpath(path)] = spans
     return found
+
+
+def executable_lines(path: str) -> set[int]:
+    """The lines of ``path`` on which its compiled code, nested code included, runs."""
+    codes, lines = [compile(Path(path).read_text(), path, "exec")], set()
+    while codes:
+        code = codes.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)  # 0: the module's RESUME
+        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+    return lines
 
 
 def run_traced(pytest_args: list[str], watched: set[str]) -> tuple[int, dict[str, set[int]]]:
@@ -72,8 +87,11 @@ def run_traced(pytest_args: list[str], watched: set[str]) -> tuple[int, dict[str
 
 
 def main(argv: list[str]) -> int:
+    lines_too = "--lines" in argv
+    argv = [arg for arg in argv if arg != "--lines"]
     statements = raise_statements()
-    code, ran = run_traced(argv, set(statements))
+    sources = {os.path.realpath(path) for path in SRC.rglob("*.py")}
+    code, ran = run_traced(argv, sources)
     if code:
         print(f"the suite failed (pytest exit {code}); raise coverage not reported")
         return code
@@ -88,7 +106,23 @@ def main(argv: list[str]) -> int:
     print(f"{len(unrun)} of {total} raise statements in src/ never ran")
     for line in unrun:
         print(line)
+    if lines_too:
+        report_lines(sources, ran)
     return 1 if unrun else 0
+
+
+def report_lines(sources: set[str], ran: dict[str, set[int]]) -> None:
+    """Prints each executable line of ``sources`` that is not in ``ran``."""
+    unrun, total = [], 0
+    for path in sorted(sources):
+        lines = executable_lines(path)
+        total += len(lines)
+        source = Path(path).read_text().splitlines()
+        unrun += [f"{os.path.relpath(path, ROOT)}:{n}: {source[n - 1].strip()}"
+                  for n in sorted(lines - ran.get(path, set()))]
+    print(f"{len(unrun)} of {total} executable lines in src/ never ran")
+    for line in unrun:
+        print(line)
 
 
 if __name__ == "__main__":

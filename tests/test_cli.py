@@ -299,7 +299,7 @@ class TestConfigFile:
                                        ["--noise", "inf"]])
     def test_scenario_value_it_rejects_is_usage_error(self, flags):
         """The scenario values a manifest refuses with exit 3 exit 1 as flags."""
-        refused([*_CONV, *flags], 1, "invalid arguments: noise_")
+        refused([*_CONV, *flags], 1, ("invalid arguments: scenario", "noise_"))
 
     def test_edge_values_stay_valid(self):
         """The boundary values the tests, the README and the benchmark use."""

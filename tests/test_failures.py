@@ -33,6 +33,15 @@ TABLE = {
                                         "--out", "{tmp}/o"], {}, 1,
                                        "invalid arguments: dip: tau must be in (0, inf), "
                                        "got -1.0\n"),
+    "flag-minus-inf": (["simulate", "--scale", "desk", "--dip", "-inf", "--out", "{tmp}/o"],
+                       {}, 1, "invalid arguments: scenario.dip must be a finite number, "
+                              "got -Infinity\n"),
+    "render-vmin-minus-inf": (["render", "--grid", "{tmp}/g.txt", "--out", "{tmp}/g.ppm",
+                               "--vmin", "-inf"], GRID, 1,
+                              "invalid arguments: colour limits must be finite, got vmin=-inf, "
+                              "vmax=1.0\n"),
+    "check-seed-below-0": (["check", "--seed", "-1"], {}, 1,
+                           "invalid arguments: --seed must be in [0, inf), got -1\n"),
     "config-not-utf-8": (["invert-dip", "--scale", "desk", "--config", "{tmp}/run.cfg",
                           "--out", "{tmp}/o"], {"run.cfg": b"[dip]\ntau = 5\xff"}, 3,
                          "parse error: {tmp}/run.cfg: line 2: bytes that are not UTF-8\n"),
