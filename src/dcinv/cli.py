@@ -225,7 +225,7 @@ def _run(args) -> int:
         print(f"wrote {args.out}")
 
     elif args.command == "check":
-        if args.seed < 0:  # else numpy's refusal names neither the flag nor the value
+        if args.seed < 0:  # ScenarioSpec.noise_seed's range; numpy's names no flag or value
             raise ValueError(f"--seed must be in [0, inf), got {args.seed}")
         failures = 0
         for name, ok, detail in run_all(args.seed):

@@ -141,7 +141,8 @@ def transposed_conv2(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def transposed_conv2_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
-    """Gradients (gk, gb, gx) of <g, transposed_conv2(x, k, b)>: one GEMM each for gk, gx."""
+    """Gradients (gk, gb, gx) of <g, transposed_conv2(x, k, b)>: g un-shuffled once
+    into the forward's (q, o, a) rows and mix matrix, then one GEMM each for gk, gx."""
     n, c, h, w = x.shape
     gz = g.reshape(n, -1, h, 2, w, 2).transpose(0, 5, 1, 3, 2, 4).reshape(n, -1, h * w)
     gk = (gz @ x.reshape(n, c, h * w).swapaxes(1, 2)).sum(axis=0).reshape(2, -1, 2, c)

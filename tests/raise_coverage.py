@@ -2,7 +2,7 @@
 
 Run from anywhere, with extra pytest arguments if wanted::
 
-    python tests/raise_coverage.py [--lines] [pytest args]
+    python tests/raise_coverage.py [pytest args]
 
 It finds the ``raise`` statements with :mod:`ast`, runs the Tier-1 suite
 in this process under a line tracer (``sys.settrace`` and
@@ -10,9 +10,9 @@ in this process under a line tracer (``sys.settrace`` and
 prints each statement none of whose lines ran.  It exits 1 if there is
 any, with pytest's exit code if the suite itself fails, else 0.
 
-``--lines`` also prints every executable line of ``src/`` that never ran:
-each line that some compiled code object of the file starts an
-instruction on.  It does not change the exit code.
+After that report it prints every executable line of ``src/`` that never
+ran: each line that some compiled code object of the file starts an
+instruction on.  Those lines do not change the exit code.
 
 Tracing makes the suite about 1.5 times slower.  Pytest does not collect
 this file (its name is not ``test_*.py``).
@@ -87,8 +87,6 @@ def run_traced(pytest_args: list[str], watched: set[str]) -> tuple[int, dict[str
 
 
 def main(argv: list[str]) -> int:
-    lines_too = "--lines" in argv
-    argv = [arg for arg in argv if arg != "--lines"]
     statements = raise_statements()
     sources = {os.path.realpath(path) for path in SRC.rglob("*.py")}
     code, ran = run_traced(argv, sources)
@@ -106,8 +104,7 @@ def main(argv: list[str]) -> int:
     print(f"{len(unrun)} of {total} raise statements in src/ never ran")
     for line in unrun:
         print(line)
-    if lines_too:
-        report_lines(sources, ran)
+    report_lines(sources, ran)
     return 1 if unrun else 0
 
 
